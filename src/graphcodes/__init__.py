@@ -1,5 +1,5 @@
 """Johnson/Hamming graph codes, layered regenerating codes, and a storage simulator."""
 
-from graphcodes.field import FieldSpec, field_make, distinct_points
+from graphcodes.field import FieldSpec, field_make
 
-__all__ = ["FieldSpec", "field_make", "distinct_points"]
+__all__ = ["FieldSpec", "field_make"]

@@ -117,7 +117,7 @@ def _build_code(args):
         return build_concat(args.n, args.v, args.k, args.q, args.scenario)
     if args.k == args.n - 1 and args.scenario is None:
         return LayeredCode(args.n, args.v, args.q)
-    raise SystemExit(
+    raise ValueError(
         "simulation needs v = k+1 (concatenated) or k = n-1 (pure layered)")
 
 

@@ -20,9 +20,9 @@ from math import comb, lcm
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from graphcodes.combinat import Layer, ball_size, layer, shell_index
-from graphcodes.field import FieldSpec, field_make
+from graphcodes.field import field_make
 from graphcodes.jgc import JGCSpec, dual, erasure_decode, syndrome_of
-from graphcodes.layered import LayeredSpec, encode_layered, layer_sum
+from graphcodes.layered import LayeredSpec, encode_layered, fill_layers
 
 
 def series_multiplicities(v: int, ell: int) -> List[int]:
@@ -337,7 +337,6 @@ class ConcatCode:
             )
         self.lspec = {u: LayeredSpec(self.F, n, u) for u in range(1, v + 1)}
         self._codes: Dict[Tuple[int, int, int, int], Tuple[JGCSpec, JGCSpec]] = {}
-        self._parities: Dict[Tuple[int, Layer], object] = {}
 
         # precodes: the u-1 data vectors of a size-u copy are codewords
         # of the graph code with radius u-1, so any k accessed nodes
@@ -389,7 +388,6 @@ class ConcatCode:
             self.offsets.append(off)
             off += comb(n - 1, comp.u - 1)
         self.M = self.layout.M
-        self.params = concat_params(n, v, k)
 
     # ----- helper code bookkeeping -----
 
@@ -423,20 +421,18 @@ class ConcatCode:
 
     # ----- labelings -----
 
-    def _labeling(self, rd: _Round, L_c: Layer, i: int,
-                  symbol) -> List[int]:
-        """Helper codeword-shaped vector: one symbol per layer above L_c.
+    def _lift(self, rd: _Round, L_c: Layer, i: int) -> List[Tuple[Layer, int]]:
+        """The (layer, node) behind each coordinate of a helper codeword.
 
-        Entry at the (relabeled) sublayer L' belongs to the layer
-        L = L_c | L' and is the stored symbol at the i-th smallest node
-        of L minus L_c; ``symbol(L, node)`` fetches stored values.
+        The coordinate at the (relabeled) sublayer L' belongs to the
+        layer L = L_c | L' and is the stored symbol at the i-th smallest
+        node of L minus L_c.
         """
         rest = [x for x in range(self.n) if x not in L_c]
         out = []
         for Lp in rd.code.vertices:
             nodes = [rest[j] for j in Lp]
-            Lfull = layer(L_c + tuple(nodes))
-            out.append(symbol(Lfull, nodes[i]))
+            out.append((layer(L_c + tuple(nodes)), nodes[i]))
         return out
 
     def _relabel_anchor(self, A: Layer, L_c: Layer) -> Layer:
@@ -445,14 +441,15 @@ class ConcatCode:
         return layer([pos[a] for a in A if a not in L_c])
 
     def _syndromes(self, cid: int, symbol) -> Dict[int, Dict[Layer, int]]:
-        """Injected check values for all dependents of component cid."""
+        """Injected check values for all dependents of component cid;
+        ``symbol((layer, node))`` fetches the component's stored values."""
         out: Dict[int, Dict[Layer, int]] = {}
         for rd in self.rounds.get(cid, []):
             for dep in rd.deps:
                 out[dep] = {}
             for L_c in self.lspec[rd.c].layers:
                 for i in range(rd.m):
-                    lab = self._labeling(rd, L_c, i, symbol)
+                    lab = [symbol(key) for key in self._lift(rd, L_c, i)]
                     s = syndrome_of(rd.code, lab, rd.dual)
                     for e in range(rd.codim):
                         out[rd.deps[i * rd.codim + e]][L_c] = s[e]
@@ -498,10 +495,9 @@ class ConcatCode:
                         for L in spec.layers for j in range(u - 1)]
             nodes = encode_layered(spec, data, inj)
             comp_nodes.append(nodes)
-            if self.rounds.get(cid):
-                def symbol(L, node, nodes=nodes, spec=spec):
-                    return nodes[node][spec.slot[(L, node)]]
-                injected.update(self._syndromes(cid, symbol))
+            def symbol(key, nodes=nodes, spec=spec):
+                return nodes[key[1]][spec.slot[key]]
+            injected.update(self._syndromes(cid, symbol))
         out = [[0] * self.alpha for _ in range(self.n)]
         for cid, nodes in enumerate(comp_nodes):
             off = self.offsets[cid]
@@ -518,12 +514,10 @@ class ConcatCode:
         Only entries of nodes listed in A are touched; the log records
         every (node, offset) read.
         """
-        F = self.F
         A = layer(A)
         if len(A) != self.k:
             raise ValueError(f"need exactly k={self.k} nodes, got {len(A)}")
         log = [(i, off) for i in A for off in range(self.alpha)]
-        sA = set(A)
         values: List[Dict[Tuple[Layer, int], int]] = []
         for cid, comp in enumerate(self.components):
             spec = self.lspec[comp.u]
@@ -536,21 +530,9 @@ class ConcatCode:
             values.append(vals)
 
         injected: Dict[int, Dict[Layer, int]] = {}
-        for cid, comp in enumerate(self.components):
-            u = comp.u
-            spec = self.lspec[u]
-            vals = values[cid]
-            inj = injected.get(cid, {})
-            if u == 1:
-                for L in spec.layers:
-                    if L[0] not in sA:
-                        vals[(L, L[0])] = inj[L]
-            else:
-                self._recover_component(cid, values, A, inj)
-            if self.rounds.get(cid):
-                def symbol(L, node, vals=vals):
-                    return vals[(L, node)]
-                injected.update(self._syndromes(cid, symbol))
+        for cid, vals in enumerate(values):
+            self._recover_component(cid, values, A, injected.get(cid, {}))
+            injected.update(self._syndromes(cid, vals.__getitem__))
 
         payload = []
         for cid, comp in enumerate(self.components):
@@ -565,20 +547,6 @@ class ConcatCode:
                     payload.extend(vals[(L, L[j])] for L in self.pre_info[u])
         return payload, log
 
-    def _parity_fill(self, spec: LayeredSpec, vals, inj, layers) -> None:
-        F = self.F
-        for L in layers:
-            missing = [j for j in L if (L, j) not in vals]
-            if not missing:
-                continue
-            if len(missing) > 1:
-                raise AssertionError(f"layer {L} still has {missing} unknown")
-            total = 0
-            for j in L:
-                if j != missing[0]:
-                    total = F.add(total, vals[(L, j)])
-            vals[(L, missing[0])] = F.sub(inj.get(L, 0), total)
-
     def _recover_component(self, cid: int, values, A: Layer, inj) -> None:
         F = self.F
         u = self.components[cid].u
@@ -588,36 +556,32 @@ class ConcatCode:
         by_c: Dict[int, List[Layer]] = {}
         for L in spec.layers:
             by_c.setdefault(len(sA.intersection(L)), []).append(L)
-        # layers meeting A in u or u-1 nodes close with their parity
-        self._parity_fill(spec, vals, inj, by_c.get(u, []) + by_c.get(u - 1, []))
+        # layers meeting A in u or u-1 nodes close with their layer check
+        fill_layers(F, vals, inj, by_c.get(u, []) + by_c.get(u - 1, []))
         for rd in self.rounds.get(cid, []):
             for L_c in itertools.combinations(A, rd.c):
                 L_c = layer(L_c)
                 A2 = self._relabel_anchor(A, L_c)
-                rest = [x for x in range(self.n) if x not in L_c]
+                in_ball = [shell_index(Lp, A2) <= rd.code.r
+                           for Lp in rd.code.vertices]
                 for i in range(rd.m):
                     s = []
                     for e in range(rd.codim):
                         dep = rd.deps[i * rd.codim + e]
-                        dspec = self.lspec[rd.c]
                         total = 0
                         for j in L_c:
                             total = F.add(total, values[dep][(L_c, j)])
                         s.append(total)
-                    known = {}
-                    for Lp in rd.code.vertices:
-                        if shell_index(Lp, A2) <= rd.code.r:
-                            nodes_ = [rest[j] for j in Lp]
-                            Lfull = layer(L_c + tuple(nodes_))
-                            known[Lp] = vals[(Lfull, nodes_[i])]
-                    word = self._decode(rd, A2, known, s)
-                    for p, Lp in enumerate(rd.code.vertices):
-                        if shell_index(Lp, A2) > rd.code.r:
-                            nodes_ = [rest[j] for j in Lp]
-                            Lfull = layer(L_c + tuple(nodes_))
-                            vals[(Lfull, nodes_[i])] = word[p]
-            self._parity_fill(spec, vals, inj, by_c.get(rd.c, []))
-        if u < self.v and by_c.get(0):
+                    lift = self._lift(rd, L_c, i)
+                    known = {Lp: vals[key] for Lp, key, b in
+                             zip(rd.code.vertices, lift, in_ball) if b}
+                    word = erasure_decode(rd.code, A2, known, syndrome=s,
+                                          dual_code=rd.dual)
+                    for key, x, b in zip(lift, word, in_ball):
+                        if not b:
+                            vals[key] = x
+            fill_layers(F, vals, inj, by_c.get(rd.c, []))
+        if 1 < u < self.v and by_c.get(0):
             if self.precode[u] is None:
                 raise AssertionError("missed layers despite trivial precode")
             code, dcode = self.precode[u]
@@ -627,15 +591,11 @@ class ConcatCode:
                 word = erasure_decode(code, A, known, dual_code=dcode)
                 for L in by_c[0]:
                     vals[(L, L[j])] = code.coord(word, L)
-            self._parity_fill(spec, vals, inj, by_c[0])
+            fill_layers(F, vals, inj, by_c[0])
         for L in spec.layers:
             for j in L:
                 if (L, j) not in vals:
                     raise AssertionError(f"layer {L} not recovered")
-
-    def _decode(self, rd: _Round, A2: Layer, known, syndrome) -> List[int]:
-        return erasure_decode(rd.code, A2, known, syndrome=syndrome,
-                              dual_code=rd.dual)
 
     # ----- repair -----
 
@@ -657,11 +617,9 @@ class ConcatCode:
             spec = self.lspec[comp.u]
             off = self.offsets[cid]
             vals = {}
-            if comp.u >= 2:
-                for L in spec.layers_at[failed]:
-                    for j in L:
-                        if j == failed:
-                            continue
+            for L in spec.layers_at[failed]:
+                for j in L:
+                    if j != failed:
                         vals[(L, j)] = nodes[j][off + spec.slot[(L, j)]]
                         counts[j] += 1
             values.append(vals)
@@ -676,34 +634,16 @@ class ConcatCode:
             rd = self.rounds[src][ridx]
             key = (src, ridx, L, i)
             if key not in syn_cache:
-                sspec = self.lspec[self.components[src].u]
-
-                def symbol(Lf, node):
-                    if node == failed:
-                        return values[src][(Lf, failed)]
-                    return values[src][(Lf, node)]
-
-                lab = self._labeling(rd, L, i, symbol)
+                lab = [values[src][k] for k in self._lift(rd, L, i)]
                 syn_cache[key] = syndrome_of(rd.code, lab, rd.dual)
             return syn_cache[key][e]
 
+        column: List[int] = []
         for cid, comp in enumerate(self.components):
-            spec = self.lspec[comp.u]
-            vals = values[cid]
-            for L in spec.layers_at[failed]:
-                s = injected_at(cid, L)
-                total = 0
-                for j in L:
-                    if j != failed:
-                        total = F.add(total, vals[(L, j)])
-                vals[(L, failed)] = F.sub(s, total)
-
-        column = [0] * self.alpha
-        for cid, comp in enumerate(self.components):
-            spec = self.lspec[comp.u]
-            off = self.offsets[cid]
-            for L in spec.layers_at[failed]:
-                column[off + spec.slot[(L, failed)]] = values[cid][(L, failed)]
+            layers = self.lspec[comp.u].layers_at[failed]
+            fill_layers(F, values[cid], {L: injected_at(cid, L) for L in layers},
+                        layers)
+            column.extend(values[cid][(L, failed)] for L in layers)
         return column, counts
 
 

@@ -207,33 +207,3 @@ class FieldSpec:
 def field_make(q: int) -> FieldSpec:
     """Build GF(q) with the canonical (smallest) irreducible polynomial."""
     return FieldSpec(q)
-
-
-def field_arith(spec: FieldSpec, a: int, b: int, op: str) -> int:
-    """Apply a named binary operation in the field."""
-    spec.check(a)
-    spec.check(b)
-    if op == "add":
-        return spec.add(a, b)
-    if op == "sub":
-        return spec.sub(a, b)
-    if op == "mul":
-        return spec.mul(a, b)
-    if op == "div":
-        return spec.div(a, b)
-    raise ValueError(f"unknown operation {op!r}")
-
-
-def distinct_points(spec: FieldSpec, n: int) -> List[int]:
-    """First n field elements in canonical value order."""
-    if n > spec.q:
-        raise ValueError(f"cannot pick {n} distinct points in GF({spec.q})")
-    return list(range(n))
-
-
-def default_field(n: int) -> FieldSpec:
-    """Smallest field with at least n elements (n distinct evaluation points)."""
-    q = max(n, 2)
-    while _factor_prime_power(q) is None:
-        q += 1
-    return FieldSpec(q)

@@ -13,7 +13,6 @@ import itertools
 from typing import Dict, List, Sequence
 
 from graphcodes.combinat import (
-    HammingVertex,
     hamming_ball,
     hamming_shell_index,
     hamming_vertices,

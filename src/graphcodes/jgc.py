@@ -29,7 +29,6 @@ from graphcodes.field import FieldSpec
 from graphcodes.matrix import (
     Mat,
     dot,
-    mat_vec,
     nullspace,
     pi,
     rank,
@@ -261,13 +260,6 @@ def signed_dual(code: JGCSpec) -> JGCSpec:
     vanishes: sum over L of sign(L) c_L d_{L^c} = 0."""
     return JGCSpec(code.F, code.base, code.n - code.v, code.k + 1 - code.t,
                    order=code.order)
-
-
-def signed_primal(code: JGCSpec) -> JGCSpec:
-    """Image of the primal on J(n, n-v) under the signed complement map."""
-    D0 = nullspace(code.F, code.base)
-    t2 = (code.n - code.k) - code.v + code.t
-    return JGCSpec(code.F, D0, code.n - code.v, t2, order=code.order)
 
 
 def aligned_dot(F: FieldSpec, c: Sequence[int], vertices_c: Sequence[Layer],

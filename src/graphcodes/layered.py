@@ -149,6 +149,27 @@ def tradeoff_points(n: int) -> List[Tuple[int, Fraction, Fraction]]:
     return points
 
 
+def fill_layers(F: FieldSpec, values: Dict[Tuple[Layer, int], int],
+                injected: Dict[Layer, int], layers: Sequence[Layer]) -> None:
+    """Complete each layer's one unknown symbol from its layer check.
+
+    Every layer sums to its injected target (0 if absent).  A layer in
+    ``layers`` with exactly one (layer, node) key missing from ``values``
+    gets that symbol; a layer with none missing is left as it is.
+    """
+    for L in layers:
+        missing = [j for j in L if (L, j) not in values]
+        if not missing:
+            continue
+        if len(missing) > 1:
+            raise ValueError(f"layer {L} has {len(missing)} unknown symbols")
+        total = 0
+        for j in L:
+            if j != missing[0]:
+                total = F.add(total, values[(L, j)])
+        values[(L, missing[0])] = F.sub(injected.get(L, 0), total)
+
+
 def decode_layered(spec: LayeredSpec, nodes: Sequence[Sequence[int]],
                    A: Sequence[int],
                    injected: Optional[Dict[Layer, int]] = None) -> Dict[Tuple[Layer, int], int]:
@@ -158,38 +179,14 @@ def decode_layered(spec: LayeredSpec, nodes: Sequence[Sequence[int]],
     accessed layer recovers its missing symbol from the parity check
     against the injected target.
     """
-    F = spec.F
-    injected = injected or {}
     A = layer(A)
     if len(A) < spec.n - 1:
         raise ValueError("pure layered decoding needs at least n-1 nodes")
     sA = set(A)
-    values: Dict[Tuple[Layer, int], int] = {}
-    for L in spec.layers:
-        missing = [j for j in L if j not in sA]
-        if len(missing) > 1:
-            raise AssertionError("unreachable with |A| >= n-1")
-        total = 0
-        for j in L:
-            if j in sA:
-                x = nodes[j][spec.slot[(L, j)]]
-                values[(L, j)] = x
-                total = F.add(total, x)
-        if missing:
-            values[(L, missing[0])] = F.sub(injected.get(L, 0), total)
+    values = {(L, j): nodes[j][spec.slot[(L, j)]]
+              for L in spec.layers for j in L if j in sA}
+    fill_layers(spec.F, values, injected or {}, spec.layers)
     return values
-
-
-def write_nodes(path: str, nodes: Sequence[Sequence[int]]) -> None:
-    """One line per node, decimal symbols separated by spaces."""
-    with open(path, "w") as fh:
-        for row in nodes:
-            fh.write(" ".join(str(x) for x in row) + "\n")
-
-
-def read_nodes(path: str) -> List[List[int]]:
-    with open(path) as fh:
-        return [[int(t) for t in line.split()] for line in fh if line.strip()]
 
 
 def census_csv(n: int, v: int, k: int) -> str:

@@ -65,10 +65,6 @@ def dot(F: FieldSpec, x: Sequence[int], y: Sequence[int]) -> int:
     return s
 
 
-def scale_row(F: FieldSpec, row: Sequence[int], c: int) -> List[int]:
-    return [F.mul(c, x) for x in row]
-
-
 def det(F: FieldSpec, M: Mat) -> int:
     """Determinant by Gaussian elimination (exact over the field)."""
     n = len(M)
@@ -216,28 +212,3 @@ def compound(F: FieldSpec, g: Mat, v: int, order: str = "lex",
 
 def compound_size(n: int, v: int) -> int:
     return comb(n, v)
-
-
-def write_matrix(path: str, F: FieldSpec, M: Mat) -> None:
-    """File format: first line "rows cols q", then row-major integers."""
-    rows = len(M)
-    cols = len(M[0]) if rows else 0
-    with open(path, "w") as fh:
-        fh.write(f"{rows} {cols} {F.q}\n")
-        for row in M:
-            fh.write(" ".join(str(x) for x in row) + "\n")
-
-
-def read_matrix(path: str) -> Tuple[FieldSpec, Mat]:
-    with open(path) as fh:
-        tokens = fh.read().split()
-    rows, cols, q = int(tokens[0]), int(tokens[1]), int(tokens[2])
-    data = [int(t) for t in tokens[3:]]
-    if len(data) != rows * cols:
-        raise ValueError(f"expected {rows * cols} entries, found {len(data)}")
-    F = FieldSpec(q)
-    M = [data[i * cols:(i + 1) * cols] for i in range(rows)]
-    for row in M:
-        for x in row:
-            F.check(x)
-    return F, M

@@ -10,7 +10,7 @@ minors feed the Johnson graph code construction.
 
 from __future__ import annotations
 
-from math import comb, gcd
+from math import gcd
 from typing import List, Optional, Sequence
 
 from graphcodes.combinat import johnson_vertices, layer
@@ -58,11 +58,6 @@ def vandermonde(F: FieldSpec, alphas: Sequence[int]) -> Mat:
     if len(set(alphas)) != len(alphas):
         raise ValueError("evaluation points must be distinct")
     return [[F.pow(a, i) for a in alphas] for i in range(len(alphas))]
-
-
-def reduced_basis(F: FieldSpec, alphas: Sequence[int], form: str,
-                  k: Optional[int] = None) -> RSBasis:
-    return RSBasis(F, alphas, form, k=k)
 
 
 def det_h(basis: RSBasis, I: Sequence[int], L: Sequence[int]) -> int:

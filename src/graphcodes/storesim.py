@@ -17,7 +17,13 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from graphcodes.concat import ConcatCode, build_concat
 from graphcodes.field import field_make
-from graphcodes.layered import LayeredSpec, encode_layered, extract_data
+from graphcodes.layered import (
+    LayeredSpec,
+    decode_layered,
+    encode_layered,
+    extract_data,
+    fill_layers,
+)
 from graphcodes.combinat import layer
 
 
@@ -44,43 +50,24 @@ class LayeredCode:
 
     def collect(self, nodes: Sequence[Sequence[int]], A: Sequence[int]
                 ) -> Tuple[List[int], List[Tuple[int, int]]]:
-        F = self.F
         A = layer(A)
-        if len(A) < self.n - 1:
-            raise ValueError(f"need at least n-1={self.n - 1} nodes")
+        values = decode_layered(self.spec, nodes, A)
         log = [(i, off) for i in A for off in range(self.alpha)]
-        sA = set(A)
-        spec = self.spec
-        values = {}
-        for L in spec.layers:
-            total = 0
-            missing = None
-            for j in L:
-                if j in sA:
-                    x = nodes[j][spec.slot[(L, j)]]
-                    values[(L, j)] = x
-                    total = F.add(total, x)
-                else:
-                    missing = j
-            if missing is not None:
-                values[(L, missing)] = F.neg(total)
-        return extract_data(spec, values), log
+        return extract_data(self.spec, values), log
 
     def repair(self, nodes: Sequence[Sequence[int]], failed: int
                ) -> Tuple[List[int], Dict[int, int]]:
-        F = self.F
         spec = self.spec
+        layers = spec.layers_at[failed]
         counts = {j: 0 for j in range(self.n) if j != failed}
-        column = [0] * self.alpha
-        for L in spec.layers_at[failed]:
-            total = 0
+        values = {}
+        for L in layers:
             for j in L:
-                if j == failed:
-                    continue
-                total = F.add(total, nodes[j][spec.slot[(L, j)]])
-                counts[j] += 1
-            column[spec.slot[(L, failed)]] = F.neg(total)
-        return column, counts
+                if j != failed:
+                    values[(L, j)] = nodes[j][spec.slot[(L, j)]]
+                    counts[j] += 1
+        fill_layers(self.F, values, {}, layers)
+        return [values[(L, failed)] for L in layers], counts
 
 
 class StorageState:
@@ -137,7 +124,7 @@ def repair_node(state: StorageState, failed: int,
 # ----- persistence -----
 
 def _symbol_bytes(q: int) -> int:
-    return max(1, (q - 1).bit_length())
+    return ((q - 1).bit_length() + 7) // 8
 
 
 def _pack(symbols: Sequence[int], width: int) -> bytes:

@@ -147,6 +147,8 @@ class SubresultantFrame:
     """
 
     def __init__(self, k: int, I: Sequence[int]):
+        if k < 0:
+            raise ValueError(f"need k >= 0, got k={k}")
         self.k = k
         self.I = tuple(sorted(I))
         if len(set(self.I)) != len(self.I) or any(i < 0 for i in self.I):
@@ -159,8 +161,6 @@ class SubresultantFrame:
         self.V0 = tuple(sorted(E & sI))
         self.V1 = tuple(sorted((E | sI) - (E & sI)))
         self.V2 = tuple(sorted(set(range(self.m)) - (E | sI)))
-        assert len(self.V0) + len(self.V1) + len(self.V2) == self.m
-        assert len(self.V2) == self.m - self.k - self.v + len(self.V0)
 
 
 def sigma_I(F: FieldSpec, p: Sequence[int], q: Sequence[int], k: int,

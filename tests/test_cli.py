@@ -128,3 +128,7 @@ def test_invalid_parameters_exit_2(capsys):
     rc, _ = _run(capsys, "simulate", "--n", "8", "--v", "5",
                  "--k", "4", "--q", "7")
     assert rc == 2
+    # (v, k) fits neither the concatenated nor the pure layered family
+    rc, _ = _run(capsys, "simulate", "--n", "8", "--v", "3",
+                 "--k", "4", "--q", "11")
+    assert rc == 2

@@ -4,9 +4,6 @@ import pytest
 
 from graphcodes.field import (
     FieldSpec,
-    default_field,
-    distinct_points,
-    field_arith,
     field_make,
 )
 
@@ -64,27 +61,6 @@ def test_inverse_of_zero_rejected():
     F = field_make(5)
     with pytest.raises((ValueError, ZeroDivisionError)):
         F.inv(0)
-
-
-def test_field_arith_dispatch():
-    F = field_make(11)
-    assert field_arith(F, 7, 8, "add") == 4
-    assert field_arith(F, 7, 8, "sub") == 10
-    assert field_arith(F, 7, 8, "mul") == 1
-    assert field_arith(F, 1, 8, "div") == F.inv(8)
-    with pytest.raises(ValueError):
-        field_arith(F, 1, 2, "xor")
-
-
-def test_distinct_points_and_default_field():
-    F = field_make(13)
-    pts = distinct_points(F, 9)
-    assert len(set(pts)) == 9
-    assert all(0 <= a < 13 for a in pts)
-    with pytest.raises(ValueError):
-        distinct_points(F, 14)
-    G = default_field(6)
-    assert G.q >= 6
 
 
 def test_explicit_reduction_polynomial():

@@ -5,6 +5,7 @@ from math import comb
 
 import pytest
 
+from graphcodes import jgc
 from graphcodes.combinat import ball_size, complement, graph_params, shell_index
 from graphcodes.field import field_make
 from graphcodes.jgc import (
@@ -130,15 +131,19 @@ def test_sparse_parity_structure():
             assert dot(code.F, row, h) == 0
 
 
-def test_erasure_decode_codeword():
-    rng = random.Random(9)
-    code = rs_jgc(6, 3, 2, 1, 11)
-    F = code.F
-    A = (1, 4)
-    coeffs = [rng.randrange(11) for _ in range(code.dim)]
-    word = mat_vec(F, [list(col) for col in zip(*code.generator)], coeffs)
+def _codeword_and_ball(code, A, seed):
+    rng = random.Random(seed)
+    coeffs = [rng.randrange(code.F.q) for _ in range(code.dim)]
+    word = mat_vec(code.F, [list(col) for col in zip(*code.generator)], coeffs)
     known = {L: code.coord(word, L) for L in code.vertices
              if shell_index(L, A) <= code.r}
+    return word, known
+
+
+def test_erasure_decode_codeword():
+    code = rs_jgc(6, 3, 2, 1, 11)
+    A = (1, 4)
+    word, known = _codeword_and_ball(code, A, 9)
     assert erasure_decode(code, A, known) == word
 
 
@@ -158,6 +163,50 @@ def test_erasure_decode_rejects_inconsistent_known():
     code = rs_jgc(6, 3, 2, 1, 11)
     with pytest.raises(ValueError):
         erasure_decode(code, (0, 1), {})
+
+
+def _with_pivot_coeff(monkeypatch, code, word, coeff):
+    """Patch sparse_parities so that the first row whose pivot symbol
+    is nonzero carries ``coeff`` at its pivot instead of 1."""
+    real = jgc.sparse_parities
+
+    def patched(code_, A):
+        structure = real(code_, A)
+        for idx, (Lp, support) in enumerate(structure.rows):
+            if code.coord(word, Lp):
+                structure.rows[idx] = (Lp, [(L, coeff if L == Lp else c)
+                                            for L, c in support])
+                break
+        return structure
+
+    monkeypatch.setattr(jgc, "sparse_parities", patched)
+
+
+def test_erasure_decode_zero_pivot_falls_back_to_dense(monkeypatch):
+    code = rs_jgc(6, 3, 2, 1, 11)
+    A = (1, 4)
+    word, known = _codeword_and_ball(code, A, 11)
+    sparse = erasure_decode(code, A, known)
+    calls = []
+    real_dense = jgc._dense_complete
+
+    def counting(*args):
+        calls.append(1)
+        return real_dense(*args)
+
+    monkeypatch.setattr(jgc, "_dense_complete", counting)
+    _with_pivot_coeff(monkeypatch, code, word, 0)
+    assert erasure_decode(code, A, known) == sparse == word
+    assert calls == [1]
+
+
+def test_erasure_decode_wrong_row_fails_syndrome_check(monkeypatch):
+    code = rs_jgc(6, 3, 2, 1, 11)
+    A = (1, 4)
+    word, known = _codeword_and_ball(code, A, 12)
+    _with_pivot_coeff(monkeypatch, code, word, 2)
+    with pytest.raises(ValueError, match="inconsistent with the syndrome"):
+        erasure_decode(code, A, known)
 
 
 def test_aligned_dual_rows_shape():

@@ -14,11 +14,10 @@ from graphcodes.layered import (
     decode_layered,
     encode_layered,
     extract_data,
+    fill_layers,
     layer_sum,
     layered_params,
-    read_nodes,
     tradeoff_points,
-    write_nodes,
 )
 
 F = field_make(11)
@@ -101,10 +100,19 @@ def test_tradeoff_points_n4():
         tradeoff_points(1)
 
 
-def test_node_file_roundtrip(tmp_path):
-    spec = LayeredSpec(F, 5, 2)
+
+def test_fill_layers_completes_one_unknown_per_layer():
+    spec = LayeredSpec(F, 5, 3)
     data = list(range(spec.M1))
-    nodes = encode_layered(spec, data)
-    path = str(tmp_path / "nodes.txt")
-    write_nodes(path, nodes)
-    assert read_nodes(path) == nodes
+    injected = {L: (3 * i) % 11 for i, L in enumerate(spec.layers)}
+    nodes = encode_layered(spec, [x % 11 for x in data], injected)
+    full = {(L, j): nodes[j][spec.slot[(L, j)]] for L in spec.layers for j in L}
+    values = dict(full)
+    for L in spec.layers[::2]:
+        del values[(L, L[1])]
+    fill_layers(F, values, injected, spec.layers)
+    assert values == full
+    L = spec.layers[0]
+    del values[(L, L[0])], values[(L, L[1])]
+    with pytest.raises(ValueError):
+        fill_layers(F, values, injected, [L])

@@ -17,14 +17,12 @@ from graphcodes.matrix import (
     pi,
     pi_signed,
     rank,
-    read_matrix,
     rref,
     solve,
     submatrix,
     take_columns,
     tau,
     transpose,
-    write_matrix,
     zeros,
 )
 
@@ -137,15 +135,6 @@ def test_compound_of_upper_triangular_is_upper_triangular():
     for i in range(len(C)):
         for j in range(i):
             assert C[i][j] == 0
-
-
-def test_matrix_file_roundtrip(tmp_path):
-    path = str(tmp_path / "m.txt")
-    M = [[1, 2, 3], [4, 5, 6]]
-    write_matrix(path, F7, M)
-    G, back = read_matrix(path)
-    assert G.q == 7
-    assert back == M
 
 
 def test_pi_rejects_wide_rows():

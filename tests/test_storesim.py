@@ -7,6 +7,7 @@ from math import comb
 
 import pytest
 
+from graphcodes import storesim
 from graphcodes.concat import build_concat
 from graphcodes.storesim import (
     LayeredCode,
@@ -85,6 +86,29 @@ def test_persistence_roundtrip(tmp_path):
         assert back.nodes == state.nodes
         # the reloaded code re-encodes to the same node arrays
         assert back.code.encode(back.blob) == state.nodes
+
+
+def test_store_uses_whole_bytes_per_symbol(tmp_path):
+    code = LayeredCode(6, 3, 11)
+    state = ingest(code, _seeded_blob(code))
+    path = str(tmp_path / "store")
+    save_state(state, path)
+    assert os.path.getsize(os.path.join(path, "node_0.bin")) == code.alpha
+    with open(os.path.join(path, "manifest.json")) as fh:
+        assert json.load(fh)["symbol_bytes"] == 1
+
+
+def test_store_at_older_width_still_loads(tmp_path, monkeypatch):
+    code = build_concat(6, 4, 3, 7)
+    state = ingest(code, _seeded_blob(code, 3))
+    path = str(tmp_path / "store")
+    monkeypatch.setattr(storesim, "_symbol_bytes", lambda q: 4)
+    save_state(state, path)
+    monkeypatch.undo()
+    assert os.path.getsize(os.path.join(path, "node_0.bin")) == 4 * code.alpha
+    back = load_state(path)
+    assert back.blob == state.blob
+    assert back.nodes == state.nodes
 
 
 def test_persistence_detects_tampering(tmp_path):

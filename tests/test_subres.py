@@ -20,6 +20,7 @@ from graphcodes.subres import (
     sh_identity_check,
     sh_identity_sides,
     sigma_I,
+    SubresultantFrame,
     sylvester_principal,
     vandermonde_det,
 )
@@ -151,3 +152,10 @@ def test_bad_inputs_rejected():
         sylvester_principal(F, [1, 1], [1, 1], 2)
     with pytest.raises(ValueError):
         sigma_I(F, [1, 1], poly_from_roots(F, [0, 1, 2]), 3, (0, 3, 4))
+
+
+def test_subresultant_frame_rejects_negative_k():
+    with pytest.raises(ValueError):
+        SubresultantFrame(-1, [0])
+    frame = SubresultantFrame(0, [2])
+    assert (frame.V0, frame.V1, frame.V2) == ((), (2,), (0, 1))
