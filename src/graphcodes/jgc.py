@@ -299,10 +299,10 @@ def sparse_parities(code: JGCSpec, A: Sequence[int]) -> ParityStructure:
     """One sparse parity row per coordinate outside B_r(A).
 
     Row for layer L' is a dual codeword with coefficient 1 at L' whose
-    remaining support sits strictly closer to A, so decoding can peel
-    one coordinate per row, shell by shell.  Rows are grouped in blocks
-    by the shell index of L' from the complement of A; a block-i row
-    has at most C(d1 + d2 - 2i, R - i) nonzeros.
+    remaining support sits strictly closer to A, so the rows fix the
+    coordinates outside the ball shell by shell.  Rows are grouped in
+    blocks by the shell index of L' from the complement of A; a block-i
+    row has at most C(d1 + d2 - 2i, R - i) nonzeros.
     """
     A = layer(A)
     F = code.F
@@ -359,9 +359,9 @@ def erasure_decode(code: JGCSpec, A: Sequence[int], known: Dict[Layer, int],
     ``known`` maps every layer of B_r(A) to its symbol.  ``syndrome``
     gives the products of the dual generator rows with the full vector
     (all zero for a plain codeword; nonzero entries describe stored
-    parities).  Missing coordinates are filled shell by shell with the
-    sparse parity rows, falling back to a dense solve if a sparse row
-    degenerates; the completed vector is checked against the syndrome.
+    parities).  The coordinates outside the ball are an information set
+    of the dual code, so they are filled by one square solve against the
+    dual rows; the completed vector is checked against the syndrome.
     """
     A = layer(A)
     F = code.F
@@ -379,38 +379,9 @@ def erasure_decode(code: JGCSpec, A: Sequence[int], known: Dict[Layer, int],
             if layer(L) not in known:
                 raise ValueError(f"missing known coordinate at {L}")
             values[L] = known[layer(L)]
-
-    structure = sparse_parities(code, A)
-    all_zero = all(s == 0 for s in syndrome)
-    ok = True
-    for (Lp, support), _ in zip(structure.rows, structure.block_of_row):
-        if all_zero:
-            target = 0
-        else:
-            h = [0] * code.length
-            for L, x in support:
-                h[code.vertex_pos[L]] = x
-            x = express_in_rows(F, H, h)
-            if x is None:
-                ok = False
-                break
-            target = dot(F, x, syndrome)
-        acc = target
-        pivot_coeff = None
-        for L, c in support:
-            if L == Lp:
-                pivot_coeff = c
-                continue
-            if L not in values:
-                ok = False
-                break
-            acc = F.sub(acc, F.mul(c, values[L]))
-        if not ok or pivot_coeff is None or pivot_coeff == 0:
-            ok = False
-            break
-        values[Lp] = F.div(acc, pivot_coeff)
-    if not ok:
-        values = _dense_complete(code, H, syndrome, values)
+    if not is_infoset(F, code.base, A):
+        raise ValueError(f"{A} is not an information set of the base code")
+    values = _dense_complete(code, H, syndrome, values)
 
     word = [values[L] for L in code.vertices]
     for hrow, s in zip(H, syndrome):
@@ -421,25 +392,24 @@ def erasure_decode(code: JGCSpec, A: Sequence[int], known: Dict[Layer, int],
 
 def _dense_complete(code: JGCSpec, H: Mat, syndrome: Sequence[int],
                     values: Dict[Layer, int]) -> Dict[Layer, int]:
+    """Fill the layers missing from ``values`` by solving
+    H_out x = syndrome - H_known values in one rref; raises unless the
+    solution exists and is unique."""
     F = code.F
     unknown = [i for i, L in enumerate(code.vertices) if L not in values]
-    if not unknown:
-        return values
-    rhs = []
-    sys_rows = []
+    aug = []
     for hrow, s in zip(H, syndrome):
         acc = s
         for i, L in enumerate(code.vertices):
             if L in values and hrow[i] != 0:
                 acc = F.sub(acc, F.mul(hrow[i], values[L]))
-        rhs.append(acc)
-        sys_rows.append([hrow[i] for i in unknown])
-    x = solve(F, sys_rows, rhs)
-    if x is None:
+        aug.append([hrow[i] for i in unknown] + [acc])
+    R, pivots = rref(F, aug)
+    if pivots != list(range(len(unknown))):
         raise ValueError("erasure pattern is not recoverable")
     out = dict(values)
-    for i, val in zip(unknown, x):
-        out[code.vertices[i]] = val
+    for row, i in zip(R, unknown):
+        out[code.vertices[i]] = row[-1]
     return out
 
 

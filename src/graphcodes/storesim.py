@@ -79,7 +79,7 @@ class StorageState:
         self.blob = list(blob)
         self.nodes = nodes if nodes is not None else code.encode(self.blob)
         if any(len(row) != code.alpha for row in self.nodes):
-            raise AssertionError("node array width differs from alpha")
+            raise ValueError("node array width differs from alpha")
         self.access_log: List[List[Tuple[int, int]]] = []
         self.last_repair_bandwidth: Dict[int, int] = {}
 
@@ -191,4 +191,9 @@ def load_state(path: str) -> StorageState:
         if digest != manifest["digests"][f"node_{i}.bin"]:
             raise ValueError(f"digest mismatch for node_{i}.bin")
         nodes.append(_unpack(data, width))
-    return StorageState(code, manifest["blob"], nodes)
+    state = StorageState(code, manifest["blob"], nodes)
+    if (any(not 0 <= x < code.F.q for x in state.blob)
+            or hashlib.sha256(_pack(state.blob, width)).hexdigest()
+            != manifest["blob_digest"]):
+        raise ValueError("digest mismatch for the manifest blob")
+    return state

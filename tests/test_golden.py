@@ -26,6 +26,8 @@ CASES = {
     "subres_check": ["subres-check", "--q", "13"],
     "simulate_concat": ["simulate", "--n", "6", "--v", "4", "--k", "3",
                         "--q", "7"],
+    "simulate_acceptance": ["simulate", "--n", "8", "--v", "5", "--k", "4",
+                            "--q", "11"],
     "simulate_layered": ["simulate", "--n", "6", "--v", "3", "--k", "5",
                          "--q", "11"],
     "repair_layered": ["repair", "--n", "6", "--v", "3", "--k", "5",

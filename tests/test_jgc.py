@@ -165,46 +165,31 @@ def test_erasure_decode_rejects_inconsistent_known():
         erasure_decode(code, (0, 1), {})
 
 
-def _with_pivot_coeff(monkeypatch, code, word, coeff):
-    """Patch sparse_parities so that the first row whose pivot symbol
-    is nonzero carries ``coeff`` at its pivot instead of 1."""
-    real = jgc.sparse_parities
-
-    def patched(code_, A):
-        structure = real(code_, A)
-        for idx, (Lp, support) in enumerate(structure.rows):
-            if code.coord(word, Lp):
-                structure.rows[idx] = (Lp, [(L, coeff if L == Lp else c)
-                                            for L, c in support])
-                break
-        return structure
-
-    monkeypatch.setattr(jgc, "sparse_parities", patched)
-
-
-def test_erasure_decode_zero_pivot_falls_back_to_dense(monkeypatch):
+def test_dense_complete_rejects_missing_ball_coordinate():
+    # without one ball coordinate the completion is underdetermined
     code = rs_jgc(6, 3, 2, 1, 11)
     A = (1, 4)
-    word, known = _codeword_and_ball(code, A, 11)
-    sparse = erasure_decode(code, A, known)
-    calls = []
-    real_dense = jgc._dense_complete
-
-    def counting(*args):
-        calls.append(1)
-        return real_dense(*args)
-
-    monkeypatch.setattr(jgc, "_dense_complete", counting)
-    _with_pivot_coeff(monkeypatch, code, word, 0)
-    assert erasure_decode(code, A, known) == sparse == word
-    assert calls == [1]
+    _, known = _codeword_and_ball(code, A, 11)
+    del known[next(iter(known))]
+    H = aligned_dual_rows(code)
+    with pytest.raises(ValueError, match="not recoverable"):
+        jgc._dense_complete(code, H, [0] * len(H), known)
 
 
 def test_erasure_decode_wrong_row_fails_syndrome_check(monkeypatch):
+    # a wrong filled value must fail the final check against the syndrome
     code = rs_jgc(6, 3, 2, 1, 11)
     A = (1, 4)
-    word, known = _codeword_and_ball(code, A, 12)
-    _with_pivot_coeff(monkeypatch, code, word, 2)
+    _, known = _codeword_and_ball(code, A, 12)
+    real = jgc._dense_complete
+
+    def corrupting(code_, H, syndrome, values):
+        out = real(code_, H, syndrome, values)
+        L = next(L for L in out if L not in values)
+        out[L] = code_.F.add(out[L], 1)
+        return out
+
+    monkeypatch.setattr(jgc, "_dense_complete", corrupting)
     with pytest.raises(ValueError, match="inconsistent with the syndrome"):
         erasure_decode(code, A, known)
 

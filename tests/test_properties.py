@@ -1,11 +1,14 @@
-"""Property-based checks for the algebra kernels."""
+"""Property-based checks for the algebra kernels and erasure decoding."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from graphcodes.combinat import shell_index
 from graphcodes.field import field_make
+from graphcodes.jgc import dual, erasure_decode, sparse_parities, syndrome_of
 from graphcodes.layered import LayeredSpec, encode_layered, extract_data
 from graphcodes.matrix import det, mat_mul, mat_vec, rank, rref, solve
+from graphcodes.rs import rs_jgc
 from graphcodes.subres import (
     poly_add,
     poly_deg,
@@ -76,3 +79,52 @@ def test_layered_roundtrip(data):
     values = {(L, j): nodes[j][spec.slot[(L, j)]]
               for L in spec.layers for j in L}
     assert extract_data(spec, values) == data
+
+
+@st.composite
+def rs_code_and_anchor(draw):
+    """An rs_jgc code with n <= 6 over GF(7), GF(8) or GF(9) whose dual
+    exists (t > v + k - n), and a k-subset anchor; the base is MDS, so
+    every anchor is an information set of it."""
+    n = draw(st.integers(min_value=2, max_value=6))
+    v = draw(st.integers(min_value=1, max_value=n - 1))
+    k = draw(st.integers(min_value=1, max_value=n - 1))
+    t = draw(st.integers(min_value=max(1, v + k + 1 - n),
+                         max_value=min(v, k)))
+    q = draw(st.sampled_from([7, 8, 9]))
+    A = draw(st.lists(st.integers(min_value=0, max_value=n - 1),
+                      min_size=k, max_size=k, unique=True))
+    return rs_jgc(n, v, k, t, q), tuple(sorted(A))
+
+
+def _ball(code, A, word):
+    return {L: code.coord(word, L) for L in code.vertices
+            if shell_index(L, A) <= code.r}
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(rs_code_and_anchor(), st.data())
+def test_erasure_decode_recovers_any_vector(code_anchor, data):
+    code, A = code_anchor
+    dcode = dual(code)
+    vec = data.draw(st.lists(st.integers(min_value=0, max_value=code.F.q - 1),
+                             min_size=code.length, max_size=code.length))
+    syn = syndrome_of(code, vec, dcode)
+    assert erasure_decode(code, A, _ball(code, A, vec), syn, dcode) == vec
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(rs_code_and_anchor(), st.data())
+def test_decoded_codeword_meets_sparse_parities(code_anchor, data):
+    code, A = code_anchor
+    F = code.F
+    coeffs = data.draw(st.lists(st.integers(min_value=0, max_value=F.q - 1),
+                                min_size=code.dim, max_size=code.dim))
+    word = mat_vec(F, [list(col) for col in zip(*code.generator)], coeffs)
+    decoded = erasure_decode(code, A, _ball(code, A, word))
+    assert decoded == word
+    for _, support in sparse_parities(code, A).rows:
+        acc = 0
+        for L, c in support:
+            acc = F.add(acc, F.mul(c, code.coord(decoded, L)))
+        assert acc == 0

@@ -124,6 +124,38 @@ def test_persistence_detects_tampering(tmp_path):
         load_state(path)
 
 
+def _edit_manifest(path, edit):
+    with open(os.path.join(path, "manifest.json")) as fh:
+        doc = json.load(fh)
+    edit(doc)
+    with open(os.path.join(path, "manifest.json"), "w") as fh:
+        json.dump(doc, fh)
+
+
+def test_persistence_detects_edited_blob(tmp_path):
+    code = LayeredCode(6, 3, 11)
+    state = ingest(code, _seeded_blob(code))
+    path = str(tmp_path / "store")
+    save_state(state, path)
+
+    def edit(doc):
+        doc["blob"][0] = (doc["blob"][0] + 1) % 11
+
+    _edit_manifest(path, edit)
+    with pytest.raises(ValueError, match="manifest blob"):
+        load_state(path)
+
+
+def test_load_rejects_wrong_symbol_width(tmp_path):
+    code = LayeredCode(6, 3, 11)
+    state = ingest(code, _seeded_blob(code))
+    path = str(tmp_path / "store")
+    save_state(state, path)
+    _edit_manifest(path, lambda doc: doc.update(symbol_bytes=2))
+    with pytest.raises(ValueError, match="width differs from alpha"):
+        load_state(path)
+
+
 def test_manifest_describes_code(tmp_path):
     code = build_concat(6, 4, 3, 7)
     state = ingest(code, _seeded_blob(code))
@@ -143,5 +175,5 @@ def test_node_width_checked():
     code = LayeredCode(5, 2, 7)
     nodes = code.encode(_seeded_blob(code))
     nodes[0] = nodes[0][:-1]
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         StorageState(code, _seeded_blob(code), nodes)
