@@ -21,7 +21,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from graphcodes.combinat import Layer, ball_size, layer, shell_index
 from graphcodes.field import field_make
-from graphcodes.jgc import JGCSpec, dual, erasure_decode, syndrome_of
+from graphcodes.jgc import JGCSpec, decode_plan, dual, erasure_decode, syndrome_of
 from graphcodes.layered import LayeredSpec, encode_layered, fill_layers
 
 
@@ -337,6 +337,9 @@ class ConcatCode:
             )
         self.lspec = {u: LayeredSpec(self.F, n, u) for u in range(1, v + 1)}
         self._codes: Dict[Tuple[int, int, int, int], Tuple[JGCSpec, JGCSpec]] = {}
+        # _lift's cache, filled on first use, and its interned keys
+        self._lifts: Dict[Tuple[JGCSpec, Layer, int], List[Tuple[Layer, int]]] = {}
+        self._keys: Dict[Tuple[Layer, int], Tuple[Layer, int]] = {}
 
         # precodes: the u-1 data vectors of a size-u copy are codewords
         # of the graph code with radius u-1, so any k accessed nodes
@@ -426,13 +429,22 @@ class ConcatCode:
 
         The coordinate at the (relabeled) sublayer L' belongs to the
         layer L = L_c | L' and is the stored symbol at the i-th smallest
-        node of L minus L_c.
+        node of L minus L_c.  The list is built once per (helper code,
+        L_c, i) and shared by every round using that helper code, so
+        the cache holds at most (helper codes) x C(n, c) x m lists; the
+        (layer, node) pairs in them are interned, one object per pair.
+        Callers must not modify the returned list.
         """
-        rest = [x for x in range(self.n) if x not in L_c]
-        out = []
-        for Lp in rd.code.vertices:
-            nodes = [rest[j] for j in Lp]
-            out.append((layer(L_c + tuple(nodes)), nodes[i]))
+        key = (rd.code, L_c, i)
+        out = self._lifts.get(key)
+        if out is None:
+            rest = [x for x in range(self.n) if x not in L_c]
+            out = []
+            for Lp in rd.code.vertices:
+                nodes = [rest[j] for j in Lp]
+                pair = (layer(L_c + tuple(nodes)), nodes[i])
+                out.append(self._keys.setdefault(pair, pair))
+            self._lifts[key] = out
         return out
 
     def _relabel_anchor(self, A: Layer, L_c: Layer) -> Layer:
@@ -562,8 +574,7 @@ class ConcatCode:
             for L_c in itertools.combinations(A, rd.c):
                 L_c = layer(L_c)
                 A2 = self._relabel_anchor(A, L_c)
-                in_ball = [shell_index(Lp, A2) <= rd.code.r
-                           for Lp in rd.code.vertices]
+                plan = decode_plan(rd.code, A2)
                 for i in range(rd.m):
                     s = []
                     for e in range(rd.codim):
@@ -573,21 +584,20 @@ class ConcatCode:
                             total = F.add(total, values[dep][(L_c, j)])
                         s.append(total)
                     lift = self._lift(rd, L_c, i)
-                    known = {Lp: vals[key] for Lp, key, b in
-                             zip(rd.code.vertices, lift, in_ball) if b}
+                    known = {rd.code.vertices[j]: vals[lift[j]]
+                             for j in plan.ball}
                     word = erasure_decode(rd.code, A2, known, syndrome=s,
                                           dual_code=rd.dual)
-                    for key, x, b in zip(lift, word, in_ball):
-                        if not b:
-                            vals[key] = x
+                    for j in plan.out:
+                        vals[lift[j]] = word[j]
             fill_layers(F, vals, inj, by_c.get(rd.c, []))
         if 1 < u < self.v and by_c.get(0):
             if self.precode[u] is None:
                 raise AssertionError("missed layers despite trivial precode")
             code, dcode = self.precode[u]
+            ball = [code.vertices[i] for i in decode_plan(code, A).ball]
             for j in range(u - 1):
-                known = {L: vals[(L, L[j])] for L in code.vertices
-                         if shell_index(L, A) <= code.r}
+                known = {L: vals[(L, L[j])] for L in ball}
                 word = erasure_decode(code, A, known, dual_code=dcode)
                 for L in by_c[0]:
                     vals[(L, L[j])] = code.coord(word, L)

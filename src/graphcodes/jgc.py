@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 from math import comb
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from graphcodes.combinat import (
     Layer,
@@ -86,6 +86,13 @@ class JGCSpec:
                 f"basis size {self.dim} != ball size {expected} for "
                 f"(n,v,k,t)=({n},{v},{k},{t})"
             )
+        # decode caches, empty until a decode or a syndrome needs them:
+        # the dual used when a caller passes none and the aligned dual
+        # rows per dual (aligned_dual_rows), one plan per anchor
+        # (decode_plan)
+        self._dual: Optional[JGCSpec] = None
+        self._aligned: Dict[JGCSpec, DualRows] = {}
+        self._plans: Dict[Layer, DecodePlan] = {}
 
     @property
     def length(self) -> int:
@@ -330,13 +337,61 @@ def express_in_rows(F: FieldSpec, H: Mat, h: Sequence[int]) -> Optional[List[int
     return solve(F, transpose(H), list(h))
 
 
-def aligned_dual_rows(code: JGCSpec, dual_code: Optional[JGCSpec] = None) -> Mat:
-    """Dual generator rows re-indexed by this code's vertex order."""
+class DualRows(list):
+    """Dual generator rows in the primal's vertex order (a Mat), which
+    also keep the completion matrices ``_dense_complete`` derives from
+    them, keyed by the tuple of unknown columns."""
+
+    __slots__ = ("completions",)
+
+    def __init__(self, rows: Mat):
+        super().__init__(rows)
+        self.completions: Dict[Tuple[int, ...], Optional[Mat]] = {}
+
+
+class DecodePlan(NamedTuple):
+    """What a decode at one anchor A needs besides the data: the vertex
+    positions inside and outside B_r(A), and whether A is an information
+    set of the base code."""
+
+    ball: Tuple[int, ...]
+    out: Tuple[int, ...]
+    infoset: bool
+
+
+def aligned_dual_rows(code: JGCSpec, dual_code: Optional[JGCSpec] = None) -> DualRows:
+    """Dual generator rows re-indexed by this code's vertex order.
+
+    The rows are built once per (code, dual) and kept on the code, keyed
+    by the dual object; without ``dual_code`` the code's own memoized
+    dual is the key, so the cache holds one entry per dual a caller
+    passes.  Callers must not modify the returned rows.
+    """
     if dual_code is None:
-        dual_code = dual(code)
-    dual_pos = {L: i for i, L in enumerate(dual_code.vertices)}
-    return [[hrow[dual_pos[L]] for L in code.vertices]
-            for hrow in dual_code.generator]
+        if code._dual is None:
+            code._dual = dual(code)
+        dual_code = code._dual
+    H = code._aligned.get(dual_code)
+    if H is None:
+        dual_pos = {L: i for i, L in enumerate(dual_code.vertices)}
+        H = code._aligned[dual_code] = DualRows(
+            [[hrow[dual_pos[L]] for L in code.vertices]
+             for hrow in dual_code.generator])
+    return H
+
+
+def decode_plan(code: JGCSpec, A: Sequence[int]) -> DecodePlan:
+    """The anchor-only part of a decode at A, built once per anchor and
+    kept on the code: at most C(n, k) plans for k-subset anchors."""
+    A = layer(A)
+    plan = code._plans.get(A)
+    if plan is None:
+        ball, out = [], []
+        for i, L in enumerate(code.vertices):
+            (ball if shell_index(L, A) <= code.r else out).append(i)
+        plan = code._plans[A] = DecodePlan(
+            tuple(ball), tuple(out), is_infoset(code.F, code.base, A))
+    return plan
 
 
 def syndrome_of(code: JGCSpec, vec: Sequence[int],
@@ -345,7 +400,8 @@ def syndrome_of(code: JGCSpec, vec: Sequence[int],
 
     This is the syndrome convention used by erasure_decode: entry i is
     the inner product of dual generator row i (re-indexed by the
-    primal's vertex order) with the vector.
+    primal's vertex order) with the vector.  The rows come from
+    aligned_dual_rows, so they are built once per (code, dual).
     """
     H = aligned_dual_rows(code, dual_code)
     return [dot(code.F, h, vec) for h in H]
@@ -362,24 +418,30 @@ def erasure_decode(code: JGCSpec, A: Sequence[int], known: Dict[Layer, int],
     parities).  The coordinates outside the ball are an information set
     of the dual code, so they are filled by one square solve against the
     dual rows; the completed vector is checked against the syndrome.
+
+    Nothing that depends only on the code and the anchor is recomputed
+    per call: the aligned dual rows are cached per (code, dual), the
+    ball, its complement and the information-set test per (code, A)
+    (decode_plan), and the inverse of the dual rows on the complement
+    per (aligned rows, complement) (_dense_complete).  The last two
+    hold at most one entry per anchor decoded at, C(n, k) for k-subsets.
     """
     A = layer(A)
     F = code.F
-    if dual_code is None:
-        dual_code = dual(code)
     H = aligned_dual_rows(code, dual_code)
     if syndrome is None:
         syndrome = [0] * len(H)
     if len(syndrome) != len(H):
         raise ValueError("syndrome length must equal the dual dimension")
 
+    plan = decode_plan(code, A)
     values: Dict[Layer, int] = {}
-    for L in code.vertices:
-        if shell_index(L, A) <= code.r:
-            if layer(L) not in known:
-                raise ValueError(f"missing known coordinate at {L}")
-            values[L] = known[layer(L)]
-    if not is_infoset(F, code.base, A):
+    for i in plan.ball:
+        L = code.vertices[i]
+        if L not in known:
+            raise ValueError(f"missing known coordinate at {L}")
+        values[L] = known[L]
+    if not plan.infoset:
         raise ValueError(f"{A} is not an information set of the base code")
     values = _dense_complete(code, H, syndrome, values)
 
@@ -393,23 +455,38 @@ def erasure_decode(code: JGCSpec, A: Sequence[int], known: Dict[Layer, int],
 def _dense_complete(code: JGCSpec, H: Mat, syndrome: Sequence[int],
                     values: Dict[Layer, int]) -> Dict[Layer, int]:
     """Fill the layers missing from ``values`` by solving
-    H_out x = syndrome - H_known values in one rref; raises unless the
-    solution exists and is unique."""
+    H_out x = syndrome - H_known values; raises unless the solution
+    exists and is unique.
+
+    The solve multiplies by the completion matrix E of the unknown
+    columns (E H_out = [I; 0], from one rref of [H_out | I]); the rows of
+    E below the identity must annihilate the right-hand side.  When H
+    comes from aligned_dual_rows, E is kept on H keyed by the tuple of
+    unknown columns, so it is computed once per erasure pattern.
+    """
     F = code.F
-    unknown = [i for i, L in enumerate(code.vertices) if L not in values]
-    aug = []
-    for hrow, s in zip(H, syndrome):
-        acc = s
-        for i, L in enumerate(code.vertices):
-            if L in values and hrow[i] != 0:
-                acc = F.sub(acc, F.mul(hrow[i], values[L]))
-        aug.append([hrow[i] for i in unknown] + [acc])
-    R, pivots = rref(F, aug)
-    if pivots != list(range(len(unknown))):
+    unknown = tuple(i for i, L in enumerate(code.vertices) if L not in values)
+    cache = getattr(H, "completions", {})
+    if unknown not in cache:
+        u, m = len(unknown), len(H)
+        aug = [[hrow[i] for i in unknown] + [int(e == r) for e in range(m)]
+               for r, hrow in enumerate(H)]
+        R, pivots = rref(F, aug)
+        # None when H_out lacks full column rank
+        cache[unknown] = ([row[u:] for row in R]
+                          if pivots[:u] == list(range(u)) else None)
+    E = cache[unknown]
+    if E is None:
+        raise ValueError("erasure pattern is not recoverable")
+    # the known values with zeros at the unknown columns
+    w = [values.get(L, 0) for L in code.vertices]
+    rhs = [F.sub(s, dot(F, hrow, w)) for hrow, s in zip(H, syndrome)]
+    x = [dot(F, erow, rhs) for erow in E]
+    if any(x[len(unknown):]):
         raise ValueError("erasure pattern is not recoverable")
     out = dict(values)
-    for row, i in zip(R, unknown):
-        out[code.vertices[i]] = row[-1]
+    for i, xi in zip(unknown, x):
+        out[code.vertices[i]] = xi
     return out
 
 

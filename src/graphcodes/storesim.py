@@ -145,25 +145,55 @@ def _describe(code) -> Dict:
     raise ValueError(f"cannot persist {type(code).__name__}")
 
 
+def _required(doc: Dict, key: str, where: str = "manifest"):
+    """doc[key], or ValueError when a manifest lacks it."""
+    try:
+        return doc[key]
+    except (KeyError, TypeError):
+        raise ValueError(f"{where} has no {key!r}") from None
+
+
 def code_from_manifest(doc: Dict):
-    if doc["family"] == "concat":
-        return build_concat(doc["n"], doc["v"], doc["k"], doc["q"],
-                            doc["scenario"])
-    if doc["family"] == "layered":
-        return LayeredCode(doc["n"], doc["v"], doc["q"])
-    raise ValueError(f"unknown family {doc['family']!r}")
+    family = _required(doc, "family", "code description")
+    if family == "concat":
+        n, v, k, q, scenario = (_required(doc, key, "code description")
+                                for key in ("n", "v", "k", "q", "scenario"))
+        return build_concat(n, v, k, q, scenario)
+    if family == "layered":
+        n, v, q = (_required(doc, key, "code description")
+                   for key in ("n", "v", "q"))
+        return LayeredCode(n, v, q)
+    raise ValueError(f"unknown family {family!r}")
+
+
+def _write_atomic(path: str, data: bytes) -> None:
+    """Write a file through a temporary name in the same directory and
+    os.replace, so the path holds the old bytes or the new, never part."""
+    tmp = path + ".tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def save_state(state: StorageState, path: str) -> None:
-    """manifest.json plus node_<i>.bin, little-endian symbols."""
+    """manifest.json plus node_<i>.bin, little-endian symbols.
+
+    Each file is replaced atomically, the node files first and the
+    manifest last: a save cut short leaves the old manifest, whose
+    digests reject any node file already rewritten.
+    """
     os.makedirs(path, exist_ok=True)
     width = _symbol_bytes(state.code.F.q)
     digests = {}
     for i, row in enumerate(state.nodes):
         data = _pack(row, width)
         digests[f"node_{i}.bin"] = hashlib.sha256(data).hexdigest()
-        with open(os.path.join(path, f"node_{i}.bin"), "wb") as fh:
-            fh.write(data)
+        _write_atomic(os.path.join(path, f"node_{i}.bin"), data)
     blob_bytes = _pack(state.blob, width)
     manifest = {
         "code": _describe(state.code),
@@ -174,26 +204,27 @@ def save_state(state: StorageState, path: str) -> None:
         "blob_digest": hashlib.sha256(blob_bytes).hexdigest(),
         "blob": list(state.blob),
     }
-    with open(os.path.join(path, "manifest.json"), "w") as fh:
-        json.dump(manifest, fh, indent=2)
+    _write_atomic(os.path.join(path, "manifest.json"),
+                  json.dumps(manifest, indent=2).encode())
 
 
 def load_state(path: str) -> StorageState:
     with open(os.path.join(path, "manifest.json")) as fh:
         manifest = json.load(fh)
-    code = code_from_manifest(manifest["code"])
-    width = manifest["symbol_bytes"]
+    code = code_from_manifest(_required(manifest, "code"))
+    width = _required(manifest, "symbol_bytes")
+    digests = _required(manifest, "digests")
     nodes = []
     for i in range(code.n):
         with open(os.path.join(path, f"node_{i}.bin"), "rb") as fh:
             data = fh.read()
         digest = hashlib.sha256(data).hexdigest()
-        if digest != manifest["digests"][f"node_{i}.bin"]:
+        if digest != _required(digests, f"node_{i}.bin", "manifest digests"):
             raise ValueError(f"digest mismatch for node_{i}.bin")
         nodes.append(_unpack(data, width))
-    state = StorageState(code, manifest["blob"], nodes)
+    state = StorageState(code, _required(manifest, "blob"), nodes)
     if (any(not 0 <= x < code.F.q for x in state.blob)
             or hashlib.sha256(_pack(state.blob, width)).hexdigest()
-            != manifest["blob_digest"]):
+            != _required(manifest, "blob_digest")):
         raise ValueError("digest mismatch for the manifest blob")
     return state

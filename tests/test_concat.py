@@ -167,3 +167,21 @@ def test_wrong_blob_length_rejected():
     code = build_concat(5, 4, 3, 5)
     with pytest.raises(ValueError):
         code.encode([0] * (code.M + 1))
+
+
+def test_lift_lists_shared_per_helper_code_with_interned_keys():
+    code = build_concat(8, 5, 4, 11)
+    assert not code._lifts  # nothing is cached at build time
+    rds = [rd for rounds in code.rounds.values() for rd in rounds]
+    a, b = next((a, b) for a in rds for b in rds
+                if a is not b and a.code is b.code)
+    layers = code.lspec[a.c].layers
+    # rounds of different components share their helper code's lists
+    assert code._lift(a, layers[0], 0) is code._lift(b, layers[0], 0)
+    seen, repeats = {}, 0
+    for L_c in layers:
+        for i in range(a.m):
+            for key in code._lift(a, L_c, i):
+                repeats += key in seen
+                assert seen.setdefault(key, key) is key
+    assert repeats  # equal (layer, node) pairs in different lists are one object

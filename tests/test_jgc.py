@@ -194,6 +194,44 @@ def test_erasure_decode_wrong_row_fails_syndrome_check(monkeypatch):
         erasure_decode(code, A, known)
 
 
+def test_non_infoset_anchor_rejected_again_with_warm_plan():
+    code = construct(F2, EXAMPLE_BASE, 3, 2)
+    A = (0, 2)  # skipped by certify_infosets: not a base information set
+    known = {L: 0 for L in code.vertices if shell_index(L, A) <= code.r}
+    for _ in range(2):
+        with pytest.raises(ValueError, match="not an information set"):
+            erasure_decode(code, A, known)
+
+
+def test_missing_ball_coordinate_rejected_with_warm_plan():
+    code = rs_jgc(6, 3, 2, 1, 11)
+    A = (1, 4)
+    word, known = _codeword_and_ball(code, A, 13)
+    assert erasure_decode(code, A, known) == word
+    L = next(iter(known))
+    partial = {Lp: x for Lp, x in known.items() if Lp != L}
+    with pytest.raises(ValueError, match="missing known coordinate"):
+        erasure_decode(code, A, partial)
+    H = aligned_dual_rows(code)
+    with pytest.raises(ValueError, match="not recoverable"):
+        jgc._dense_complete(code, H, [0] * len(H), partial)
+    assert erasure_decode(code, A, known) == word
+
+
+def test_decode_without_dual_keeps_one_cache_entry():
+    # callers passing no dual share the code's memoized dual, so the
+    # per-dual and per-anchor caches do not grow with the calls
+    code = rs_jgc(6, 3, 2, 1, 11)
+    A = (1, 4)
+    word, known = _codeword_and_ball(code, A, 14)
+    for _ in range(50):
+        assert erasure_decode(code, A, known) == word
+    assert len(code._aligned) == 1
+    assert len(code._plans) == 1
+    (H,) = code._aligned.values()
+    assert len(H.completions) == 1
+
+
 def test_aligned_dual_rows_shape():
     code = rs_jgc(5, 2, 2, 1, 7)
     H = aligned_dual_rows(code)

@@ -113,6 +113,30 @@ def test_erasure_decode_recovers_any_vector(code_anchor, data):
     assert erasure_decode(code, A, _ball(code, A, vec), syn, dcode) == vec
 
 
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(rs_code_and_anchor(), st.data())
+def test_warm_decode_plan_matches_fresh_code(code_anchor, data):
+    # the second decode at (code, A) runs on the cached plan and inverse;
+    # a freshly built code decodes the same vectors from cold caches
+    code, A = code_anchor
+    q = code.F.q
+    dcode = dual(code)
+    vec = data.draw(st.lists(st.integers(min_value=0, max_value=q - 1),
+                             min_size=code.length, max_size=code.length))
+    j = next(i for i, L in enumerate(code.vertices) if shell_index(L, A) > code.r)
+    other = list(vec)
+    other[j] = code.F.add(other[j], data.draw(st.integers(min_value=1,
+                                                          max_value=q - 1)))
+    fresh = rs_jgc(code.n, code.v, code.k, code.t, q)
+    fresh_dual = dual(fresh)
+    assert syndrome_of(code, vec, dcode) != syndrome_of(code, other, dcode)
+    for w in (vec, other):
+        syn = syndrome_of(code, w, dcode)
+        assert erasure_decode(code, A, _ball(code, A, w), syn, dcode) == w
+        assert erasure_decode(fresh, A, _ball(fresh, A, w),
+                              syndrome_of(fresh, w, fresh_dual), fresh_dual) == w
+
+
 @settings(max_examples=60, derandomize=True, deadline=None)
 @given(rs_code_and_anchor(), st.data())
 def test_decoded_codeword_meets_sparse_parities(code_anchor, data):

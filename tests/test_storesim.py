@@ -177,3 +177,59 @@ def test_node_width_checked():
     nodes[0] = nodes[0][:-1]
     with pytest.raises(ValueError):
         StorageState(code, _seeded_blob(code), nodes)
+
+
+def test_manifest_without_blob_digest_rejected(tmp_path):
+    code = LayeredCode(6, 3, 11)
+    state = ingest(code, _seeded_blob(code))
+    path = str(tmp_path / "store")
+    save_state(state, path)
+    _edit_manifest(path, lambda doc: doc.pop("blob_digest"))
+    with pytest.raises(ValueError, match="blob_digest"):
+        load_state(path)
+
+
+def test_layered_manifest_relabeled_concat_rejected(tmp_path):
+    code = LayeredCode(6, 3, 11)
+    state = ingest(code, _seeded_blob(code))
+    path = str(tmp_path / "store")
+    save_state(state, path)
+    _edit_manifest(path, lambda doc: doc["code"].update(family="concat"))
+    with pytest.raises(ValueError, match="'k'"):
+        load_state(path)
+
+
+@pytest.mark.parametrize("replaced", range(8))
+def test_interrupted_save_keeps_old_state_or_fails(tmp_path, monkeypatch,
+                                                   replaced):
+    # the save of a new state dies after `replaced` files were replaced:
+    # none, some or all 6 node files (7 would be the manifest too)
+    code = LayeredCode(6, 3, 11)
+    old = ingest(code, _seeded_blob(code, 1))
+    new = ingest(code, _seeded_blob(code, 2))
+    path = str(tmp_path / "store")
+    save_state(old, path)
+    real_replace = os.replace
+    done = []
+
+    def replace(src, dst):
+        if len(done) == replaced:
+            raise OSError("simulated crash")
+        done.append(dst)
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", replace)
+    if replaced < 7:
+        with pytest.raises(OSError, match="simulated crash"):
+            save_state(new, path)
+    else:
+        save_state(new, path)
+    monkeypatch.undo()
+    assert not [f for f in os.listdir(path) if f.endswith(".tmp")]
+    try:
+        back = load_state(path)
+    except ValueError:
+        assert 0 < replaced < 7
+    else:
+        expected = new if replaced == 7 else old
+        assert back.blob == expected.blob and back.nodes == expected.nodes
