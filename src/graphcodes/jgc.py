@@ -86,12 +86,11 @@ class JGCSpec:
                 f"basis size {self.dim} != ball size {expected} for "
                 f"(n,v,k,t)=({n},{v},{k},{t})"
             )
-        # decode caches, empty until a decode or a syndrome needs them:
-        # the dual used when a caller passes none and the aligned dual
-        # rows per dual (aligned_dual_rows), one plan per anchor
+        # built on first use: the dual (dual), its rows in this code's
+        # vertex order (aligned_dual_rows), one plan per anchor
         # (decode_plan)
         self._dual: Optional[JGCSpec] = None
-        self._aligned: Dict[JGCSpec, DualRows] = {}
+        self._aligned: Optional[DualRows] = None
         self._plans: Dict[Layer, DecodePlan] = {}
 
     @property
@@ -256,10 +255,14 @@ def dual(code: JGCSpec) -> JGCSpec:
 
     The base of the dual is a nullspace basis of the primal base and
     the threshold becomes v + 1 - t; dimensions of the pair sum to
-    C(n,v) and generators are orthogonal.
+    C(n,v) and generators are orthogonal.  It is built once and kept on
+    the code, so every call returns the same object.
     """
-    D0 = nullspace(code.F, code.base)
-    return JGCSpec(code.F, D0, code.v, code.v + 1 - code.t, order=code.order)
+    if code._dual is None:
+        D0 = nullspace(code.F, code.base)
+        code._dual = JGCSpec(code.F, D0, code.v, code.v + 1 - code.t,
+                             order=code.order)
+    return code._dual
 
 
 def signed_dual(code: JGCSpec) -> JGCSpec:
@@ -362,21 +365,20 @@ class DecodePlan(NamedTuple):
 def aligned_dual_rows(code: JGCSpec, dual_code: Optional[JGCSpec] = None) -> DualRows:
     """Dual generator rows re-indexed by this code's vertex order.
 
-    The rows are built once per (code, dual) and kept on the code, keyed
-    by the dual object; without ``dual_code`` the code's own memoized
-    dual is the key, so the cache holds one entry per dual a caller
-    passes.  Callers must not modify the returned rows.
+    The rows of the code's own dual (``dual(code)``, the default) are
+    built once and kept on the code, so the cache is one slot per code.
+    Rows for any other dual object are built on each call and not kept.
+    Callers must not modify the returned rows.
     """
     if dual_code is None:
-        if code._dual is None:
-            code._dual = dual(code)
-        dual_code = code._dual
-    H = code._aligned.get(dual_code)
-    if H is None:
-        dual_pos = {L: i for i, L in enumerate(dual_code.vertices)}
-        H = code._aligned[dual_code] = DualRows(
-            [[hrow[dual_pos[L]] for L in code.vertices]
-             for hrow in dual_code.generator])
+        dual_code = dual(code)
+    if dual_code is code._dual and code._aligned is not None:
+        return code._aligned
+    dual_pos = {L: i for i, L in enumerate(dual_code.vertices)}
+    H = DualRows([[hrow[dual_pos[L]] for L in code.vertices]
+                  for hrow in dual_code.generator])
+    if dual_code is code._dual:
+        code._aligned = H
     return H
 
 
@@ -401,7 +403,8 @@ def syndrome_of(code: JGCSpec, vec: Sequence[int],
     This is the syndrome convention used by erasure_decode: entry i is
     the inner product of dual generator row i (re-indexed by the
     primal's vertex order) with the vector.  The rows come from
-    aligned_dual_rows, so they are built once per (code, dual).
+    aligned_dual_rows, so for the code's own dual they are built once
+    per code.
     """
     H = aligned_dual_rows(code, dual_code)
     return [dot(code.F, h, vec) for h in H]
@@ -420,11 +423,12 @@ def erasure_decode(code: JGCSpec, A: Sequence[int], known: Dict[Layer, int],
     dual rows; the completed vector is checked against the syndrome.
 
     Nothing that depends only on the code and the anchor is recomputed
-    per call: the aligned dual rows are cached per (code, dual), the
-    ball, its complement and the information-set test per (code, A)
-    (decode_plan), and the inverse of the dual rows on the complement
-    per (aligned rows, complement) (_dense_complete).  The last two
-    hold at most one entry per anchor decoded at, C(n, k) for k-subsets.
+    per call: the aligned rows of the code's own dual are kept once per
+    code (aligned_dual_rows), the ball, its complement and the
+    information-set test per (code, A) (decode_plan), and the inverse of
+    the dual rows on the complement per (aligned rows, complement)
+    (_dense_complete).  The last two hold at most one entry per anchor
+    decoded at, C(n, k) for k-subsets.
     """
     A = layer(A)
     F = code.F
@@ -452,7 +456,7 @@ def erasure_decode(code: JGCSpec, A: Sequence[int], known: Dict[Layer, int],
     return word
 
 
-def _dense_complete(code: JGCSpec, H: Mat, syndrome: Sequence[int],
+def _dense_complete(code: JGCSpec, H: DualRows, syndrome: Sequence[int],
                     values: Dict[Layer, int]) -> Dict[Layer, int]:
     """Fill the layers missing from ``values`` by solving
     H_out x = syndrome - H_known values; raises unless the solution
@@ -460,13 +464,14 @@ def _dense_complete(code: JGCSpec, H: Mat, syndrome: Sequence[int],
 
     The solve multiplies by the completion matrix E of the unknown
     columns (E H_out = [I; 0], from one rref of [H_out | I]); the rows of
-    E below the identity must annihilate the right-hand side.  When H
-    comes from aligned_dual_rows, E is kept on H keyed by the tuple of
-    unknown columns, so it is computed once per erasure pattern.
+    E below the identity must annihilate the right-hand side.  E is kept
+    on H keyed by the tuple of unknown columns; the rows of a code's own
+    dual are kept on the code, so for them E is computed once per
+    erasure pattern.
     """
     F = code.F
     unknown = tuple(i for i, L in enumerate(code.vertices) if L not in values)
-    cache = getattr(H, "completions", {})
+    cache = H.completions
     if unknown not in cache:
         u, m = len(unknown), len(H)
         aug = [[hrow[i] for i in unknown] + [int(e == r) for e in range(m)]

@@ -166,46 +166,65 @@ def code_from_manifest(doc: Dict):
     raise ValueError(f"unknown family {family!r}")
 
 
-def _write_atomic(path: str, data: bytes) -> None:
-    """Write a file through a temporary name in the same directory and
-    os.replace, so the path holds the old bytes or the new, never part."""
-    tmp = path + ".tmp"
+def _node_file(i: int, slot: int) -> str:
+    """Name of node i's file in one of the two alternating file sets."""
+    return f"node_{i}.bin" if slot == 0 else f"node_{i}.1.bin"
+
+
+def _node_files_in_use(path: str) -> List[str]:
+    """The node files listed by the store's manifest; none when there
+    is no readable manifest."""
     try:
-        with open(tmp, "wb") as fh:
-            fh.write(data)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.remove(tmp)
-        raise
+        with open(os.path.join(path, "manifest.json")) as fh:
+            files = json.load(fh)["node_files"]
+    except (OSError, ValueError, KeyError, TypeError):
+        return []
+    return files if isinstance(files, list) else []
 
 
 def save_state(state: StorageState, path: str) -> None:
-    """manifest.json plus node_<i>.bin, little-endian symbols.
+    """manifest.json plus one file of little-endian symbols per node.
 
-    Each file is replaced atomically, the node files first and the
-    manifest last: a save cut short leaves the old manifest, whose
-    digests reject any node file already rewritten.
+    The node files alternate between two sets of names (node_<i>.bin
+    and node_<i>.1.bin).  A save writes the set the current manifest
+    does not list, then replaces the manifest through a temporary file
+    with os.replace, then deletes the other set.  A save cut short
+    before the replace leaves the old state loadable; after it, the new
+    one.  Nothing is fsynced, so this covers a crashed process, not a
+    lost page cache.
     """
     os.makedirs(path, exist_ok=True)
+    old = _node_files_in_use(path)
+    slot = int(_node_file(0, 0) in old)
     width = _symbol_bytes(state.code.F.q)
-    digests = {}
+    files, digests = [], {}
     for i, row in enumerate(state.nodes):
         data = _pack(row, width)
-        digests[f"node_{i}.bin"] = hashlib.sha256(data).hexdigest()
-        _write_atomic(os.path.join(path, f"node_{i}.bin"), data)
+        name = _node_file(i, slot)
+        files.append(name)
+        digests[name] = hashlib.sha256(data).hexdigest()
+        with open(os.path.join(path, name), "wb") as fh:
+            fh.write(data)
     blob_bytes = _pack(state.blob, width)
     manifest = {
         "code": _describe(state.code),
         "alpha": state.code.alpha,
         "M": state.code.M,
         "symbol_bytes": width,
+        "node_files": files,
         "digests": digests,
         "blob_digest": hashlib.sha256(blob_bytes).hexdigest(),
         "blob": list(state.blob),
     }
-    _write_atomic(os.path.join(path, "manifest.json"),
-                  json.dumps(manifest, indent=2).encode())
+    tmp = os.path.join(path, "manifest.json.tmp")
+    with open(tmp, "w") as fh:
+        json.dump(manifest, fh, indent=2)
+    os.replace(tmp, os.path.join(path, "manifest.json"))
+    for i in range(len(old)):
+        try:
+            os.remove(os.path.join(path, _node_file(i, 1 - slot)))
+        except FileNotFoundError:
+            pass
 
 
 def load_state(path: str) -> StorageState:
@@ -214,13 +233,17 @@ def load_state(path: str) -> StorageState:
     code = code_from_manifest(_required(manifest, "code"))
     width = _required(manifest, "symbol_bytes")
     digests = _required(manifest, "digests")
+    files = _required(manifest, "node_files")
+    if files not in ([_node_file(i, slot) for i in range(code.n)]
+                     for slot in (0, 1)):
+        raise ValueError(f"manifest lists unexpected node files {files!r}")
     nodes = []
-    for i in range(code.n):
-        with open(os.path.join(path, f"node_{i}.bin"), "rb") as fh:
+    for name in files:
+        with open(os.path.join(path, name), "rb") as fh:
             data = fh.read()
         digest = hashlib.sha256(data).hexdigest()
-        if digest != _required(digests, f"node_{i}.bin", "manifest digests"):
-            raise ValueError(f"digest mismatch for node_{i}.bin")
+        if digest != _required(digests, name, "manifest digests"):
+            raise ValueError(f"digest mismatch for {name}")
         nodes.append(_unpack(data, width))
     state = StorageState(code, _required(manifest, "blob"), nodes)
     if (any(not 0 <= x < code.F.q for x in state.blob)

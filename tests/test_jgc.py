@@ -219,17 +219,37 @@ def test_missing_ball_coordinate_rejected_with_warm_plan():
 
 
 def test_decode_without_dual_keeps_one_cache_entry():
-    # callers passing no dual share the code's memoized dual, so the
-    # per-dual and per-anchor caches do not grow with the calls
+    # callers passing no dual share the code's one dual, so the aligned
+    # rows, the plans and the inverses do not grow with the calls
     code = rs_jgc(6, 3, 2, 1, 11)
     A = (1, 4)
     word, known = _codeword_and_ball(code, A, 14)
     for _ in range(50):
         assert erasure_decode(code, A, known) == word
-    assert len(code._aligned) == 1
+    assert dual(code) is dual(code)
+    H = code._aligned
+    assert aligned_dual_rows(code) is H
+    assert aligned_dual_rows(code, dual(code)) is H
     assert len(code._plans) == 1
-    (H,) = code._aligned.values()
     assert len(H.completions) == 1
+
+
+def test_foreign_dual_is_not_kept():
+    # the dual of an equal code is a different object: its rows give the
+    # same syndromes but are neither kept nor replace the code's own
+    code = rs_jgc(6, 3, 2, 1, 11)
+    other = dual(rs_jgc(6, 3, 2, 1, 11))
+    A = (1, 4)
+    word, known = _codeword_and_ball(code, A, 15)
+    vec = list(word)
+    vec[0] = code.F.add(vec[0], 1)
+    H = aligned_dual_rows(code)
+    for _ in range(3):
+        assert syndrome_of(code, vec, other) == syndrome_of(code, vec)
+        assert aligned_dual_rows(code, other) is not H
+        assert erasure_decode(code, A, known, dual_code=other) == word
+    assert code._aligned is H
+    assert not H.completions
 
 
 def test_aligned_dual_rows_shape():

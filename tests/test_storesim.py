@@ -199,37 +199,79 @@ def test_layered_manifest_relabeled_concat_rejected(tmp_path):
         load_state(path)
 
 
-@pytest.mark.parametrize("replaced", range(8))
-def test_interrupted_save_keeps_old_state_or_fails(tmp_path, monkeypatch,
-                                                   replaced):
-    # the save of a new state dies after `replaced` files were replaced:
-    # none, some or all 6 node files (7 would be the manifest too)
+class _DyingFile:
+    """A file open for writing whose first write stores half the bytes
+    and then fails, as if the process died mid-write."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, data):
+        self.fh.write(data[:len(data) // 2])
+        raise OSError("simulated crash")
+
+
+# a save of LayeredCode(6, 3, 11) writes 6 node files and the manifest's
+# temporary file, replaces the manifest, then deletes the old node files
+CRASH_POINTS = [("write", j) for j in range(7)] + [("replace", 0), ("remove", 0)]
+
+
+@pytest.mark.parametrize("saves_before", [1, 2])
+@pytest.mark.parametrize("point", CRASH_POINTS)
+def test_interrupted_save_keeps_old_state(tmp_path, monkeypatch, point,
+                                          saves_before):
     code = LayeredCode(6, 3, 11)
     old = ingest(code, _seeded_blob(code, 1))
     new = ingest(code, _seeded_blob(code, 2))
     path = str(tmp_path / "store")
-    save_state(old, path)
-    real_replace = os.replace
-    done = []
+    for _ in range(saves_before):  # the old state in either set of names
+        save_state(old, path)
+    kind, at = point
+    writes = []
 
-    def replace(src, dst):
-        if len(done) == replaced:
-            raise OSError("simulated crash")
-        done.append(dst)
-        real_replace(src, dst)
+    def dying_open(file, mode="r", *args, **kwargs):
+        fh = open(file, mode, *args, **kwargs)
+        if "w" in mode:
+            writes.append(file)
+            if kind == "write" and len(writes) == at + 1:
+                return _DyingFile(fh)
+        return fh
 
-    monkeypatch.setattr(os, "replace", replace)
-    if replaced < 7:
-        with pytest.raises(OSError, match="simulated crash"):
-            save_state(new, path)
-    else:
+    def dying(*args):
+        raise OSError("simulated crash")
+
+    monkeypatch.setattr(storesim, "open", dying_open, raising=False)
+    if kind != "write":
+        monkeypatch.setattr(os, kind, dying)
+    with pytest.raises(OSError, match="simulated crash"):
         save_state(new, path)
     monkeypatch.undo()
-    assert not [f for f in os.listdir(path) if f.endswith(".tmp")]
-    try:
-        back = load_state(path)
-    except ValueError:
-        assert 0 < replaced < 7
-    else:
-        expected = new if replaced == 7 else old
-        assert back.blob == expected.blob and back.nodes == expected.nodes
+    back = load_state(path)
+    expected = new if kind == "remove" else old
+    assert back.blob == expected.blob and back.nodes == expected.nodes
+    # the next save goes through and leaves only the files it lists
+    save_state(new, path)
+    back = load_state(path)
+    assert back.blob == new.blob and back.nodes == new.nodes
+    with open(os.path.join(path, "manifest.json")) as fh:
+        files = json.load(fh)["node_files"]
+    assert sorted(os.listdir(path)) == sorted(files + ["manifest.json"])
+
+
+def test_load_rejects_unexpected_node_files(tmp_path):
+    code = LayeredCode(6, 3, 11)
+    state = ingest(code, _seeded_blob(code))
+    path = str(tmp_path / "store")
+    save_state(state, path)
+    _edit_manifest(path, lambda doc: doc["node_files"].pop())
+    with pytest.raises(ValueError, match="node files"):
+        load_state(path)
+    _edit_manifest(path, lambda doc: doc.pop("node_files"))
+    with pytest.raises(ValueError, match="node_files"):
+        load_state(path)
