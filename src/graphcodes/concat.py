@@ -578,11 +578,8 @@ class ConcatCode:
                 for i in range(rd.m):
                     s = []
                     for e in range(rd.codim):
-                        dep = rd.deps[i * rd.codim + e]
-                        total = 0
-                        for j in L_c:
-                            total = F.add(total, values[dep][(L_c, j)])
-                        s.append(total)
+                        dep = values[rd.deps[i * rd.codim + e]]
+                        s.append(F.sum([dep[(L_c, j)] for j in L_c]))
                     lift = self._lift(rd, L_c, i)
                     known = {rd.code.vertices[j]: vals[lift[j]]
                              for j in plan.ball}

@@ -4,11 +4,27 @@ Field elements are integers in [0, q).  For prime q the integer is the
 residue mod p.  For q = p^m with m > 1 the integer encodes a polynomial
 over GF(p) in base-p digits: digit i is the coefficient of x^i in the
 basis {1, x, ..., x^{m-1}} modulo a fixed irreducible polynomial.
+
+The arithmetic is chosen once, when the field is built, from q alone;
+there is no other path and no option.  For prime q it is plain integer
+arithmetic reduced late: a dot product is one ``% p`` of the exact
+integer sum, and a row update x - f*y one ``% p`` per entry.  For
+q = p^m, m > 1, it is table lookup: add, sub and mul tables of q x q
+entries and neg and inv tables of q, built from the base-p digits of
+each element (XOR for p = 2) and the log/antilog tables of a primitive
+element, so every operation, sub included, is one lookup and none
+loops over digits.  The linear algebra in ``matrix`` and the codes is
+written on the field's vector operations (``dot``, ``sub_mul``,
+``scale``, ``sum``).
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+from functools import lru_cache
+from operator import mul as _int_mul
+from typing import Iterable, List, Optional, Sequence
+
+Table = List[List[int]]
 
 
 def _factor_prime_power(q: int) -> Optional[tuple]:
@@ -31,11 +47,24 @@ def _factor_prime_power(q: int) -> Optional[tuple]:
     return None
 
 
+def _digits(a: int, base: int, m: int) -> List[int]:
+    """The m lowest base-``base`` digits of a, least significant first."""
+    out = []
+    for _ in range(m):
+        a, d = divmod(a, base)
+        out.append(d)
+    return out
+
+
+def _from_digits(digits: Sequence[int], base: int) -> int:
+    return sum(d * base**i for i, d in enumerate(digits))
+
+
 def _poly_mul_mod(a: int, b: int, p: int, m: int, reduction: List[int]) -> int:
     """Multiply base-p encoded polynomials a, b modulo the reduction poly."""
     # coefficient lists, ascending degree
-    ca = [(a // p**i) % p for i in range(m)]
-    cb = [(b // p**i) % p for i in range(m)]
+    ca = _digits(a, p, m)
+    cb = _digits(b, p, m)
     prod = [0] * (2 * m - 1)
     for i, x in enumerate(ca):
         if x == 0:
@@ -50,7 +79,7 @@ def _poly_mul_mod(a: int, b: int, p: int, m: int, reduction: List[int]) -> int:
         prod[d] = 0
         for i in range(m):
             prod[d - m + i] = (prod[d - m + i] - c * reduction[i]) % p
-    return sum(prod[i] * p**i for i in range(m))
+    return _from_digits(prod[:m], p)
 
 
 def _is_irreducible(coeffs: List[int], p: int) -> bool:
@@ -76,11 +105,57 @@ def _is_irreducible(coeffs: List[int], p: int) -> bool:
 
     for deg in range(1, m // 2 + 1):
         for code in range(p**deg):
-            den = [(code // p**i) % p for i in range(deg)] + [1]
+            den = _digits(code, p, deg) + [1]
             rem = poly_mod(full, den)
             if all(c == 0 for c in rem):
                 return False
     return True
+
+
+def _prime_kernel(p: int):
+    """dot, sub_mul, scale and sum for GF(p): exact integer arithmetic
+    reduced once per result entry."""
+
+    def dot(x: Sequence[int], y: Sequence[int]) -> int:
+        return sum(map(_int_mul, x, y)) % p
+
+    def sub_mul(x: Sequence[int], f: int, y: Sequence[int]) -> List[int]:
+        return [(a - f * b) % p for a, b in zip(x, y)]
+
+    def scale(f: int, x: Sequence[int]) -> List[int]:
+        return [f * a % p for a in x]
+
+    def total(x: Iterable[int]) -> int:
+        return sum(x) % p
+
+    return dot, sub_mul, scale, total
+
+
+def _table_kernel(add: Table, sub: Table, mul: Table):
+    """dot, sub_mul, scale and sum for GF(p^m), m > 1: one table lookup
+    per addition, subtraction and multiplication."""
+
+    def dot(x: Sequence[int], y: Sequence[int]) -> int:
+        s = 0
+        for a, b in zip(x, y):
+            s = add[s][mul[a][b]]
+        return s
+
+    def sub_mul(x: Sequence[int], f: int, y: Sequence[int]) -> List[int]:
+        fy = mul[f]
+        return [sub[a][fy[b]] for a, b in zip(x, y)]
+
+    def scale(f: int, x: Sequence[int]) -> List[int]:
+        fx = mul[f]
+        return [fx[a] for a in x]
+
+    def total(x: Iterable[int]) -> int:
+        s = 0
+        for a in x:
+            s = add[s][a]
+        return s
+
+    return dot, sub_mul, scale, total
 
 
 class FieldSpec:
@@ -96,6 +171,13 @@ class FieldSpec:
         If None, the smallest irreducible is chosen: candidates are
         ordered by their base-p coefficient integer, so every run picks
         the same polynomial.
+
+    Besides the scalar operations (add, sub, neg, mul, inv, div, pow)
+    the field has four vector operations, set when it is built:
+    ``dot(x, y)``, the row update ``sub_mul(x, f, y)`` = x - f*y,
+    ``scale(f, x)`` = f*x and ``sum(x)``.  Vector arguments are
+    sequences of field elements; ``dot`` and ``sub_mul`` stop at the
+    shorter one.
     """
 
     def __init__(self, q: int, reduction: Optional[List[int]] = None):
@@ -114,29 +196,61 @@ class FieldSpec:
             self.reduction = list(reduction)
         else:
             self.reduction = self._smallest_irreducible()
-        self._mul_table = None
-        self._inv_table = None
-        if m > 1:
+        if m == 1:
+            kernel = _prime_kernel(p)
+        else:
             self._build_tables()
+            kernel = _table_kernel(self._add, self._sub, self._mul)
+        self.dot, self.sub_mul, self.scale, self.sum = kernel
 
     def _smallest_irreducible(self) -> List[int]:
         p, m = self.p, self.m
         for code in range(p**m):
-            coeffs = [(code // p**i) % p for i in range(m)]
+            coeffs = _digits(code, p, m)
             if _is_irreducible(coeffs, p):
                 return coeffs
         raise ValueError(f"no irreducible polynomial of degree {m} over GF({p})")
 
     def _build_tables(self) -> None:
-        q = self.q
-        self._mul_table = [
-            [_poly_mul_mod(a, b, self.p, self.m, self.reduction) for b in range(q)]
-            for a in range(q)
-        ]
-        self._inv_table = [0] * q
-        for a in range(1, q):
-            row = self._mul_table[a]
-            self._inv_table[a] = row.index(1)
+        """add, sub, mul (q x q) and neg, inv (q) tables for m > 1."""
+        p, m, q = self.p, self.m, self.q
+        if p == 2:
+            self._add = [[a ^ b for b in range(q)] for a in range(q)]
+            self._neg = list(range(q))
+        else:
+            # Spread each element's base-p digits into base 2p-1, where
+            # the sum of two digit vectors has no carry; wrap[s] reduces
+            # such a sum digit by digit mod p.
+            B = 2 * p - 1
+            digits = [_digits(a, p, m) for a in range(q)]
+            spread = [_from_digits(d, B) for d in digits]
+            wrap = [_from_digits([d % p for d in _digits(s, B, m)], p)
+                    for s in range(B**m)]
+            self._add = [[wrap[sa + sb] for sb in spread] for sa in spread]
+            self._neg = [_from_digits([-d % p for d in ds], p) for ds in digits]
+        neg = self._neg
+        self._sub = [[row[nb] for nb in neg] for row in self._add]
+        # a * b = g^(log a + log b) for a primitive element g
+        exp = self._primitive_powers()
+        log = [0] * q
+        for i, a in enumerate(exp):
+            log[a] = i
+        exp2 = exp + exp
+        logs = log[1:]
+        self._mul = [[0] * q] + [[0] + [exp2[i + j] for j in logs] for i in logs]
+        self._inv = [0] + [exp[-i % (q - 1)] for i in logs]
+
+    def _primitive_powers(self) -> List[int]:
+        """[g^0, ..., g^(q-2)] for the smallest primitive element g."""
+        for g in range(2, self.q):
+            powers = [1]
+            x = g
+            while x != 1:
+                powers.append(x)
+                x = _poly_mul_mod(x, g, self.p, self.m, self.reduction)
+            if len(powers) == self.q - 1:
+                return powers
+        raise AssertionError(f"GF({self.q}) has no primitive element")
 
     def check(self, a: int) -> int:
         if not isinstance(a, int) or not 0 <= a < self.q:
@@ -146,31 +260,29 @@ class FieldSpec:
     def add(self, a: int, b: int) -> int:
         if self.m == 1:
             return (a + b) % self.p
-        p = self.p
-        return sum(
-            (((a // p**i) + (b // p**i)) % p) * p**i for i in range(self.m)
-        )
+        return self._add[a][b]
 
     def neg(self, a: int) -> int:
         if self.m == 1:
-            return (-a) % self.p
-        p = self.p
-        return sum(((-(a // p**i)) % p) * p**i for i in range(self.m))
+            return -a % self.p
+        return self._neg[a]
 
     def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
+        if self.m == 1:
+            return (a - b) % self.p
+        return self._sub[a][b]
 
     def mul(self, a: int, b: int) -> int:
         if self.m == 1:
             return (a * b) % self.p
-        return self._mul_table[a][b]
+        return self._mul[a][b]
 
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("zero has no multiplicative inverse")
         if self.m == 1:
             return pow(a, self.p - 2, self.p)
-        return self._inv_table[a]
+        return self._inv[a]
 
     def div(self, a: int, b: int) -> int:
         return self.mul(a, self.inv(b))
@@ -204,6 +316,11 @@ class FieldSpec:
         return f"FieldSpec(q={self.q}, p={self.p}, m={self.m}, reduction={self.reduction})"
 
 
+@lru_cache(maxsize=None)
 def field_make(q: int) -> FieldSpec:
-    """Build GF(q) with the canonical (smallest) irreducible polynomial."""
+    """GF(q) with the canonical (smallest) irreducible polynomial.
+
+    A field is not changed after it is built, so one instance per q is
+    built and shared: every code over GF(q) holds the same tables.
+    """
     return FieldSpec(q)

@@ -136,8 +136,7 @@ def hgc_unit_codeword(code: HGCSpec, A0: Sequence[int],
     word = tau(F, M, code.vertices)
     pivot = word[code.vertex_pos[L]]
     if pivot != 1:
-        inv = F.inv(pivot)
-        word = [F.mul(inv, x) for x in word]
+        word = F.scale(F.inv(pivot), word)
     return word
 
 

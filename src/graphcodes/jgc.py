@@ -25,10 +25,9 @@ from graphcodes.combinat import (
     shell_index,
     sign_of,
 )
-from graphcodes.field import FieldSpec
+from graphcodes.field import FieldSpec, field_make
 from graphcodes.matrix import (
     Mat,
-    dot,
     nullspace,
     pi,
     rank,
@@ -200,8 +199,7 @@ def anchored_minor_vector(F: FieldSpec, base: Mat, A0: Sequence[int],
     if pivot == 0:
         raise ValueError(f"anchored vector degenerate at L={L}, A0={A0}")
     if pivot != 1:
-        inv = F.inv(pivot)
-        word = [F.mul(inv, x) for x in word]
+        word = F.scale(F.inv(pivot), word)
     return word
 
 
@@ -277,32 +275,15 @@ def aligned_dot(F: FieldSpec, c: Sequence[int], vertices_c: Sequence[Layer],
     """Inner product of two vectors indexed by the same layers in
     possibly different orders."""
     pos_d = {L: i for i, L in enumerate(vertices_d)}
-    s = 0
-    for x, L in zip(c, vertices_c):
-        if x == 0:
-            continue
-        y = d[pos_d[L]]
-        if y:
-            s = F.add(s, F.mul(x, y))
-    return s
+    return F.dot(c, [d[pos_d[L]] for L in vertices_c])
 
 
 def signed_pairing(F: FieldSpec, c: Sequence[int], vertices_c: Sequence[Layer],
                    d: Sequence[int], vertices_d: Sequence[Layer], n: int) -> int:
     """sum over L of sign(L) * c_L * d_{L^c}."""
     pos_d = {L: i for i, L in enumerate(vertices_d)}
-    s = 0
-    for x, L in zip(c, vertices_c):
-        if x == 0:
-            continue
-        y = d[pos_d[complement(L, n)]]
-        if y == 0:
-            continue
-        term = F.mul(x, y)
-        if sign_of(L) == -1:
-            term = F.neg(term)
-        s = F.add(s, term)
-    return s
+    signed = [x if sign_of(L) == 1 else F.neg(x) for x, L in zip(c, vertices_c)]
+    return F.dot(signed, [d[pos_d[complement(L, n)]] for L in vertices_c])
 
 
 def sparse_parities(code: JGCSpec, A: Sequence[int]) -> ParityStructure:
@@ -407,7 +388,8 @@ def syndrome_of(code: JGCSpec, vec: Sequence[int],
     per code.
     """
     H = aligned_dual_rows(code, dual_code)
-    return [dot(code.F, h, vec) for h in H]
+    dot = code.F.dot
+    return [dot(h, vec) for h in H]
 
 
 def erasure_decode(code: JGCSpec, A: Sequence[int], known: Dict[Layer, int],
@@ -451,7 +433,7 @@ def erasure_decode(code: JGCSpec, A: Sequence[int], known: Dict[Layer, int],
 
     word = [values[L] for L in code.vertices]
     for hrow, s in zip(H, syndrome):
-        if dot(F, hrow, word) != s:
+        if F.dot(hrow, word) != s:
             raise ValueError("stored values are inconsistent with the syndrome")
     return word
 
@@ -485,8 +467,8 @@ def _dense_complete(code: JGCSpec, H: DualRows, syndrome: Sequence[int],
         raise ValueError("erasure pattern is not recoverable")
     # the known values with zeros at the unknown columns
     w = [values.get(L, 0) for L in code.vertices]
-    rhs = [F.sub(s, dot(F, hrow, w)) for hrow, s in zip(H, syndrome)]
-    x = [dot(F, erow, rhs) for erow in E]
+    rhs = [F.sub(s, F.dot(hrow, w)) for hrow, s in zip(H, syndrome)]
+    x = [F.dot(erow, rhs) for erow in E]
     if any(x[len(unknown):]):
         raise ValueError("erasure pattern is not recoverable")
     out = dict(values)
@@ -517,6 +499,6 @@ def from_json(text: str) -> JGCSpec:
     doc = json.loads(text)
     if doc.get("family") != "JGC":
         raise ValueError(f"unexpected family {doc.get('family')!r}")
-    F = FieldSpec(doc["q"])
+    F = field_make(doc["q"])
     return JGCSpec(F, doc["generator"], doc["v"], doc["t"],
                    order=doc.get("order", "klex"))

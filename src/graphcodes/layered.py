@@ -80,22 +80,16 @@ def encode_layered(spec: LayeredSpec, data: Sequence[int],
         if spec.v == 1:
             nodes[L[0]][spec.slot[(L, L[0])]] = s
             continue
-        total = 0
-        for j in L[:-1]:
-            x = data[idx]
-            idx += 1
+        xs = data[idx:idx + spec.v - 1]
+        idx += spec.v - 1
+        for j, x in zip(L, xs):
             nodes[j][spec.slot[(L, j)]] = x
-            total = F.add(total, x)
-        nodes[L[-1]][spec.slot[(L, L[-1])]] = F.sub(s, total)
+        nodes[L[-1]][spec.slot[(L, L[-1])]] = F.sub(s, F.sum(xs))
     return nodes
 
 
 def layer_sum(spec: LayeredSpec, nodes: Sequence[Sequence[int]], L: Layer) -> int:
-    F = spec.F
-    total = 0
-    for j in L:
-        total = F.add(total, nodes[j][spec.slot[(L, j)]])
-    return total
+    return spec.F.sum([nodes[j][spec.slot[(L, j)]] for j in L])
 
 
 def extract_data(spec: LayeredSpec, values: Dict[Tuple[Layer, int], int]) -> List[int]:
@@ -163,10 +157,7 @@ def fill_layers(F: FieldSpec, values: Dict[Tuple[Layer, int], int],
             continue
         if len(missing) > 1:
             raise ValueError(f"layer {L} has {len(missing)} unknown symbols")
-        total = 0
-        for j in L:
-            if j != missing[0]:
-                total = F.add(total, values[(L, j)])
+        total = F.sum([values[(L, j)] for j in L if j != missing[0]])
         values[(L, missing[0])] = F.sub(injected.get(L, 0), total)
 
 

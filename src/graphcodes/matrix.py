@@ -1,7 +1,9 @@
 """Exact dense linear algebra over GF(q).
 
 Matrices are lists of rows; each row is a list of field elements
-(integers in [0, q)).  Every function takes the FieldSpec first.
+(integers in [0, q)).  Every function takes the FieldSpec first and
+does its arithmetic with the field's vector operations (``F.dot``,
+``F.sub_mul``, ``F.scale``).
 """
 
 from __future__ import annotations
@@ -35,57 +37,46 @@ def mat_mul(F: FieldSpec, A: Mat, B: Mat) -> Mat:
     if len(A[0]) != len(B):
         raise ValueError(f"shape mismatch: {len(A)}x{len(A[0])} times {len(B)}x{len(B[0])}")
     Bt = transpose(B)
-    out = zeros(len(A), len(Bt))
-    for i, arow in enumerate(A):
-        for j, bcol in enumerate(Bt):
-            s = 0
-            for a, b in zip(arow, bcol):
-                if a and b:
-                    s = F.add(s, F.mul(a, b))
-            out[i][j] = s
-    return out
+    dot = F.dot
+    return [[dot(arow, bcol) for bcol in Bt] for arow in A]
 
 
 def mat_vec(F: FieldSpec, A: Mat, x: Sequence[int]) -> List[int]:
-    out = []
-    for row in A:
-        s = 0
-        for a, b in zip(row, x):
-            if a and b:
-                s = F.add(s, F.mul(a, b))
-        out.append(s)
-    return out
+    dot = F.dot
+    return [dot(row, x) for row in A]
 
 
 def dot(F: FieldSpec, x: Sequence[int], y: Sequence[int]) -> int:
-    s = 0
-    for a, b in zip(x, y):
-        if a and b:
-            s = F.add(s, F.mul(a, b))
-    return s
+    return F.dot(x, y)
 
 
 def det(F: FieldSpec, M: Mat) -> int:
-    """Determinant by Gaussian elimination (exact over the field)."""
+    """Determinant by Gaussian elimination (exact over the field).
+
+    Each step takes the first row with a nonzero leading entry as the
+    pivot (moving it to the top is a cyclic shift of ``top`` rows, sign
+    (-1)^top), clears the first column of the other rows and drops the
+    pivot row and the first column.
+    """
     n = len(M)
-    if any(len(row) != n for row in M):
+    if M and set(map(len, M)) != {n}:
         raise ValueError("determinant requires a square matrix")
-    A = copy_mat(M)
+    sub_mul = F.sub_mul
+    rows = M
     d = 1
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if A[r][col] != 0), None)
-        if pivot is None:
+    while rows:
+        for top, row in enumerate(rows):
+            if row[0]:
+                break
+        else:
             return 0
-        if pivot != col:
-            A[col], A[pivot] = A[pivot], A[col]
+        if top % 2:
             d = F.neg(d)
-        d = F.mul(d, A[col][col])
-        inv = F.inv(A[col][col])
-        for r in range(col + 1, n):
-            if A[r][col] == 0:
-                continue
-            factor = F.mul(A[r][col], inv)
-            A[r] = [F.sub(x, F.mul(factor, y)) for x, y in zip(A[r], A[col])]
+        head, *tail = row
+        d = F.mul(d, head)
+        tail = F.scale(F.inv(head), tail)
+        rows = [sub_mul(r[1:], r[0], tail) if r[0] else r[1:]
+                for r in rows[:top] + rows[top + 1:]]
     return d
 
 
@@ -94,19 +85,21 @@ def rref(F: FieldSpec, M: Mat) -> Tuple[Mat, List[int]]:
     A = copy_mat(M)
     rows = len(A)
     cols = len(A[0]) if rows else 0
+    sub_mul = F.sub_mul
     pivots = []
     r = 0
     for c in range(cols):
-        pivot = next((i for i in range(r, rows) if A[i][c] != 0), None)
+        pivot = next((i for i in range(r, rows) if A[i][c]), None)
         if pivot is None:
             continue
         A[r], A[pivot] = A[pivot], A[r]
-        inv = F.inv(A[r][c])
-        A[r] = [F.mul(inv, x) for x in A[r]]
+        # row r is zero left of column c, so only columns c.. change
+        prow = F.scale(F.inv(A[r][c]), A[r][c:])
+        A[r][c:] = prow
         for i in range(rows):
-            if i != r and A[i][c] != 0:
-                factor = A[i][c]
-                A[i] = [F.sub(x, F.mul(factor, y)) for x, y in zip(A[i], A[r])]
+            row = A[i]
+            if i != r and row[c]:
+                row[c:] = sub_mul(row[c:], row[c], prow)
         pivots.append(c)
         r += 1
         if r == rows:

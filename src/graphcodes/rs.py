@@ -16,8 +16,8 @@ from typing import List, Optional, Sequence
 from graphcodes.combinat import johnson_vertices, layer
 from graphcodes.field import FieldSpec, field_make
 from graphcodes.jgc import JGCSpec, construct
-from graphcodes.matrix import Mat, det, rank
-from graphcodes.subres import poly_eval, poly_from_roots, poly_mul
+from graphcodes.matrix import Mat, det, mat_mul, rank
+from graphcodes.subres import poly_from_roots, poly_mul
 
 
 class RSBasis:
@@ -50,7 +50,10 @@ class RSBasis:
         else:
             raise ValueError(f"unknown form {form!r}")
         self.polys = polys
-        self.rows = [[poly_eval(F, p, a) for a in alphas] for p in polys]
+        # row i holds the coefficients of polys[i] times the Vandermonde
+        # matrix, i.e. its evaluations at every point
+        self.rows = mat_mul(F, [p + [0] * (n - len(p)) for p in polys],
+                            vandermonde(F, alphas))
 
 
 def vandermonde(F: FieldSpec, alphas: Sequence[int]) -> Mat:

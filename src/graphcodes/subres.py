@@ -43,21 +43,19 @@ def poly_add(F: FieldSpec, p: Sequence[int], q: Sequence[int]) -> Poly:
 
 
 def poly_scale(F: FieldSpec, c: int, p: Sequence[int]) -> Poly:
-    return poly_trim([F.mul(c, x) for x in p])
+    return poly_trim(F.scale(c, p))
 
 
 def poly_mul(F: FieldSpec, p: Sequence[int], q: Sequence[int]) -> Poly:
     p, q = poly_trim(p), poly_trim(q)
     if not p or not q:
         return []
-    out = [0] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if a == 0:
-            continue
-        for j, b in enumerate(q):
-            if b:
-                out[i + j] = F.add(out[i + j], F.mul(a, b))
-    return poly_trim(out)
+    # coefficient d = sum of p[i] q[d-i]: a slice of p dotted with a
+    # slice of q reversed
+    lq = len(q)
+    rq = q[::-1]
+    return poly_trim([F.dot(p[max(0, d - lq + 1):d + 1], rq[max(0, lq - 1 - d):])
+                      for d in range(len(p) + lq - 1)])
 
 
 def poly_eval(F: FieldSpec, p: Sequence[int], x: int) -> int:
@@ -81,13 +79,13 @@ def poly_divmod(F: FieldSpec, p: Sequence[int], q: Sequence[int]) -> Tuple[Poly,
     rem = list(p)
     quo = [0] * max(len(p) - len(q) + 1, 0)
     inv_lead = F.inv(q[-1])
-    for i in range(len(rem) - len(q), -1, -1):
-        c = F.mul(rem[i + len(q) - 1], inv_lead)
+    lq = len(q)
+    for i in range(len(rem) - lq, -1, -1):
+        c = F.mul(rem[i + lq - 1], inv_lead)
         if c == 0:
             continue
         quo[i] = c
-        for j, b in enumerate(q):
-            rem[i + j] = F.sub(rem[i + j], F.mul(c, b))
+        rem[i:i + lq] = F.sub_mul(rem[i:i + lq], c, q)
     return poly_trim(quo), poly_trim(rem)
 
 

@@ -2,8 +2,10 @@
 
 import pytest
 
+from graphcodes import field
 from graphcodes.field import (
     FieldSpec,
+    _poly_mul_mod,
     field_make,
 )
 
@@ -68,3 +70,48 @@ def test_explicit_reduction_polynomial():
     F = FieldSpec(8, reduction=[1, 1, 0])
     x = 2
     assert F.mul(F.mul(x, x), x) == F.add(x, 1)
+
+
+def _digitwise(a, b, p, m):
+    """a + b by base-p digits, each digit added mod p."""
+    out = 0
+    for i in range(m):
+        out += ((a // p**i + b // p**i) % p) * p**i
+    return out
+
+
+@pytest.mark.parametrize("q", [4, 8, 9, 16, 25, 27, 32, 49])
+def test_tables_match_polynomial_arithmetic(q):
+    F = FieldSpec(q)
+    p, m = F.p, F.m
+    for a in range(q):
+        neg = next(b for b in range(q) if _digitwise(a, b, p, m) == 0)
+        assert F.neg(a) == neg
+        if a:
+            assert _poly_mul_mod(a, F.inv(a), p, m, F.reduction) == 1
+        for b in range(q):
+            assert F.add(a, b) == _digitwise(a, b, p, m)
+            assert F.sub(a, b) == _digitwise(a, F.neg(b), p, m)
+            assert F.mul(a, b) == _poly_mul_mod(a, b, p, m, F.reduction)
+
+
+@pytest.mark.parametrize("q", [4, 8, 9, 27, 243, 256])
+def test_tables_need_about_q_polynomial_products(q, monkeypatch):
+    # the mul table comes from the powers of one primitive element,
+    # not from a product per pair
+    calls = [0]
+    original = field._poly_mul_mod
+
+    def counted(a, b, p, m, reduction):
+        calls[0] += 1
+        return original(a, b, p, m, reduction)
+
+    monkeypatch.setattr(field, "_poly_mul_mod", counted)
+    FieldSpec(q)
+    assert q - 2 <= calls[0] <= 2 * q
+
+
+def test_field_make_shares_one_field_per_q():
+    assert field_make(8) is field_make(8)
+    assert field_make(8) == FieldSpec(8)
+    assert field_make(7) is not field_make(8)

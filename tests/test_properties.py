@@ -1,10 +1,12 @@
 """Property-based checks for the algebra kernels and erasure decoding."""
 
-from hypothesis import given, settings
+from itertools import permutations
+
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from graphcodes.combinat import shell_index
-from graphcodes.field import field_make
+from graphcodes.field import _poly_mul_mod, field_make
 from graphcodes.jgc import dual, erasure_decode, sparse_parities, syndrome_of
 from graphcodes.layered import LayeredSpec, encode_layered, extract_data
 from graphcodes.matrix import det, mat_mul, mat_vec, rank, rref, solve
@@ -152,3 +154,152 @@ def test_decoded_codeword_meets_sparse_parities(code_anchor, data):
         for L, c in support:
             acc = F.add(acc, F.mul(c, code.coord(decoded, L)))
         assert acc == 0
+
+
+# ----- field kernel against a scalar reference -----
+
+KERNEL_FIELDS = [2, 3, 4, 7, 8, 9, 11, 13, 16, 25, 27]
+
+
+class RefField:
+    """Scalar reference for GF(q): sums and negatives digit by digit in
+    base p, products by polynomial multiplication modulo the field's
+    reduction polynomial; one element at a time, no tables."""
+
+    def __init__(self, q):
+        F = field_make(q)
+        self.q, self.p, self.m, self.reduction = q, F.p, F.m, F.reduction
+
+    def add(self, a, b):
+        p = self.p
+        return sum(((a // p**i + b // p**i) % p) * p**i for i in range(self.m))
+
+    def neg(self, a):
+        p = self.p
+        return sum((-(a // p**i) % p) * p**i for i in range(self.m))
+
+    def sub(self, a, b):
+        return self.add(a, self.neg(b))
+
+    def mul(self, a, b):
+        return _poly_mul_mod(a, b, self.p, self.m, self.reduction)
+
+    def inv(self, a):
+        return next(b for b in range(1, self.q) if self.mul(a, b) == 1)
+
+    def dot(self, x, y):
+        s = 0
+        for a, b in zip(x, y):
+            s = self.add(s, self.mul(a, b))
+        return s
+
+    def det(self, M):
+        """Leibniz expansion: a sum over all permutations."""
+        n = len(M)
+        total = 0
+        for perm in permutations(range(n)):
+            term = 1
+            for i, j in enumerate(perm):
+                term = self.mul(term, M[i][j])
+            total = (self.add(total, term) if _perm_sign(perm) == 1
+                     else self.sub(total, term))
+        return total
+
+    def rref(self, M):
+        """Gauss-Jordan elimination on full rows."""
+        A = [list(row) for row in M]
+        pivots, r = [], 0
+        for c in range(len(A[0])):
+            pivot = next((i for i in range(r, len(A)) if A[i][c]), None)
+            if pivot is None:
+                continue
+            A[r], A[pivot] = A[pivot], A[r]
+            inv = self.inv(A[r][c])
+            A[r] = [self.mul(inv, x) for x in A[r]]
+            for i in range(len(A)):
+                if i != r and A[i][c]:
+                    f = A[i][c]
+                    A[i] = [self.sub(x, self.mul(f, y)) for x, y in zip(A[i], A[r])]
+            pivots.append(c)
+            r += 1
+            if r == len(A):
+                break
+        return A, pivots
+
+
+def _perm_sign(perm):
+    inversions = sum(1 for i in range(len(perm)) for j in range(i + 1, len(perm))
+                     if perm[i] > perm[j])
+    return -1 if inversions % 2 else 1
+
+
+def kernel_elements(q):
+    # 0 and q-1 come often: q-1 gives the largest products and, in
+    # x - f*y, the most negative intermediate values
+    return st.one_of(st.sampled_from([0, q - 1]),
+                     st.integers(min_value=0, max_value=q - 1))
+
+
+@st.composite
+def kernel_vectors(draw):
+    q = draw(st.sampled_from(KERNEL_FIELDS))
+    n = draw(st.integers(min_value=0, max_value=12))
+    vec = st.lists(kernel_elements(q), min_size=n, max_size=n)
+    return q, draw(vec), draw(kernel_elements(q)), draw(vec)
+
+
+@st.composite
+def kernel_matrix(draw, square=False):
+    q = draw(st.sampled_from(KERNEL_FIELDS))
+    rows = draw(st.integers(min_value=1, max_value=4))
+    cols = rows if square else draw(st.integers(min_value=1, max_value=5))
+    M = draw(st.lists(st.lists(kernel_elements(q), min_size=cols, max_size=cols),
+                      min_size=rows, max_size=rows))
+    return q, M
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(kernel_vectors())
+@example((11, [0, 0, 0], 10, [10, 10, 10]))
+@example((13, [12, 0], 12, [12, 12]))
+@example((8, [0, 7], 7, [7, 7]))
+def test_vector_ops_match_reference(args):
+    q, x, f, y = args
+    F, R = field_make(q), RefField(q)
+    assert F.dot(x, y) == R.dot(x, y)
+    assert F.sub_mul(x, f, y) == [R.sub(a, R.mul(f, b)) for a, b in zip(x, y)]
+    assert F.scale(f, x) == [R.mul(f, a) for a in x]
+    assert F.sum(x) == R.dot(x, [1] * len(x))
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(kernel_matrix(square=True))
+def test_det_matches_leibniz_expansion(args):
+    q, M = args
+    assert det(field_make(q), M) == RefField(q).det(M)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(kernel_matrix())
+def test_rref_and_rank_match_reference(args):
+    q, M = args
+    R, pivots = RefField(q).rref(M)
+    F = field_make(q)
+    assert rref(F, M) == (R, pivots)
+    assert rank(F, M) == len(pivots)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(kernel_matrix(), st.data())
+def test_solve_matches_reference(args, data):
+    q, A = args
+    b = data.draw(st.lists(kernel_elements(q), min_size=len(A), max_size=len(A)))
+    Rf = RefField(q)
+    x = solve(field_make(q), A, b)
+    consistent = (len(Rf.rref(A)[1])
+                  == len(Rf.rref([row + [bi] for row, bi in zip(A, b)])[1]))
+    if x is None:
+        assert not consistent
+    else:
+        assert consistent
+        assert [Rf.dot(row, x) for row in A] == b
