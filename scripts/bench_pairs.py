@@ -3,19 +3,19 @@
 Usage, from the root of a checkout (the change):
 
     python3 scripts/bench_pairs.py --parent PARENT_DIR --out BENCH_x.json \
-        --pairs certify-sweep=10,collect-all=5,cascade-10=5,churn=5 \
         --seed-base 6000
 
 PARENT_DIR is a checkout of the parent commit (``git archive`` or
-``git clone``).  For each workload, pair p runs ``perfbench/run.py
+``git clone``); the seed base should be one not used while developing
+the change.  For each workload in PLAN, pair p runs ``perfbench/run.py
 --workload W --seed S --seconds 10 --trace 0`` in both checkouts, one
 process at a time, the parent first when p is even; S is the seed base
-plus 100 times the workload's position in ``--pairs`` plus p.  Each
+plus 100 times the workload's position in PLAN plus p.  Each
 end-to-end metric gets both sides' runs, medians and quartiles, the
 change's median relative to the parent's and the pairs the change won
 (by the direction BENCHMARK.json gives).  Then, on both checkouts: one
-``--trace 1`` run per workload at ``--trace-seed`` (per-layer numbers
-and the output digest), the time of ``field_make`` for q = 243 and 256,
+``--trace 1`` run per workload at seed 3 (per-layer numbers and the
+output digest that must not change), the time of ``field_make`` for q = 243 and 256,
 passes of ``storesim.collect`` over every k-subset anchor of
 (8,5,4,11) and (10,6,5,11), and the line count of ``src/``.
 """
@@ -32,6 +32,11 @@ import subprocess
 import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+# (workload, alternating pairs); the claimed metric's workload gets 10
+PLAN = [("certify-sweep", 10), ("collect-all", 5), ("cascade-10", 5),
+        ("churn", 5)]
+TRACE_SEED = 3
 
 LAYERS = [
     "field.add.calls", "field.sub.calls", "field.neg.calls", "field.mul.calls",
@@ -115,19 +120,14 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--parent", required=True)
     ap.add_argument("--out", required=True)
-    ap.add_argument("--pairs", default="certify-sweep=10,collect-all=5,"
-                                       "cascade-10=5,churn=5")
-    ap.add_argument("--seed-base", type=int, default=6000)
-    ap.add_argument("--trace-seed", type=int, default=3)
+    ap.add_argument("--seed-base", type=int, required=True)
     args = ap.parse_args()
     sides = {"parent": os.path.abspath(args.parent), "change": ROOT}
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
         better = {m["name"]: m["better"] for m in json.load(fh)["end_to_end"]}
 
-    plan = [(w, int(n)) for w, n in
-            (item.split("=") for item in args.pairs.split(","))]
     end_to_end = {}
-    for wi, (workload, pairs) in enumerate(plan):
+    for wi, (workload, pairs) in enumerate(PLAN):
         seeds = [args.seed_base + 100 * wi + p for p in range(pairs)]
         runs = {"parent": [], "change": []}
         for p, seed in enumerate(seeds):
@@ -149,10 +149,10 @@ def main():
         }
 
     per_layer, probes = {}, {}
-    for workload, _ in plan:
+    for workload, _ in PLAN:
         per_layer[workload] = {}
         for side, checkout in sides.items():
-            info, result = run_bench(checkout, workload, args.trace_seed, 1)
+            info, result = run_bench(checkout, workload, TRACE_SEED, 1)
             per_layer[workload][side] = {
                 "digest": info["digest"], "correct": result["correct"],
                 **{k: result["metrics"][k]["value"] for k in LAYERS}}
@@ -174,7 +174,7 @@ def main():
                   "pair p runs the parent first when p is even",
         "src_lines": {side: src_lines(c) for side, c in sides.items()},
         "end_to_end": end_to_end,
-        "per_layer": {"seed": args.trace_seed, **per_layer},
+        "per_layer": {"seed": TRACE_SEED, **per_layer},
         "probes": probes,
     }
     with open(args.out, "w", encoding="utf-8") as fh:

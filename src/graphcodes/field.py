@@ -47,6 +47,12 @@ def _factor_prime_power(q: int) -> Optional[tuple]:
     return None
 
 
+def _check_order(q) -> None:
+    """Reject a field order that is not an int (a bool or float included)."""
+    if not isinstance(q, int) or isinstance(q, bool):
+        raise ValueError(f"field order {q!r} is not an integer")
+
+
 def _digits(a: int, base: int, m: int) -> List[int]:
     """The m lowest base-``base`` digits of a, least significant first."""
     out = []
@@ -181,6 +187,7 @@ class FieldSpec:
     """
 
     def __init__(self, q: int, reduction: Optional[List[int]] = None):
+        _check_order(q)
         pm = _factor_prime_power(q)
         if pm is None:
             raise ValueError(f"{q} is not a prime power")
@@ -316,11 +323,18 @@ class FieldSpec:
         return f"FieldSpec(q={self.q}, p={self.p}, m={self.m}, reduction={self.reduction})"
 
 
-@lru_cache(maxsize=None)
 def field_make(q: int) -> FieldSpec:
     """GF(q) with the canonical (smallest) irreducible polynomial.
 
     A field is not changed after it is built, so one instance per q is
-    built and shared: every code over GF(q) holds the same tables.
+    built and shared: every code over GF(q) holds the same tables.  q is
+    checked before the shared instance is looked up, since 8.0 and True
+    hash like 8 and 1.
     """
+    _check_order(q)
+    return _shared_field(q)
+
+
+@lru_cache(maxsize=None)
+def _shared_field(q: int) -> FieldSpec:
     return FieldSpec(q)

@@ -59,6 +59,17 @@ def test_non_prime_power_rejected():
         field_make(1)
 
 
+def test_non_integer_order_rejected():
+    # 8.0 and True hash like 8 and 1, so a built GF(8) must not answer for them
+    field_make(8)
+    field_make(2)
+    for q in (8.0, True, "8", None):
+        with pytest.raises(ValueError, match="not an integer"):
+            field_make(q)
+        with pytest.raises(ValueError, match="not an integer"):
+            FieldSpec(q)
+
+
 def test_inverse_of_zero_rejected():
     F = field_make(5)
     with pytest.raises((ValueError, ZeroDivisionError)):

@@ -1,5 +1,6 @@
 """Johnson graph codes: construction, duality, decoding."""
 
+import json
 import random
 from math import comb
 
@@ -266,6 +267,14 @@ def test_json_roundtrip():
     assert back.vertices == code.vertices
     with pytest.raises(ValueError):
         from_json('{"family": "other"}')
+
+
+def test_json_float_field_order_rejected():
+    doc = json.loads(to_json(rs_jgc(6, 3, 2, 1, 7)))
+    field_make(doc["q"])  # the integer order is already built and shared
+    doc["q"] = 7.0
+    with pytest.raises(ValueError, match="not an integer"):
+        from_json(json.dumps(doc))
 
 
 def test_bad_threshold_rejected():
