@@ -7,13 +7,13 @@ Usage, from the root of a checkout (the change):
 
 PARENT_DIR is a checkout of the parent commit (``git archive`` or
 ``git clone``); the seed base should be one not used while developing
-the change.  For each workload in PLAN, pair p runs ``perfbench/run.py
---workload W --seed S --seconds 10 --trace 0`` in both checkouts, one
-process at a time, the parent first when p is even; S is the seed base
-plus 100 times the workload's position in PLAN plus p.  Each
-end-to-end metric gets both sides' runs, medians and quartiles, the
-change's median relative to the parent's and the pairs the change won
-(by the direction BENCHMARK.json gives).  Then, on both checkouts: one
+the change.  Every workload in WORKLOADS gets PAIRS = 10 pairs; pair p
+runs ``perfbench/run.py --workload W --seed S --seconds 10 --trace 0``
+in both checkouts, one process at a time, the parent first when p is
+even; S is the seed base plus 100 times the workload's position in
+WORKLOADS plus p.  Each end-to-end metric gets both sides' runs,
+medians and quartiles, the change's median relative to the parent's and
+the pairs the change won (by the direction BENCHMARK.json gives).  Then, on both checkouts: one
 ``--trace 1`` run per workload at seed 3 (per-layer numbers and the
 output digest that must not change), the time of ``field_make`` for q = 243 and 256,
 passes of ``storesim.collect`` over every k-subset anchor of
@@ -33,9 +33,10 @@ import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
-# (workload, alternating pairs); the claimed metric's workload gets 10
-PLAN = [("certify-sweep", 10), ("collect-all", 5), ("cascade-10", 5),
-        ("churn", 5)]
+# every workload gets the same number of alternating pairs, so a claimed
+# gain and the no-regression evidence on the others meet one pair rule
+WORKLOADS = ["certify-sweep", "collect-all", "cascade-10", "churn"]
+PAIRS = 10
 TRACE_SEED = 3
 
 LAYERS = [
@@ -127,8 +128,8 @@ def main():
         better = {m["name"]: m["better"] for m in json.load(fh)["end_to_end"]}
 
     end_to_end = {}
-    for wi, (workload, pairs) in enumerate(PLAN):
-        seeds = [args.seed_base + 100 * wi + p for p in range(pairs)]
+    for wi, workload in enumerate(WORKLOADS):
+        seeds = [args.seed_base + 100 * wi + p for p in range(PAIRS)]
         runs = {"parent": [], "change": []}
         for p, seed in enumerate(seeds):
             order = ("parent", "change") if p % 2 == 0 else ("change", "parent")
@@ -139,7 +140,7 @@ def main():
                     {k: round(v["value"], 3) for k, v in result["metrics"].items()}),
                     file=sys.stderr, flush=True)
         end_to_end[workload] = {
-            "pairs": pairs, "seeds": seeds,
+            "pairs": PAIRS, "seeds": seeds,
             "attempted_ops": {s: sum(r["attempted"] for r in runs[s]) for s in runs},
             "failed_ops": {s: sum(r["failed"] for r in runs[s]) for s in runs},
             "metrics": {name: compare([r["metrics"][name]["value"] for r in runs["parent"]],
@@ -149,7 +150,7 @@ def main():
         }
 
     per_layer, probes = {}, {}
-    for workload, _ in PLAN:
+    for workload in WORKLOADS:
         per_layer[workload] = {}
         for side, checkout in sides.items():
             info, result = run_bench(checkout, workload, TRACE_SEED, 1)

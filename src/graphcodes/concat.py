@@ -22,7 +22,15 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from graphcodes.combinat import Layer, ball_size, layer, shell_index
 from graphcodes.field import field_make
 from graphcodes.jgc import JGCSpec, decode_plan, dual, erasure_decode, syndrome_of
-from graphcodes.layered import LayeredSpec, encode_layered, fill_layers
+from graphcodes.layered import (
+    LayeredSpec,
+    encode_layered,
+    extract_data,
+    fill_layers,
+    node_arrays,
+    read_layers,
+    repair_layers,
+)
 
 
 def series_multiplicities(v: int, ell: int) -> List[int]:
@@ -279,15 +287,6 @@ def scenario_table(n: int, v: int, k: int,
     return rows
 
 
-class _Component:
-    __slots__ = ("u", "role")
-
-    def __init__(self, u: int, role: Optional[Tuple[int, int, int, int]]):
-        self.u = u
-        # role = (source component id, round index within source, vector, entry)
-        self.role = role
-
-
 class _Round:
     """One helper round of a component: syndromes of ``code`` computed
     from sublayers of size c, m stored vectors per sublayer."""
@@ -337,15 +336,15 @@ class ConcatCode:
             )
         self.lspec = {u: LayeredSpec(self.F, n, u) for u in range(1, v + 1)}
         self._codes: Dict[Tuple[int, int, int, int], Tuple[JGCSpec, JGCSpec]] = {}
-        # _lift's cache, filled on first use, and its interned keys
-        self._lifts: Dict[Tuple[JGCSpec, Layer, int], List[Tuple[Layer, int]]] = {}
-        self._keys: Dict[Tuple[Layer, int], Tuple[Layer, int]] = {}
+        # _lift's cache, filled on first use
+        self._lifts: Dict[Tuple[JGCSpec, Layer, int], List[int]] = {}
 
         # precodes: the u-1 data vectors of a size-u copy are codewords
         # of the graph code with radius u-1, so any k accessed nodes
-        # determine them
+        # determine them; pre_info[u] lists the layer indices of the
+        # information set at A0 in the precode's vertex order
         self.precode: Dict[int, Tuple[JGCSpec, JGCSpec]] = {}
-        self.pre_info: Dict[int, List[Layer]] = {}
+        self.pre_info: Dict[int, List[int]] = {}
         A0 = tuple(range(k))
         for u in range(2, v):
             if not self.layout.counts.get(u):
@@ -353,43 +352,41 @@ class ConcatCode:
             if _shape_codim((n, u, k, 1)) == 0:
                 # every layer meets any k-set; the data vectors are free
                 self.precode[u] = None
-                self.pre_info[u] = list(self.lspec[u].layers)
+                self.pre_info[u] = list(range(self.lspec[u].R))
                 continue
             code, dcode = self._code(n, u, k, 1)
             self.precode[u] = (code, dcode)
             self.pre_info[u] = [
-                L for L in code.vertices if shell_index(L, A0) <= code.r
+                self.lspec[u].index[L] for L in code.vertices
+                if shell_index(L, A0) <= code.r
             ]
         self.A0 = A0
 
-        self.components: List[_Component] = [_Component(v, None)]
+        # sizes[cid] is component cid's layer size; a dependent of round
+        # rd gets the syndrome entries rd.deps assigns it
+        self.sizes: List[int] = [v]
         self.rounds: Dict[int, List[_Round]] = {}
         queue = [0]
         while queue:
             cid = queue.pop(0)
-            u = self.components[cid].u
-            self.rounds[cid] = rds = self._component_rounds(u)
-            for ridx, rd in enumerate(rds):
-                for i in range(rd.m):
-                    for e in range(rd.codim):
-                        dep = len(self.components)
-                        self.components.append(
-                            _Component(rd.c, (cid, ridx, i, e)))
-                        rd.deps.append(dep)
-                        if rd.c >= 3:
-                            queue.append(dep)
+            self.rounds[cid] = rds = self._component_rounds(self.sizes[cid])
+            for rd in rds:
+                for _ in range(rd.m * rd.codim):
+                    rd.deps.append(len(self.sizes))
+                    self.sizes.append(rd.c)
+                    if rd.c >= 3:
+                        queue.append(rd.deps[-1])
         self.counts = {}
-        for comp in self.components:
-            self.counts[comp.u] = self.counts.get(comp.u, 0) + 1
+        for u in self.sizes:
+            self.counts[u] = self.counts.get(u, 0) + 1
         if self.counts != self.layout.counts:
             raise AssertionError("component registry disagrees with layout")
-        self.alpha = sum(comb(n - 1, u - 1) for u in
-                         (c.u for c in self.components))
         self.offsets = []
         off = 0
-        for comp in self.components:
+        for u in self.sizes:
             self.offsets.append(off)
-            off += comb(n - 1, comp.u - 1)
+            off += comb(n - 1, u - 1)
+        self.alpha = off
         self.M = self.layout.M
 
     # ----- helper code bookkeeping -----
@@ -424,26 +421,27 @@ class ConcatCode:
 
     # ----- labelings -----
 
-    def _lift(self, rd: _Round, L_c: Layer, i: int) -> List[Tuple[Layer, int]]:
-        """The (layer, node) behind each coordinate of a helper codeword.
+    def _lift(self, rd: _Round, L_c: Layer, i: int) -> List[int]:
+        """The vector position behind each coordinate of a helper codeword.
 
         The coordinate at the (relabeled) sublayer L' belongs to the
-        layer L = L_c | L' and is the stored symbol at the i-th smallest
-        node of L minus L_c.  The list is built once per (helper code,
-        L_c, i) and shared by every round using that helper code, so
-        the cache holds at most (helper codes) x C(n, c) x m lists; the
-        (layer, node) pairs in them are interned, one object per pair.
-        Callers must not modify the returned list.
+        layer L = L_c | L' of the size-(c + v') component and is the
+        stored symbol at the i-th smallest node of L minus L_c.  The
+        list is built once per (helper code, L_c, i) and shared by every
+        round using that helper code, so the cache holds at most
+        (helper codes) x C(n, c) x m lists.  Callers must not modify
+        the returned list.
         """
         key = (rd.code, L_c, i)
         out = self._lifts.get(key)
         if out is None:
+            spec = self.lspec[len(L_c) + rd.code.v]
             rest = [x for x in range(self.n) if x not in L_c]
             out = []
             for Lp in rd.code.vertices:
                 nodes = [rest[j] for j in Lp]
-                pair = (layer(L_c + tuple(nodes)), nodes[i])
-                out.append(self._keys.setdefault(pair, pair))
+                L = layer(L_c + tuple(nodes))
+                out.append(spec.index[L] * spec.v + L.index(nodes[i]))
             self._lifts[key] = out
         return out
 
@@ -452,19 +450,24 @@ class ConcatCode:
         pos = {x: j for j, x in enumerate(rest)}
         return layer([pos[a] for a in A if a not in L_c])
 
-    def _syndromes(self, cid: int, symbol) -> Dict[int, Dict[Layer, int]]:
-        """Injected check values for all dependents of component cid;
-        ``symbol((layer, node))`` fetches the component's stored values."""
-        out: Dict[int, Dict[Layer, int]] = {}
+    def _syndromes(self, cid: int, w: Sequence[Optional[int]],
+                   node: Optional[int]) -> Dict[int, List[int]]:
+        """Injected check values (one per layer) for all dependents of
+        component cid, from its layer-major vector w: at every layer, or
+        only at the layers containing ``node`` when it is not None (the
+        rest stay 0)."""
+        out: Dict[int, List[int]] = {}
         for rd in self.rounds.get(cid, []):
             for dep in rd.deps:
-                out[dep] = {}
-            for L_c in self.lspec[rd.c].layers:
+                out[dep] = [0] * self.lspec[rd.c].R
+            for lc, L_c in enumerate(self.lspec[rd.c].layers):
+                if node is not None and node not in L_c:
+                    continue
                 for i in range(rd.m):
-                    lab = [symbol(key) for key in self._lift(rd, L_c, i)]
+                    lab = [w[p] for p in self._lift(rd, L_c, i)]
                     s = syndrome_of(rd.code, lab, rd.dual)
                     for e in range(rd.codim):
-                        out[rd.deps[i * rd.codim + e]][L_c] = s[e]
+                        out[rd.deps[i * rd.codim + e]][lc] = s[e]
         return out
 
     # ----- encoding -----
@@ -478,12 +481,10 @@ class ConcatCode:
         for x in payload:
             F.check(x)
         pos = 0
-        injected: Dict[int, Dict[Layer, int]] = {}
-        comp_nodes = []
-        for cid, comp in enumerate(self.components):
-            u = comp.u
+        injected: Dict[int, List[int]] = {}
+        out = [[0] * self.alpha for _ in range(self.n)]
+        for cid, u in enumerate(self.sizes):
             spec = self.lspec[u]
-            inj = injected.get(cid, {})
             if u == self.v:
                 data = list(payload[pos:pos + spec.M1])
                 pos += spec.M1
@@ -491,30 +492,23 @@ class ConcatCode:
                 data = []
             else:
                 pre = self.precode[u]
-                dim_u = len(self.pre_info[u])
+                info = self.pre_info[u]
                 words = []
                 for _ in range(u - 1):
-                    seg = payload[pos:pos + dim_u]
-                    pos += dim_u
-                    known = dict(zip(self.pre_info[u], seg))
+                    seg = payload[pos:pos + len(info)]
+                    pos += len(info)
                     if pre is not None:
+                        known = {spec.layers[l]: x for l, x in zip(info, seg)}
                         word = erasure_decode(pre[0], self.A0, known,
                                               dual_code=pre[1])
-                        known = {L: pre[0].coord(word, L)
-                                 for L in spec.layers}
-                    words.append(known)
-                data = [words[j][L]
-                        for L in spec.layers for j in range(u - 1)]
-            nodes = encode_layered(spec, data, inj)
-            comp_nodes.append(nodes)
-            def symbol(key, nodes=nodes, spec=spec):
-                return nodes[key[1]][spec.slot[key]]
-            injected.update(self._syndromes(cid, symbol))
-        out = [[0] * self.alpha for _ in range(self.n)]
-        for cid, nodes in enumerate(comp_nodes):
+                        seg = [pre[0].coord(word, L) for L in spec.layers]
+                    words.append(seg)
+                data = [word[l] for l in range(spec.R) for word in words]
+            w = encode_layered(spec, data, injected.get(cid))
             off = self.offsets[cid]
-            for i in range(self.n):
-                out[i][off:off + len(nodes[i])] = nodes[i]
+            for row, part in zip(out, node_arrays(spec, w)):
+                row[off:off + len(part)] = part
+            injected.update(self._syndromes(cid, w, None))
         return out
 
     # ----- data collection -----
@@ -529,80 +523,67 @@ class ConcatCode:
         A = layer(A)
         if len(A) != self.k:
             raise ValueError(f"need exactly k={self.k} nodes, got {len(A)}")
+        values = [read_layers(self.lspec[u], nodes, A, off)
+                  for u, off in zip(self.sizes, self.offsets)]
         log = [(i, off) for i in A for off in range(self.alpha)]
-        values: List[Dict[Tuple[Layer, int], int]] = []
-        for cid, comp in enumerate(self.components):
-            spec = self.lspec[comp.u]
-            off = self.offsets[cid]
-            vals = {}
-            for i in A:
-                row = nodes[i]
-                for L in spec.layers_at[i]:
-                    vals[(L, i)] = row[off + spec.slot[(L, i)]]
-            values.append(vals)
-
-        injected: Dict[int, Dict[Layer, int]] = {}
-        for cid, vals in enumerate(values):
-            self._recover_component(cid, values, A, injected.get(cid, {}))
-            injected.update(self._syndromes(cid, vals.__getitem__))
+        # layer indices of each size grouped by |L & A|
+        sA = set(A)
+        groups: Dict[int, Dict[int, List[int]]] = {u: {} for u in self.lspec}
+        for u, spec in self.lspec.items():
+            for l, L in enumerate(spec.layers):
+                groups[u].setdefault(len(sA.intersection(L)), []).append(l)
+        injected: Dict[int, List[int]] = {}
+        for cid, w in enumerate(values):
+            self._recover_component(cid, values, A, groups[self.sizes[cid]],
+                                    injected.get(cid))
+            injected.update(self._syndromes(cid, w, None))
 
         payload = []
-        for cid, comp in enumerate(self.components):
-            u = comp.u
-            spec = self.lspec[u]
-            vals = values[cid]
+        for u, w in zip(self.sizes, values):
             if u == self.v:
-                for L in spec.layers:
-                    payload.extend(vals[(L, j)] for j in L[:-1])
+                payload.extend(extract_data(self.lspec[u], w))
             elif u >= 2:
                 for j in range(u - 1):
-                    payload.extend(vals[(L, L[j])] for L in self.pre_info[u])
+                    payload.extend(w[l * u + j] for l in self.pre_info[u])
         return payload, log
 
-    def _recover_component(self, cid: int, values, A: Layer, inj) -> None:
+    def _recover_component(self, cid: int, values, A: Layer, by_c, inj) -> None:
         F = self.F
-        u = self.components[cid].u
+        u = self.sizes[cid]
         spec = self.lspec[u]
-        vals = values[cid]
-        sA = set(A)
-        by_c: Dict[int, List[Layer]] = {}
-        for L in spec.layers:
-            by_c.setdefault(len(sA.intersection(L)), []).append(L)
+        w = values[cid]
         # layers meeting A in u or u-1 nodes close with their layer check
-        fill_layers(F, vals, inj, by_c.get(u, []) + by_c.get(u - 1, []))
+        fill_layers(F, w, u, inj, by_c.get(u, []) + by_c.get(u - 1, []))
         for rd in self.rounds.get(cid, []):
-            for L_c in itertools.combinations(A, rd.c):
-                L_c = layer(L_c)
+            c, cindex = rd.c, self.lspec[rd.c].index
+            for L_c in itertools.combinations(A, c):
+                lc = cindex[L_c]
                 A2 = self._relabel_anchor(A, L_c)
                 plan = decode_plan(rd.code, A2)
                 for i in range(rd.m):
-                    s = []
-                    for e in range(rd.codim):
-                        dep = values[rd.deps[i * rd.codim + e]]
-                        s.append(F.sum([dep[(L_c, j)] for j in L_c]))
+                    deps = rd.deps[i * rd.codim:(i + 1) * rd.codim]
+                    s = [F.sum(values[dep][lc * c:(lc + 1) * c]) for dep in deps]
                     lift = self._lift(rd, L_c, i)
-                    known = {rd.code.vertices[j]: vals[lift[j]]
-                             for j in plan.ball}
+                    known = {rd.code.vertices[j]: w[lift[j]] for j in plan.ball}
                     word = erasure_decode(rd.code, A2, known, syndrome=s,
                                           dual_code=rd.dual)
                     for j in plan.out:
-                        vals[lift[j]] = word[j]
-            fill_layers(F, vals, inj, by_c.get(rd.c, []))
+                        w[lift[j]] = word[j]
+            fill_layers(F, w, u, inj, by_c.get(c, []))
         if 1 < u < self.v and by_c.get(0):
             if self.precode[u] is None:
                 raise AssertionError("missed layers despite trivial precode")
             code, dcode = self.precode[u]
-            ball = [code.vertices[i] for i in decode_plan(code, A).ball]
+            ball = [code.vertices[b] for b in decode_plan(code, A).ball]
             for j in range(u - 1):
-                known = {L: vals[(L, L[j])] for L in ball}
+                # position l*u + j is layer l's symbol at its j-th node
+                known = {L: w[spec.index[L] * u + j] for L in ball}
                 word = erasure_decode(code, A, known, dual_code=dcode)
-                for L in by_c[0]:
-                    vals[(L, L[j])] = code.coord(word, L)
-            fill_layers(F, vals, inj, by_c[0])
-        for L in spec.layers:
-            for j in L:
-                if (L, j) not in vals:
-                    raise AssertionError(f"layer {L} not recovered")
+                for l in by_c[0]:
+                    w[l * u + j] = code.coord(word, spec.layers[l])
+            fill_layers(F, w, u, inj, by_c[0])
+        if None in w:
+            raise AssertionError(f"component {cid} not recovered")
 
     # ----- repair -----
 
@@ -615,42 +596,15 @@ class ConcatCode:
         symbols per helper.  The failed symbols follow from the layer
         checks, recomputing injected values from already rebuilt copies.
         """
-        F = self.F
-        if not 0 <= failed < self.n:
-            raise ValueError(f"bad node index {failed}")
         counts = {j: 0 for j in range(self.n) if j != failed}
-        values: List[Dict[Tuple[Layer, int], int]] = []
-        for cid, comp in enumerate(self.components):
-            spec = self.lspec[comp.u]
-            off = self.offsets[cid]
-            vals = {}
-            for L in spec.layers_at[failed]:
-                for j in L:
-                    if j != failed:
-                        vals[(L, j)] = nodes[j][off + spec.slot[(L, j)]]
-                        counts[j] += 1
-            values.append(vals)
-
-        syn_cache: Dict[Tuple[int, int, Layer, int], List[int]] = {}
-
-        def injected_at(cid: int, L: Layer) -> int:
-            role = self.components[cid].role
-            if role is None:
-                return 0
-            src, ridx, i, e = role
-            rd = self.rounds[src][ridx]
-            key = (src, ridx, L, i)
-            if key not in syn_cache:
-                lab = [values[src][k] for k in self._lift(rd, L, i)]
-                syn_cache[key] = syndrome_of(rd.code, lab, rd.dual)
-            return syn_cache[key][e]
-
+        injected: Dict[int, List[int]] = {}
         column: List[int] = []
-        for cid, comp in enumerate(self.components):
-            layers = self.lspec[comp.u].layers_at[failed]
-            fill_layers(F, values[cid], {L: injected_at(cid, L) for L in layers},
-                        layers)
-            column.extend(values[cid][(L, failed)] for L in layers)
+        for cid, u in enumerate(self.sizes):
+            spec = self.lspec[u]
+            w = repair_layers(spec, nodes, failed, self.offsets[cid], counts,
+                              injected.get(cid))
+            injected.update(self._syndromes(cid, w, failed))
+            column.extend(w[p] for p in spec.at[failed])
         return column, counts
 
 

@@ -6,43 +6,50 @@ node indices and one parity at the highest, chosen so the layer sums to
 an injected target (0 by default).  Counting symbols two ways gives
 R = C(n,v) layers, alpha = C(n-1,v-1) symbols per node and
 beta = C(n-2,v-2) repair symbols per helper.
+
+Coding works on one layer-major vector of R*v symbols: the symbol of
+layer L at node j sits at position index[L]*v + L.index(j), so layer l
+is the slice [l*v, (l+1)*v) and an unknown symbol is None.  Node arrays
+keep their byte layout (node i stores its symbols in lex order of the
+layers containing i); node_arrays scatters a vector into them.  Pure
+and concatenated codes (one vector per component, at a column offset)
+share one read path, read_layers, and one repair path, repair_layers;
+both read node arrays only by index and finish with fill_layers.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import comb
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from graphcodes.combinat import Layer, johnson_vertices, layer
 from graphcodes.field import FieldSpec
 
 
 class LayeredSpec:
-    """Parameters and node layout of one layered code.
+    """Parameters and symbol layout of one layered code.
 
-    layers are in lexicographic order; node i stores one symbol per
-    layer containing i, in the same lexicographic order.
+    layers are in lexicographic order and index[L] is L's position in
+    that list.  The symbol of layer L at node j is position
+    index[L]*v + L.index(j) of the code's layer-major vector.  at[i]
+    lists node i's positions in its storage order (lex order of the
+    layers containing i), and slot[p] is position p's offset in its
+    node's array, so at[i][slot[p]] == p.
     """
 
     def __init__(self, F: FieldSpec, n: int, v: int):
-        if not 1 <= v <= n:
-            raise ValueError(f"need 1 <= v <= n, got v={v}, n={n}")
         self.F = F
         self.n = n
         self.v = v
-        self.R = comb(n, v)
-        self.alpha = comb(n - 1, v - 1)
-        self.beta = comb(n - 2, v - 2) if v >= 2 else 0
-        self.M1 = self.R * (v - 1)
+        self.R, self.alpha, self.beta, self.M1 = layered_params(n, v)
         self.layers = johnson_vertices(n, v, order="lex")
-        self.layers_at = [
-            [L for L in self.layers if i in L] for i in range(n)
-        ]
-        self.slot = {}
-        for i in range(n):
-            for pos, L in enumerate(self.layers_at[i]):
-                self.slot[(L, i)] = pos
+        self.index = {L: l for l, L in enumerate(self.layers)}
+        self.at: List[List[int]] = [[] for _ in range(n)]
+        self.slot = [0] * (self.R * v)
+        for p, j in enumerate(j for L in self.layers for j in L):
+            self.slot[p] = len(self.at[j])
+            self.at[j].append(p)
 
     def __repr__(self) -> str:
         return (
@@ -61,44 +68,36 @@ def layered_params(n: int, v: int) -> Tuple[int, int, int, int]:
 
 
 def encode_layered(spec: LayeredSpec, data: Sequence[int],
-                   injected: Optional[Dict[Layer, int]] = None) -> List[List[int]]:
-    """Node arrays for M1 data symbols and per-layer injected targets.
+                   injected: Optional[Sequence[int]] = None) -> List[int]:
+    """Layer-major vector for M1 data symbols and per-layer injected
+    targets (a list indexed by layer, or None for all 0).
 
     Layer L takes the next v-1 data symbols at its v-1 lowest nodes and
     a parity at the highest node making the layer sum equal to the
-    injected target (default 0).  Size-1 layers store the injected
-    target itself.
+    injected target.  Size-1 layers store the injected target itself.
     """
-    F = spec.F
-    injected = injected or {}
+    F, v = spec.F, spec.v
     if len(data) != spec.M1:
         raise ValueError(f"expected {spec.M1} data symbols, got {len(data)}")
-    nodes = [[0] * spec.alpha for _ in range(spec.n)]
-    idx = 0
-    for L in spec.layers:
-        s = injected.get(L, 0)
-        if spec.v == 1:
-            nodes[L[0]][spec.slot[(L, L[0])]] = s
-            continue
-        xs = data[idx:idx + spec.v - 1]
-        idx += spec.v - 1
-        for j, x in zip(L, xs):
-            nodes[j][spec.slot[(L, j)]] = x
-        nodes[L[-1]][spec.slot[(L, L[-1])]] = F.sub(s, F.sum(xs))
-    return nodes
+    if v == 1:
+        return list(injected) if injected else [0] * spec.R
+    w: List[int] = []
+    for l in range(spec.R):
+        xs = data[l * (v - 1):(l + 1) * (v - 1)]
+        w.extend(xs)
+        w.append(F.sub(injected[l] if injected else 0, F.sum(xs)))
+    return w
 
 
-def layer_sum(spec: LayeredSpec, nodes: Sequence[Sequence[int]], L: Layer) -> int:
-    return spec.F.sum([nodes[j][spec.slot[(L, j)]] for j in L])
+def node_arrays(spec: LayeredSpec, w: Sequence[int]) -> List[List[int]]:
+    """The n node arrays (alpha symbols each) holding vector w."""
+    return [[w[p] for p in ps] for ps in spec.at]
 
 
-def extract_data(spec: LayeredSpec, values: Dict[Tuple[Layer, int], int]) -> List[int]:
-    """Data symbols back out of a full (layer, node) -> symbol map."""
-    out = []
-    for L in spec.layers:
-        for j in L[:-1]:
-            out.append(values[(L, j)])
-    return out
+def extract_data(spec: LayeredSpec, w: Sequence[int]) -> List[int]:
+    """Data symbols back out of a full layer-major vector."""
+    v = spec.v
+    return [x for p, x in enumerate(w) if p % v != v - 1]
 
 
 def classify_access(n: int, v: int, A: Sequence[int]) -> Tuple[Dict[int, int], Dict[Layer, str]]:
@@ -143,28 +142,72 @@ def tradeoff_points(n: int) -> List[Tuple[int, Fraction, Fraction]]:
     return points
 
 
-def fill_layers(F: FieldSpec, values: Dict[Tuple[Layer, int], int],
-                injected: Dict[Layer, int], layers: Sequence[Layer]) -> None:
-    """Complete each layer's one unknown symbol from its layer check.
+def check_node(n: int, i: int) -> None:
+    """ValueError unless i names one of the n nodes."""
+    if not 0 <= i < n:
+        raise ValueError(f"bad node index {i}")
 
-    Every layer sums to its injected target (0 if absent).  A layer in
-    ``layers`` with exactly one (layer, node) key missing from ``values``
-    gets that symbol; a layer with none missing is left as it is.
+
+def fill_layers(F: FieldSpec, w: List[Optional[int]], v: int,
+                injected: Optional[Sequence[int]], layers: Iterable[int]) -> None:
+    """Complete each listed layer's one unknown symbol from its check.
+
+    Layer l is the slice w[l*v:(l+1)*v] and sums to injected[l] (0 when
+    injected is None).  A layer with exactly one None gets that symbol;
+    a layer with none is left as it is.
     """
-    for L in layers:
-        missing = [j for j in L if (L, j) not in values]
-        if not missing:
+    for l in layers:
+        seg = w[l * v:(l + 1) * v]
+        if None not in seg:
             continue
-        if len(missing) > 1:
-            raise ValueError(f"layer {L} has {len(missing)} unknown symbols")
-        total = F.sum([values[(L, j)] for j in L if j != missing[0]])
-        values[(L, missing[0])] = F.sub(injected.get(L, 0), total)
+        m = seg.index(None)
+        del seg[m]
+        if None in seg:
+            raise ValueError(f"layer {l} has {seg.count(None) + 1} unknown symbols")
+        w[l * v + m] = F.sub(injected[l] if injected else 0, F.sum(seg))
+
+
+def read_layers(spec: LayeredSpec, nodes: Sequence[Sequence[int]],
+                A: Sequence[int], off: int) -> List[Optional[int]]:
+    """Layer-major vector of the symbols stored at the nodes in A, read
+    from columns off .. off+alpha-1 of their arrays; the rest is None.
+
+    Every symbol of every node in A is read once, by index.
+    """
+    w: List[Optional[int]] = [None] * (spec.R * spec.v)
+    for i in A:
+        check_node(spec.n, i)
+        row = nodes[i]
+        for s, p in enumerate(spec.at[i]):
+            w[p] = row[off + s]
+    return w
+
+
+def repair_layers(spec: LayeredSpec, nodes: Sequence[Sequence[int]],
+                  failed: int, off: int, counts: Dict[int, int],
+                  injected: Optional[Sequence[int]]) -> List[Optional[int]]:
+    """Layer-major vector with every layer containing the failed node
+    complete, from the other nodes' symbols in those layers (beta per
+    helper, read from columns off .. off+alpha-1 and added to counts);
+    the other layers are None.
+    """
+    check_node(spec.n, failed)
+    v, slot = spec.v, spec.slot
+    w: List[Optional[int]] = [None] * (spec.R * v)
+    layers = [p // v for p in spec.at[failed]]
+    for l in layers:
+        for p, j in enumerate(spec.layers[l], start=l * v):
+            if j != failed:
+                w[p] = nodes[j][off + slot[p]]
+                counts[j] += 1
+    fill_layers(spec.F, w, v, injected, layers)
+    return w
 
 
 def decode_layered(spec: LayeredSpec, nodes: Sequence[Sequence[int]],
                    A: Sequence[int],
-                   injected: Optional[Dict[Layer, int]] = None) -> Dict[Tuple[Layer, int], int]:
-    """All (layer, node) symbols from the nodes in A (|A| >= n-1).
+                   injected: Optional[Sequence[int]] = None) -> List[int]:
+    """The full layer-major vector from the nodes in A (|A| >= n-1).
 
     Every layer is then fully or sufficiently accessed; a sufficiently
     accessed layer recovers its missing symbol from the parity check
@@ -173,11 +216,9 @@ def decode_layered(spec: LayeredSpec, nodes: Sequence[Sequence[int]],
     A = layer(A)
     if len(A) < spec.n - 1:
         raise ValueError("pure layered decoding needs at least n-1 nodes")
-    sA = set(A)
-    values = {(L, j): nodes[j][spec.slot[(L, j)]]
-              for L in spec.layers for j in L if j in sA}
-    fill_layers(spec.F, values, injected or {}, spec.layers)
-    return values
+    w = read_layers(spec, nodes, A, 0)
+    fill_layers(spec.F, w, spec.v, injected, range(spec.R))
+    return w
 
 
 def census_csv(n: int, v: int, k: int) -> str:

@@ -22,7 +22,8 @@ from graphcodes.layered import (
     decode_layered,
     encode_layered,
     extract_data,
-    fill_layers,
+    node_arrays,
+    repair_layers,
 )
 from graphcodes.combinat import layer
 
@@ -46,28 +47,20 @@ class LayeredCode:
         self.beta = self.spec.beta
 
     def encode(self, payload: Sequence[int]) -> List[List[int]]:
-        return encode_layered(self.spec, list(payload))
+        return node_arrays(self.spec, encode_layered(self.spec, list(payload)))
 
     def collect(self, nodes: Sequence[Sequence[int]], A: Sequence[int]
                 ) -> Tuple[List[int], List[Tuple[int, int]]]:
         A = layer(A)
-        values = decode_layered(self.spec, nodes, A)
+        w = decode_layered(self.spec, nodes, A)
         log = [(i, off) for i in A for off in range(self.alpha)]
-        return extract_data(self.spec, values), log
+        return extract_data(self.spec, w), log
 
     def repair(self, nodes: Sequence[Sequence[int]], failed: int
                ) -> Tuple[List[int], Dict[int, int]]:
-        spec = self.spec
-        layers = spec.layers_at[failed]
         counts = {j: 0 for j in range(self.n) if j != failed}
-        values = {}
-        for L in layers:
-            for j in L:
-                if j != failed:
-                    values[(L, j)] = nodes[j][spec.slot[(L, j)]]
-                    counts[j] += 1
-        fill_layers(self.F, values, {}, layers)
-        return [values[(L, failed)] for L in layers], counts
+        w = repair_layers(self.spec, nodes, failed, 0, counts, None)
+        return [w[p] for p in self.spec.at[failed]], counts
 
 
 class StorageState:

@@ -169,7 +169,7 @@ def test_wrong_blob_length_rejected():
         code.encode([0] * (code.M + 1))
 
 
-def test_lift_lists_shared_per_helper_code_with_interned_keys():
+def test_lift_lists_shared_per_helper_code():
     code = build_concat(8, 5, 4, 11)
     assert not code._lifts  # nothing is cached at build time
     rds = [rd for rounds in code.rounds.values() for rd in rounds]
@@ -178,10 +178,21 @@ def test_lift_lists_shared_per_helper_code_with_interned_keys():
     layers = code.lspec[a.c].layers
     # rounds of different components share their helper code's lists
     assert code._lift(a, layers[0], 0) is code._lift(b, layers[0], 0)
-    seen, repeats = {}, 0
-    for L_c in layers:
-        for i in range(a.m):
-            for key in code._lift(a, L_c, i):
-                repeats += key in seen
-                assert seen.setdefault(key, key) is key
-    assert repeats  # equal (layer, node) pairs in different lists are one object
+
+
+def test_lift_positions_decode_to_layer_and_node():
+    # coordinate L' of the helper codeword for (L_c, i) is the symbol of
+    # layer L_c | L' at the i-th node of L'
+    code = build_concat(8, 5, 4, 11)
+    for rd in (rd for rounds in code.rounds.values() for rd in rounds):
+        spec = code.lspec[rd.c + rd.code.v]
+        for L_c in code.lspec[rd.c].layers:
+            rest = [x for x in range(code.n) if x not in L_c]
+            for i in range(rd.m):
+                lift = code._lift(rd, L_c, i)
+                assert len(lift) == len(rd.code.vertices)
+                for Lp, p in zip(rd.code.vertices, lift):
+                    nodes = [rest[x] for x in Lp]
+                    L = spec.layers[p // spec.v]
+                    assert L == tuple(sorted(L_c + tuple(nodes)))
+                    assert L[p % spec.v] == nodes[i]

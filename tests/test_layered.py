@@ -15,8 +15,9 @@ from graphcodes.layered import (
     encode_layered,
     extract_data,
     fill_layers,
-    layer_sum,
     layered_params,
+    node_arrays,
+    read_layers,
     tradeoff_points,
 )
 
@@ -40,29 +41,48 @@ def test_symbol_count_identity():
             assert n * alpha == R * v
 
 
+def test_layout_positions_invert_and_keep_node_order():
+    for n in range(1, 9):
+        for v in range(1, n + 1):
+            spec = LayeredSpec(F, n, v)
+            assert [spec.index[L] for L in spec.layers] == list(range(spec.R))
+            assert sorted(p for ps in spec.at for p in ps) == list(range(spec.R * v))
+            for i, ps in enumerate(spec.at):
+                assert len(ps) == spec.alpha
+                for s, p in enumerate(ps):
+                    assert spec.slot[p] == s and spec.at[i][spec.slot[p]] == p
+                    assert spec.layers[p // v][p % v] == i
+            # node i stores its symbols in lex order of the layers holding i
+            labels = [(L, j) for L in spec.layers for j in L]
+            assert node_arrays(spec, labels) == [
+                [(L, i) for L in spec.layers if i in L] for i in range(n)]
+
+
 def test_encode_layer_sums_hit_injected_targets():
     spec = LayeredSpec(F, 6, 3)
     data = [(3 * i + 1) % 11 for i in range(spec.M1)]
-    injected = {spec.layers[0]: 7, spec.layers[5]: 2}
-    nodes = encode_layered(spec, data, injected)
-    for L in spec.layers:
-        assert layer_sum(spec, nodes, L) == injected.get(L, 0)
+    injected = [0] * spec.R
+    injected[0], injected[5] = 7, 2
+    nodes = node_arrays(spec, encode_layered(spec, data, injected))
+    for l, L in enumerate(spec.layers):
+        stored = [nodes[j][spec.slot[l * spec.v + t]] for t, j in enumerate(L)]
+        assert F.sum(stored) == injected[l]
 
 
 def test_encode_extract_roundtrip():
     spec = LayeredSpec(F, 6, 3)
     data = [(5 * i + 2) % 11 for i in range(spec.M1)]
-    nodes = encode_layered(spec, data)
-    values = {(L, j): nodes[j][spec.slot[(L, j)]]
-              for L in spec.layers for j in L}
+    nodes = node_arrays(spec, encode_layered(spec, data))
+    values = read_layers(spec, nodes, range(6), 0)
     assert extract_data(spec, values) == data
 
 
 def test_decode_with_one_node_missing():
     spec = LayeredSpec(F, 6, 3)
     data = [(7 * i + 3) % 11 for i in range(spec.M1)]
-    injected = {spec.layers[2]: 9}
-    nodes = encode_layered(spec, data, injected)
+    injected = [0] * spec.R
+    injected[2] = 9
+    nodes = node_arrays(spec, encode_layered(spec, data, injected))
     for missing in range(6):
         A = [j for j in range(6) if j != missing]
         values = decode_layered(spec, nodes, A, injected)
@@ -100,19 +120,19 @@ def test_tradeoff_points_n4():
         tradeoff_points(1)
 
 
-
 def test_fill_layers_completes_one_unknown_per_layer():
     spec = LayeredSpec(F, 5, 3)
+    v = spec.v
     data = list(range(spec.M1))
-    injected = {L: (3 * i) % 11 for i, L in enumerate(spec.layers)}
-    nodes = encode_layered(spec, [x % 11 for x in data], injected)
-    full = {(L, j): nodes[j][spec.slot[(L, j)]] for L in spec.layers for j in L}
-    values = dict(full)
-    for L in spec.layers[::2]:
-        del values[(L, L[1])]
-    fill_layers(F, values, injected, spec.layers)
+    injected = [(3 * l) % 11 for l in range(spec.R)]
+    nodes = node_arrays(spec, encode_layered(spec, [x % 11 for x in data],
+                                             injected))
+    full = read_layers(spec, nodes, range(5), 0)
+    values = list(full)
+    for l in range(0, spec.R, 2):
+        values[l * v + 1] = None
+    fill_layers(F, values, v, injected, range(spec.R))
     assert values == full
-    L = spec.layers[0]
-    del values[(L, L[0])], values[(L, L[1])]
+    values[0] = values[1] = None
     with pytest.raises(ValueError):
-        fill_layers(F, values, injected, [L])
+        fill_layers(F, values, v, injected, [0])

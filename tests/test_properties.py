@@ -5,10 +5,19 @@ from itertools import permutations
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import random
+
 from graphcodes.combinat import shell_index
+from graphcodes.concat import build_concat
 from graphcodes.field import _poly_mul_mod, field_make
 from graphcodes.jgc import dual, erasure_decode, sparse_parities, syndrome_of
-from graphcodes.layered import LayeredSpec, encode_layered, extract_data
+from graphcodes.layered import (
+    LayeredSpec,
+    encode_layered,
+    extract_data,
+    node_arrays,
+    read_layers,
+)
 from graphcodes.matrix import det, mat_mul, mat_vec, rank, rref, solve
 from graphcodes.rs import rs_jgc
 from graphcodes.subres import (
@@ -77,9 +86,8 @@ def test_poly_gcd_divides_both(p, q):
 def test_layered_roundtrip(data):
     spec = LayeredSpec(F, 5, 3)
     assert spec.M1 == 20
-    nodes = encode_layered(spec, data)
-    values = {(L, j): nodes[j][spec.slot[(L, j)]]
-              for L in spec.layers for j in L}
+    nodes = node_arrays(spec, encode_layered(spec, data))
+    values = read_layers(spec, nodes, range(5), 0)
     assert extract_data(spec, values) == data
 
 
@@ -137,6 +145,36 @@ def test_warm_decode_plan_matches_fresh_code(code_anchor, data):
         assert erasure_decode(code, A, _ball(code, A, w), syn, dcode) == w
         assert erasure_decode(fresh, A, _ball(fresh, A, w),
                               syndrome_of(fresh, w, fresh_dual), fresh_dual) == w
+
+
+_WARM_CONCAT = {}
+
+
+@settings(max_examples=12, derandomize=True, deadline=None)
+@given(st.sampled_from([(5, 4, 3, 5), (6, 4, 3, 7), (8, 5, 4, 11)]), st.data())
+def test_warm_concat_code_matches_fresh_code(shape, data):
+    # one code kept across examples and blobs (lift lists, decode plans
+    # and completions warm) answers collect and repair exactly as a code
+    # built for that one call does
+    warm = _WARM_CONCAT.setdefault(shape, build_concat(*shape))
+    n, k = warm.n, warm.k
+    for _ in range(2):
+        rng = random.Random(data.draw(st.integers(min_value=0, max_value=2**32)))
+        blob = [rng.randrange(warm.F.q) for _ in range(warm.M)]
+        nodes = warm.encode(blob)
+        assert build_concat(*shape).encode(blob) == nodes
+        anchors = data.draw(st.lists(st.sets(st.integers(0, n - 1), min_size=k,
+                                             max_size=k), min_size=1, max_size=2))
+        for A in anchors:
+            got = warm.collect(nodes, A)
+            assert got[0] == blob
+            assert got == build_concat(*shape).collect(nodes, A)
+        for f in data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=2)):
+            damaged = [list(row) for row in nodes]
+            damaged[f] = [0] * warm.alpha
+            got = warm.repair(damaged, f)
+            assert got[0] == nodes[f]
+            assert got == build_concat(*shape).repair(damaged, f)
 
 
 @settings(max_examples=60, derandomize=True, deadline=None)

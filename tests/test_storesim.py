@@ -26,6 +26,20 @@ def _seeded_blob(code, seed=0):
     return [rng.randrange(code.F.q) for _ in range(code.M)]
 
 
+@pytest.mark.parametrize("past_end", [False, True], ids=["-1", "n"])
+@pytest.mark.parametrize("code_name", ["concat", "layered"])
+@pytest.mark.parametrize("call", ["collect", "repair"])
+def test_bad_node_index_rejected(call, code_name, past_end):
+    code = build_concat(6, 4, 3, 7) if code_name == "concat" else LayeredCode(6, 3, 11)
+    nodes = code.encode(_seeded_blob(code))
+    bad = code.n if past_end else -1
+    with pytest.raises(ValueError, match=f"bad node index {bad}"):
+        if call == "collect":
+            code.collect(nodes, tuple(range(code.k - 1)) + (bad,))
+        else:
+            code.repair(nodes, bad)
+
+
 def test_layered_code_parameters():
     code = LayeredCode(8, 5, 11)
     assert code.k == 7
