@@ -215,11 +215,10 @@ def _run_simulate(args) -> int:
     for A in anchors:
         if collect(state, A) != blob:
             failures.append(A)
-    beta = code.layout.beta if hasattr(code, "layout") else code.beta
     doc = {
         "n": code.n, "k": code.k, "q": args.q,
         "scenario": getattr(getattr(code, "layout", None), "name", None),
-        "M": code.M, "alpha": code.alpha, "beta": beta,
+        "M": code.M, "alpha": code.alpha, "beta": code.beta,
         "recovered": len(anchors) - len(failures),
         "anchors": len(anchors),
         "failures": [layer_str(A, code.n) for A in failures],

@@ -291,14 +291,13 @@ class _Round:
     """One helper round of a component: syndromes of ``code`` computed
     from sublayers of size c, m stored vectors per sublayer."""
 
-    __slots__ = ("c", "m", "code", "dual", "codim", "deps")
+    __slots__ = ("c", "m", "code", "codim", "deps")
 
-    def __init__(self, c: int, m: int, code: JGCSpec, dual_code: JGCSpec):
+    def __init__(self, c: int, m: int, code: JGCSpec):
         self.c = c
         self.m = m
         self.code = code
-        self.dual = dual_code
-        self.codim = dual_code.dim
+        self.codim = code.length - code.dim
         self.deps: List[int] = []
 
 
@@ -329,21 +328,23 @@ class ConcatCode:
             scenario = cascade_scenario(n, v, k)
         self.ws = parse_scenario(scenario) if scenario else ()
         self.layout = ScenarioLayout(n, v, k, self.ws)
+        self.beta = self.layout.beta
         if not self.layout.is_cascade() or self.layout.scale != 1:
             raise ValueError(
                 f"end-to-end coding implements cascade scenarios only; "
                 f"{self.layout.name!r} has no column-local labeling"
             )
         self.lspec = {u: LayeredSpec(self.F, n, u) for u in range(1, v + 1)}
-        self._codes: Dict[Tuple[int, int, int, int], Tuple[JGCSpec, JGCSpec]] = {}
+        self._codes: Dict[Tuple[int, int, int, int], JGCSpec] = {}
         # _lift's cache, filled on first use
         self._lifts: Dict[Tuple[JGCSpec, Layer, int], List[int]] = {}
 
         # precodes: the u-1 data vectors of a size-u copy are codewords
         # of the graph code with radius u-1, so any k accessed nodes
-        # determine them; pre_info[u] lists the layer indices of the
-        # information set at A0 in the precode's vertex order
-        self.precode: Dict[int, Tuple[JGCSpec, JGCSpec]] = {}
+        # determine them; pre_pos[u] is the layer index of each precode
+        # vertex, pre_info[u] lists those of the information set at A0
+        self.precode: Dict[int, Optional[JGCSpec]] = {}
+        self.pre_pos: Dict[int, List[int]] = {}
         self.pre_info: Dict[int, List[int]] = {}
         A0 = tuple(range(k))
         for u in range(2, v):
@@ -354,12 +355,10 @@ class ConcatCode:
                 self.precode[u] = None
                 self.pre_info[u] = list(range(self.lspec[u].R))
                 continue
-            code, dcode = self._code(n, u, k, 1)
-            self.precode[u] = (code, dcode)
-            self.pre_info[u] = [
-                self.lspec[u].index[L] for L in code.vertices
-                if shell_index(L, A0) <= code.r
-            ]
+            self.precode[u] = code = self._code(n, u, k, 1)
+            self.pre_pos[u] = pos = [self.lspec[u].index[L] for L in code.vertices]
+            self.pre_info[u] = [p for L, p in zip(code.vertices, pos)
+                                if shell_index(L, A0) <= code.r]
         self.A0 = A0
 
         # sizes[cid] is component cid's layer size; a dependent of round
@@ -391,13 +390,13 @@ class ConcatCode:
 
     # ----- helper code bookkeeping -----
 
-    def _code(self, n2: int, v2: int, k2: int, t: int) -> Tuple[JGCSpec, JGCSpec]:
+    def _code(self, n2: int, v2: int, k2: int, t: int) -> JGCSpec:
         key = (n2, v2, k2, t)
         if key not in self._codes:
             F = self.F
             base = [[F.pow(a, i) for a in range(n2)] for i in range(k2)]
-            code = JGCSpec(F, base, v2, t)
-            self._codes[key] = (code, dual(code))
+            self._codes[key] = code = JGCSpec(F, base, v2, t)
+            dual(code)
         return self._codes[key]
 
     def _component_rounds(self, u: int) -> List["_Round"]:
@@ -415,8 +414,7 @@ class ConcatCode:
             if _shape_codim(shape) == 0:
                 # the radius ball already covers every layer above L_c
                 continue
-            code, dcode = self._code(*shape)
-            rds.append(_Round(c, m, code, dcode))
+            rds.append(_Round(c, m, self._code(*shape)))
         return rds
 
     # ----- labelings -----
@@ -465,7 +463,7 @@ class ConcatCode:
                     continue
                 for i in range(rd.m):
                     lab = [w[p] for p in self._lift(rd, L_c, i)]
-                    s = syndrome_of(rd.code, lab, rd.dual)
+                    s = syndrome_of(rd.code, lab)
                     for e in range(rd.codim):
                         out[rd.deps[i * rd.codim + e]][lc] = s[e]
         return out
@@ -491,17 +489,21 @@ class ConcatCode:
             elif u == 1:
                 data = []
             else:
-                pre = self.precode[u]
-                info = self.pre_info[u]
+                code, info = self.precode[u], self.pre_info[u]
                 words = []
                 for _ in range(u - 1):
                     seg = payload[pos:pos + len(info)]
                     pos += len(info)
-                    if pre is not None:
-                        known = {spec.layers[l]: x for l, x in zip(info, seg)}
-                        word = erasure_decode(pre[0], self.A0, known,
-                                              dual_code=pre[1])
-                        seg = [pre[0].coord(word, L) for L in spec.layers]
+                    if code is not None:
+                        # seg holds the information set; decode the rest
+                        lab: List[Optional[int]] = [None] * spec.R
+                        for l, x in zip(info, seg):
+                            lab[l] = x
+                        word = erasure_decode(
+                            code, self.A0, [lab[p] for p in self.pre_pos[u]])
+                        for p, x in zip(self.pre_pos[u], word):
+                            lab[p] = x
+                        seg = lab
                     words.append(seg)
                 data = [word[l] for l in range(spec.R) for word in words]
             w = encode_layered(spec, data, injected.get(cid))
@@ -550,7 +552,6 @@ class ConcatCode:
     def _recover_component(self, cid: int, values, A: Layer, by_c, inj) -> None:
         F = self.F
         u = self.sizes[cid]
-        spec = self.lspec[u]
         w = values[cid]
         # layers meeting A in u or u-1 nodes close with their layer check
         fill_layers(F, w, u, inj, by_c.get(u, []) + by_c.get(u - 1, []))
@@ -564,23 +565,21 @@ class ConcatCode:
                     deps = rd.deps[i * rd.codim:(i + 1) * rd.codim]
                     s = [F.sum(values[dep][lc * c:(lc + 1) * c]) for dep in deps]
                     lift = self._lift(rd, L_c, i)
-                    known = {rd.code.vertices[j]: w[lift[j]] for j in plan.ball}
-                    word = erasure_decode(rd.code, A2, known, syndrome=s,
-                                          dual_code=rd.dual)
+                    word = erasure_decode(rd.code, A2, [w[p] for p in lift],
+                                          syndrome=s)
                     for j in plan.out:
                         w[lift[j]] = word[j]
             fill_layers(F, w, u, inj, by_c.get(c, []))
         if 1 < u < self.v and by_c.get(0):
             if self.precode[u] is None:
                 raise AssertionError("missed layers despite trivial precode")
-            code, dcode = self.precode[u]
-            ball = [code.vertices[b] for b in decode_plan(code, A).ball]
+            code, pos = self.precode[u], self.pre_pos[u]
+            plan = decode_plan(code, A)
             for j in range(u - 1):
                 # position l*u + j is layer l's symbol at its j-th node
-                known = {L: w[spec.index[L] * u + j] for L in ball}
-                word = erasure_decode(code, A, known, dual_code=dcode)
-                for l in by_c[0]:
-                    w[l * u + j] = code.coord(word, spec.layers[l])
+                word = erasure_decode(code, A, [w[p * u + j] for p in pos])
+                for i in plan.out:
+                    w[pos[i] * u + j] = word[i]
             fill_layers(F, w, u, inj, by_c[0])
         if None in w:
             raise AssertionError(f"component {cid} not recovered")

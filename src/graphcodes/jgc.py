@@ -86,10 +86,10 @@ class JGCSpec:
                 f"(n,v,k,t)=({n},{v},{k},{t})"
             )
         # built on first use: the dual (dual), its rows in this code's
-        # vertex order (aligned_dual_rows), one plan per anchor
-        # (decode_plan)
+        # vertex order (aligned_dual_rows), one plan per anchor with its
+        # inverse (decode_plan)
         self._dual: Optional[JGCSpec] = None
-        self._aligned: Optional[DualRows] = None
+        self._aligned: Optional[Mat] = None
         self._plans: Dict[Layer, DecodePlan] = {}
 
     @property
@@ -321,160 +321,127 @@ def express_in_rows(F: FieldSpec, H: Mat, h: Sequence[int]) -> Optional[List[int
     return solve(F, transpose(H), list(h))
 
 
-class DualRows(list):
-    """Dual generator rows in the primal's vertex order (a Mat), which
-    also keep the completion matrices ``_dense_complete`` derives from
-    them, keyed by the tuple of unknown columns."""
-
-    __slots__ = ("completions",)
-
-    def __init__(self, rows: Mat):
-        super().__init__(rows)
-        self.completions: Dict[Tuple[int, ...], Optional[Mat]] = {}
-
-
 class DecodePlan(NamedTuple):
     """What a decode at one anchor A needs besides the data: the vertex
-    positions inside and outside B_r(A), and whether A is an information
-    set of the base code."""
+    positions inside and outside B_r(A), whether A is an information
+    set of the base code, and the inverse E of the aligned dual rows on
+    the outside positions (E H_out = I), or None when A is not an
+    information set or H_out is not square and invertible."""
 
     ball: Tuple[int, ...]
     out: Tuple[int, ...]
     infoset: bool
+    inverse: Optional[Mat]
 
 
-def aligned_dual_rows(code: JGCSpec, dual_code: Optional[JGCSpec] = None) -> DualRows:
-    """Dual generator rows re-indexed by this code's vertex order.
-
-    The rows of the code's own dual (``dual(code)``, the default) are
-    built once and kept on the code, so the cache is one slot per code.
-    Rows for any other dual object are built on each call and not kept.
-    Callers must not modify the returned rows.
-    """
-    if dual_code is None:
-        dual_code = dual(code)
-    if dual_code is code._dual and code._aligned is not None:
-        return code._aligned
-    dual_pos = {L: i for i, L in enumerate(dual_code.vertices)}
-    H = DualRows([[hrow[dual_pos[L]] for L in code.vertices]
-                  for hrow in dual_code.generator])
-    if dual_code is code._dual:
-        code._aligned = H
-    return H
+def aligned_dual_rows(code: JGCSpec) -> Mat:
+    """The generator rows of ``dual(code)`` re-indexed by this code's
+    vertex order, built once and kept on the code.  Callers must not
+    modify the returned rows."""
+    if code._aligned is None:
+        D = dual(code)
+        code._aligned = [[hrow[D.vertex_pos[L]] for L in code.vertices]
+                         for hrow in D.generator]
+    return code._aligned
 
 
 def decode_plan(code: JGCSpec, A: Sequence[int]) -> DecodePlan:
     """The anchor-only part of a decode at A, built once per anchor and
-    kept on the code: at most C(n, k) plans for k-subset anchors."""
+    kept on the code: at most C(n, k) plans for k-subset anchors.
+
+    Since |B_r(A)| = dim, the aligned dual rows on the outside positions
+    form a square matrix H_out; the plan keeps its inverse, from one
+    rref of [H_out | I], so every decode at A is two matrix-vector
+    products (_dense_complete).
+    """
     A = layer(A)
     plan = code._plans.get(A)
     if plan is None:
         ball, out = [], []
         for i, L in enumerate(code.vertices):
             (ball if shell_index(L, A) <= code.r else out).append(i)
-        plan = code._plans[A] = DecodePlan(
-            tuple(ball), tuple(out), is_infoset(code.F, code.base, A))
+        infoset = is_infoset(code.F, code.base, A)
+        inverse = None
+        if infoset:
+            H = aligned_dual_rows(code)
+            u = len(out)
+            R, pivots = rref(code.F, [[hrow[i] for i in out]
+                                      + [int(e == r) for e in range(len(H))]
+                                      for r, hrow in enumerate(H)])
+            # [H_out | I] has rank len(H): the pivots are the first u
+            # columns exactly when H_out is square and invertible
+            if pivots == list(range(u)):
+                inverse = [row[u:] for row in R]
+        plan = code._plans[A] = DecodePlan(tuple(ball), tuple(out), infoset,
+                                           inverse)
     return plan
 
 
-def syndrome_of(code: JGCSpec, vec: Sequence[int],
-                dual_code: Optional[JGCSpec] = None) -> List[int]:
+def syndrome_of(code: JGCSpec, vec: Sequence[int]) -> List[int]:
     """Products of the aligned dual generator rows with a full vector.
 
     This is the syndrome convention used by erasure_decode: entry i is
-    the inner product of dual generator row i (re-indexed by the
-    primal's vertex order) with the vector.  The rows come from
-    aligned_dual_rows, so for the code's own dual they are built once
-    per code.
+    the inner product of row i of ``dual(code)`` (re-indexed by the
+    code's vertex order, aligned_dual_rows) with the vector.
     """
-    H = aligned_dual_rows(code, dual_code)
     dot = code.F.dot
-    return [dot(h, vec) for h in H]
+    return [dot(h, vec) for h in aligned_dual_rows(code)]
 
 
-def erasure_decode(code: JGCSpec, A: Sequence[int], known: Dict[Layer, int],
-                   syndrome: Optional[Sequence[int]] = None,
-                   dual_code: Optional[JGCSpec] = None) -> List[int]:
+def erasure_decode(code: JGCSpec, A: Sequence[int],
+                   word: Sequence[Optional[int]],
+                   syndrome: Optional[Sequence[int]] = None) -> List[int]:
     """Complete a vector from its values on the information set B_r(A).
 
-    ``known`` maps every layer of B_r(A) to its symbol.  ``syndrome``
-    gives the products of the dual generator rows with the full vector
-    (all zero for a plain codeword; nonzero entries describe stored
-    parities).  The coordinates outside the ball are an information set
-    of the dual code, so they are filled by one square solve against the
-    dual rows; the completed vector is checked against the syndrome.
-
-    Nothing that depends only on the code and the anchor is recomputed
-    per call: the aligned rows of the code's own dual are kept once per
-    code (aligned_dual_rows), the ball, its complement and the
-    information-set test per (code, A) (decode_plan), and the inverse of
-    the dual rows on the complement per (aligned rows, complement)
-    (_dense_complete).  The last two hold at most one entry per anchor
-    decoded at, C(n, k) for k-subsets.
+    ``word`` is indexed like ``code.vertices``; only its B_r(A)
+    positions are read (each must hold a symbol, not None) and every
+    other position is ignored.  ``syndrome`` gives the products of the
+    aligned dual rows with the full vector (all zero for a plain
+    codeword; nonzero entries describe stored parities).  The positions
+    outside the ball are an information set of the dual code, so they
+    are filled by the inverse the anchor's plan keeps (decode_plan); the
+    completed vector, indexed like ``code.vertices``, is checked against
+    the syndrome.
     """
     A = layer(A)
     F = code.F
-    H = aligned_dual_rows(code, dual_code)
+    H = aligned_dual_rows(code)
     if syndrome is None:
         syndrome = [0] * len(H)
     if len(syndrome) != len(H):
         raise ValueError("syndrome length must equal the dual dimension")
+    if len(word) != len(code.vertices):
+        raise ValueError("word length must equal the code length")
 
     plan = decode_plan(code, A)
-    values: Dict[Layer, int] = {}
+    w = [0] * len(word)
     for i in plan.ball:
-        L = code.vertices[i]
-        if L not in known:
-            raise ValueError(f"missing known coordinate at {L}")
-        values[L] = known[L]
+        if word[i] is None:
+            raise ValueError(f"missing known coordinate at {code.vertices[i]}")
+        w[i] = word[i]
     if not plan.infoset:
         raise ValueError(f"{A} is not an information set of the base code")
-    values = _dense_complete(code, H, syndrome, values)
+    w = _dense_complete(code, plan, H, syndrome, w)
 
-    word = [values[L] for L in code.vertices]
     for hrow, s in zip(H, syndrome):
-        if F.dot(hrow, word) != s:
+        if F.dot(hrow, w) != s:
             raise ValueError("stored values are inconsistent with the syndrome")
-    return word
+    return w
 
 
-def _dense_complete(code: JGCSpec, H: DualRows, syndrome: Sequence[int],
-                    values: Dict[Layer, int]) -> Dict[Layer, int]:
-    """Fill the layers missing from ``values`` by solving
-    H_out x = syndrome - H_known values; raises unless the solution
-    exists and is unique.
-
-    The solve multiplies by the completion matrix E of the unknown
-    columns (E H_out = [I; 0], from one rref of [H_out | I]); the rows of
-    E below the identity must annihilate the right-hand side.  E is kept
-    on H keyed by the tuple of unknown columns; the rows of a code's own
-    dual are kept on the code, so for them E is computed once per
-    erasure pattern.
-    """
+def _dense_complete(code: JGCSpec, plan: DecodePlan, H: Mat,
+                    syndrome: Sequence[int], w: List[int]) -> List[int]:
+    """Set w (indexed like code.vertices: ball values, 0 elsewhere) at
+    plan.out to x = E (syndrome - H w), E being the inverse the anchor's
+    plan keeps (decode_plan); raises when the plan has none."""
     F = code.F
-    unknown = tuple(i for i, L in enumerate(code.vertices) if L not in values)
-    cache = H.completions
-    if unknown not in cache:
-        u, m = len(unknown), len(H)
-        aug = [[hrow[i] for i in unknown] + [int(e == r) for e in range(m)]
-               for r, hrow in enumerate(H)]
-        R, pivots = rref(F, aug)
-        # None when H_out lacks full column rank
-        cache[unknown] = ([row[u:] for row in R]
-                          if pivots[:u] == list(range(u)) else None)
-    E = cache[unknown]
+    E = plan.inverse
     if E is None:
         raise ValueError("erasure pattern is not recoverable")
-    # the known values with zeros at the unknown columns
-    w = [values.get(L, 0) for L in code.vertices]
     rhs = [F.sub(s, F.dot(hrow, w)) for hrow, s in zip(H, syndrome)]
-    x = [F.dot(erow, rhs) for erow in E]
-    if any(x[len(unknown):]):
-        raise ValueError("erasure pattern is not recoverable")
-    out = dict(values)
-    for i, xi in zip(unknown, x):
-        out[code.vertices[i]] = xi
-    return out
+    for i, erow in zip(plan.out, E):
+        w[i] = F.dot(erow, rhs)
+    return w
 
 
 def to_json(code: JGCSpec, alphas: Optional[Sequence[int]] = None) -> str:

@@ -47,6 +47,8 @@ class LayeredCode:
         self.beta = self.spec.beta
 
     def encode(self, payload: Sequence[int]) -> List[List[int]]:
+        for x in payload:
+            self.F.check(x)
         return node_arrays(self.spec, encode_layered(self.spec, list(payload)))
 
     def collect(self, nodes: Sequence[Sequence[int]], A: Sequence[int]

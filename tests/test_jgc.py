@@ -14,6 +14,7 @@ from graphcodes.jgc import (
     aligned_dual_rows,
     certify_infosets,
     construct,
+    decode_plan,
     dual,
     erasure_decode,
     from_json,
@@ -132,13 +133,17 @@ def test_sparse_parity_structure():
             assert dot(code.F, row, h) == 0
 
 
+def _ball(code, A, vec, fill=None):
+    """vec at the B_r(A) positions and ``fill`` at every other one."""
+    return [x if shell_index(L, A) <= code.r else fill
+            for L, x in zip(code.vertices, vec)]
+
+
 def _codeword_and_ball(code, A, seed):
     rng = random.Random(seed)
     coeffs = [rng.randrange(code.F.q) for _ in range(code.dim)]
     word = mat_vec(code.F, [list(col) for col in zip(*code.generator)], coeffs)
-    known = {L: code.coord(word, L) for L in code.vertices
-             if shell_index(L, A) <= code.r}
-    return word, known
+    return word, _ball(code, A, word)
 
 
 def test_erasure_decode_codeword():
@@ -151,30 +156,57 @@ def test_erasure_decode_codeword():
 def test_erasure_decode_with_syndrome():
     rng = random.Random(10)
     code = rs_jgc(6, 3, 2, 1, 11)
-    dcode = dual(code)
     A = (0, 3)
     vec = [rng.randrange(11) for _ in range(code.length)]
-    syn = syndrome_of(code, vec, dcode)
-    known = {L: code.coord(vec, L) for L in code.vertices
-             if shell_index(L, A) <= code.r}
-    assert erasure_decode(code, A, known, syndrome=syn, dual_code=dcode) == vec
+    syn = syndrome_of(code, vec)
+    assert erasure_decode(code, A, _ball(code, A, vec), syndrome=syn) == vec
 
 
 def test_erasure_decode_rejects_inconsistent_known():
     code = rs_jgc(6, 3, 2, 1, 11)
     with pytest.raises(ValueError):
-        erasure_decode(code, (0, 1), {})
+        erasure_decode(code, (0, 1), [None] * code.length)
+
+
+def test_erasure_decode_ignores_values_outside_the_ball():
+    # only the ball positions are read: garbage anywhere else, in or out
+    # of the field, leaves the decoded word as it is
+    rng = random.Random(16)
+    code = rs_jgc(6, 3, 2, 1, 11)
+    for A in [(1, 4), (0, 3), (2, 5)]:
+        vec = [rng.randrange(11) for _ in range(code.length)]
+        syn = syndrome_of(code, vec)
+        for fill in (None, 0, -1, 11, 10 ** 9):
+            assert erasure_decode(code, A, _ball(code, A, vec, fill), syn) == vec
+        garbage = [x if shell_index(L, A) <= code.r else rng.randrange(11)
+                   for L, x in zip(code.vertices, vec)]
+        assert erasure_decode(code, A, garbage, syn) == vec
+
+
+def test_erasure_decode_rejects_wrong_word_length():
+    code = rs_jgc(6, 3, 2, 1, 11)
+    A = (1, 4)
+    word, known = _codeword_and_ball(code, A, 17)
+    for bad in (known[:-1], known + [0], []):
+        with pytest.raises(ValueError, match="word length"):
+            erasure_decode(code, A, bad)
+    assert erasure_decode(code, A, known) == word
 
 
 def test_dense_complete_rejects_missing_ball_coordinate():
-    # without one ball coordinate the completion is underdetermined
     code = rs_jgc(6, 3, 2, 1, 11)
     A = (1, 4)
-    _, known = _codeword_and_ball(code, A, 11)
-    del known[next(iter(known))]
-    H = aligned_dual_rows(code)
+    word, known = _codeword_and_ball(code, A, 11)
+    known[decode_plan(code, A).ball[0]] = None
+    with pytest.raises(ValueError, match="missing known coordinate"):
+        erasure_decode(code, A, known)
+    # a radius one too small leaves more unknowns than dual rows: the
+    # plan gets no inverse and the completion is refused
+    small = rs_jgc(6, 3, 2, 1, 11)
+    small.r -= 1
     with pytest.raises(ValueError, match="not recoverable"):
-        jgc._dense_complete(code, H, [0] * len(H), known)
+        erasure_decode(small, A, word)
+    assert decode_plan(small, A).inverse is None
 
 
 def test_erasure_decode_wrong_row_fails_syndrome_check(monkeypatch):
@@ -184,10 +216,10 @@ def test_erasure_decode_wrong_row_fails_syndrome_check(monkeypatch):
     _, known = _codeword_and_ball(code, A, 12)
     real = jgc._dense_complete
 
-    def corrupting(code_, H, syndrome, values):
-        out = real(code_, H, syndrome, values)
-        L = next(L for L in out if L not in values)
-        out[L] = code_.F.add(out[L], 1)
+    def corrupting(code_, plan, H, syndrome, w):
+        out = real(code_, plan, H, syndrome, w)
+        i = plan.out[0]
+        out[i] = code_.F.add(out[i], 1)
         return out
 
     monkeypatch.setattr(jgc, "_dense_complete", corrupting)
@@ -198,7 +230,7 @@ def test_erasure_decode_wrong_row_fails_syndrome_check(monkeypatch):
 def test_non_infoset_anchor_rejected_again_with_warm_plan():
     code = construct(F2, EXAMPLE_BASE, 3, 2)
     A = (0, 2)  # skipped by certify_infosets: not a base information set
-    known = {L: 0 for L in code.vertices if shell_index(L, A) <= code.r}
+    known = _ball(code, A, [0] * code.length)
     for _ in range(2):
         with pytest.raises(ValueError, match="not an information set"):
             erasure_decode(code, A, known)
@@ -209,48 +241,33 @@ def test_missing_ball_coordinate_rejected_with_warm_plan():
     A = (1, 4)
     word, known = _codeword_and_ball(code, A, 13)
     assert erasure_decode(code, A, known) == word
-    L = next(iter(known))
-    partial = {Lp: x for Lp, x in known.items() if Lp != L}
+    plan = decode_plan(code, A)
+    partial = list(known)
+    partial[plan.ball[0]] = None
     with pytest.raises(ValueError, match="missing known coordinate"):
         erasure_decode(code, A, partial)
-    H = aligned_dual_rows(code)
-    with pytest.raises(ValueError, match="not recoverable"):
-        jgc._dense_complete(code, H, [0] * len(H), partial)
+    assert decode_plan(code, A) is plan and plan.inverse is not None
     assert erasure_decode(code, A, known) == word
 
 
 def test_decode_without_dual_keeps_one_cache_entry():
-    # callers passing no dual share the code's one dual, so the aligned
-    # rows, the plans and the inverses do not grow with the calls
+    # every decode uses the code's one dual, so the aligned rows and the
+    # plans (each with its inverse) do not grow with the calls
     code = rs_jgc(6, 3, 2, 1, 11)
     A = (1, 4)
     word, known = _codeword_and_ball(code, A, 14)
-    for _ in range(50):
+    assert erasure_decode(code, A, known) == word
+    H = code._aligned
+    plan = decode_plan(code, A)
+    for _ in range(49):
         assert erasure_decode(code, A, known) == word
     assert dual(code) is dual(code)
-    H = code._aligned
-    assert aligned_dual_rows(code) is H
-    assert aligned_dual_rows(code, dual(code)) is H
-    assert len(code._plans) == 1
-    assert len(H.completions) == 1
-
-
-def test_foreign_dual_is_not_kept():
-    # the dual of an equal code is a different object: its rows give the
-    # same syndromes but are neither kept nor replace the code's own
-    code = rs_jgc(6, 3, 2, 1, 11)
-    other = dual(rs_jgc(6, 3, 2, 1, 11))
-    A = (1, 4)
-    word, known = _codeword_and_ball(code, A, 15)
-    vec = list(word)
-    vec[0] = code.F.add(vec[0], 1)
-    H = aligned_dual_rows(code)
-    for _ in range(3):
-        assert syndrome_of(code, vec, other) == syndrome_of(code, vec)
-        assert aligned_dual_rows(code, other) is not H
-        assert erasure_decode(code, A, known, dual_code=other) == word
     assert code._aligned is H
-    assert not H.completions
+    assert aligned_dual_rows(code) is H
+    assert len(code._plans) == 1
+    assert decode_plan(code, A) is plan
+    assert len(plan.inverse) == len(plan.out) == len(H)
+    assert all(len(row) == len(H) for row in plan.inverse)
 
 
 def test_aligned_dual_rows_shape():

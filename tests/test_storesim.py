@@ -40,6 +40,17 @@ def test_bad_node_index_rejected(call, code_name, past_end):
             code.repair(nodes, bad)
 
 
+@pytest.mark.parametrize("q", [11, 256])
+@pytest.mark.parametrize("bad", ["-1", "q"])
+@pytest.mark.parametrize("code_name", ["concat", "layered"])
+def test_symbols_outside_the_field_rejected(code_name, bad, q):
+    code = build_concat(5, 4, 3, q) if code_name == "concat" else LayeredCode(6, 3, q)
+    blob = _seeded_blob(code)
+    blob[len(blob) // 2] = -1 if bad == "-1" else q
+    with pytest.raises(ValueError, match="is not an element of GF"):
+        ingest(code, blob)
+
+
 def test_layered_code_parameters():
     code = LayeredCode(8, 5, 11)
     assert code.k == 7
