@@ -16,8 +16,10 @@ medians and quartiles, the change's median relative to the parent's and
 the pairs the change won (by the direction BENCHMARK.json gives).  Then, on both checkouts: one
 ``--trace 1`` run per workload at seed 3 (per-layer numbers and the
 output digest that must not change), the time of ``field_make`` for q = 243 and 256,
-passes of ``storesim.collect`` over every k-subset anchor of
-(8,5,4,11) and (10,6,5,11), and the line count of ``src/``.
+the median in-process time of ``build_concat`` at (8,5,4,11) and
+(10,6,5,11) and of ``load_state`` at (8,5,4,11), passes of
+``storesim.collect`` over every k-subset anchor of (8,5,4,11) and
+(10,6,5,11), and the line count of ``src/``.
 """
 
 from __future__ import annotations
@@ -44,22 +46,43 @@ LAYERS = [
     "field.inv.calls", "field.ops_per_s.q11", "field.ops_per_s.q8",
     "matrix.det5_per_s", "matrix.rref_24x48_ms",
     "matrix.det.calls", "matrix.det.self_s", "matrix.rref.calls",
-    "matrix.rref.self_s", "matrix.pi.self_s", "jgc.certify_infosets.self_s",
+    "matrix.rref.self_s", "matrix.pi.calls", "matrix.pi.self_s",
+    "jgc.certify_infosets.self_s", "concat.build.self_s",
     "jgc.syndrome_of.self_s", "jgc.erasure_decode.self_s",
     "jgc.dense_fallback.calls", "layered.encode_layered.self_s",
     "concat.collect.self_s", "concat.repair.self_s", "concat.encode.self_s",
     "trace.overhead_ratio", "trace.traced_s", "trace.untraced_s",
 ]
 
-# time field_make and all-anchor collect passes in a fresh process
+# time field_make, code builds, loads and all-anchor collect passes in a
+# fresh process
 PROBE = r"""
-import itertools, json, random, sys, time
+import itertools, json, random, statistics, sys, tempfile, time
 from graphcodes import concat, field, storesim
 out = {"field_make_s": {}}
 for q in (243, 256):
     t0 = time.perf_counter()
     field.FieldSpec(q)
     out["field_make_s"][str(q)] = round(time.perf_counter() - t0, 4)
+
+def median_ms(f, reps):
+    times = []
+    for _ in range(reps):
+        t0 = time.perf_counter()
+        f()
+        times.append(time.perf_counter() - t0)
+    return round(statistics.median(times) * 1000, 2)
+
+out["median_ms"] = {
+    "build_concat(8,5,4,11)": median_ms(lambda: concat.build_concat(8, 5, 4, 11), 9),
+    "build_concat(10,6,5,11)": median_ms(lambda: concat.build_concat(10, 6, 5, 11), 3)}
+code = concat.build_concat(8, 5, 4, 11)
+rng = random.Random(1)
+state = storesim.ingest(code, [rng.randrange(code.F.q) for _ in range(code.M)])
+with tempfile.TemporaryDirectory() as tmp:
+    storesim.save_state(state, tmp)
+    out["median_ms"]["load_state(8,5,4,11)"] = median_ms(
+        lambda: storesim.load_state(tmp), 9)
 out["all_anchor_collects"] = []
 for shape, passes in (((8, 5, 4, 11), 3), ((10, 6, 5, 11), 1)):
     code = concat.build_concat(*shape)

@@ -19,7 +19,7 @@ from graphcodes.combinat import (
 )
 from graphcodes.field import FieldSpec, field_make
 from graphcodes.jgc import extend_base, is_infoset, systematic_rows
-from graphcodes.matrix import Mat, rank, take_columns, tau
+from graphcodes.matrix import Mat, rank, rref, take_columns, tau
 
 
 class HGCSpec:
@@ -34,7 +34,8 @@ class HGCSpec:
     def __init__(self, F: FieldSpec, base: Mat, m: int, t: int):
         k = len(base)
         n = len(base[0])
-        if rank(F, base) != k:
+        _, pivots = rref(F, base)
+        if len(pivots) != k:
             raise ValueError("base matrix must have full rank")
         if not 0 < t <= m:
             raise ValueError(f"need 0 < t <= m, got t={t}, m={m}")
@@ -45,7 +46,7 @@ class HGCSpec:
         self.t = t
         self.r = m - t
         self.base = [list(row) for row in base]
-        self.g = extend_base(F, base)
+        self.g = extend_base(self.base, pivots)
         anchor = tuple(range(k))
         self.vertices = hamming_vertices(m, n, anchor=anchor)
         self.vertex_pos = {L: i for i, L in enumerate(self.vertices)}

@@ -7,11 +7,18 @@ matrices M whose rows are taken from the base (at least t of them) and
 from unit vectors.  The resulting code has dimension ball_size(n,v,k,r)
 with r = min(v,k) - t, and for every information set A of the base code
 the ball B_r(A) is an information set of the graph code.
+
+The unit rows sit at the base's non-pivot columns U, so every generator
+entry is 0 or a signed minor of the base: pi(M)_L = +-det(base rows of
+M, L minus U) when U lies in L, and 0 otherwise.  A code is built from
+one Laplace pass over all s x s minors of the base, s <= min(v,k)
+(about sum_s C(k,s) C(n,s) s products), not one determinant per vertex.
 """
 
 from __future__ import annotations
 
 import json
+from itertools import combinations
 from math import comb
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -28,6 +35,7 @@ from graphcodes.combinat import (
 from graphcodes.field import FieldSpec, field_make
 from graphcodes.matrix import (
     Mat,
+    all_minors,
     nullspace,
     pi,
     rank,
@@ -49,13 +57,19 @@ class JGCSpec:
     order : vertex ordering ("klex" or "lex")
     vertices : list of layers indexing the columns
     basis_index : row-index layers I with |I intersect {0..k-1}| >= t
-    generator : dim x C(n,v) generator matrix, row I = pi(g restricted to I)
+    g : the base extended by unit rows at its non-pivot columns (extend_base)
+    generator : dim x C(n,v) generator matrix, row I = pi(g restricted to
+        I); entry L is 0 unless the unit columns U of I lie in L, and
+        otherwise +-det(base rows of I, L minus U), taken from one
+        Laplace pass over the base's minors (plucker_rows): about
+        sum_s C(k,s) C(n,s) s products for s <= min(v,k)
     """
 
     def __init__(self, F: FieldSpec, base: Mat, v: int, t: int, order: str = "klex"):
         k = len(base)
         n = len(base[0])
-        if rank(F, base) != k:
+        _, pivots = rref(F, base)
+        if len(pivots) != k:
             raise ValueError("base matrix must have full rank")
         if not 0 < t <= min(v, k):
             raise ValueError(f"need 0 < t <= min(v,k), got t={t}, v={v}, k={k}")
@@ -67,7 +81,7 @@ class JGCSpec:
         self.r = min(v, k) - t
         self.order = order
         self.base = [list(row) for row in base]
-        self.g = extend_base(F, base)
+        self.g = extend_base(self.base, pivots)
         self.vertices = johnson_vertices(n, v, order=order, k=k)
         self.vertex_pos = {L: i for i, L in enumerate(self.vertices)}
         head = set(range(k))
@@ -75,9 +89,8 @@ class JGCSpec:
             I for I in johnson_vertices(n, v, order="klex", k=k)
             if len(head.intersection(I)) >= t
         ]
-        self.generator = [
-            pi(F, [self.g[i] for i in I], self.vertices) for I in self.basis_index
-        ]
+        self.generator = plucker_rows(F, self.base, pivots, v, self.basis_index,
+                                      self.vertex_pos)
         self.dim = len(self.generator)
         expected = ball_size(n, v, k, self.r)
         if self.dim != expected:
@@ -95,9 +108,6 @@ class JGCSpec:
     @property
     def length(self) -> int:
         return comb(self.n, self.v)
-
-    def coord(self, word: Sequence[int], L: Sequence[int]) -> int:
-        return word[self.vertex_pos[layer(L)]]
 
     def __repr__(self) -> str:
         return (
@@ -127,22 +137,61 @@ class ParityStructure:
         return len(self.rows)
 
 
-def extend_base(F: FieldSpec, base: Mat) -> Mat:
-    """Extend the k x n base to an invertible n x n matrix.
+def extend_base(base: Mat, pivots: Sequence[int]) -> Mat:
+    """Extend the k x n base, whose rref has the pivot columns
+    ``pivots``, to an invertible n x n matrix.
 
     The extra n-k rows are unit vectors placed at the non-pivot columns
-    of the base, so the extension is invertible for any full-rank base.
+    of the base, in increasing order, so the extension is invertible for
+    any full-rank base.
     """
-    k = len(base)
     n = len(base[0])
-    _, pivots = rref(F, base)
     g = [list(row) for row in base]
     for j in range(n):
         if j not in pivots:
             g.append([1 if c == j else 0 for c in range(n)])
-    if len(g) != n:
-        raise ValueError("base matrix must have full rank")
     return g
+
+
+def plucker_rows(F: FieldSpec, base: Mat, pivots: Sequence[int], v: int,
+                 basis_index: Sequence[Layer],
+                 vertex_pos: Dict[Layer, int]) -> Mat:
+    """The rows pi(g restricted to I), I in basis_index, of the extended
+    base g = extend_base(base, pivots), from the minors of the base.
+
+    Row I takes the base rows I_b = I intersect {0..k-1} and the unit
+    rows of g at the non-pivot columns U.  Its entry at the vertex L is
+    0 unless U lies in L, and otherwise (-1)^e det(base[I_b], L minus U)
+    with e the number of pairs u in U < c in L minus U: the parity of
+    moving U to the back of L.  One Laplace pass (all_minors) gives
+    every minor; each row is then scattered over the C(n-|U|, |I_b|)
+    vertices that contain U.
+    """
+    k, n = len(base), len(base[0])
+    free = [c for c in range(n) if c not in pivots]
+    minors = all_minors(F, base, min(v, k))
+    minus_one = F.neg(1)
+    targets_of: Dict[Layer, List[Tuple[int, int, int]]] = {}
+    rows = []
+    for I in basis_index:
+        Ib = tuple(i for i in I if i < k)
+        U = tuple(free[i - k] for i in I if i >= k)
+        targets = targets_of.get(U)
+        if targets is None:
+            # (minor index, vertex position, sign parity) for L = C + U
+            targets = targets_of[U] = [
+                (ci, vertex_pos[tuple(sorted(C + U))],
+                 sum(c > u for c in C for u in U) % 2)
+                for ci, C in enumerate(combinations(range(n), len(Ib)))
+                if not set(C).intersection(U)
+            ]
+        row = [0] * len(vertex_pos)
+        m = minors[Ib]
+        signed = (m, F.scale(minus_one, m))
+        for ci, pos, odd in targets:
+            row[pos] = signed[odd][ci]
+        rows.append(row)
+    return rows
 
 
 def construct(F: FieldSpec, base: Mat, v: int, t: int, order: str = "klex") -> JGCSpec:
@@ -230,11 +279,9 @@ def certify_infosets(code: JGCSpec) -> Dict[str, List[Layer]]:
     remaining anchors, "pass" and "fail" record whether the generator
     restricted to the ball columns has full rank.
     """
-    import itertools
-
     F = code.F
     report = {"pass": [], "fail": [], "skipped": []}
-    for A in itertools.combinations(range(code.n), code.k):
+    for A in combinations(range(code.n), code.k):
         if not is_infoset(F, code.base, A):
             report["skipped"].append(A)
             continue
@@ -394,10 +441,11 @@ def erasure_decode(code: JGCSpec, A: Sequence[int],
     """Complete a vector from its values on the information set B_r(A).
 
     ``word`` is indexed like ``code.vertices``; only its B_r(A)
-    positions are read (each must hold a symbol, not None) and every
-    other position is ignored.  ``syndrome`` gives the products of the
-    aligned dual rows with the full vector (all zero for a plain
-    codeword; nonzero entries describe stored parities).  The positions
+    positions are read (each must hold an element of GF(q): None or a
+    value outside the field raises ValueError) and every other position
+    is ignored.  ``syndrome`` gives the products of the aligned dual
+    rows with the full vector (all zero for a plain codeword; nonzero
+    entries describe stored parities).  The positions
     outside the ball are an information set of the dual code, so they
     are filled by the inverse the anchor's plan keeps (decode_plan); the
     completed vector, indexed like ``code.vertices``, is checked against
@@ -414,11 +462,17 @@ def erasure_decode(code: JGCSpec, A: Sequence[int],
         raise ValueError("word length must equal the code length")
 
     plan = decode_plan(code, A)
+    q = F.q
     w = [0] * len(word)
     for i in plan.ball:
-        if word[i] is None:
-            raise ValueError(f"missing known coordinate at {code.vertices[i]}")
-        w[i] = word[i]
+        x = word[i]
+        # a plain int in [0, q) passes with one test; anything else is
+        # None or held to F.check's rule
+        if type(x) is not int or not 0 <= x < q:
+            if x is None:
+                raise ValueError(f"missing known coordinate at {code.vertices[i]}")
+            F.check(x)
+        w[i] = x
     if not plan.infoset:
         raise ValueError(f"{A} is not an information set of the base code")
     w = _dense_complete(code, plan, H, syndrome, w)

@@ -8,8 +8,9 @@ does its arithmetic with the field's vector operations (``F.dot``,
 
 from __future__ import annotations
 
+from itertools import combinations
 from math import comb
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from graphcodes.combinat import johnson_vertices, sign_of
 from graphcodes.field import FieldSpec
@@ -178,6 +179,38 @@ def tau(F: FieldSpec, M: Mat, tuples: Sequence[Sequence[int]]) -> List[int]:
                 break
         out.append(prod)
     return out
+
+
+def all_minors(F: FieldSpec, M: Mat, smax: int) -> Dict[Tuple[int, ...], List[int]]:
+    """Every s x s minor of M for s <= smax, without elimination.
+
+    ``minors[R][i]`` is the determinant of M on the rows R (a sorted
+    s-tuple) and on the i-th s-subset of columns in the order of
+    ``itertools.combinations(range(n), s)``; ``minors[()] == [1]``.
+    Each s-minor is a Laplace expansion along its last row, from the
+    (s-1)-minors on the row prefix R[:-1]: about
+    sum_s C(k,s) C(n,s) s products for a k x n matrix.
+    """
+    k, n = len(M), len(M[0])
+    dot, scale, minus_one = F.dot, F.scale, F.neg(1)
+    minors = {(): [1]}
+    prev_index = {(): 0}
+    for s in range(1, smax + 1):
+        cols = list(combinations(range(n), s))
+        # for each column subset C, the positions of C minus C[j] among
+        # the (s-1)-subsets, j = 0..s-1
+        drops = [[prev_index[C[:j] + C[j + 1:]] for j in range(s)] for C in cols]
+        for R in combinations(range(k), s):
+            head = minors[R[:-1]]
+            row = M[R[-1]]
+            # the cofactor of entry (s-1, j) carries (-1)^(s-1+j)
+            both = (row, scale(minus_one, row))
+            signed = [both[(s - 1 + j) % 2] for j in range(s)]
+            minors[R] = [dot([r[c] for r, c in zip(signed, C)],
+                             [head[d] for d in drop])
+                         for C, drop in zip(cols, drops)]
+        prev_index = {C: i for i, C in enumerate(cols)}
+    return minors
 
 
 def compound_row(F: FieldSpec, g: Mat, I: Sequence[int],

@@ -70,11 +70,11 @@ def test_unit_codeword_support():
             continue
         weight_bound = comb(2 * a + code.n - code.k - code.v, a)
         word = unit_codeword(code, A0, L)
-        assert code.coord(word, L) == 1
+        assert word[code.vertex_pos[L]] == 1
         # zero at every layer at most as far from the anchor as L
         for Lp in code.vertices:
             if Lp != L and shell_index(Lp, A0) <= shell_index(L, A0):
-                assert code.coord(word, Lp) == 0
+                assert word[code.vertex_pos[Lp]] == 0
         assert sum(1 for x in word if x) <= weight_bound
 
 
@@ -181,6 +181,21 @@ def test_erasure_decode_ignores_values_outside_the_ball():
         garbage = [x if shell_index(L, A) <= code.r else rng.randrange(11)
                    for L, x in zip(code.vertices, vec)]
         assert erasure_decode(code, A, garbage, syn) == vec
+
+
+def test_erasure_decode_rejects_ball_values_outside_the_field():
+    # q and -1 are not field elements; word[i] +- q reduces to the right
+    # symbol, so only the field check, not the syndrome check, stops it
+    code = rs_jgc(6, 3, 2, 1, 11)
+    A = (1, 4)
+    word, known = _codeword_and_ball(code, A, 23)
+    i = decode_plan(code, A).ball[0]
+    for bad in (11, -1, word[i] + 11, word[i] - 11):
+        damaged = list(known)
+        damaged[i] = bad
+        with pytest.raises(ValueError, match="not an element of GF"):
+            erasure_decode(code, A, damaged)
+    assert erasure_decode(code, A, known) == word
 
 
 def test_erasure_decode_rejects_wrong_word_length():

@@ -1,12 +1,14 @@
 """Dense linear algebra, minor vectors and compound matrices."""
 
 import random
+from itertools import combinations
 
 import pytest
 
 from graphcodes.combinat import johnson_vertices
 from graphcodes.field import field_make
 from graphcodes.matrix import (
+    all_minors,
     compound,
     compound_size,
     det,
@@ -89,6 +91,23 @@ def test_pi_is_minor_vector():
         det(F7, [[1, 2], [0, 3]]),
         det(F7, [[0, 2], [1, 3]]),
     ]
+
+
+@pytest.mark.parametrize("q", [7, 8])
+def test_all_minors_equal_det_on_every_subset(q):
+    # a random 4 x 7 base: every row subset R and column subset C of
+    # size s <= 4, against one elimination per minor
+    F = field_make(q)
+    M = _rand_mat(random.Random(40 + q), F, 4, 7)
+    minors = all_minors(F, M, 4)
+    assert minors[()] == [1]
+    assert len(minors) == 2 ** 4
+    for s in range(1, 5):
+        cols = list(combinations(range(7), s))
+        for R in combinations(range(4), s):
+            assert minors[R] == [det(F, submatrix(M, R, C)) for C in cols]
+    # a smaller smax stops at that size
+    assert max(map(len, all_minors(F, M, 2))) == 2
 
 
 def test_pi_signed_equals_extended_determinant():

@@ -10,7 +10,14 @@ import random
 from graphcodes.combinat import shell_index
 from graphcodes.concat import build_concat
 from graphcodes.field import _poly_mul_mod, field_make
-from graphcodes.jgc import erasure_decode, sparse_parities, syndrome_of
+from graphcodes.jgc import (
+    JGCSpec,
+    dual,
+    erasure_decode,
+    signed_dual,
+    sparse_parities,
+    syndrome_of,
+)
 from graphcodes.layered import (
     LayeredSpec,
     encode_layered,
@@ -18,7 +25,7 @@ from graphcodes.layered import (
     node_arrays,
     read_layers,
 )
-from graphcodes.matrix import det, mat_mul, mat_vec, rank, rref, solve
+from graphcodes.matrix import det, mat_mul, mat_vec, pi, rank, rref, solve
 from graphcodes.rs import rs_jgc
 from graphcodes.subres import (
     poly_add,
@@ -188,8 +195,49 @@ def test_decoded_codeword_meets_sparse_parities(code_anchor, data):
     for _, support in sparse_parities(code, A).rows:
         acc = 0
         for L, c in support:
-            acc = F.add(acc, F.mul(c, code.coord(decoded, L)))
+            acc = F.add(acc, F.mul(c, decoded[code.vertex_pos[L]]))
         assert acc == 0
+
+
+# ----- generator rows from the minors of the base -----
+
+@st.composite
+def graph_code_specs(draw):
+    """A Johnson graph code with n <= 7 over GF(7), GF(8) or GF(9), in
+    klex or lex order, or its dual or signed dual (whose bases pivot away
+    from columns 0..k-1).  The base is the Reed-Solomon one of rs_jgc or
+    [I_k | X] with X random and the columns shuffled, so the unit rows
+    of the extended base land on scattered columns."""
+    n = draw(st.integers(min_value=2, max_value=7))
+    v = draw(st.integers(min_value=1, max_value=n - 1))
+    k = draw(st.integers(min_value=1, max_value=n - 1))
+    # t > v + k - n, so the dual and the signed dual exist
+    t = draw(st.integers(min_value=max(1, v + k + 1 - n),
+                         max_value=min(v, k)))
+    q = draw(st.sampled_from([7, 8, 9]))
+    order = draw(st.sampled_from(["klex", "lex"]))
+    if draw(st.booleans()):
+        code = rs_jgc(n, v, k, t, q, order=order)
+    else:
+        X = draw(st.lists(st.lists(st.integers(min_value=0, max_value=q - 1),
+                                   min_size=n - k, max_size=n - k),
+                          min_size=k, max_size=k))
+        perm = draw(st.permutations(range(n)))
+        rows = [[int(i == j) for j in range(k)] + X[i] for i in range(k)]
+        base = [[row[c] for c in perm] for row in rows]
+        code = JGCSpec(field_make(q), base, v, t, order=order)
+    which = draw(st.sampled_from(["code", "dual", "signed_dual"]))
+    return {"code": lambda c: c, "dual": dual,
+            "signed_dual": signed_dual}[which](code)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(graph_code_specs())
+def test_generator_equals_plucker_vectors(code):
+    # every entry equals the determinant pi takes on the extended base
+    expected = [pi(code.F, [code.g[i] for i in I], code.vertices)
+                for I in code.basis_index]
+    assert code.generator == expected
 
 
 # ----- field kernel against a scalar reference -----
