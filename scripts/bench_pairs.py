@@ -17,7 +17,9 @@ the pairs the change won (by the direction BENCHMARK.json gives).  Then, on both
 ``--trace 1`` run per workload at seed 3 (per-layer numbers and the
 output digest that must not change), the time of ``field_make`` for q = 243 and 256,
 the median in-process time of ``build_concat`` at (8,5,4,11) and
-(10,6,5,11) and of ``load_state`` at (8,5,4,11), passes of
+(10,6,5,11), of ``load_state`` at (8,5,4,11) and of criterion 8's
+sweep (``certify_infosets`` on ``rs_jgc(n,v,k,t,7)`` for every n <= 7,
+codes built before the clock starts), passes of
 ``storesim.collect`` over every k-subset anchor of (8,5,4,11) and
 (10,6,5,11), and the line count of ``src/``.
 """
@@ -47,18 +49,19 @@ LAYERS = [
     "matrix.det5_per_s", "matrix.rref_24x48_ms",
     "matrix.det.calls", "matrix.det.self_s", "matrix.rref.calls",
     "matrix.rref.self_s", "matrix.pi.calls", "matrix.pi.self_s",
-    "jgc.certify_infosets.self_s", "concat.build.self_s",
+    "jgc.certify_infosets.self_s", "combinat.shell_index.calls",
+    "concat.build.self_s",
     "jgc.syndrome_of.self_s", "jgc.erasure_decode.self_s",
     "jgc.dense_fallback.calls", "layered.encode_layered.self_s",
     "concat.collect.self_s", "concat.repair.self_s", "concat.encode.self_s",
     "trace.overhead_ratio", "trace.traced_s", "trace.untraced_s",
 ]
 
-# time field_make, code builds, loads and all-anchor collect passes in a
-# fresh process
+# time field_make, code builds, loads, criterion 8's certify sweep and
+# all-anchor collect passes in a fresh process
 PROBE = r"""
 import itertools, json, random, statistics, sys, tempfile, time
-from graphcodes import concat, field, storesim
+from graphcodes import concat, field, jgc, rs, storesim
 out = {"field_make_s": {}}
 for q in (243, 256):
     t0 = time.perf_counter()
@@ -83,6 +86,10 @@ with tempfile.TemporaryDirectory() as tmp:
     storesim.save_state(state, tmp)
     out["median_ms"]["load_state(8,5,4,11)"] = median_ms(
         lambda: storesim.load_state(tmp), 9)
+sweep = [rs.rs_jgc(n, v, k, t, 7) for n in range(2, 8) for v in range(1, n + 1)
+         for k in range(1, n) for t in range(1, min(v, k) + 1)]
+out["median_ms"]["certify_infosets(rs_jgc(n,v,k,t,7)), n<=7"] = median_ms(
+    lambda: [jgc.certify_infosets(c) for c in sweep], 5)
 out["all_anchor_collects"] = []
 for shape, passes in (((8, 5, 4, 11), 3), ((10, 6, 5, 11), 1)):
     code = concat.build_concat(*shape)

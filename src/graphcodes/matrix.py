@@ -9,8 +9,7 @@ does its arithmetic with the field's vector operations (``F.dot``,
 from __future__ import annotations
 
 from itertools import combinations
-from math import comb
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from graphcodes.combinat import johnson_vertices, sign_of
 from graphcodes.field import FieldSpec
@@ -113,6 +112,32 @@ def rank(F: FieldSpec, M: Mat) -> int:
         return 0
     _, pivots = rref(F, M)
     return len(pivots)
+
+
+def column_rank_test(F: FieldSpec, M: Mat) -> Callable[[Sequence[int]], bool]:
+    """``spans(cols)``: whether M restricted to the columns cols has full
+    row rank, i.e. ``rank(take_columns(M, cols)) == len(M)``.
+
+    M is row-reduced once, R = rref(M) with pivot columns P.  Row
+    operations keep the rank of every column subset, and the columns of
+    P in S are unit columns of R, so M[:, S] has full row rank exactly
+    when |P| = len(M) and the block of R on the rows whose pivot lies
+    outside S and the columns of S outside P has full row rank.  That
+    block has at most min(len(M), n - |S|) rows and none when P lies in
+    S; each call is one rank of it.
+    """
+    R, pivots = rref(F, M)
+    if len(pivots) < len(M):
+        return lambda cols: False
+    pivot_set = set(pivots)
+
+    def spans(cols: Sequence[int]) -> bool:
+        inside = set(cols)
+        rows = [row for row, p in zip(R, pivots) if p not in inside]
+        free = [c for c in cols if c not in pivot_set]
+        return rank(F, [[row[c] for c in free] for row in rows]) == len(rows)
+
+    return spans
 
 
 def nullspace(F: FieldSpec, M: Mat) -> Mat:
@@ -234,7 +259,3 @@ def compound(F: FieldSpec, g: Mat, v: int, order: str = "lex",
     vertices = johnson_vertices(n, v, order=order, k=k)
     mat = [compound_row(F, g, I, vertices) for I in vertices]
     return mat, vertices
-
-
-def compound_size(n: int, v: int) -> int:
-    return comb(n, v)

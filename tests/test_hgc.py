@@ -74,10 +74,10 @@ def test_unit_codeword_weight_bound():
         # one factor of weight <= n-k+1 per coordinate inside the anchor
         bound = (code.n - code.k + 1) ** (code.m - shell)
         word = hgc_unit_codeword(code, A0, L)
-        assert code.coord(word, L) == 1
+        assert word[code.vertex_pos[L]] == 1
         for Lp in code.vertices:
             if Lp != L and hamming_shell_index(Lp, A0) <= shell:
-                assert code.coord(word, Lp) == 0
+                assert word[code.vertex_pos[Lp]] == 0
         assert sum(1 for x in word if x) <= bound
     with pytest.raises(ValueError):
         hgc_unit_codeword(code, A0, (2, 3))

@@ -2,6 +2,7 @@
 
 import random
 from itertools import combinations
+from math import comb
 
 import pytest
 
@@ -9,8 +10,8 @@ from graphcodes.combinat import johnson_vertices
 from graphcodes.field import field_make
 from graphcodes.matrix import (
     all_minors,
+    column_rank_test,
     compound,
-    compound_size,
     det,
     identity,
     mat_mul,
@@ -110,6 +111,28 @@ def test_all_minors_equal_det_on_every_subset(q):
     assert max(map(len, all_minors(F, M, 2))) == 2
 
 
+@pytest.mark.parametrize("q", [2, 4, 7])
+def test_column_rank_test_matches_rank_on_every_subset(q):
+    # random 3 x 6 and 2 x 6 matrices, one whose last row is the sum of
+    # the others and one with a zero row: every column subset (none and
+    # all included), also listed backwards, against the rank of the
+    # restriction; a matrix with no rows spans on no columns
+    F = field_make(q)
+    rng = random.Random(60 + q)
+    mats = [_rand_mat(rng, F, 3, 6) for _ in range(3)] + [_rand_mat(rng, F, 2, 6)]
+    dependent = _rand_mat(rng, F, 2, 6)
+    mats.append(dependent + [[F.add(a, b) for a, b in zip(*dependent)]])
+    mats.append(_rand_mat(rng, F, 2, 6) + [[0] * 6])
+    for M in mats:
+        spans = column_rank_test(F, M)
+        for s in range(7):
+            for cols in combinations(range(6), s):
+                expected = rank(F, take_columns(M, cols)) == len(M)
+                assert spans(cols) == expected
+                assert spans(cols[::-1]) == expected
+    assert column_rank_test(F, [])([])
+
+
 def test_pi_signed_equals_extended_determinant():
     rng = random.Random(11)
     n, v = 5, 3
@@ -134,7 +157,7 @@ def test_tau_is_entry_product():
 
 def test_compound_of_identity():
     C, verts = compound(F7, identity(4), 2)
-    assert len(verts) == compound_size(4, 2) == 6
+    assert len(verts) == comb(4, 2) == 6
     assert C == identity(6)
 
 

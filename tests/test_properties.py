@@ -1,19 +1,22 @@
 """Property-based checks for the algebra kernels and erasure decoding."""
 
-from itertools import permutations
+from itertools import combinations, permutations
 
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import random
 
-from graphcodes.combinat import shell_index
+from graphcodes.combinat import hamming_shell_index, shell_index
 from graphcodes.concat import build_concat
 from graphcodes.field import _poly_mul_mod, field_make
+from graphcodes.hgc import HGCSpec, certify_hgc_infosets
 from graphcodes.jgc import (
     JGCSpec,
+    certify_infosets,
     dual,
     erasure_decode,
+    is_infoset,
     signed_dual,
     sparse_parities,
     syndrome_of,
@@ -25,7 +28,7 @@ from graphcodes.layered import (
     node_arrays,
     read_layers,
 )
-from graphcodes.matrix import det, mat_mul, mat_vec, pi, rank, rref, solve
+from graphcodes.matrix import det, mat_mul, mat_vec, pi, rank, rref, solve, take_columns
 from graphcodes.rs import rs_jgc
 from graphcodes.subres import (
     poly_add,
@@ -238,6 +241,81 @@ def test_generator_equals_plucker_vectors(code):
     expected = [pi(code.F, [code.g[i] for i in I], code.vertices)
                 for I in code.basis_index]
     assert code.generator == expected
+
+
+# ----- information-set certification against a per-anchor reference -----
+
+def _reference_certify(code, in_ball):
+    """Per anchor: is_infoset on the base, then the rank of the
+    generator on the ball columns against dim."""
+    report = {"pass": [], "fail": [], "skipped": []}
+    for A in combinations(range(code.n), code.k):
+        if not is_infoset(code.F, code.base, A):
+            report["skipped"].append(A)
+            continue
+        cols = [i for i, L in enumerate(code.vertices) if in_ball(L, A)]
+        full = rank(code.F, take_columns(code.generator, cols)) == code.dim
+        report["pass" if full else "fail"].append(A)
+    return report
+
+
+@st.composite
+def tampered_graph_codes(draw):
+    """A Johnson (either order) or Hamming graph code on a random
+    full-rank base over GF(2), GF(3), GF(4), GF(7), GF(8) or GF(9), as
+    built or tampered: r one lower or one higher, or one generator row
+    zeroed, replaced by a copy of another row or drawn at random."""
+    q = draw(st.sampled_from([2, 3, 4, 7, 8, 9]))
+    Fq = field_make(q)
+    hamming = draw(st.booleans())
+    n = draw(st.integers(min_value=2, max_value=4 if hamming else 6))
+    k = draw(st.integers(min_value=1, max_value=n - 1))
+    base = draw(st.lists(st.lists(st.integers(min_value=0, max_value=q - 1),
+                                  min_size=n, max_size=n),
+                         min_size=k, max_size=k))
+    assume(rank(Fq, base) == k)
+    if hamming:
+        m = draw(st.integers(min_value=1, max_value=3))
+        code = HGCSpec(Fq, base, m, draw(st.integers(min_value=1, max_value=m)))
+    else:
+        v = draw(st.integers(min_value=1, max_value=n))
+        t = draw(st.integers(min_value=1, max_value=min(v, k)))
+        code = JGCSpec(Fq, base, v, t, order=draw(st.sampled_from(["klex", "lex"])))
+    tamper = draw(st.sampled_from(["none", "r-1", "r+1", "zero row", "copy row",
+                                   "random row"]))
+    if tamper in ("r-1", "r+1"):
+        code.r += 1 if tamper == "r+1" else -1
+        # hamming_ball rejects a radius outside [0, m]
+        assume(not hamming or 0 <= code.r <= code.m)
+    elif tamper == "zero row":
+        code.generator = [list(row) for row in code.generator]
+        code.generator[draw(st.integers(0, code.dim - 1))] = [0] * len(code.vertices)
+    elif tamper == "copy row" and code.dim > 1:
+        i, j = draw(st.lists(st.integers(0, code.dim - 1), min_size=2, max_size=2,
+                             unique=True))
+        code.generator = [list(row) for row in code.generator]
+        code.generator[i] = list(code.generator[j])
+    elif tamper == "random row":
+        # mostly zero, so the generator usually keeps full rank while
+        # the balls missing the row's support lose it
+        code.generator = [list(row) for row in code.generator]
+        code.generator[draw(st.integers(0, code.dim - 1))] = draw(
+            st.lists(st.sampled_from([0, 0, 0, 1, q - 1]), min_size=len(code.vertices),
+                     max_size=len(code.vertices)))
+    return hamming, code
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(tampered_graph_codes())
+def test_certify_sweeps_match_per_anchor_reference(hamming_code):
+    hamming, code = hamming_code
+    if hamming:
+        expected = _reference_certify(
+            code, lambda L, A: hamming_shell_index(L, A) <= code.r)
+        assert certify_hgc_infosets(code) == expected
+    else:
+        expected = _reference_certify(code, lambda L, A: shell_index(L, A) <= code.r)
+        assert certify_infosets(code) == expected
 
 
 # ----- field kernel against a scalar reference -----
