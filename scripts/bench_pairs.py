@@ -21,7 +21,9 @@ the median in-process time of ``build_concat`` at (8,5,4,11) and
 sweep (``certify_infosets`` on ``rs_jgc(n,v,k,t,7)`` for every n <= 7,
 codes built before the clock starts), passes of
 ``storesim.collect`` over every k-subset anchor of (8,5,4,11) and
-(10,6,5,11), and the line count of ``src/``.
+(10,6,5,11), each followed by the process's peak RSS (``ru_maxrss``:
+a pass over every anchor fills every per-anchor cache), and the line
+count of ``src/``.
 """
 
 from __future__ import annotations
@@ -51,7 +53,8 @@ LAYERS = [
     "matrix.rref.self_s", "matrix.pi.calls", "matrix.pi.self_s",
     "jgc.certify_infosets.self_s", "combinat.shell_index.calls",
     "concat.build.self_s",
-    "jgc.syndrome_of.self_s", "jgc.erasure_decode.self_s",
+    "jgc.syndrome_of.calls", "jgc.syndrome_of.self_s",
+    "jgc.erasure_decode.calls", "jgc.erasure_decode.self_s",
     "jgc.dense_fallback.calls", "layered.encode_layered.self_s",
     "concat.collect.self_s", "concat.repair.self_s", "concat.encode.self_s",
     "trace.overhead_ratio", "trace.traced_s", "trace.untraced_s",
@@ -60,7 +63,7 @@ LAYERS = [
 # time field_make, code builds, loads, criterion 8's certify sweep and
 # all-anchor collect passes in a fresh process
 PROBE = r"""
-import itertools, json, random, statistics, sys, tempfile, time
+import itertools, json, random, resource, statistics, sys, tempfile, time
 from graphcodes import concat, field, jgc, rs, storesim
 out = {"field_make_s": {}}
 for q in (243, 256):
@@ -97,7 +100,7 @@ for shape, passes in (((8, 5, 4, 11), 3), ((10, 6, 5, 11), 1)):
     blob = [rng.randrange(code.F.q) for _ in range(code.M)]
     state = storesim.ingest(code, blob)
     anchors = list(itertools.combinations(range(code.n), code.k))
-    times = []
+    times, rss = [], []
     for _ in range(passes):
         t0 = time.perf_counter()
         for A in anchors:
@@ -105,8 +108,10 @@ for shape, passes in (((8, 5, 4, 11), 3), ((10, 6, 5, 11), 1)):
                 sys.exit("collect returned a wrong blob")
             state.access_log.clear()
         times.append(round(time.perf_counter() - t0, 3))
+        rss.append(round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1))
     out["all_anchor_collects"].append(
-        {"shape": list(shape), "anchors": len(anchors), "passes_s": times})
+        {"shape": list(shape), "anchors": len(anchors), "passes_s": times,
+         "peak_rss_mb_after_pass": rss})
 print(json.dumps(out))
 """
 

@@ -10,14 +10,22 @@ codeword per stored vector and delivers one symbol to every layer above
 L_w.  Multiplicities are chosen so that supply matches demand in every
 column of the intersection census; for v = k+1 the parameters meet the
 MSR point M = k*alpha, alpha = (n-k)^k, beta = (n-k)^(k-1).
+
+A collect's reads, decodes and fills depend only on its anchor A and a
+component's size u, so they are recorded once per (u, A) as a schedule
+(as in Jerasure) that every size-u component replays.  Decodes at
+sublayers inside A reuse their checked syndromes as the dependents'
+injected values; the others are computed over sparse dual rows.
 """
 
 from __future__ import annotations
 
 import itertools
+from array import array
 from fractions import Fraction
 from math import comb, lcm
-from typing import Dict, List, Optional, Sequence, Tuple
+from operator import itemgetter
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from graphcodes.combinat import Layer, ball_size, layer, shell_index
 from graphcodes.field import field_make
@@ -336,8 +344,9 @@ class ConcatCode:
             )
         self.lspec = {u: LayeredSpec(self.F, n, u) for u in range(1, v + 1)}
         self._codes: Dict[Tuple[int, int, int, int], JGCSpec] = {}
-        # _lift's cache, filled on first use
-        self._lifts: Dict[Tuple[JGCSpec, Layer, int], List[int]] = {}
+        # _lift's and _schedule's caches, filled on first use
+        self._lifts: Dict[Tuple[JGCSpec, Layer, int], Tuple[int, ...]] = {}
+        self._schedules: Dict[Tuple[int, Layer], tuple] = {}
 
         # precodes: the u-1 data vectors of a size-u copy are codewords
         # of the graph code with radius u-1, so any k accessed nodes
@@ -419,54 +428,97 @@ class ConcatCode:
 
     # ----- labelings -----
 
-    def _lift(self, rd: _Round, L_c: Layer, i: int) -> List[int]:
+    def _lift(self, rd: _Round, L_c: Layer, i: int) -> Tuple[int, ...]:
         """The vector position behind each coordinate of a helper codeword.
 
         The coordinate at the (relabeled) sublayer L' belongs to the
         layer L = L_c | L' of the size-(c + v') component and is the
         stored symbol at the i-th smallest node of L minus L_c.  The
-        list is built once per (helper code, L_c, i) and shared by every
+        tuple is built once per (helper code, L_c, i) and shared by every
         round using that helper code, so the cache holds at most
-        (helper codes) x C(n, c) x m lists.  Callers must not modify
-        the returned list.
+        (helper codes) x C(n, c) x m tuples.
         """
         key = (rd.code, L_c, i)
         out = self._lifts.get(key)
         if out is None:
             spec = self.lspec[len(L_c) + rd.code.v]
             rest = [x for x in range(self.n) if x not in L_c]
-            out = []
+            pos = []
             for Lp in rd.code.vertices:
                 nodes = [rest[j] for j in Lp]
                 L = layer(L_c + tuple(nodes))
-                out.append(spec.index[L] * spec.v + L.index(nodes[i]))
-            self._lifts[key] = out
+                pos.append(spec.index[L] * spec.v + L.index(nodes[i]))
+            out = self._lifts[key] = tuple(pos)
         return out
-
-    def _relabel_anchor(self, A: Layer, L_c: Layer) -> Layer:
-        rest = [x for x in range(self.n) if x not in L_c]
-        pos = {x: j for j, x in enumerate(rest)}
-        return layer([pos[a] for a in A if a not in L_c])
 
     def _syndromes(self, cid: int, w: Sequence[Optional[int]],
-                   node: Optional[int]) -> Dict[int, List[int]]:
-        """Injected check values (one per layer) for all dependents of
-        component cid, from its layer-major vector w: at every layer, or
-        only at the layers containing ``node`` when it is not None (the
-        rest stay 0)."""
-        out: Dict[int, List[int]] = {}
+                   sublayers: Callable[[int], Iterable[int]], out: Dict) -> None:
+        """Injected check values of component cid's dependents, from its
+        vector w, at the size-c sublayers sublayers(c) of each round;
+        out[dep] is created, 0 at every layer, when missing."""
         for rd in self.rounds.get(cid, []):
-            for dep in rd.deps:
-                out[dep] = [0] * self.lspec[rd.c].R
-            for lc, L_c in enumerate(self.lspec[rd.c].layers):
-                if node is not None and node not in L_c:
-                    continue
+            c, codim = rd.c, rd.codim
+            targets = [out.setdefault(dep, [0] * self.lspec[c].R) for dep in rd.deps]
+            for lc in sublayers(c):
+                L_c = self.lspec[c].layers[lc]
                 for i in range(rd.m):
-                    lab = [w[p] for p in self._lift(rd, L_c, i)]
-                    s = syndrome_of(rd.code, lab)
-                    for e in range(rd.codim):
-                        out[rd.deps[i * rd.codim + e]][lc] = s[e]
-        return out
+                    lab = itemgetter(*self._lift(rd, L_c, i))(w)
+                    for e, x in enumerate(syndrome_of(rd.code, lab)):
+                        targets[i * codim + e][lc] = x
+
+    def _schedule(self, u: int, A: Layer, rds: Sequence[_Round]) -> tuple:
+        """What a collect at anchor A does to every size-u component (rds:
+        the rounds of one), kept for at most (sizes) x C(n, k) keys, as
+        (first, rounds, outside, precode).  A fill is an array of target
+        positions (t lies in layer t // u), first the one of the layers
+        meeting A in u-1 nodes; rounds has (subs, fill) per round, subs
+        holding (index, A relabeled outside L_c, plan, the m lifts) per
+        sublayer L_c inside A; outside[c] lists the other size-c
+        sublayers; precode is (plan, fill) or None.  A fill takes each
+        layer's first position not yet known (read, decoded or filled),
+        so where two are left the replay's fill_layers raises.
+        """
+        if (u, A) in self._schedules:
+            return self._schedules[u, A]
+        sA = set(A)
+        known = [j in sA for L in self.lspec[u].layers for j in L]
+        meet = [len(sA.intersection(L)) for L in self.lspec[u].layers]
+
+        def fill(c: int) -> array:
+            targets = array("i")
+            for l in (l for l, m in enumerate(meet) if m == c):
+                seg = known[l * u:(l + 1) * u]
+                if not all(seg):
+                    targets.append(l * u + seg.index(False))
+                    known[l * u:(l + 1) * u] = [True] * u
+            return targets
+
+        first = fill(u - 1)
+        rounds, outside = [], {}
+        for rd in rds:
+            cspec = self.lspec[rd.c]
+            subs = []
+            for L_c in itertools.combinations(A, rd.c):
+                rest = [x for x in range(self.n) if x not in L_c]
+                A2 = tuple(rest.index(a) for a in A if a not in L_c)
+                plan = decode_plan(rd.code, A2)
+                lifts = [self._lift(rd, L_c, i) for i in range(rd.m)]
+                for lift in lifts:
+                    for j in plan.out:
+                        known[lift[j]] = True
+                subs.append((cspec.index[L_c], A2, plan, lifts))
+            outside[rd.c] = array("i", sorted(set(range(cspec.R)) - {s[0] for s in subs}))
+            rounds.append((subs, fill(rd.c)))
+        precode = None
+        if 1 < u < self.v and 0 in meet:
+            if self.precode[u] is None:
+                raise AssertionError("missed layers despite trivial precode")
+            plan = decode_plan(self.precode[u], A)
+            for p in (self.pre_pos[u][i] for i in plan.out):
+                known[p * u:(p + 1) * u - 1] = [True] * (u - 1)
+            precode = (plan, fill(0))
+        sched = self._schedules[u, A] = (first, rounds, outside, precode)
+        return sched
 
     # ----- encoding -----
 
@@ -510,7 +562,7 @@ class ConcatCode:
             off = self.offsets[cid]
             for row, part in zip(out, node_arrays(spec, w)):
                 row[off:off + len(part)] = part
-            injected.update(self._syndromes(cid, w, None))
+            self._syndromes(cid, w, lambda c: range(self.lspec[c].R), injected)
         return out
 
     # ----- data collection -----
@@ -527,18 +579,10 @@ class ConcatCode:
             raise ValueError(f"need exactly k={self.k} nodes, got {len(A)}")
         values = [read_layers(self.lspec[u], nodes, A, off)
                   for u, off in zip(self.sizes, self.offsets)]
-        log = [(i, off) for i in A for off in range(self.alpha)]
-        # layer indices of each size grouped by |L & A|
-        sA = set(A)
-        groups: Dict[int, Dict[int, List[int]]] = {u: {} for u in self.lspec}
-        for u, spec in self.lspec.items():
-            for l, L in enumerate(spec.layers):
-                groups[u].setdefault(len(sA.intersection(L)), []).append(l)
+        log = list(itertools.product(A, range(self.alpha)))
         injected: Dict[int, List[int]] = {}
-        for cid, w in enumerate(values):
-            self._recover_component(cid, values, A, groups[self.sizes[cid]],
-                                    injected.get(cid))
-            injected.update(self._syndromes(cid, w, None))
+        for cid in range(len(self.sizes)):
+            self._recover_component(cid, values, A, injected)
 
         payload = []
         for u, w in zip(self.sizes, values):
@@ -549,40 +593,43 @@ class ConcatCode:
                     payload.extend(w[l * u + j] for l in self.pre_info[u])
         return payload, log
 
-    def _recover_component(self, cid: int, values, A: Layer, by_c, inj) -> None:
+    def _recover_component(self, cid: int, values, A: Layer,
+                           injected: Dict[int, List[int]]) -> None:
+        """Replay the schedule of component cid's size at A and set its
+        dependents' injected values: at a sublayer inside A, the sums of
+        their read layers, which the decode checked as its syndrome."""
         F = self.F
-        u = self.sizes[cid]
-        w = values[cid]
-        # layers meeting A in u or u-1 nodes close with their layer check
-        fill_layers(F, w, u, inj, by_c.get(u, []) + by_c.get(u - 1, []))
-        for rd in self.rounds.get(cid, []):
-            c, cindex = rd.c, self.lspec[rd.c].index
-            for L_c in itertools.combinations(A, c):
-                lc = cindex[L_c]
-                A2 = self._relabel_anchor(A, L_c)
-                plan = decode_plan(rd.code, A2)
-                for i in range(rd.m):
-                    deps = rd.deps[i * rd.codim:(i + 1) * rd.codim]
+        u, w, rds = self.sizes[cid], values[cid], self.rounds.get(cid, [])
+        inj = injected.get(cid)
+        first, rounds, outside, precode = self._schedule(u, A, rds)
+        fill_layers(F, w, u, inj, first)
+        for rd, (subs, targets) in zip(rds, rounds):
+            c, codim = rd.c, rd.codim
+            for dep in rd.deps:
+                injected[dep] = [0] * self.lspec[c].R
+            for lc, A2, plan, lifts in subs:
+                for i, lift in enumerate(lifts):
+                    deps = rd.deps[i * codim:(i + 1) * codim]
                     s = [F.sum(values[dep][lc * c:(lc + 1) * c]) for dep in deps]
-                    lift = self._lift(rd, L_c, i)
-                    word = erasure_decode(rd.code, A2, [w[p] for p in lift],
+                    word = erasure_decode(rd.code, A2, itemgetter(*lift)(w),
                                           syndrome=s)
                     for j in plan.out:
                         w[lift[j]] = word[j]
-            fill_layers(F, w, u, inj, by_c.get(c, []))
-        if 1 < u < self.v and by_c.get(0):
-            if self.precode[u] is None:
-                raise AssertionError("missed layers despite trivial precode")
+                    for dep, x in zip(deps, s):
+                        injected[dep][lc] = x
+            fill_layers(F, w, u, inj, targets)
+        if precode is not None:
+            plan, targets = precode
             code, pos = self.precode[u], self.pre_pos[u]
-            plan = decode_plan(code, A)
             for j in range(u - 1):
                 # position l*u + j is layer l's symbol at its j-th node
                 word = erasure_decode(code, A, [w[p * u + j] for p in pos])
                 for i in plan.out:
                     w[pos[i] * u + j] = word[i]
-            fill_layers(F, w, u, inj, by_c[0])
+            fill_layers(F, w, u, inj, targets)
         if None in w:
             raise AssertionError(f"component {cid} not recovered")
+        self._syndromes(cid, w, outside.__getitem__, injected)
 
     # ----- repair -----
 
@@ -602,7 +649,8 @@ class ConcatCode:
             spec = self.lspec[u]
             w = repair_layers(spec, nodes, failed, self.offsets[cid], counts,
                               injected.get(cid))
-            injected.update(self._syndromes(cid, w, failed))
+            self._syndromes(
+                cid, w, lambda c: (p // c for p in self.lspec[c].at[failed]), injected)
             column.extend(w[p] for p in spec.at[failed])
         return column, counts
 

@@ -20,13 +20,13 @@ from __future__ import annotations
 import json
 from itertools import combinations
 from math import comb
+from operator import itemgetter
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from graphcodes.combinat import (
     Layer,
     ball_size,
     complement,
-    graph_params,
     johnson_vertices,
     layer,
     shell_index,
@@ -99,11 +99,12 @@ class JGCSpec:
                 f"basis size {self.dim} != ball size {expected} for "
                 f"(n,v,k,t)=({n},{v},{k},{t})"
             )
-        # built on first use: the dual (dual), its rows in this code's
-        # vertex order (aligned_dual_rows), one plan per anchor with its
-        # inverse (decode_plan)
+        # built on first use: the dual, its rows in this code's vertex
+        # order and their nonzeros (dual, aligned_dual_rows,
+        # _sparse_dual_rows), one plan per anchor with its inverse
         self._dual: Optional[JGCSpec] = None
         self._aligned: Optional[Mat] = None
+        self._sparse: Optional[list] = None
         self._plans: Dict[Layer, DecodePlan] = {}
 
     @property
@@ -232,22 +233,21 @@ def anchored_minor_vector(F: FieldSpec, base: Mat, A0: Sequence[int],
     j.  The coordinate at L is scaled to 1.  The number of nonzeros is
     at most C(2a + n - k - v, a) with a = |L intersect A0|.
     """
-    A0 = layer(A0)
+    return _anchored_word(F, systematic_rows(F, base, A0), len(base[0]), L,
+                          vertices)
+
+
+def _anchored_word(F: FieldSpec, sys_rows: Dict[int, List[int]], n: int,
+                   L: Sequence[int], vertices: Sequence[Layer]) -> List[int]:
+    """anchored_minor_vector from the systematic rows over A0 (keyed by
+    the elements of A0), so one elimination serves every L."""
     L = layer(L)
-    n = len(base[0])
-    sys_rows = systematic_rows(F, base, A0)
-    sA0 = set(A0)
-    M = []
-    for j in L:
-        if j in sA0:
-            M.append(sys_rows[j])
-        else:
-            M.append([1 if c == j else 0 for c in range(n)])
+    M = [sys_rows[j] if j in sys_rows else [int(c == j) for c in range(n)]
+         for j in L]
     word = pi(F, M, vertices)
-    idx = {Lv: i for i, Lv in enumerate(vertices)}[L]
-    pivot = word[idx]
+    pivot = word[vertices.index(L)]
     if pivot == 0:
-        raise ValueError(f"anchored vector degenerate at L={L}, A0={A0}")
+        raise ValueError(f"anchored vector degenerate at L={L}, A0={sorted(sys_rows)}")
     if pivot != 1:
         word = F.scale(F.inv(pivot), word)
     return word
@@ -352,13 +352,13 @@ def sparse_parities(code: JGCSpec, A: Sequence[int]) -> ParityStructure:
         raise ValueError(f"{A} is not an information set of the base code")
     D0 = nullspace(F, code.base)
     Ac = complement(A, code.n)
-    d1, d2, R = graph_params(code.n, code.v, code.k)
+    sys_rows = systematic_rows(F, D0, Ac)
     rows = []
     blocks = []
     targets = [L for L in code.vertices if shell_index(L, A) > code.r]
     targets.sort(key=lambda L: (shell_index(L, A), L))
     for Lp in targets:
-        word = anchored_minor_vector(F, D0, Ac, Lp, code.vertices)
+        word = _anchored_word(F, sys_rows, code.n, Lp, code.vertices)
         support = [
             (L, x) for L, x in zip(code.vertices, word) if x != 0
         ]
@@ -428,15 +428,30 @@ def decode_plan(code: JGCSpec, A: Sequence[int]) -> DecodePlan:
     return plan
 
 
+def _sparse_dual_rows(code: JGCSpec) -> list:
+    """Each aligned dual row as (gather, coefficients) over its nonzero
+    positions, so that F.dot(coefficients, gather(vec)) is the row's
+    product with vec; built once, next to the aligned rows."""
+    if code._sparse is None:
+        code._sparse = []
+        for h in aligned_dual_rows(code):
+            pos = [i for i, x in enumerate(h) if x]
+            # itemgetter of one position returns the value, not a tuple
+            gather = itemgetter(*pos) if len(pos) > 1 else lambda x, i=pos[0]: (x[i],)
+            code._sparse.append((gather, [h[i] for i in pos]))
+    return code._sparse
+
+
 def syndrome_of(code: JGCSpec, vec: Sequence[int]) -> List[int]:
     """Products of the aligned dual generator rows with a full vector.
 
     This is the syndrome convention used by erasure_decode: entry i is
     the inner product of row i of ``dual(code)`` (re-indexed by the
-    code's vertex order, aligned_dual_rows) with the vector.
+    code's vertex order, aligned_dual_rows) with the vector, taken over
+    the row's nonzeros only.
     """
     dot = code.F.dot
-    return [dot(h, vec) for h in aligned_dual_rows(code)]
+    return [dot(coefs, gather(vec)) for gather, coefs in _sparse_dual_rows(code)]
 
 
 def erasure_decode(code: JGCSpec, A: Sequence[int],
@@ -453,11 +468,11 @@ def erasure_decode(code: JGCSpec, A: Sequence[int],
     outside the ball are an information set of the dual code, so they
     are filled by the inverse the anchor's plan keeps (decode_plan); the
     completed vector, indexed like ``code.vertices``, is checked against
-    the syndrome.
+    the syndrome on every nonzero of the dual rows.
     """
     A = layer(A)
     F = code.F
-    H = aligned_dual_rows(code)
+    H = _sparse_dual_rows(code)
     if syndrome is None:
         syndrome = [0] * len(H)
     if len(syndrome) != len(H):
@@ -466,28 +481,27 @@ def erasure_decode(code: JGCSpec, A: Sequence[int],
         raise ValueError("word length must equal the code length")
 
     plan = decode_plan(code, A)
-    q = F.q
-    w = [0] * len(word)
-    for i in plan.ball:
-        x = word[i]
-        # a plain int in [0, q) passes with one test; anything else is
-        # None or held to F.check's rule
-        if type(x) is not int or not 0 <= x < q:
-            if x is None:
+    w = list(word)
+    for i in plan.out:
+        w[i] = 0
+    # ints and bools in [0, q) pass in bulk; else the first bad one raises
+    if not ({int, bool}.issuperset(map(type, w)) and 0 <= min(w)
+            and max(w) < F.q):
+        for i in plan.ball:
+            if w[i] is None:
                 raise ValueError(f"missing known coordinate at {code.vertices[i]}")
-            F.check(x)
-        w[i] = x
+            F.check(w[i])
     if not plan.infoset:
         raise ValueError(f"{A} is not an information set of the base code")
     w = _dense_complete(code, plan, H, syndrome, w)
 
-    for hrow, s in zip(H, syndrome):
-        if F.dot(hrow, w) != s:
+    for (gather, coefs), s in zip(H, syndrome):
+        if F.dot(coefs, gather(w)) != s:
             raise ValueError("stored values are inconsistent with the syndrome")
     return w
 
 
-def _dense_complete(code: JGCSpec, plan: DecodePlan, H: Mat,
+def _dense_complete(code: JGCSpec, plan: DecodePlan, H: list,
                     syndrome: Sequence[int], w: List[int]) -> List[int]:
     """Set w (indexed like code.vertices: ball values, 0 elsewhere) at
     plan.out to x = E (syndrome - H w), E being the inverse the anchor's
@@ -496,7 +510,7 @@ def _dense_complete(code: JGCSpec, plan: DecodePlan, H: Mat,
     E = plan.inverse
     if E is None:
         raise ValueError("erasure pattern is not recoverable")
-    rhs = [F.sub(s, F.dot(hrow, w)) for hrow, s in zip(H, syndrome)]
+    rhs = [F.sub(s, F.dot(coefs, gather(w))) for (gather, coefs), s in zip(H, syndrome)]
     for i, erow in zip(plan.out, E):
         w[i] = F.dot(erow, rhs)
     return w

@@ -149,22 +149,20 @@ def check_node(n: int, i: int) -> None:
 
 
 def fill_layers(F: FieldSpec, w: List[Optional[int]], v: int,
-                injected: Optional[Sequence[int]], layers: Iterable[int]) -> None:
-    """Complete each listed layer's one unknown symbol from its check.
+                injected: Optional[Sequence[int]], targets: Iterable[int]) -> None:
+    """Complete each target position of w from its layer's check.
 
-    Layer l is the slice w[l*v:(l+1)*v] and sums to injected[l] (0 when
-    injected is None).  A layer with exactly one None gets that symbol;
-    a layer with none is left as it is.
+    Position t lies in layer l = t // v, the slice w[l*v:(l+1)*v], which
+    sums to injected[l] (0 when injected is None).  Every other symbol
+    of that layer must be known: another None raises ValueError.
     """
-    for l in layers:
+    for t in targets:
+        l = t // v
         seg = w[l * v:(l + 1) * v]
-        if None not in seg:
-            continue
-        m = seg.index(None)
-        del seg[m]
+        del seg[t - l * v]
         if None in seg:
             raise ValueError(f"layer {l} has {seg.count(None) + 1} unknown symbols")
-        w[l * v + m] = F.sub(injected[l] if injected else 0, F.sum(seg))
+        w[t] = F.sub(injected[l] if injected else 0, F.sum(seg))
 
 
 def read_layers(spec: LayeredSpec, nodes: Sequence[Sequence[int]],
@@ -194,13 +192,12 @@ def repair_layers(spec: LayeredSpec, nodes: Sequence[Sequence[int]],
     check_node(spec.n, failed)
     v, slot = spec.v, spec.slot
     w: List[Optional[int]] = [None] * (spec.R * v)
-    layers = [p // v for p in spec.at[failed]]
-    for l in layers:
+    for l in (p // v for p in spec.at[failed]):
         for p, j in enumerate(spec.layers[l], start=l * v):
             if j != failed:
                 w[p] = nodes[j][off + slot[p]]
                 counts[j] += 1
-    fill_layers(spec.F, w, v, injected, layers)
+    fill_layers(spec.F, w, v, injected, spec.at[failed])
     return w
 
 
@@ -217,7 +214,8 @@ def decode_layered(spec: LayeredSpec, nodes: Sequence[Sequence[int]],
     if len(A) < spec.n - 1:
         raise ValueError("pure layered decoding needs at least n-1 nodes")
     w = read_layers(spec, nodes, A, 0)
-    fill_layers(spec.F, w, spec.v, injected, range(spec.R))
+    fill_layers(spec.F, w, spec.v, injected,
+                [p for i in range(spec.n) if i not in A for p in spec.at[i]])
     return w
 
 

@@ -11,6 +11,7 @@ from graphcodes.combinat import ball_size, complement, graph_params, shell_index
 from graphcodes.field import field_make
 from graphcodes.jgc import (
     aligned_dot,
+    anchored_minor_vector,
     aligned_dual_rows,
     certify_infosets,
     construct,
@@ -25,7 +26,7 @@ from graphcodes.jgc import (
     to_json,
     unit_codeword,
 )
-from graphcodes.matrix import dot, mat_vec, rank
+from graphcodes.matrix import dot, mat_vec, nullspace, rank
 from graphcodes.rs import rs_jgc
 
 F2 = field_make(2)
@@ -196,6 +197,73 @@ def test_erasure_decode_rejects_ball_values_outside_the_field():
         with pytest.raises(ValueError, match="not an element of GF"):
             erasure_decode(code, A, damaged)
     assert erasure_decode(code, A, known) == word
+
+
+def test_erasure_decode_ball_value_rules():
+    # the ball is checked in bulk; it must accept and reject exactly what
+    # a per-value check does: None is missing, a non-element is named,
+    # and bools pass as F.check lets them
+    code = rs_jgc(6, 3, 2, 1, 11)
+    A = (1, 4)
+    word, known = _codeword_and_ball(code, A, 29)
+    plan = decode_plan(code, A)
+    for i in (plan.ball[0], plan.ball[-1]):
+        for bad, message in [(None, "missing known coordinate"),
+                             (11, r"is not an element of GF\(11\)"),
+                             (-1, r"is not an element of GF\(11\)"),
+                             (3.0, r"is not an element of GF\(11\)"),
+                             ("3", r"is not an element of GF\(11\)")]:
+            damaged = list(known)
+            damaged[i] = bad
+            with pytest.raises(ValueError, match=message):
+                erasure_decode(code, A, damaged)
+        for flag in (True, False):
+            flagged = list(known)
+            flagged[i] = flag
+            plain = list(known)
+            plain[i] = int(flag)
+            assert erasure_decode(code, A, flagged) == erasure_decode(code, A, plain)
+    assert erasure_decode(code, A, known) == word
+
+
+def test_weight_one_dual_rows_keep_exact_syndromes():
+    # a zero column of the base makes dual rows of a single nonzero; their
+    # sparse form must still give the full products with every vector
+    F3 = field_make(3)
+    code = construct(F3, [[0, 1, 0, 0], [1, 0, 2, 0], [2, 0, 0, 0]], 2, 2)
+    H = aligned_dual_rows(code)
+    assert [sum(1 for x in h if x) for h in H] == [1, 1, 1]
+    rng = random.Random(31)
+    A = (0, 1, 2)
+    for _ in range(5):
+        vec = [rng.randrange(3) for _ in range(code.length)]
+        syn = syndrome_of(code, vec)
+        assert syn == [dot(F3, h, vec) for h in H]
+        assert erasure_decode(code, A, _ball(code, A, vec), syn) == vec
+
+
+def test_sparse_parities_make_one_systematic_elimination(monkeypatch):
+    # every row's anchored vector shares one rref of the dual base over
+    # the anchor's complement; the rows equal the per-row construction
+    code = rs_jgc(8, 4, 4, 3, 11)
+    A = (0, 1, 2, 3)
+    D0 = nullspace(code.F, code.base)
+    Ac = complement(A, code.n)
+    calls = []
+    real = jgc.rref
+
+    def counting(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(jgc, "rref", counting)
+    structure = sparse_parities(code, A)
+    assert len(calls) == 1
+    monkeypatch.undo()
+    assert len(structure) == 53
+    for Lp, support in structure.rows:
+        word = anchored_minor_vector(code.F, D0, Ac, Lp, code.vertices)
+        assert support == [(L, x) for L, x in zip(code.vertices, word) if x]
 
 
 def test_erasure_decode_rejects_wrong_word_length():

@@ -129,10 +129,11 @@ def test_fill_layers_completes_one_unknown_per_layer():
                                              injected))
     full = read_layers(spec, nodes, range(5), 0)
     values = list(full)
-    for l in range(0, spec.R, 2):
-        values[l * v + 1] = None
-    fill_layers(F, values, v, injected, range(spec.R))
+    targets = [l * v + 1 for l in range(0, spec.R, 2)]
+    for t in targets:
+        values[t] = None
+    fill_layers(F, values, v, injected, targets)
     assert values == full
     values[0] = values[1] = None
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="layer 0 has 2 unknown symbols"):
         fill_layers(F, values, v, injected, [0])
