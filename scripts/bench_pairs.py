@@ -16,8 +16,10 @@ medians and quartiles, the change's median relative to the parent's and
 the pairs the change won (by the direction BENCHMARK.json gives).  Then, on both checkouts: one
 ``--trace 1`` run per workload at seed 3 (per-layer numbers and the
 output digest that must not change), the time of ``field_make`` for q = 243 and 256,
-the median in-process time of ``build_concat`` at (8,5,4,11) and
-(10,6,5,11), of ``load_state`` at (8,5,4,11) and of criterion 8's
+the median in-process time of ``build_concat`` and of
+``ConcatCode.encode`` (one seeded blob, code built before the clock
+starts) at (8,5,4,11) and (10,6,5,11), of ``load_state`` at (8,5,4,11)
+and of criterion 8's
 sweep (``certify_infosets`` on ``rs_jgc(n,v,k,t,7)`` for every n <= 7,
 codes built before the clock starts), passes of
 ``storesim.collect`` over every k-subset anchor of (8,5,4,11) and
@@ -55,7 +57,8 @@ LAYERS = [
     "concat.build.self_s",
     "jgc.syndrome_of.calls", "jgc.syndrome_of.self_s",
     "jgc.erasure_decode.calls", "jgc.erasure_decode.self_s",
-    "jgc.dense_fallback.calls", "layered.encode_layered.self_s",
+    "jgc.dense_fallback.calls", "layered.encode_layered.calls",
+    "layered.encode_layered.self_s",
     "concat.collect.self_s", "concat.repair.self_s", "concat.encode.self_s",
     "trace.overhead_ratio", "trace.traced_s", "trace.untraced_s",
 ]
@@ -82,6 +85,12 @@ def median_ms(f, reps):
 out["median_ms"] = {
     "build_concat(8,5,4,11)": median_ms(lambda: concat.build_concat(8, 5, 4, 11), 9),
     "build_concat(10,6,5,11)": median_ms(lambda: concat.build_concat(10, 6, 5, 11), 3)}
+for shape, reps in (((8, 5, 4, 11), 9), ((10, 6, 5, 11), 5)):
+    code = concat.build_concat(*shape)
+    rng = random.Random(1)
+    blob = [rng.randrange(code.F.q) for _ in range(code.M)]
+    out["median_ms"]["encode(%d,%d,%d,%d)" % shape] = median_ms(
+        lambda: code.encode(blob), reps)
 code = concat.build_concat(8, 5, 4, 11)
 rng = random.Random(1)
 state = storesim.ingest(code, [rng.randrange(code.F.q) for _ in range(code.M)])

@@ -16,6 +16,11 @@ component's size u, so they are recorded once per (u, A) as a schedule
 (as in Jerasure) that every size-u component replays.  Decodes at
 sublayers inside A reuse their checked syndromes as the dependents'
 injected values; the others are computed over sparse dual rows.
+
+Encoding uses the same pieces: a component's payload goes to data[u],
+the one payload layout that collect also reads back, its precode words
+are completed at the fixed anchor A0 by the precode step of a collect,
+and fill_layers closes every layer check.
 """
 
 from __future__ import annotations
@@ -27,13 +32,11 @@ from math import comb, lcm
 from operator import itemgetter
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from graphcodes.combinat import Layer, ball_size, layer, shell_index
+from graphcodes.combinat import Layer, ball, ball_size, layer
 from graphcodes.field import field_make
 from graphcodes.jgc import JGCSpec, decode_plan, dual, erasure_decode, syndrome_of
 from graphcodes.layered import (
     LayeredSpec,
-    encode_layered,
-    extract_data,
     fill_layers,
     node_arrays,
     read_layers,
@@ -351,10 +354,12 @@ class ConcatCode:
         # precodes: the u-1 data vectors of a size-u copy are codewords
         # of the graph code with radius u-1, so any k accessed nodes
         # determine them; pre_pos[u] is the layer index of each precode
-        # vertex, pre_info[u] lists those of the information set at A0
+        # vertex.  data[u] lists a size-u vector's payload positions in
+        # payload order: for a precode size, l*u + j for each word j and
+        # each layer l of the information set at A0
         self.precode: Dict[int, Optional[JGCSpec]] = {}
         self.pre_pos: Dict[int, List[int]] = {}
-        self.pre_info: Dict[int, List[int]] = {}
+        self.data: Dict[int, List[int]] = {v: self.lspec[v].data, 1: []}
         A0 = tuple(range(k))
         for u in range(2, v):
             if not self.layout.counts.get(u):
@@ -362,12 +367,13 @@ class ConcatCode:
             if _shape_codim((n, u, k, 1)) == 0:
                 # every layer meets any k-set; the data vectors are free
                 self.precode[u] = None
-                self.pre_info[u] = list(range(self.lspec[u].R))
-                continue
-            self.precode[u] = code = self._code(n, u, k, 1)
-            self.pre_pos[u] = pos = [self.lspec[u].index[L] for L in code.vertices]
-            self.pre_info[u] = [p for L, p in zip(code.vertices, pos)
-                                if shell_index(L, A0) <= code.r]
+                info = range(self.lspec[u].R)
+            else:
+                self.precode[u] = code = self._code(n, u, k, 1)
+                self.pre_pos[u] = pos = [self.lspec[u].index[L] for L in code.vertices]
+                B = ball(A0, code.r, n, u)
+                info = [p for L, p in zip(code.vertices, pos) if L in B]
+            self.data[u] = [l * u + j for j in range(u - 1) for l in info]
         self.A0 = A0
 
         # sizes[cid] is component cid's layer size; a dependent of round
@@ -474,7 +480,8 @@ class ConcatCode:
         meeting A in u-1 nodes; rounds has (subs, fill) per round, subs
         holding (index, A relabeled outside L_c, plan, the m lifts) per
         sublayer L_c inside A; outside[c] lists the other size-c
-        sublayers; precode is (plan, fill) or None.  A fill takes each
+        sublayers; precode is the fill of the layers missing A after
+        _complete_precode, or None.  A fill takes each
         layer's first position not yet known (read, decoded or filled),
         so where two are left the replay's fill_layers raises.
         """
@@ -513,17 +520,21 @@ class ConcatCode:
         if 1 < u < self.v and 0 in meet:
             if self.precode[u] is None:
                 raise AssertionError("missed layers despite trivial precode")
-            plan = decode_plan(self.precode[u], A)
-            for p in (self.pre_pos[u][i] for i in plan.out):
-                known[p * u:(p + 1) * u - 1] = [True] * (u - 1)
-            precode = (plan, fill(0))
+            # the completed precode words leave only the last symbol of
+            # each layer missing A
+            precode = array("i", (l * u + u - 1 for l, m in enumerate(meet) if not m))
         sched = self._schedules[u, A] = (first, rounds, outside, precode)
         return sched
 
     # ----- encoding -----
 
     def encode(self, payload: Sequence[int]) -> List[List[int]]:
-        """Node arrays (n lists of alpha symbols) for M payload symbols."""
+        """Node arrays (n lists of alpha symbols) for M payload symbols.
+
+        Each component takes its payload at data[u], completes its
+        precode words at A0 (_complete_precode) and closes every layer
+        check (fill_layers): the steps a collect replays.
+        """
         F = self.F
         if len(payload) != self.M:
             raise ValueError(f"expected {self.M} payload symbols, "
@@ -534,36 +545,33 @@ class ConcatCode:
         injected: Dict[int, List[int]] = {}
         out = [[0] * self.alpha for _ in range(self.n)]
         for cid, u in enumerate(self.sizes):
-            spec = self.lspec[u]
-            if u == self.v:
-                data = list(payload[pos:pos + spec.M1])
-                pos += spec.M1
-            elif u == 1:
-                data = []
-            else:
-                code, info = self.precode[u], self.pre_info[u]
-                words = []
-                for _ in range(u - 1):
-                    seg = payload[pos:pos + len(info)]
-                    pos += len(info)
-                    if code is not None:
-                        # seg holds the information set; decode the rest
-                        lab: List[Optional[int]] = [None] * spec.R
-                        for l, x in zip(info, seg):
-                            lab[l] = x
-                        word = erasure_decode(
-                            code, self.A0, [lab[p] for p in self.pre_pos[u]])
-                        for p, x in zip(self.pre_pos[u], word):
-                            lab[p] = x
-                        seg = lab
-                    words.append(seg)
-                data = [word[l] for l in range(spec.R) for word in words]
-            w = encode_layered(spec, data, injected.get(cid))
+            spec, data = self.lspec[u], self.data[u]
+            w: List[Optional[int]] = [None] * (spec.R * u)
+            for p, x in zip(data, payload[pos:pos + len(data)]):
+                w[p] = x
+            pos += len(data)
+            self._complete_precode(u, w, self.A0)
+            fill_layers(F, w, u, injected.get(cid), range(u - 1, spec.R * u, u))
             off = self.offsets[cid]
             for row, part in zip(out, node_arrays(spec, w)):
                 row[off:off + len(part)] = part
             self._syndromes(cid, w, lambda c: range(self.lspec[c].R), injected)
         return out
+
+    def _complete_precode(self, u: int, w: List[Optional[int]], A: Layer) -> None:
+        """Complete the u-1 precode words of a size-u vector w from their
+        values on the information set at A (nothing to do for a size
+        without a precode).  Word j is layer l's symbol at its j-th node,
+        position l*u + j, for every layer l in the code's vertex order.
+        """
+        code = self.precode.get(u)
+        if code is None:
+            return
+        pos = self.pre_pos[u]
+        for j in range(u - 1):
+            word = erasure_decode(code, A, [w[p * u + j] for p in pos])
+            for p, x in zip(pos, word):
+                w[p * u + j] = x
 
     # ----- data collection -----
 
@@ -584,13 +592,7 @@ class ConcatCode:
         for cid in range(len(self.sizes)):
             self._recover_component(cid, values, A, injected)
 
-        payload = []
-        for u, w in zip(self.sizes, values):
-            if u == self.v:
-                payload.extend(extract_data(self.lspec[u], w))
-            elif u >= 2:
-                for j in range(u - 1):
-                    payload.extend(w[l * u + j] for l in self.pre_info[u])
+        payload = [w[p] for u, w in zip(self.sizes, values) for p in self.data[u]]
         return payload, log
 
     def _recover_component(self, cid: int, values, A: Layer,
@@ -619,14 +621,8 @@ class ConcatCode:
                         injected[dep][lc] = x
             fill_layers(F, w, u, inj, targets)
         if precode is not None:
-            plan, targets = precode
-            code, pos = self.precode[u], self.pre_pos[u]
-            for j in range(u - 1):
-                # position l*u + j is layer l's symbol at its j-th node
-                word = erasure_decode(code, A, [w[p * u + j] for p in pos])
-                for i in plan.out:
-                    w[pos[i] * u + j] = word[i]
-            fill_layers(F, w, u, inj, targets)
+            self._complete_precode(u, w, A)
+            fill_layers(F, w, u, inj, precode)
         if None in w:
             raise AssertionError(f"component {cid} not recovered")
         self._syndromes(cid, w, outside.__getitem__, injected)

@@ -9,9 +9,11 @@ beta = C(n-2,v-2) repair symbols per helper.
 
 Coding works on one layer-major vector of R*v symbols: the symbol of
 layer L at node j sits at position index[L]*v + L.index(j), so layer l
-is the slice [l*v, (l+1)*v) and an unknown symbol is None.  Node arrays
-keep their byte layout (node i stores its symbols in lex order of the
-layers containing i); node_arrays scatters a vector into them.  Pure
+is the slice [l*v, (l+1)*v) and an unknown symbol is None.  Encoding
+places the data at spec.data and fills each layer's last position with
+fill_layers, the layer-check fill that collect and repair use.  Node
+arrays keep their byte layout (node i stores its symbols in lex order
+of the layers containing i); node_arrays scatters a vector into them.  Pure
 and concatenated codes (one vector per component, at a column offset)
 share one read path, read_layers, and one repair path, repair_layers;
 both read node arrays only by index and finish with fill_layers.
@@ -35,7 +37,9 @@ class LayeredSpec:
     index[L]*v + L.index(j) of the code's layer-major vector.  at[i]
     lists node i's positions in its storage order (lex order of the
     layers containing i), and slot[p] is position p's offset in its
-    node's array, so at[i][slot[p]] == p.
+    node's array, so at[i][slot[p]] == p.  data lists the positions of
+    the M1 data symbols in payload order: every position of a layer but
+    its last, whose symbol is the layer check.
     """
 
     def __init__(self, F: FieldSpec, n: int, v: int):
@@ -50,6 +54,7 @@ class LayeredSpec:
         for p, j in enumerate(j for L in self.layers for j in L):
             self.slot[p] = len(self.at[j])
             self.at[j].append(p)
+        self.data = [p for p in range(self.R * v) if p % v != v - 1]
 
     def __repr__(self) -> str:
         return (
@@ -70,22 +75,17 @@ def layered_params(n: int, v: int) -> Tuple[int, int, int, int]:
 def encode_layered(spec: LayeredSpec, data: Sequence[int],
                    injected: Optional[Sequence[int]] = None) -> List[int]:
     """Layer-major vector for M1 data symbols and per-layer injected
-    targets (a list indexed by layer, or None for all 0).
-
-    Layer L takes the next v-1 data symbols at its v-1 lowest nodes and
-    a parity at the highest node making the layer sum equal to the
-    injected target.  Size-1 layers store the injected target itself.
+    targets (a list indexed by layer, or None for all 0): the data goes
+    to spec.data and fill_layers sets each layer's last symbol, so a
+    size-1 layer stores its injected target.
     """
-    F, v = spec.F, spec.v
     if len(data) != spec.M1:
         raise ValueError(f"expected {spec.M1} data symbols, got {len(data)}")
-    if v == 1:
-        return list(injected) if injected else [0] * spec.R
-    w: List[int] = []
-    for l in range(spec.R):
-        xs = data[l * (v - 1):(l + 1) * (v - 1)]
-        w.extend(xs)
-        w.append(F.sub(injected[l] if injected else 0, F.sum(xs)))
+    v = spec.v
+    w: List[Optional[int]] = [None] * (spec.R * v)
+    for p, x in zip(spec.data, data):
+        w[p] = x
+    fill_layers(spec.F, w, v, injected, range(v - 1, spec.R * v, v))
     return w
 
 
@@ -96,8 +96,7 @@ def node_arrays(spec: LayeredSpec, w: Sequence[int]) -> List[List[int]]:
 
 def extract_data(spec: LayeredSpec, w: Sequence[int]) -> List[int]:
     """Data symbols back out of a full layer-major vector."""
-    v = spec.v
-    return [x for p, x in enumerate(w) if p % v != v - 1]
+    return [w[p] for p in spec.data]
 
 
 def classify_access(n: int, v: int, A: Sequence[int]) -> Tuple[Dict[int, int], Dict[Layer, str]]:

@@ -1,0 +1,54 @@
+"""Encoded node arrays pinned by hash.
+
+The golden files print only counts, so these hashes are what keeps an
+encoder rewrite byte-identical: each code encodes a blob drawn from
+random.Random(seed) and the n node arrays are hashed in node order.
+"""
+
+import hashlib
+import random
+
+import pytest
+
+from graphcodes.concat import build_concat
+from graphcodes.storesim import LayeredCode
+
+
+def _digest(code, seed):
+    rng = random.Random(seed)
+    nodes = code.encode([rng.randrange(code.F.q) for _ in range(code.M)])
+    assert len(nodes) == code.n and {len(row) for row in nodes} == {code.alpha}
+    h = hashlib.sha256()
+    for row in nodes:
+        h.update(bytes(row))
+    return h.hexdigest()[:16]
+
+
+CONCAT = {
+    (5, 4, 3, 5): "4c7a37397d1fa1a8 4978922b40694422",
+    (6, 4, 3, 7): "17e66d88b647c220 d3ddf62a628a3d64",
+    (6, 4, 3, 8): "8bf349d29c4da85b b04acc6fdc843227",
+    (6, 4, 3, 9): "5a7323fcb5030bd6 81f44d8196f1ab77",
+    (8, 5, 4, 11): "386c4025b1575b82 9adcfdd4b0686d71",
+}
+
+LAYERED = {
+    (6, 3, 11): "2a367f7d8eb38019 96874c481774ebdf",
+    (7, 1, 11): "837885c8f8091aea 837885c8f8091aea",
+}
+
+
+def _name(shape):
+    return "-".join(map(str, shape))
+
+
+@pytest.mark.parametrize("shape", sorted(CONCAT), ids=_name)
+def test_concat_encode_bytes(shape):
+    code = build_concat(*shape)
+    assert [_digest(code, seed) for seed in (1, 2)] == CONCAT[shape].split()
+
+
+@pytest.mark.parametrize("shape", sorted(LAYERED), ids=_name)
+def test_layered_encode_bytes(shape):
+    code = LayeredCode(*shape)
+    assert [_digest(code, seed) for seed in (1, 2)] == LAYERED[shape].split()

@@ -58,8 +58,10 @@ def test_layout_positions_invert_and_keep_node_order():
                 [(L, i) for L in spec.layers if i in L] for i in range(n)]
 
 
-def test_encode_layer_sums_hit_injected_targets():
-    spec = LayeredSpec(F, 6, 3)
+@pytest.mark.parametrize("v", [1, 3])
+def test_encode_layer_sums_hit_injected_targets(v):
+    # a size-1 layer has no data and stores its injected target
+    spec = LayeredSpec(F, 6, v)
     data = [(3 * i + 1) % 11 for i in range(spec.M1)]
     injected = [0] * spec.R
     injected[0], injected[5] = 7, 2
