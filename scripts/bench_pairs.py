@@ -15,10 +15,15 @@ WORKLOADS plus p.  Each end-to-end metric gets both sides' runs,
 medians and quartiles, the change's median relative to the parent's and
 the pairs the change won (by the direction BENCHMARK.json gives).  Then, on both checkouts: one
 ``--trace 1`` run per workload at seed 3 (per-layer numbers and the
-output digest that must not change), the time of ``field_make`` for q = 243 and 256,
+output digest that must not change).  Last, PROBE_ROUNDS = 3 rounds of
+an in-process probe per checkout, the two sides alternating (the parent
+first in even rounds) and every round recorded: the time of
+``field_make`` for q = 243 and 256,
 the median in-process time of ``build_concat`` and of
 ``ConcatCode.encode`` (one seeded blob, code built before the clock
-starts) at (8,5,4,11) and (10,6,5,11), of ``load_state`` at (8,5,4,11)
+starts) at (8,5,4,11) and (10,6,5,11), of ``LayeredCode`` encode,
+collect from every (n-1)-subset and repair of every node at (8,5,11)
+and (10,4,11), of ``load_state`` at (8,5,4,11)
 and of criterion 8's
 sweep (``certify_infosets`` on ``rs_jgc(n,v,k,t,7)`` for every n <= 7,
 codes built before the clock starts), passes of
@@ -46,6 +51,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 WORKLOADS = ["certify-sweep", "collect-all", "cascade-10", "churn"]
 PAIRS = 10
 TRACE_SEED = 3
+PROBE_ROUNDS = 3
 
 LAYERS = [
     "field.add.calls", "field.sub.calls", "field.neg.calls", "field.mul.calls",
@@ -91,6 +97,20 @@ for shape, reps in (((8, 5, 4, 11), 9), ((10, 6, 5, 11), 5)):
     blob = [rng.randrange(code.F.q) for _ in range(code.M)]
     out["median_ms"]["encode(%d,%d,%d,%d)" % shape] = median_ms(
         lambda: code.encode(blob), reps)
+for shape in ((8, 5, 11), (10, 4, 11)):
+    code = storesim.LayeredCode(*shape)
+    rng = random.Random(1)
+    blob = [rng.randrange(code.F.q) for _ in range(code.M)]
+    nodes = code.encode(blob)
+    anchors = list(itertools.combinations(range(code.n), code.k))
+    if any(code.collect(nodes, A)[0] != blob for A in anchors):
+        sys.exit("layered collect returned a wrong blob")
+    name = "LayeredCode(%d,%d,%d)" % shape
+    out["median_ms"][name + ".encode"] = median_ms(lambda: code.encode(blob), 9)
+    out["median_ms"][name + ".collect, every anchor"] = median_ms(
+        lambda: [code.collect(nodes, A) for A in anchors], 9)
+    out["median_ms"][name + ".repair, every node"] = median_ms(
+        lambda: [code.repair(nodes, f) for f in range(code.n)], 9)
 code = concat.build_concat(8, 5, 4, 11)
 rng = random.Random(1)
 state = storesim.ingest(code, [rng.randrange(code.F.q) for _ in range(code.M)])
@@ -193,7 +213,7 @@ def main():
                         for name, direction in better.items()},
         }
 
-    per_layer, probes = {}, {}
+    per_layer = {}
     for workload in WORKLOADS:
         per_layer[workload] = {}
         for side, checkout in sides.items():
@@ -204,11 +224,13 @@ def main():
         per_layer[workload]["digest_equal"] = (
             per_layer[workload]["parent"]["digest"]
             == per_layer[workload]["change"]["digest"])
-    for side, checkout in sides.items():
-        env = dict(os.environ, PYTHONPATH=os.path.join(checkout, "src"))
-        proc = subprocess.run([sys.executable, "-c", PROBE], env=env,
-                              capture_output=True, text=True, check=True)
-        probes[side] = json.loads(proc.stdout)
+    probes = {side: [] for side in sides}
+    for r in range(PROBE_ROUNDS):
+        for side in ("parent", "change") if r % 2 == 0 else ("change", "parent"):
+            env = dict(os.environ, PYTHONPATH=os.path.join(sides[side], "src"))
+            proc = subprocess.run([sys.executable, "-c", PROBE], env=env,
+                                  capture_output=True, text=True, check=True)
+            probes[side].append(json.loads(proc.stdout))
 
     doc = {
         "machine": {"nproc": os.cpu_count(), "python": platform.python_version(),
@@ -216,7 +238,8 @@ def main():
         "command": "python3 perfbench/run.py --workload W --seed S --seconds 10 "
                    "--trace 0 (end to end); --trace 1 (per layer)",
         "method": "alternating parent/change pairs, one process at a time; "
-                  "pair p runs the parent first when p is even",
+                  "pair p runs the parent first when p is even; probes: "
+                  f"{PROBE_ROUNDS} rounds per side, alternating the same way",
         "src_lines": {side: src_lines(c) for side, c in sides.items()},
         "end_to_end": end_to_end,
         "per_layer": {"seed": TRACE_SEED, **per_layer},

@@ -11,16 +11,18 @@ L_w.  Multiplicities are chosen so that supply matches demand in every
 column of the intersection census; for v = k+1 the parameters meet the
 MSR point M = k*alpha, alpha = (n-k)^k, beta = (n-k)^(k-1).
 
-A collect's reads, decodes and fills depend only on its anchor A and a
-component's size u, so they are recorded once per (u, A) as a schedule
-(as in Jerasure) that every size-u component replays.  Decodes at
-sublayers inside A reuse their checked syndromes as the dependents'
-injected values; the others are computed over sparse dual rows.
-
-Encoding uses the same pieces: a component's payload goes to data[u],
-the one payload layout that collect also reads back, its precode words
-are completed at the fixed anchor A0 by the precode step of a collect,
-and fill_layers closes every layer check.
+Every operation reads (encode places the payload at data[u], the one
+payload layout) and then, per component, replays a schedule with one
+function, _replay: layer-check fills, decode rounds, a precode
+completion, and the sublayers where syndromes are handed down to the
+dependents as injected values.  A collect's schedule depends only on
+its anchor A and the component's size u, so it is recorded once per
+(u, A), as in Jerasure; decodes inside A reuse their checked syndromes
+as injected values.  Encode decodes nothing: it completes the precode
+at the fixed anchor A0, closes every layer check and hands down at
+every sublayer.  Repair fills the failed node's symbols and hands down
+at the sublayers holding it.  The pure layered code
+(storesim.LayeredCode) is the case of one component, nothing injected.
 """
 
 from __future__ import annotations
@@ -30,13 +32,14 @@ from array import array
 from fractions import Fraction
 from math import comb, lcm
 from operator import itemgetter
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from graphcodes.combinat import Layer, ball, ball_size, layer
 from graphcodes.field import field_make
 from graphcodes.jgc import JGCSpec, decode_plan, dual, erasure_decode, syndrome_of
 from graphcodes.layered import (
     LayeredSpec,
+    check_node,
     fill_layers,
     node_arrays,
     read_layers,
@@ -457,31 +460,16 @@ class ConcatCode:
             out = self._lifts[key] = tuple(pos)
         return out
 
-    def _syndromes(self, cid: int, w: Sequence[Optional[int]],
-                   sublayers: Callable[[int], Iterable[int]], out: Dict) -> None:
-        """Injected check values of component cid's dependents, from its
-        vector w, at the size-c sublayers sublayers(c) of each round;
-        out[dep] is created, 0 at every layer, when missing."""
-        for rd in self.rounds.get(cid, []):
-            c, codim = rd.c, rd.codim
-            targets = [out.setdefault(dep, [0] * self.lspec[c].R) for dep in rd.deps]
-            for lc in sublayers(c):
-                L_c = self.lspec[c].layers[lc]
-                for i in range(rd.m):
-                    lab = itemgetter(*self._lift(rd, L_c, i))(w)
-                    for e, x in enumerate(syndrome_of(rd.code, lab)):
-                        targets[i * codim + e][lc] = x
-
     def _schedule(self, u: int, A: Layer, rds: Sequence[_Round]) -> tuple:
         """What a collect at anchor A does to every size-u component (rds:
         the rounds of one), kept for at most (sizes) x C(n, k) keys, as
-        (first, rounds, outside, precode).  A fill is an array of target
-        positions (t lies in layer t // u), first the one of the layers
-        meeting A in u-1 nodes; rounds has (subs, fill) per round, subs
-        holding (index, A relabeled outside L_c, plan, the m lifts) per
-        sublayer L_c inside A; outside[c] lists the other size-c
-        sublayers; precode is the fill of the layers missing A after
-        _complete_precode, or None.  A fill takes each
+        the _replay schedule (first, rounds, handdown, precode).  A fill
+        is an array of target positions (t lies in layer t // u), first
+        the one of the layers meeting A in u-1 nodes; rounds has (subs,
+        fill) per round, subs holding (index, A relabeled outside L_c,
+        plan, the m lifts) per sublayer L_c inside A; handdown[c] lists
+        the other size-c sublayers; precode is the fill of the layers
+        missing A after _complete_precode, or None.  A fill takes each
         layer's first position not yet known (read, decoded or filled),
         so where two are left the replay's fill_layers raises.
         """
@@ -501,7 +489,7 @@ class ConcatCode:
             return targets
 
         first = fill(u - 1)
-        rounds, outside = [], {}
+        rounds, handdown = [], {}
         for rd in rds:
             cspec = self.lspec[rd.c]
             subs = []
@@ -514,7 +502,7 @@ class ConcatCode:
                     for j in plan.out:
                         known[lift[j]] = True
                 subs.append((cspec.index[L_c], A2, plan, lifts))
-            outside[rd.c] = array("i", sorted(set(range(cspec.R)) - {s[0] for s in subs}))
+            handdown[rd.c] = array("i", sorted(set(range(cspec.R)) - {s[0] for s in subs}))
             rounds.append((subs, fill(rd.c)))
         precode = None
         if 1 < u < self.v and 0 in meet:
@@ -523,17 +511,66 @@ class ConcatCode:
             # the completed precode words leave only the last symbol of
             # each layer missing A
             precode = array("i", (l * u + u - 1 for l, m in enumerate(meet) if not m))
-        sched = self._schedules[u, A] = (first, rounds, outside, precode)
+        sched = self._schedules[u, A] = (first, rounds, handdown, precode)
         return sched
+
+    def _replay(self, cid: int, w: List[Optional[int]], sched: tuple,
+                A: Optional[Layer], injected: Dict[int, List[int]],
+                values: Optional[list] = None) -> None:
+        """Complete component cid's vector w by the schedule (first,
+        rounds, handdown, precode) and set its dependents' injected
+        values (created, 0 at every layer, when missing).
+
+        first and each round's fill are fill_layers targets.  A round
+        decodes at each sublayer in subs with the sums of the dependents'
+        read layers (values[dep]) as syndromes, which become their
+        injected values there.  precode, unless None, completes the
+        precode words at A and fills its targets.  Then handdown[c]
+        lists the size-c sublayers where the injected values are
+        syndromes of w.  Collect replays _schedule(u, A, rounds); encode
+        ((), (), every sublayer, every layer's last position) at A0;
+        repair (the failed node's positions, (), the sublayers holding
+        it, None).
+        """
+        F = self.F
+        u, rds = self.sizes[cid], self.rounds.get(cid, ())
+        inj = injected.get(cid)
+        first, rounds, handdown, precode = sched
+        fill_layers(F, w, u, inj, first)
+        for rd, (subs, fill) in zip(rds, rounds):
+            c, codim = rd.c, rd.codim
+            targets = [injected.setdefault(dep, [0] * self.lspec[c].R) for dep in rd.deps]
+            for lc, A2, plan, lifts in subs:
+                for i, lift in enumerate(lifts):
+                    deps = rd.deps[i * codim:(i + 1) * codim]
+                    s = [F.sum(values[dep][lc * c:(lc + 1) * c]) for dep in deps]
+                    word = erasure_decode(rd.code, A2, itemgetter(*lift)(w),
+                                          syndrome=s)
+                    for j in plan.out:
+                        w[lift[j]] = word[j]
+                    for t, x in zip(targets[i * codim:(i + 1) * codim], s):
+                        t[lc] = x
+            fill_layers(F, w, u, inj, fill)
+        if precode is not None:
+            self._complete_precode(u, w, A)
+            fill_layers(F, w, u, inj, precode)
+        for rd in rds:
+            layers, codim = self.lspec[rd.c].layers, rd.codim
+            targets = [injected.setdefault(dep, [0] * len(layers)) for dep in rd.deps]
+            for lc in handdown[rd.c]:
+                for i in range(rd.m):
+                    lab = itemgetter(*self._lift(rd, layers[lc], i))(w)
+                    for e, x in enumerate(syndrome_of(rd.code, lab)):
+                        targets[i * codim + e][lc] = x
 
     # ----- encoding -----
 
     def encode(self, payload: Sequence[int]) -> List[List[int]]:
         """Node arrays (n lists of alpha symbols) for M payload symbols.
 
-        Each component takes its payload at data[u], completes its
-        precode words at A0 (_complete_precode) and closes every layer
-        check (fill_layers): the steps a collect replays.
+        Each component takes its payload at data[u] and replays what a
+        collect at A0 does without reading: the precode words, every
+        layer check, and syndromes handed down at every sublayer.
         """
         F = self.F
         if len(payload) != self.M:
@@ -541,6 +578,7 @@ class ConcatCode:
                              f"got {len(payload)}")
         for x in payload:
             F.check(x)
+        everywhere = {c: range(spec.R) for c, spec in self.lspec.items()}
         pos = 0
         injected: Dict[int, List[int]] = {}
         out = [[0] * self.alpha for _ in range(self.n)]
@@ -550,12 +588,11 @@ class ConcatCode:
             for p, x in zip(data, payload[pos:pos + len(data)]):
                 w[p] = x
             pos += len(data)
-            self._complete_precode(u, w, self.A0)
-            fill_layers(F, w, u, injected.get(cid), range(u - 1, spec.R * u, u))
+            self._replay(cid, w, ((), (), everywhere, range(u - 1, spec.R * u, u)),
+                         self.A0, injected)
             off = self.offsets[cid]
             for row, part in zip(out, node_arrays(spec, w)):
                 row[off:off + len(part)] = part
-            self._syndromes(cid, w, lambda c: range(self.lspec[c].R), injected)
         return out
 
     def _complete_precode(self, u: int, w: List[Optional[int]], A: Layer) -> None:
@@ -589,43 +626,14 @@ class ConcatCode:
                   for u, off in zip(self.sizes, self.offsets)]
         log = list(itertools.product(A, range(self.alpha)))
         injected: Dict[int, List[int]] = {}
-        for cid in range(len(self.sizes)):
-            self._recover_component(cid, values, A, injected)
+        for cid, (u, w) in enumerate(zip(self.sizes, values)):
+            self._replay(cid, w, self._schedule(u, A, self.rounds.get(cid, [])),
+                         A, injected, values)
+            if None in w:
+                raise AssertionError(f"component {cid} not recovered")
 
         payload = [w[p] for u, w in zip(self.sizes, values) for p in self.data[u]]
         return payload, log
-
-    def _recover_component(self, cid: int, values, A: Layer,
-                           injected: Dict[int, List[int]]) -> None:
-        """Replay the schedule of component cid's size at A and set its
-        dependents' injected values: at a sublayer inside A, the sums of
-        their read layers, which the decode checked as its syndrome."""
-        F = self.F
-        u, w, rds = self.sizes[cid], values[cid], self.rounds.get(cid, [])
-        inj = injected.get(cid)
-        first, rounds, outside, precode = self._schedule(u, A, rds)
-        fill_layers(F, w, u, inj, first)
-        for rd, (subs, targets) in zip(rds, rounds):
-            c, codim = rd.c, rd.codim
-            for dep in rd.deps:
-                injected[dep] = [0] * self.lspec[c].R
-            for lc, A2, plan, lifts in subs:
-                for i, lift in enumerate(lifts):
-                    deps = rd.deps[i * codim:(i + 1) * codim]
-                    s = [F.sum(values[dep][lc * c:(lc + 1) * c]) for dep in deps]
-                    word = erasure_decode(rd.code, A2, itemgetter(*lift)(w),
-                                          syndrome=s)
-                    for j in plan.out:
-                        w[lift[j]] = word[j]
-                    for dep, x in zip(deps, s):
-                        injected[dep][lc] = x
-            fill_layers(F, w, u, inj, targets)
-        if precode is not None:
-            self._complete_precode(u, w, A)
-            fill_layers(F, w, u, inj, precode)
-        if None in w:
-            raise AssertionError(f"component {cid} not recovered")
-        self._syndromes(cid, w, outside.__getitem__, injected)
 
     # ----- repair -----
 
@@ -635,18 +643,19 @@ class ConcatCode:
 
         Helper j sends, for every copy of size >= 2, its symbols at
         layers containing both j and the failed node: exactly beta
-        symbols per helper.  The failed symbols follow from the layer
-        checks, recomputing injected values from already rebuilt copies.
+        symbols per helper.  The replay fills the failed symbols from
+        the layer checks and hands syndromes down at the sublayers
+        holding the failed node, from already rebuilt copies.
         """
+        check_node(self.n, failed)
         counts = {j: 0 for j in range(self.n) if j != failed}
+        holding = {c: [p // c for p in spec.at[failed]] for c, spec in self.lspec.items()}
         injected: Dict[int, List[int]] = {}
         column: List[int] = []
         for cid, u in enumerate(self.sizes):
             spec = self.lspec[u]
-            w = repair_layers(spec, nodes, failed, self.offsets[cid], counts,
-                              injected.get(cid))
-            self._syndromes(
-                cid, w, lambda c: (p // c for p in self.lspec[c].at[failed]), injected)
+            w = repair_layers(spec, nodes, failed, self.offsets[cid], counts)
+            self._replay(cid, w, (spec.at[failed], (), holding, None), None, injected)
             column.extend(w[p] for p in spec.at[failed])
         return column, counts
 

@@ -13,10 +13,11 @@ is the slice [l*v, (l+1)*v) and an unknown symbol is None.  Encoding
 places the data at spec.data and fills each layer's last position with
 fill_layers, the layer-check fill that collect and repair use.  Node
 arrays keep their byte layout (node i stores its symbols in lex order
-of the layers containing i); node_arrays scatters a vector into them.  Pure
-and concatenated codes (one vector per component, at a column offset)
-share one read path, read_layers, and one repair path, repair_layers;
-both read node arrays only by index and finish with fill_layers.
+of the layers containing i); node_arrays scatters a vector into them.
+Every component of a concatenated code (one vector at a column offset),
+the pure layered code's one included, is read by read_layers for a
+collect and by repair_layers for a repair; both read node arrays only
+by index, and the code's replay then completes the vector.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from fractions import Fraction
 from math import comb
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from graphcodes.combinat import Layer, johnson_vertices, layer
+from graphcodes.combinat import Layer, johnson_vertices
 from graphcodes.field import FieldSpec
 
 
@@ -92,11 +93,6 @@ def encode_layered(spec: LayeredSpec, data: Sequence[int],
 def node_arrays(spec: LayeredSpec, w: Sequence[int]) -> List[List[int]]:
     """The n node arrays (alpha symbols each) holding vector w."""
     return [[w[p] for p in ps] for ps in spec.at]
-
-
-def extract_data(spec: LayeredSpec, w: Sequence[int]) -> List[int]:
-    """Data symbols back out of a full layer-major vector."""
-    return [w[p] for p in spec.data]
 
 
 def classify_access(n: int, v: int, A: Sequence[int]) -> Tuple[Dict[int, int], Dict[Layer, str]]:
@@ -181,14 +177,12 @@ def read_layers(spec: LayeredSpec, nodes: Sequence[Sequence[int]],
 
 
 def repair_layers(spec: LayeredSpec, nodes: Sequence[Sequence[int]],
-                  failed: int, off: int, counts: Dict[int, int],
-                  injected: Optional[Sequence[int]]) -> List[Optional[int]]:
-    """Layer-major vector with every layer containing the failed node
-    complete, from the other nodes' symbols in those layers (beta per
-    helper, read from columns off .. off+alpha-1 and added to counts);
-    the other layers are None.
+                  failed: int, off: int, counts: Dict[int, int]) -> List[Optional[int]]:
+    """Layer-major vector of the other nodes' symbols in the layers
+    containing the failed node (beta per helper, read from columns
+    off .. off+alpha-1 and added to counts); every other position,
+    the failed node's included, is None.
     """
-    check_node(spec.n, failed)
     v, slot = spec.v, spec.slot
     w: List[Optional[int]] = [None] * (spec.R * v)
     for l in (p // v for p in spec.at[failed]):
@@ -196,25 +190,6 @@ def repair_layers(spec: LayeredSpec, nodes: Sequence[Sequence[int]],
             if j != failed:
                 w[p] = nodes[j][off + slot[p]]
                 counts[j] += 1
-    fill_layers(spec.F, w, v, injected, spec.at[failed])
-    return w
-
-
-def decode_layered(spec: LayeredSpec, nodes: Sequence[Sequence[int]],
-                   A: Sequence[int],
-                   injected: Optional[Sequence[int]] = None) -> List[int]:
-    """The full layer-major vector from the nodes in A (|A| >= n-1).
-
-    Every layer is then fully or sufficiently accessed; a sufficiently
-    accessed layer recovers its missing symbol from the parity check
-    against the injected target.
-    """
-    A = layer(A)
-    if len(A) < spec.n - 1:
-        raise ValueError("pure layered decoding needs at least n-1 nodes")
-    w = read_layers(spec, nodes, A, 0)
-    fill_layers(spec.F, w, spec.v, injected,
-                [p for i in range(spec.n) if i not in A for p in spec.at[i]])
     return w
 
 

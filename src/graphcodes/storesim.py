@@ -1,11 +1,12 @@
 """Storage-system simulator.
 
-Wraps a code (concatenated or pure layered) behind a small system
-model: ingest a blob of M symbols onto n simulated nodes, serve
-collection requests from k nodes with an access log, and repair single
-node failures with exactly beta symbols from each of the other n-1
-nodes.  States persist as a manifest plus one little-endian binary
-file per node, guarded by content digests.
+Wraps a code (concatenated, or pure layered: the concatenated code's
+one-component case) behind a small system model: ingest a blob of M
+symbols onto n simulated nodes, serve collection requests from exactly
+k nodes with an access log, and repair single node failures with
+exactly beta symbols from each of the other n-1 nodes.  States persist
+as a manifest plus one little-endian binary file per node, guarded by
+content digests; a load accepts only symbols of the code's field.
 """
 
 from __future__ import annotations
@@ -15,54 +16,29 @@ import json
 import os
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from graphcodes.combinat import layer
 from graphcodes.concat import ConcatCode, build_concat
 from graphcodes.field import field_make
-from graphcodes.layered import (
-    LayeredSpec,
-    decode_layered,
-    encode_layered,
-    extract_data,
-    node_arrays,
-    repair_layers,
-)
-from graphcodes.combinat import layer
+from graphcodes.layered import LayeredSpec
 
 
-class LayeredCode:
-    """Pure layered code with the same system interface as ConcatCode.
+class LayeredCode(ConcatCode):
+    """Pure layered code: the concatenated code's one-component case,
+    with nothing injected, no helper rounds and no precode.
 
-    Collection needs any n-1 nodes (every layer is then fully or
-    sufficiently accessed); repair downloads C(n-2,v-2) symbols per
+    Collection needs exactly k = n-1 nodes (every layer is then fully
+    or sufficiently accessed); repair downloads C(n-2,v-2) symbols per
     helper.
     """
 
     def __init__(self, n: int, v: int, q: int):
         self.F = field_make(q)
-        self.spec = LayeredSpec(self.F, n, v)
-        self.n = n
-        self.v = v
-        self.k = n - 1
-        self.alpha = self.spec.alpha
-        self.M = self.spec.M1
-        self.beta = self.spec.beta
-
-    def encode(self, payload: Sequence[int]) -> List[List[int]]:
-        for x in payload:
-            self.F.check(x)
-        return node_arrays(self.spec, encode_layered(self.spec, list(payload)))
-
-    def collect(self, nodes: Sequence[Sequence[int]], A: Sequence[int]
-                ) -> Tuple[List[int], List[Tuple[int, int]]]:
-        A = layer(A)
-        w = decode_layered(self.spec, nodes, A)
-        log = [(i, off) for i in A for off in range(self.alpha)]
-        return extract_data(self.spec, w), log
-
-    def repair(self, nodes: Sequence[Sequence[int]], failed: int
-               ) -> Tuple[List[int], Dict[int, int]]:
-        counts = {j: 0 for j in range(self.n) if j != failed}
-        w = repair_layers(self.spec, nodes, failed, 0, counts, None)
-        return [w[p] for p in self.spec.at[failed]], counts
+        spec = LayeredSpec(self.F, n, v)
+        self.n, self.v, self.k, self.A0 = n, v, n - 1, None
+        self.alpha, self.M, self.beta = spec.alpha, spec.M1, spec.beta
+        self.lspec, self.data = {v: spec}, {v: spec.data}
+        self.sizes, self.offsets = [v], [0]
+        self.rounds, self.precode, self._schedules = {}, {}, {}
 
 
 class StorageState:
@@ -132,11 +108,11 @@ def _unpack(data: bytes, width: int) -> List[int]:
 
 
 def _describe(code) -> Dict:
+    if isinstance(code, LayeredCode):
+        return {"family": "layered", "n": code.n, "v": code.v, "q": code.F.q}
     if isinstance(code, ConcatCode):
         return {"family": "concat", "n": code.n, "v": code.v, "k": code.k,
                 "q": code.F.q, "scenario": code.layout.name}
-    if isinstance(code, LayeredCode):
-        return {"family": "layered", "n": code.n, "v": code.v, "q": code.F.q}
     raise ValueError(f"cannot persist {type(code).__name__}")
 
 
@@ -222,6 +198,13 @@ def save_state(state: StorageState, path: str) -> None:
             pass
 
 
+def _symbols(xs, q: int, name: str) -> List[int]:
+    """xs, or ValueError naming the file unless it lists ints in [0, q)."""
+    if not isinstance(xs, list) or any(type(x) is not int or not 0 <= x < q for x in xs):
+        raise ValueError(f"{name} holds a symbol outside GF({q})")
+    return xs
+
+
 def load_state(path: str) -> StorageState:
     with open(os.path.join(path, "manifest.json")) as fh:
         manifest = json.load(fh)
@@ -240,9 +223,11 @@ def load_state(path: str) -> StorageState:
         if digest != _required(digests, name, "manifest digests"):
             raise ValueError(f"digest mismatch for {name}")
         nodes.append(_unpack(data, width))
-    state = StorageState(code, _required(manifest, "blob"), nodes)
-    if (any(not 0 <= x < code.F.q for x in state.blob)
-            or hashlib.sha256(_pack(state.blob, width)).hexdigest()
+    blob = _symbols(_required(manifest, "blob"), code.F.q, "manifest.json")
+    state = StorageState(code, blob, nodes)
+    for name, row in zip(files, nodes):
+        _symbols(row, code.F.q, name)
+    if (hashlib.sha256(_pack(blob, width)).hexdigest()
             != _required(manifest, "blob_digest")):
         raise ValueError("digest mismatch for the manifest blob")
     return state

@@ -11,9 +11,7 @@ from graphcodes.layered import (
     census_counts,
     census_csv,
     classify_access,
-    decode_layered,
     encode_layered,
-    extract_data,
     fill_layers,
     layered_params,
     node_arrays,
@@ -76,10 +74,11 @@ def test_encode_extract_roundtrip():
     data = [(5 * i + 2) % 11 for i in range(spec.M1)]
     nodes = node_arrays(spec, encode_layered(spec, data))
     values = read_layers(spec, nodes, range(6), 0)
-    assert extract_data(spec, values) == data
+    assert [values[p] for p in spec.data] == data
 
 
 def test_decode_with_one_node_missing():
+    # the missing node's symbols follow from their layers' checks
     spec = LayeredSpec(F, 6, 3)
     data = [(7 * i + 3) % 11 for i in range(spec.M1)]
     injected = [0] * spec.R
@@ -87,10 +86,13 @@ def test_decode_with_one_node_missing():
     nodes = node_arrays(spec, encode_layered(spec, data, injected))
     for missing in range(6):
         A = [j for j in range(6) if j != missing]
-        values = decode_layered(spec, nodes, A, injected)
-        assert extract_data(spec, values) == data
-    with pytest.raises(ValueError):
-        decode_layered(spec, nodes, [0, 1, 2])
+        values = read_layers(spec, nodes, A, 0)
+        fill_layers(F, values, spec.v, injected, spec.at[missing])
+        assert [values[p] for p in spec.data] == data
+    values = read_layers(spec, nodes, [0, 1, 2], 0)
+    with pytest.raises(ValueError, match="unknown symbols"):
+        fill_layers(F, values, spec.v, injected,
+                    [p for i in (3, 4, 5) for p in spec.at[i]])
 
 
 def test_census_closed_form_matches_enumeration():

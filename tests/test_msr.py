@@ -121,14 +121,14 @@ def test_tampered_encode_fails_the_certificate(shape):
     # k-subsets and the certificate must say so
     code = build_concat(*shape)
     dep = code.rounds[0][0].deps[0]
-    syndromes = code._syndromes
+    replay = code._replay
 
-    def tampered(cid, w, sublayers, out):
-        syndromes(cid, w, sublayers, out)
-        if dep in out:
-            out[dep][:] = [0] * len(out[dep])
+    def tampered(cid, w, sched, A, injected, values=None):
+        replay(cid, w, sched, A, injected, values)
+        if dep in injected:
+            injected[dep][:] = [0] * len(injected[dep])
 
-    code._syndromes = tampered
+    code._replay = tampered
     spans = column_rank_test(code.F, _generator(code))
     failed = [A for A in itertools.combinations(range(code.n), code.k)
               if not spans(_node_columns(code, A))]

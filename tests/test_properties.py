@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 import random
 
+import pytest
+
 from graphcodes.combinat import hamming_shell_index, shell_index
 from graphcodes.concat import build_concat
 from graphcodes.field import _poly_mul_mod, field_make
@@ -24,12 +26,12 @@ from graphcodes.jgc import (
 from graphcodes.layered import (
     LayeredSpec,
     encode_layered,
-    extract_data,
     node_arrays,
     read_layers,
 )
 from graphcodes.matrix import det, mat_mul, mat_vec, pi, rank, rref, solve, take_columns
 from graphcodes.rs import rs_jgc
+from graphcodes.storesim import LayeredCode
 from graphcodes.subres import (
     poly_add,
     poly_deg,
@@ -98,7 +100,7 @@ def test_layered_roundtrip(data):
     assert spec.M1 == 20
     nodes = node_arrays(spec, encode_layered(spec, data))
     values = read_layers(spec, nodes, range(5), 0)
-    assert extract_data(spec, values) == data
+    assert [values[p] for p in spec.data] == data
 
 
 @st.composite
@@ -155,38 +157,44 @@ def test_warm_decode_plan_matches_fresh_code(code_anchor, data):
                               syndrome_of(fresh, w)) == w
 
 
-_WARM_CONCAT = {}
+_WARM = {}
+
+# every shape runs: GF(8) and GF(9) reach both table kernels, GF(5),
+# GF(7) and GF(11) the prime one, and the pure layered codes are the
+# one-component case of the same replay
+WARM_SHAPES = [(build_concat, shape) for shape in
+               [(5, 4, 3, 5), (6, 4, 3, 7), (6, 4, 3, 8), (6, 4, 3, 9),
+                (8, 5, 4, 11)]] + [
+    (LayeredCode, shape) for shape in [(5, 2, 7), (6, 3, 11), (7, 1, 11)]]
 
 
-@settings(max_examples=12, derandomize=True, deadline=None)
-@given(st.sampled_from([(6, 4, 3, 9), (5, 4, 3, 5), (6, 4, 3, 7), (6, 4, 3, 8),
-                        (8, 5, 4, 11)]),
-       st.data())
-def test_warm_concat_code_matches_fresh_code(shape, data):
+@pytest.mark.parametrize("make, shape", WARM_SHAPES,
+                         ids=["-".join(map(str, s)) for _, s in WARM_SHAPES])
+@settings(max_examples=6, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_warm_code_matches_fresh_code(make, shape, data):
     # one code kept across examples and blobs (lift lists, anchor
     # schedules, decode plans with their inverses warm) answers encode,
-    # collect and repair exactly as a code built for that one call does;
-    # the derandomized draws reach GF(8) and GF(9) (both table kernels),
-    # GF(5) and GF(11) in this order of the shapes
-    warm = _WARM_CONCAT.setdefault(shape, build_concat(*shape))
+    # collect and repair exactly as a code built for that one call does
+    warm = _WARM.setdefault(shape, make(*shape))
     n, k = warm.n, warm.k
     for _ in range(2):
         rng = random.Random(data.draw(st.integers(min_value=0, max_value=2**32)))
         blob = [rng.randrange(warm.F.q) for _ in range(warm.M)]
         nodes = warm.encode(blob)
-        assert build_concat(*shape).encode(blob) == nodes
+        assert make(*shape).encode(blob) == nodes
         anchors = data.draw(st.lists(st.sets(st.integers(0, n - 1), min_size=k,
                                              max_size=k), min_size=1, max_size=2))
         for A in anchors:
             got = warm.collect(nodes, A)
             assert got[0] == blob
-            assert got == build_concat(*shape).collect(nodes, A)
+            assert got == make(*shape).collect(nodes, A)
         for f in data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=2)):
             damaged = [list(row) for row in nodes]
             damaged[f] = [0] * warm.alpha
             got = warm.repair(damaged, f)
             assert got[0] == nodes[f]
-            assert got == build_concat(*shape).repair(damaged, f)
+            assert got == make(*shape).repair(damaged, f)
 
 
 @settings(max_examples=60, derandomize=True, deadline=None)

@@ -1,5 +1,6 @@
 """Storage simulator: ingest, collect, repair, persistence."""
 
+import hashlib
 import json
 import os
 import random
@@ -68,6 +69,16 @@ def test_layered_collect_and_log():
     assert {i for i, _ in log} <= set(A)
     with pytest.raises(ValueError):
         collect(state, (0, 1, 2))
+
+
+def test_layered_collect_needs_exactly_k_nodes():
+    # the pure layered code is the one-component concatenated code, so
+    # its collect takes exactly k = n-1 nodes, as every collect does
+    code = LayeredCode(6, 3, 11)
+    nodes = code.encode(_seeded_blob(code))
+    assert code.collect(nodes, range(5))[0] == _seeded_blob(code)
+    with pytest.raises(ValueError, match="exactly k=5 nodes, got 6"):
+        code.collect(nodes, range(6))
 
 
 def test_layered_repair_bandwidth():
@@ -168,6 +179,34 @@ def test_persistence_detects_edited_blob(tmp_path):
 
     _edit_manifest(path, edit)
     with pytest.raises(ValueError, match="manifest blob"):
+        load_state(path)
+
+
+def test_load_rejects_node_symbols_outside_the_field(tmp_path):
+    code = LayeredCode(6, 3, 11)
+    state = ingest(code, _seeded_blob(code))
+    path = str(tmp_path / "store")
+    save_state(state, path)
+    assert max(map(max, state.nodes)) >= 7
+
+    def relabel_q7(doc):
+        # a consistent manifest for GF(7) over the untouched node files
+        doc["code"]["q"] = 7
+        doc["blob"] = [x % 7 for x in doc["blob"]]
+        doc["blob_digest"] = hashlib.sha256(bytes(doc["blob"])).hexdigest()
+
+    _edit_manifest(path, relabel_q7)
+    with pytest.raises(ValueError, match=r"node_\d\.bin holds a symbol outside GF\(7\)"):
+        load_state(path)
+
+
+def test_load_rejects_a_blob_entry_that_is_not_a_symbol(tmp_path):
+    code = LayeredCode(6, 3, 11)
+    state = ingest(code, _seeded_blob(code))
+    path = str(tmp_path / "store")
+    save_state(state, path)
+    _edit_manifest(path, lambda doc: doc["blob"].__setitem__(0, "3"))
+    with pytest.raises(ValueError, match=r"manifest.json holds a symbol outside GF\(11\)"):
         load_state(path)
 
 
