@@ -19,9 +19,10 @@ output digest that must not change).  Last, PROBE_ROUNDS = 3 rounds of
 an in-process probe per checkout, the two sides alternating (the parent
 first in even rounds) and every round recorded: the time of
 ``field_make`` for q = 243 and 256,
-the median in-process time of ``build_concat`` and of
+the median in-process time of ``build_concat``, of
 ``ConcatCode.encode`` (one seeded blob, code built before the clock
-starts) at (8,5,4,11) and (10,6,5,11), of ``LayeredCode`` encode,
+starts) and of ``ConcatCode.repair`` of every node at (8,5,4,11) and
+(10,6,5,11), of ``LayeredCode`` encode,
 collect from every (n-1)-subset and repair of every node at (8,5,11)
 and (10,4,11), of ``load_state`` at (8,5,4,11)
 and of criterion 8's
@@ -97,6 +98,11 @@ for shape, reps in (((8, 5, 4, 11), 9), ((10, 6, 5, 11), 5)):
     blob = [rng.randrange(code.F.q) for _ in range(code.M)]
     out["median_ms"]["encode(%d,%d,%d,%d)" % shape] = median_ms(
         lambda: code.encode(blob), reps)
+    nodes = code.encode(blob)
+    if any(code.repair(nodes, f)[0] != nodes[f] for f in range(code.n)):
+        sys.exit("concat repair returned a wrong column")
+    out["median_ms"]["repair(%d,%d,%d,%d), every node" % shape] = median_ms(
+        lambda: [code.repair(nodes, f) for f in range(code.n)], reps)
 for shape in ((8, 5, 11), (10, 4, 11)):
     code = storesim.LayeredCode(*shape)
     rng = random.Random(1)

@@ -11,17 +11,18 @@ L_w.  Multiplicities are chosen so that supply matches demand in every
 column of the intersection census; for v = k+1 the parameters meet the
 MSR point M = k*alpha, alpha = (n-k)^k, beta = (n-k)^(k-1).
 
-Every operation reads (encode places the payload at data[u], the one
-payload layout) and then, per component, replays a schedule with one
-function, _replay: layer-check fills, decode rounds, a precode
-completion, and the sublayers where syndromes are handed down to the
-dependents as injected values.  A collect's schedule depends only on
-its anchor A and the component's size u, so it is recorded once per
-(u, A), as in Jerasure; decodes inside A reuse their checked syndromes
-as injected values.  Encode decodes nothing: it completes the precode
-at the fixed anchor A0, closes every layer check and hands down at
-every sublayer.  Repair fills the failed node's symbols and hands down
-at the sublayers holding it.  The pure layered code
+Every dependent is smaller than its parent, so the components of one
+size (siblings) are recovered together: every operation reads (encode
+places the payload at data[u]), packs the siblings' vectors into
+region vectors (field.Regions, one slot per sibling) and replays, once
+per size and largest first, one schedule with one function, _replay:
+layer-check fills, decode rounds, a precode completion and the
+syndromes handed down to the dependents as injected values.  Words of
+one helper code are stacked into wider regions, so a round makes one
+erasure_decode per anchor and one syndrome_of.  A collect's schedule
+is recorded once per (size, anchor A), as in Jerasure; encode runs
+the precode at the fixed anchor A0 and hands down everywhere, repair
+at the sublayers holding the failed node.  The pure layered code
 (storesim.LayeredCode) is the case of one component, nothing injected.
 """
 
@@ -30,21 +31,20 @@ from __future__ import annotations
 import itertools
 from array import array
 from fractions import Fraction
+from functools import cached_property
 from math import comb, lcm
 from operator import itemgetter
+from types import SimpleNamespace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from graphcodes.combinat import Layer, ball, ball_size, layer
 from graphcodes.field import field_make
-from graphcodes.jgc import JGCSpec, decode_plan, dual, erasure_decode, syndrome_of
-from graphcodes.layered import (
-    LayeredSpec,
-    check_node,
-    fill_layers,
-    node_arrays,
-    read_layers,
-    repair_layers,
-)
+from graphcodes.jgc import JGCSpec, decode_plan, dual, erasure_decode, getter, syndrome_of
+from graphcodes.layered import LayeredSpec, check_node, fill_layers
+
+
+def _flat(xss) -> list:
+    return list(itertools.chain.from_iterable(xss))
 
 
 def series_multiplicities(v: int, ell: int) -> List[int]:
@@ -398,12 +398,8 @@ class ConcatCode:
             self.counts[u] = self.counts.get(u, 0) + 1
         if self.counts != self.layout.counts:
             raise AssertionError("component registry disagrees with layout")
-        self.offsets = []
-        off = 0
-        for u in self.sizes:
-            self.offsets.append(off)
-            off += comb(n - 1, u - 1)
-        self.alpha = off
+        *self.offsets, self.alpha = itertools.accumulate(
+            (comb(n - 1, u - 1) for u in self.sizes), initial=0)
         self.M = self.layout.M
 
     # ----- helper code bookkeeping -----
@@ -460,18 +456,87 @@ class ConcatCode:
             out = self._lifts[key] = tuple(pos)
         return out
 
+    @cached_property
+    def _siblings(self) -> SimpleNamespace:
+        """order[u]: the size-u component ids by slot, sizes largest first.
+        Size c takes each larger size u (from slot first[u, c]) and each
+        dependent index j in turn, the j-th dependents of u's slots in
+        slot order, so one round's syndromes fill B_u consecutive slots.
+        kernels[u]: regions of B_u slots; read(row)
+        lists a node's symbols by (size, position, slot), row(values)
+        puts them back in column order; repairs keeps repair's reads."""
+        order, first = {self.sizes[0]: [0]}, {}
+        for u in sorted(set(self.sizes), reverse=True):
+            for ridx, rd in enumerate(self.rounds.get(order[u][0], ())):
+                dst = order.setdefault(rd.c, [])
+                first[u, rd.c] = len(dst)
+                for j in range(len(rd.deps)):
+                    dst.extend(self.rounds[cid][ridx].deps[j] for cid in order[u])
+        order = {u: order[u] for u in sorted(order, reverse=True)}
+        # a decode's right-hand side row is a dual row plus the syndrome
+        longest = 1 + max([self.v] + [c.length for c in self.precode.values() if c]
+                          + [rd.code.length for rds in self.rounds.values() for rd in rds])
+        kernels = {u: self.F.regions(len(ids), longest) for u, ids in order.items()}
+        cols = [self.offsets[cid] + s for u, ids in order.items()
+                for s in range(self.lspec[u].alpha) for cid in ids]
+        return SimpleNamespace(
+            order=order, first=first, kernels=kernels, longest=longest,
+            read=getter(cols),
+            everywhere={c: range(spec.R) for c, spec in self.lspec.items()},
+            row=getter(sorted(range(len(cols)), key=cols.__getitem__)), repairs={},
+            start=list(itertools.accumulate((len(self.data[u]) for u in self.sizes),
+                                            initial=0)))
+
+    def _put(self, vals: Sequence[int], parts, vectors: Dict[int, list]) -> None:
+        """Pack vals, listed by (size, position, slot), into the region
+        vectors at parts, a list of (size, positions)."""
+        start = 0
+        for u, pos in parts:
+            K, w = self._siblings.kernels[u], vectors[u]
+            for p, x in zip(pos, K.pack(vals[start:start + len(pos) * K.B])):
+                w[p] = x
+            start += len(pos) * K.B
+
+    def _column(self, vectors: Dict[int, list], j: int) -> List[int]:
+        """Node j's array, from the region vectors."""
+        lay = self._siblings
+        return list(lay.row(_flat(lay.kernels[u].unpack(
+            getter(self.lspec[u].at[j])(vectors[u])) for u in lay.order)))
+
+    def _stack(self, K, w: list, lifts) -> tuple:
+        """(K2, word): the G words of w at the position lists in lifts, one
+        word of K2's G*B-slot regions, slot (g, b) holding slot b of
+        word g; a position is None where a word has None."""
+        K2 = self.F.regions(len(lifts) * K.B, self._siblings.longest)
+        cols = list(zip(*(itemgetter(*lift)(w) for lift in lifts)))
+        packed = iter(K2.pack(K.unpack(_flat(col for col in cols if None not in col))))
+        return K2, [None if None in col else next(packed) for col in cols]
+
+    def _decode(self, K, w: list, code: JGCSpec, A: Layer, lifts, syndrome,
+                out: Sequence[int]) -> None:
+        """Complete the words of w at the position lists in lifts with one
+        erasure_decode of their stack (_stack), given its syndrome's values
+        by (row, word, slot) or None for zero, and set positions out."""
+        K2, word = self._stack(K, w, lifts)
+        word = erasure_decode(code, A, word, syndrome and K2.pack(syndrome), K2)
+        for x, (t, lift) in zip(K.pack(K2.unpack([word[t] for t in out])),
+                                itertools.product(out, lifts)):
+            w[lift[t]] = x
+
     def _schedule(self, u: int, A: Layer, rds: Sequence[_Round]) -> tuple:
         """What a collect at anchor A does to every size-u component (rds:
         the rounds of one), kept for at most (sizes) x C(n, k) keys, as
         the _replay schedule (first, rounds, handdown, precode).  A fill
         is an array of target positions (t lies in layer t // u), first
         the one of the layers meeting A in u-1 nodes; rounds has (subs,
-        fill) per round, subs holding (index, A relabeled outside L_c,
-        plan, the m lifts) per sublayer L_c inside A; handdown[c] lists
-        the other size-c sublayers; precode is the fill of the layers
-        missing A after _complete_precode, or None.  A fill takes each
-        layer's first position not yet known (read, decoded or filled),
-        so where two are left the replay's fill_layers raises.
+        fill) per round, subs holding (A2, plan, pieces) per anchor A2:
+        A relabeled outside a sublayer L_c inside A, pieces listing
+        (index, the m lifts) of each such L_c; handdown has every
+        sublayer (where L_c lies inside A, the syndrome of w equals the
+        sum read there); precode is the fill of the layers missing A
+        after the precode words are completed, or None.  A fill takes
+        each layer's first position not yet known (read, decoded or
+        filled), so where two are left the replay's fill_layers raises.
         """
         if (u, A) in self._schedules:
             return self._schedules[u, A]
@@ -488,11 +553,9 @@ class ConcatCode:
                     known[l * u:(l + 1) * u] = [True] * u
             return targets
 
-        first = fill(u - 1)
-        rounds, handdown = [], {}
+        first, rounds = fill(u - 1), []
         for rd in rds:
-            cspec = self.lspec[rd.c]
-            subs = []
+            subs: Dict[Layer, tuple] = {}
             for L_c in itertools.combinations(A, rd.c):
                 rest = [x for x in range(self.n) if x not in L_c]
                 A2 = tuple(rest.index(a) for a in A if a not in L_c)
@@ -501,9 +564,9 @@ class ConcatCode:
                 for lift in lifts:
                     for j in plan.out:
                         known[lift[j]] = True
-                subs.append((cspec.index[L_c], A2, plan, lifts))
-            handdown[rd.c] = array("i", sorted(set(range(cspec.R)) - {s[0] for s in subs}))
-            rounds.append((subs, fill(rd.c)))
+                subs.setdefault(A2, (A2, plan, []))[2].append(
+                    (self.lspec[rd.c].index[L_c], lifts))
+            rounds.append((list(subs.values()), fill(rd.c)))
         precode = None
         if 1 < u < self.v and 0 in meet:
             if self.precode[u] is None:
@@ -511,104 +574,91 @@ class ConcatCode:
             # the completed precode words leave only the last symbol of
             # each layer missing A
             precode = array("i", (l * u + u - 1 for l, m in enumerate(meet) if not m))
-        sched = self._schedules[u, A] = (first, rounds, handdown, precode)
+        sched = self._schedules[u, A] = (first, rounds, self._siblings.everywhere, precode)
         return sched
 
-    def _replay(self, cid: int, w: List[Optional[int]], sched: tuple,
+    def _replay(self, u: int, w: List[Optional[int]], sched: tuple,
                 A: Optional[Layer], injected: Dict[int, List[int]],
-                values: Optional[list] = None) -> None:
-        """Complete component cid's vector w by the schedule (first,
-        rounds, handdown, precode) and set its dependents' injected
-        values (created, 0 at every layer, when missing).
+                vectors: Optional[Dict[int, list]] = None) -> None:
+        """Complete the region vector w of the size-u components (slot b:
+        _siblings.order[u][b]) by the schedule (first, rounds, handdown,
+        precode), from their injected values (lists over handdown[u]),
+        and set the dependents' ones, syndromes of w at handdown[c].
 
-        first and each round's fill are fill_layers targets.  A round
-        decodes at each sublayer in subs with the sums of the dependents'
-        read layers (values[dep]) as syndromes, which become their
-        injected values there.  precode, unless None, completes the
-        precode words at A and fills its targets.  Then handdown[c]
-        lists the size-c sublayers where the injected values are
-        syndromes of w.  Collect replays _schedule(u, A, rounds); encode
-        ((), (), every sublayer, every layer's last position) at A0;
-        repair (the failed node's positions, (), the sublayers holding
-        it, None).
-        """
-        F = self.F
-        u, rds = self.sizes[cid], self.rounds.get(cid, ())
-        inj = injected.get(cid)
+        first and each round's fill are fill_layers targets; a round
+        decodes once per A2 of subs, each (L_c, lift) stacked, with the
+        sums of the dependents' read layers L_c as syndromes; precode,
+        unless None, completes the precode words at A and fills its
+        targets.  Collect replays _schedule(u, A, rounds); encode ((),
+        (), every sublayer, every layer's last position) at A0; repair
+        (the failed node's positions, (), the sublayers holding it,
+        None)."""
+        lay = self._siblings
+        K, ids = lay.kernels[u], lay.order[u]
+        B, inj = K.B, None
+        rds = self.rounds.get(ids[0], ())
         first, rounds, handdown, precode = sched
-        fill_layers(F, w, u, inj, first)
+        if ids[0] in injected:
+            inj = [0] * self.lspec[u].R
+            for l, x in zip(handdown[u], K.pack(_flat(zip(*(injected[cid] for cid in ids))))):
+                inj[l] = x
+        fill_layers(K, w, u, inj, first)
         for rd, (subs, fill) in zip(rds, rounds):
-            c, codim = rd.c, rd.codim
-            targets = [injected.setdefault(dep, [0] * self.lspec[c].R) for dep in rd.deps]
-            for lc, A2, plan, lifts in subs:
-                for i, lift in enumerate(lifts):
-                    deps = rd.deps[i * codim:(i + 1) * codim]
-                    s = [F.sum(values[dep][lc * c:(lc + 1) * c]) for dep in deps]
-                    word = erasure_decode(rd.code, A2, itemgetter(*lift)(w),
-                                          syndrome=s)
-                    for j in plan.out:
-                        w[lift[j]] = word[j]
-                    for t, x in zip(targets[i * codim:(i + 1) * codim], s):
-                        t[lc] = x
-            fill_layers(F, w, u, inj, fill)
+            c, codim, Kc = rd.c, rd.codim, lay.kernels[rd.c]
+            for A2, plan, pieces in subs:
+                labs = [(lc, i, lift) for lc, lifts in pieces for i, lift in enumerate(lifts)]
+                # the sums of the dependents' read layers L_c, by slot of size c
+                sums = {lc: Kc.unpack([Kc.sum(vectors[c][lc * c:(lc + 1) * c])])
+                        for lc, _ in pieces}
+                s = [x for e in range(codim) for lc, i, _ in labs
+                     for j in [lay.first[u, c] + (i * codim + e) * B] for x in sums[lc][j:j + B]]
+                self._decode(K, w, rd.code, A2, [lift for *_, lift in labs], s, plan.out)
+            fill_layers(K, w, u, inj, fill)
         if precode is not None:
-            self._complete_precode(u, w, A)
-            fill_layers(F, w, u, inj, precode)
+            if self.precode.get(u):
+                pos = self.pre_pos[u]
+                self._decode(K, w, self.precode[u], A, [[p * u + j for p in pos]
+                                                        for j in range(u - 1)],
+                             None, range(len(pos)))
+            fill_layers(K, w, u, inj, precode)
         for rd in rds:
-            layers, codim = self.lspec[rd.c].layers, rd.codim
-            targets = [injected.setdefault(dep, [0] * len(layers)) for dep in rd.deps]
-            for lc in handdown[rd.c]:
-                for i in range(rd.m):
-                    lab = itemgetter(*self._lift(rd, layers[lc], i))(w)
-                    for e, x in enumerate(syndrome_of(rd.code, lab)):
-                        targets[i * codim + e][lc] = x
+            layers, deps = self.lspec[rd.c].layers, lay.order[rd.c][lay.first[u, rd.c]:]
+            K2, word = self._stack(K, w, [self._lift(rd, layers[lc], i)
+                                          for lc in handdown[rd.c] for i in range(rd.m)])
+            syn = K2.unpack(syndrome_of(rd.code, word, K2))
+            for e, i, b in itertools.product(range(rd.codim), range(rd.m), range(B)):
+                injected[deps[(i * rd.codim + e) * B + b]] = \
+                    syn[e * K2.B + i * B + b:(e + 1) * K2.B:rd.m * B]
 
     # ----- encoding -----
 
     def encode(self, payload: Sequence[int]) -> List[List[int]]:
         """Node arrays (n lists of alpha symbols) for M payload symbols.
 
-        Each component takes its payload at data[u] and replays what a
-        collect at A0 does without reading: the precode words, every
-        layer check, and syndromes handed down at every sublayer.
+        Each size's components take their payload at data[u] and replay
+        what a collect at A0 does without reading: the precode words,
+        every layer check, and syndromes handed down at every sublayer.
         """
         F = self.F
         if len(payload) != self.M:
             raise ValueError(f"expected {self.M} payload symbols, "
                              f"got {len(payload)}")
-        for x in payload:
-            F.check(x)
-        everywhere = {c: range(spec.R) for c, spec in self.lspec.items()}
-        pos = 0
+        try:  # the rule reads and loads apply, bools rejected
+            F.check_symbols(list(payload), "payload")
+        except ValueError:
+            for x in payload:
+                F.check(x)  # names a value outside [0, q)
+            raise
+        lay = self._siblings
+        vectors = {u: [None] * (self.lspec[u].R * u) for u in lay.order}
         injected: Dict[int, List[int]] = {}
-        out = [[0] * self.alpha for _ in range(self.n)]
-        for cid, u in enumerate(self.sizes):
-            spec, data = self.lspec[u], self.data[u]
-            w: List[Optional[int]] = [None] * (spec.R * u)
-            for p, x in zip(data, payload[pos:pos + len(data)]):
-                w[p] = x
-            pos += len(data)
-            self._replay(cid, w, ((), (), everywhere, range(u - 1, spec.R * u, u)),
+        for u, w in vectors.items():
+            n = len(self.data[u])
+            self._put(_flat(zip(*(payload[lay.start[cid]:lay.start[cid] + n]
+                                  for cid in lay.order[u]))), [(u, self.data[u])], vectors)
+            self._replay(u, w, ((), (), lay.everywhere, range(u - 1, len(w), u)),
                          self.A0, injected)
-            off = self.offsets[cid]
-            for row, part in zip(out, node_arrays(spec, w)):
-                row[off:off + len(part)] = part
-        return out
-
-    def _complete_precode(self, u: int, w: List[Optional[int]], A: Layer) -> None:
-        """Complete the u-1 precode words of a size-u vector w from their
-        values on the information set at A (nothing to do for a size
-        without a precode).  Word j is layer l's symbol at its j-th node,
-        position l*u + j, for every layer l in the code's vertex order.
-        """
-        code = self.precode.get(u)
-        if code is None:
-            return
-        pos = self.pre_pos[u]
-        for j in range(u - 1):
-            word = erasure_decode(code, A, [w[p * u + j] for p in pos])
-            for p, x in zip(pos, word):
-                w[p * u + j] = x
+        return [self._column(vectors, j) for j in range(self.n)]
 
     # ----- data collection -----
 
@@ -616,24 +666,32 @@ class ConcatCode:
                 ) -> Tuple[List[int], List[Tuple[int, int]]]:
         """Payload back from the k nodes in A, with the read log.
 
-        Only entries of nodes listed in A are touched; the log records
-        every (node, offset) read.
+        Only entries of nodes listed in A are touched, each read once
+        and checked to be a symbol; the log records every (node, offset)
+        read.  Then each size's components are recovered together.
         """
         A = layer(A)
         if len(A) != self.k:
             raise ValueError(f"need exactly k={self.k} nodes, got {len(A)}")
-        values = [read_layers(self.lspec[u], nodes, A, off)
-                  for u, off in zip(self.sizes, self.offsets)]
+        lay = self._siblings
+        vectors = {u: [None] * (self.lspec[u].R * u) for u in lay.order}
+        for i in A:
+            check_node(self.n, i)
+            self._put(self.F.check_symbols(lay.read(nodes[i]), f"node {i}"),
+                      [(u, self.lspec[u].at[i]) for u in lay.order], vectors)
         log = list(itertools.product(A, range(self.alpha)))
         injected: Dict[int, List[int]] = {}
-        for cid, (u, w) in enumerate(zip(self.sizes, values)):
-            self._replay(cid, w, self._schedule(u, A, self.rounds.get(cid, [])),
-                         A, injected, values)
+        payload: List[Sequence[int]] = [()] * len(self.sizes)
+        for u, w in vectors.items():
+            ids = lay.order[u]
+            self._replay(u, w, self._schedule(u, A, self.rounds.get(ids[0], [])),
+                         A, injected, vectors)
             if None in w:
-                raise AssertionError(f"component {cid} not recovered")
-
-        payload = [w[p] for u, w in zip(self.sizes, values) for p in self.data[u]]
-        return payload, log
+                raise AssertionError(f"size-{u} components not recovered")
+            vals = lay.kernels[u].unpack([w[p] for p in self.data[u]])
+            for b, cid in enumerate(ids):
+                payload[cid] = vals[b::len(ids)]
+        return _flat(payload), log
 
     # ----- repair -----
 
@@ -643,21 +701,35 @@ class ConcatCode:
 
         Helper j sends, for every copy of size >= 2, its symbols at
         layers containing both j and the failed node: exactly beta
-        symbols per helper.  The replay fills the failed symbols from
-        the layer checks and hands syndromes down at the sublayers
-        holding the failed node, from already rebuilt copies.
+        symbols per helper, each checked to be a symbol.  The replay
+        fills the failed symbols from the layer checks and hands
+        syndromes down at the sublayers holding the failed node, from
+        already rebuilt copies, one size at a time.
         """
         check_node(self.n, failed)
-        counts = {j: 0 for j in range(self.n) if j != failed}
+        lay = self._siblings
+        vectors = {u: [None] * (self.lspec[u].R * u) for u in lay.order}
+        if failed not in lay.repairs:
+            # per helper j: the columns, and the positions (per size), of
+            # j's symbols in the layers holding both j and the failed node
+            lay.repairs[failed] = reads = []
+            for j in (j for j in range(self.n) if j != failed):
+                parts = [(u, array("i", (p for p in self.lspec[u].at[j]
+                                         if failed in self.lspec[u].layers[p // u])))
+                         for u in lay.order]
+                cols = array("i", (self.offsets[cid] + self.lspec[u].slot[p]
+                                   for u, pos in parts for p in pos for cid in lay.order[u]))
+                reads.append((j, cols, parts))
+        counts = {}
+        for j, cols, parts in lay.repairs[failed]:
+            self._put(self.F.check_symbols(getter(cols)(nodes[j]), f"node {j}"),
+                      parts, vectors)
+            counts[j] = len(cols)
         holding = {c: [p // c for p in spec.at[failed]] for c, spec in self.lspec.items()}
         injected: Dict[int, List[int]] = {}
-        column: List[int] = []
-        for cid, u in enumerate(self.sizes):
-            spec = self.lspec[u]
-            w = repair_layers(spec, nodes, failed, self.offsets[cid], counts)
-            self._replay(cid, w, (spec.at[failed], (), holding, None), None, injected)
-            column.extend(w[p] for p in spec.at[failed])
-        return column, counts
+        for u, w in vectors.items():
+            self._replay(u, w, (self.lspec[u].at[failed], (), holding, None), None, injected)
+        return self._column(vectors, failed), counts
 
 
 def build_concat(n: int, v: int, k: int, q: int,

@@ -16,11 +16,17 @@ element, so every operation, sub included, is one lookup and none
 loops over digits.  The linear algebra in ``matrix`` and the codes is
 written on the field's vector operations (``dot``, ``sub_mul``,
 ``scale``, ``sum``).
+
+Region operations (``FieldSpec.regions``, as in Jerasure) apply one row
+to B vectors at once: a region packs B elements into the W-bit slots
+of one int, so ``sum(map(mul, row, regions))`` is B dot products, and
+``bytes.translate`` reduces every slot mod p at once.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import repeat
 from operator import mul as _int_mul
 from typing import Iterable, List, Optional, Sequence
 
@@ -164,6 +170,69 @@ def _table_kernel(add: Table, sub: Table, mul: Table):
     return dot, sub_mul, scale, total
 
 
+class Regions:
+    """Arithmetic on regions: B elements of GF(q) per int, slot b at bits
+    [b*W, (b+1)*W); one slot is the element itself.  dot(row, regions)
+    and sum(regions) reduce every slot, so equal regions hold equal
+    elements; pack makes regions of B values each and unpack lists
+    their values.  W is derived from q and ``longest``, the most terms
+    a dot or sum is given: a prime's slots hold longest*(p-1)^2 unless
+    that takes n bytes with n*(p-1) > 255; then, and for m > 1, a slot
+    holds one element and an operation loops over the slots.
+    """
+
+    def __init__(self, F: "FieldSpec", B: int, longest: int):
+        p, q = F.p, F.q
+        nb = ((longest * (q - 1) ** 2).bit_length() + 7) // 8
+        packed = F.m == 1 and nb * (p - 1) < 256
+        nb = nb if packed else ((q - 1).bit_length() + 7) // 8
+        self.p, self.B, size = p, B, B * nb
+        self.top = q if B == 1 else 256 ** size  # a region is an int in [0, top)
+        if B == 1:
+            self.pack, self.unpack = (lambda xs: xs), list
+            self.dot, self.sum, self.check = F.dot, F.sum, F.check
+            return
+        if q <= 256:  # an element is the low byte of its slot
+            def as_bytes(xs: Sequence[int]) -> bytes:
+                b = bytearray(len(xs) * nb)
+                b[::nb] = bytes(xs)
+                return b
+
+            values = lambda b: list(b[::nb])
+        else:
+            as_bytes = lambda xs: b"".join(x.to_bytes(nb, "little") for x in xs)
+            values = lambda b: [int.from_bytes(b[i:i + nb], "little")
+                                for i in range(0, len(b), nb)]
+        self.pack = lambda xs: [int.from_bytes(b[i:i + size], "little")
+                                for b in [as_bytes(xs)] for i in range(0, len(b), size)]
+        self.unpack = lambda regions: values(b"".join(
+            map(int.to_bytes, regions, repeat(size), repeat("little"))))
+        if not packed:
+            cols = lambda regions: [xs[b::B] for xs in [self.unpack(regions)] for b in range(B)]
+            self.dot = lambda row, regions: self.pack([F.dot(row, c) for c in cols(regions)])[0]
+            self.sum = lambda regions: self.pack(list(map(F.sum, cols(regions))))[0]
+            return
+        # T[j][x] = (x << 8j) mod p reduces byte j of every slot (mask M);
+        # the sum of the residues, under n*p, is reduced once more
+        T = [bytes((x << 8 * j) % p for x in range(256)) for j in range(nb)]
+        M = int.from_bytes(b"\xff".ljust(nb, b"\0") * B, "little")
+
+        def reduce(x: int) -> int:
+            acc = int.from_bytes((x & M).to_bytes(size, "little").translate(T[0]), "little")
+            for j in range(1, nb):
+                acc += int.from_bytes((x >> 8 * j & M).to_bytes(size, "little")
+                                      .translate(T[j]), "little")
+            return int.from_bytes(acc.to_bytes(size, "little").translate(T[0]), "little")
+
+        self.dot = lambda row, regions: reduce(sum(map(_int_mul, row, regions)))
+        self.sum = lambda regions: reduce(sum(regions))
+
+    def check(self, x) -> int:
+        if type(x) is not int or not 0 <= x < self.top:
+            raise ValueError(f"{x!r} is not a region of {self.B} symbols")
+        return x
+
+
 class FieldSpec:
     """Arithmetic over GF(q), q = p^m.
 
@@ -209,6 +278,13 @@ class FieldSpec:
             self._build_tables()
             kernel = _table_kernel(self._add, self._sub, self._mul)
         self.dot, self.sub_mul, self.scale, self.sum = kernel
+        self._regions: dict = {}
+
+    def regions(self, B: int, longest: int = 1) -> Regions:
+        """Regions of B slots for rows of at most ``longest`` terms, built once."""
+        if (B, longest) not in self._regions:
+            self._regions[B, longest] = Regions(self, B, longest)
+        return self._regions[B, longest]
 
     def _smallest_irreducible(self) -> List[int]:
         p, m = self.p, self.m
@@ -263,6 +339,14 @@ class FieldSpec:
         if not isinstance(a, int) or not 0 <= a < self.q:
             raise ValueError(f"{a!r} is not an element of GF({self.q})")
         return a
+
+    def check_symbols(self, xs, where: str):
+        """xs, or ValueError naming ``where`` unless it is a list or tuple of
+        ints (not bools) in [0, q); checked in bulk."""
+        if not isinstance(xs, (list, tuple)) or xs and not (
+                set(map(type, xs)) == {int} and 0 <= min(xs) and max(xs) < self.q):
+            raise ValueError(f"{where} holds a symbol outside GF({self.q})")
+        return xs
 
     def add(self, a: int, b: int) -> int:
         if self.m == 1:

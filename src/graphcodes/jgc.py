@@ -32,7 +32,7 @@ from graphcodes.combinat import (
     shell_index,
     sign_of,
 )
-from graphcodes.field import FieldSpec, field_make
+from graphcodes.field import FieldSpec, Regions, field_make
 from graphcodes.matrix import (
     Mat,
     all_minors,
@@ -428,35 +428,45 @@ def decode_plan(code: JGCSpec, A: Sequence[int]) -> DecodePlan:
     return plan
 
 
+def getter(pos: Sequence[int]):
+    """itemgetter(*pos), but returning a tuple for any number of positions."""
+    if len(pos) == 1:
+        return lambda x, i=pos[0]: (x[i],)
+    return itemgetter(*pos) if pos else lambda x: ()
+
+
 def _sparse_dual_rows(code: JGCSpec) -> list:
-    """Each aligned dual row as (gather, coefficients) over its nonzero
-    positions, so that F.dot(coefficients, gather(vec)) is the row's
-    product with vec; built once, next to the aligned rows."""
+    """Each aligned dual row as (gather, coefficients, [1] + -coefficients)
+    over its nonzero positions, so that F.dot(coefficients, gather(vec))
+    is the row's product with vec and F.dot(the third, (s,) + gather(vec))
+    is s minus it; built once, next to the aligned rows."""
     if code._sparse is None:
-        code._sparse = []
-        for h in aligned_dual_rows(code):
-            pos = [i for i, x in enumerate(h) if x]
-            # itemgetter of one position returns the value, not a tuple
-            gather = itemgetter(*pos) if len(pos) > 1 else lambda x, i=pos[0]: (x[i],)
-            code._sparse.append((gather, [h[i] for i in pos]))
+        F = code.F
+        code._sparse = [(getter(pos), row, [1] + F.scale(F.neg(1), row))
+                        for h in aligned_dual_rows(code)
+                        for pos in [[i for i, x in enumerate(h) if x]]
+                        for row in [[h[i] for i in pos]]]
     return code._sparse
 
 
-def syndrome_of(code: JGCSpec, vec: Sequence[int]) -> List[int]:
+def syndrome_of(code: JGCSpec, vec: Sequence[int],
+                regions: Optional[Regions] = None) -> List[int]:
     """Products of the aligned dual generator rows with a full vector.
 
     This is the syndrome convention used by erasure_decode: entry i is
     the inner product of row i of ``dual(code)`` (re-indexed by the
     code's vertex order, aligned_dual_rows) with the vector, taken over
-    the row's nonzeros only.
+    the row's nonzeros only.  With ``regions`` (code.F.regions(B, ...))
+    the vector holds B-slot regions and so does the syndrome.
     """
-    dot = code.F.dot
-    return [dot(coefs, gather(vec)) for gather, coefs in _sparse_dual_rows(code)]
+    dot = (regions or code.F).dot
+    return [dot(coefs, gather(vec)) for gather, coefs, _ in _sparse_dual_rows(code)]
 
 
 def erasure_decode(code: JGCSpec, A: Sequence[int],
                    word: Sequence[Optional[int]],
-                   syndrome: Optional[Sequence[int]] = None) -> List[int]:
+                   syndrome: Optional[Sequence[int]] = None,
+                   regions: Optional[Regions] = None) -> List[int]:
     """Complete a vector from its values on the information set B_r(A).
 
     ``word`` is indexed like ``code.vertices``; only its B_r(A)
@@ -468,10 +478,13 @@ def erasure_decode(code: JGCSpec, A: Sequence[int],
     outside the ball are an information set of the dual code, so they
     are filled by the inverse the anchor's plan keeps (decode_plan); the
     completed vector, indexed like ``code.vertices``, is checked against
-    the syndrome on every nonzero of the dual rows.
+    the syndrome on every nonzero of the dual rows.  With ``regions``
+    (code.F.regions(B, longest), longest > code.length) the word and the
+    syndrome hold B-slot regions, B words decoded at once and checked
+    slot by slot; a position is known or None in every slot together.
     """
     A = layer(A)
-    F = code.F
+    K = regions or code.F.regions(1)
     H = _sparse_dual_rows(code)
     if syndrome is None:
         syndrome = [0] * len(H)
@@ -484,35 +497,35 @@ def erasure_decode(code: JGCSpec, A: Sequence[int],
     w = list(word)
     for i in plan.out:
         w[i] = 0
-    # ints and bools in [0, q) pass in bulk; else the first bad one raises
+    # ints and bools in [0, top) pass in bulk; else the first bad one raises
     if not ({int, bool}.issuperset(map(type, w)) and 0 <= min(w)
-            and max(w) < F.q):
+            and max(w) < K.top):
         for i in plan.ball:
             if w[i] is None:
                 raise ValueError(f"missing known coordinate at {code.vertices[i]}")
-            F.check(w[i])
+            K.check(w[i])
     if not plan.infoset:
         raise ValueError(f"{A} is not an information set of the base code")
-    w = _dense_complete(code, plan, H, syndrome, w)
+    w = _dense_complete(code, plan, H, syndrome, w, K)
 
-    for (gather, coefs), s in zip(H, syndrome):
-        if F.dot(coefs, gather(w)) != s:
+    for (gather, coefs, _), s in zip(H, syndrome):
+        if K.dot(coefs, gather(w)) != s:
             raise ValueError("stored values are inconsistent with the syndrome")
     return w
 
 
 def _dense_complete(code: JGCSpec, plan: DecodePlan, H: list,
-                    syndrome: Sequence[int], w: List[int]) -> List[int]:
+                    syndrome: Sequence[int], w: List[int], K: Regions) -> List[int]:
     """Set w (indexed like code.vertices: ball values, 0 elsewhere) at
     plan.out to x = E (syndrome - H w), E being the inverse the anchor's
-    plan keeps (decode_plan); raises when the plan has none."""
-    F = code.F
+    plan keeps (decode_plan), in the region arithmetic K; raises when
+    the plan has none."""
     E = plan.inverse
     if E is None:
         raise ValueError("erasure pattern is not recoverable")
-    rhs = [F.sub(s, F.dot(coefs, gather(w))) for (gather, coefs), s in zip(H, syndrome)]
+    rhs = [K.dot(minus, (s,) + gather(w)) for (gather, _, minus), s in zip(H, syndrome)]
     for i, erow in zip(plan.out, E):
-        w[i] = F.dot(erow, rhs)
+        w[i] = K.dot(erow, rhs)
     return w
 
 

@@ -14,10 +14,8 @@ places the data at spec.data and fills each layer's last position with
 fill_layers, the layer-check fill that collect and repair use.  Node
 arrays keep their byte layout (node i stores its symbols in lex order
 of the layers containing i); node_arrays scatters a vector into them.
-Every component of a concatenated code (one vector at a column offset),
-the pure layered code's one included, is read by read_layers for a
-collect and by repair_layers for a repair; both read node arrays only
-by index, and the code's replay then completes the vector.
+The codes in ``concat`` read and complete the vectors of all their
+components, the pure layered code's one included, a size at a time.
 """
 
 from __future__ import annotations
@@ -149,15 +147,20 @@ def fill_layers(F: FieldSpec, w: List[Optional[int]], v: int,
 
     Position t lies in layer l = t // v, the slice w[l*v:(l+1)*v], which
     sums to injected[l] (0 when injected is None).  Every other symbol
-    of that layer must be known: another None raises ValueError.
+    of that layer must be known: another None raises ValueError.  F is
+    the field, or the region arithmetic (FieldSpec.regions) of a vector
+    of regions.  The target is one dot product: injected[l] with
+    coefficient 1 in its place, the others with -1, which is p-1 in
+    every field's encoding.
     """
+    rows = [[1 if i == k else F.p - 1 for i in range(v)] for k in range(v)]
     for t in targets:
-        l = t // v
+        l, k = divmod(t, v)
         seg = w[l * v:(l + 1) * v]
-        del seg[t - l * v]
+        seg[k] = injected[l] if injected else 0
         if None in seg:
             raise ValueError(f"layer {l} has {seg.count(None) + 1} unknown symbols")
-        w[t] = F.sub(injected[l] if injected else 0, F.sum(seg))
+        w[t] = F.dot(rows[k], seg)
 
 
 def read_layers(spec: LayeredSpec, nodes: Sequence[Sequence[int]],
@@ -173,23 +176,6 @@ def read_layers(spec: LayeredSpec, nodes: Sequence[Sequence[int]],
         row = nodes[i]
         for s, p in enumerate(spec.at[i]):
             w[p] = row[off + s]
-    return w
-
-
-def repair_layers(spec: LayeredSpec, nodes: Sequence[Sequence[int]],
-                  failed: int, off: int, counts: Dict[int, int]) -> List[Optional[int]]:
-    """Layer-major vector of the other nodes' symbols in the layers
-    containing the failed node (beta per helper, read from columns
-    off .. off+alpha-1 and added to counts); every other position,
-    the failed node's included, is None.
-    """
-    v, slot = spec.v, spec.slot
-    w: List[Optional[int]] = [None] * (spec.R * v)
-    for l in (p // v for p in spec.at[failed]):
-        for p, j in enumerate(spec.layers[l], start=l * v):
-            if j != failed:
-                w[p] = nodes[j][off + slot[p]]
-                counts[j] += 1
     return w
 
 

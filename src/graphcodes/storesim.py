@@ -198,13 +198,6 @@ def save_state(state: StorageState, path: str) -> None:
             pass
 
 
-def _symbols(xs, q: int, name: str) -> List[int]:
-    """xs, or ValueError naming the file unless it lists ints in [0, q)."""
-    if not isinstance(xs, list) or any(type(x) is not int or not 0 <= x < q for x in xs):
-        raise ValueError(f"{name} holds a symbol outside GF({q})")
-    return xs
-
-
 def load_state(path: str) -> StorageState:
     with open(os.path.join(path, "manifest.json")) as fh:
         manifest = json.load(fh)
@@ -223,10 +216,12 @@ def load_state(path: str) -> StorageState:
         if digest != _required(digests, name, "manifest digests"):
             raise ValueError(f"digest mismatch for {name}")
         nodes.append(_unpack(data, width))
-    blob = _symbols(_required(manifest, "blob"), code.F.q, "manifest.json")
+    blob = code.F.check_symbols(_required(manifest, "blob"), "manifest.json")
+    if len(blob) != code.M:
+        raise ValueError(f"manifest.json holds {len(blob)} blob symbols, expected {code.M}")
     state = StorageState(code, blob, nodes)
     for name, row in zip(files, nodes):
-        _symbols(row, code.F.q, name)
+        code.F.check_symbols(row, name)
     if (hashlib.sha256(_pack(blob, width)).hexdigest()
             != _required(manifest, "blob_digest")):
         raise ValueError("digest mismatch for the manifest blob")

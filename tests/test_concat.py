@@ -20,6 +20,7 @@ from graphcodes.concat import (
     series_multiplicities,
     subgraph_code_table,
 )
+from graphcodes.jgc import _sparse_dual_rows
 
 
 def test_series_multiplicities():
@@ -195,6 +196,34 @@ def test_wrong_blob_length_rejected():
     code = build_concat(5, 4, 3, 5)
     with pytest.raises(ValueError):
         code.encode([0] * (code.M + 1))
+
+
+# the shapes run end to end by the tests, the golden files and the benchmark
+END_TO_END_SHAPES = [(5, 4, 3, 5), (6, 4, 3, 7), (6, 4, 3, 8), (6, 4, 3, 9),
+                     (6, 5, 4, 7), (8, 5, 4, 11), (8, 6, 5, 11), (9, 7, 6, 11),
+                     (10, 6, 5, 11)]
+
+
+@pytest.mark.parametrize("shape", END_TO_END_SHAPES, ids=lambda s: "-".join(map(str, s)))
+def test_dependents_are_smaller_and_later(shape):
+    # recovering a size's components together needs every parent done
+    # first: each dependent is smaller than its parent and has a higher id
+    code = build_concat(*shape)
+    for cid, rounds in code.rounds.items():
+        for dep in (dep for rd in rounds for dep in rd.deps):
+            assert code.sizes[dep] < code.sizes[cid] and dep > cid
+
+
+@pytest.mark.parametrize("shape", END_TO_END_SHAPES, ids=lambda s: "-".join(map(str, s)))
+def test_region_slots_hold_every_row(shape):
+    # a slot carries into the next one unless every row a region op is
+    # given, a decode's right-hand side (a dual row plus the syndrome)
+    # included, has at most the terms the slot width was derived for
+    code = build_concat(*shape)
+    codes = [rd.code for rds in code.rounds.values() for rd in rds]
+    codes += [c for c in code.precode.values() if c]
+    rows = [len(minus) for c in codes for _, _, minus in _sparse_dual_rows(c)]
+    assert max(rows + [code.v]) <= code._siblings.longest
 
 
 def test_lift_lists_shared_per_helper_code():

@@ -30,6 +30,8 @@ CONCAT = {
     (6, 4, 3, 8): "8bf349d29c4da85b b04acc6fdc843227",
     (6, 4, 3, 9): "5a7323fcb5030bd6 81f44d8196f1ab77",
     (8, 5, 4, 11): "386c4025b1575b82 9adcfdd4b0686d71",
+    (8, 6, 5, 11): "63273756e5ac72ec 0f9a80defa1a41bb",
+    (9, 7, 6, 11): "8cc8d693f88e127c 993e620a4b63a7b4",
 }
 
 LAYERED = {

@@ -299,8 +299,8 @@ def test_erasure_decode_wrong_row_fails_syndrome_check(monkeypatch):
     _, known = _codeword_and_ball(code, A, 12)
     real = jgc._dense_complete
 
-    def corrupting(code_, plan, H, syndrome, w):
-        out = real(code_, plan, H, syndrome, w)
+    def corrupting(code_, plan, H, syndrome, w, K):
+        out = real(code_, plan, H, syndrome, w, K)
         i = plan.out[0]
         out[i] = code_.F.add(out[i], 1)
         return out

@@ -160,11 +160,12 @@ def test_warm_decode_plan_matches_fresh_code(code_anchor, data):
 _WARM = {}
 
 # every shape runs: GF(8) and GF(9) reach both table kernels, GF(5),
-# GF(7) and GF(11) the prime one, and the pure layered codes are the
+# GF(7) and GF(11) the prime one, (8,6,5,11) and (9,7,6,11) keep some
+# sizes' siblings at gapped offsets, and the pure layered codes are the
 # one-component case of the same replay
 WARM_SHAPES = [(build_concat, shape) for shape in
                [(5, 4, 3, 5), (6, 4, 3, 7), (6, 4, 3, 8), (6, 4, 3, 9),
-                (8, 5, 4, 11)]] + [
+                (8, 5, 4, 11), (8, 6, 5, 11), (9, 7, 6, 11)]] + [
     (LayeredCode, shape) for shape in [(5, 2, 7), (6, 3, 11), (7, 1, 11)]]
 
 
@@ -444,6 +445,52 @@ def test_vector_ops_match_reference(args):
     assert F.sub_mul(x, f, y) == [R.sub(a, R.mul(f, b)) for a, b in zip(x, y)]
     assert F.scale(f, x) == [R.mul(f, a) for a in x]
     assert F.sum(x) == R.dot(x, [1] * len(x))
+
+
+REGION_FIELDS = [5, 7, 8, 9, 11, 13]
+
+
+@st.composite
+def region_rows(draw):
+    # (q, B, longest, row, vectors): n <= longest vectors of B elements
+    q = draw(st.sampled_from(REGION_FIELDS))
+    B = draw(st.sampled_from([1, 2, 115]))
+    longest = draw(st.integers(min_value=1, max_value=40))
+    n = draw(st.integers(min_value=0, max_value=longest))
+    row = draw(st.lists(kernel_elements(q), min_size=n, max_size=n))
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32)))
+    high = draw(st.sampled_from([q, 1]))  # 1: every element q-1
+    return q, B, longest, row, [[q - rng.randrange(high) - 1 for _ in range(B)]
+                                for _ in range(n)]
+
+
+def _worst(q, B, longest=210):
+    # every entry q-1 in a row as long as the longest a region op is
+    # given (210 terms: the (10,6,5,11) precode of size 4)
+    return q, B, longest, [q - 1] * longest, [[q - 1] * B] * longest
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(region_rows())
+@example(_worst(11, 115))
+@example(_worst(13, 115))
+@example(_worst(5, 2))
+@example(_worst(7, 1))
+@example(_worst(8, 115))
+@example(_worst(9, 2))
+@example(_worst(13, 2, longest=1))
+def test_region_ops_match_reference(args):
+    # each slot of a region op equals the scalar reference on that slot
+    q, B, longest, row, vectors = args
+    F, R = field_make(q), RefField(q)
+    K = F.regions(B, longest)
+    flat = [x for vec in vectors for x in vec]
+    regions = K.pack(flat)
+    assert len(regions) == len(vectors) and K.unpack(regions) == flat
+    assert all(0 <= r < K.top for r in regions)
+    slots = [[vec[b] for vec in vectors] for b in range(B)]
+    assert K.unpack([K.dot(row, regions)]) == [R.dot(row, col) for col in slots]
+    assert K.unpack([K.sum(regions)]) == [R.dot([1] * len(col), col) for col in slots]
 
 
 @settings(max_examples=200, derandomize=True, deadline=None)

@@ -339,3 +339,59 @@ def test_load_rejects_unexpected_node_files(tmp_path):
     _edit_manifest(path, lambda doc: doc.pop("node_files"))
     with pytest.raises(ValueError, match="node_files"):
         load_state(path)
+
+
+@pytest.mark.parametrize("bad", ["q", "-1", "None"])
+@pytest.mark.parametrize("code_name", ["concat", "layered"])
+def test_reads_reject_symbols_outside_the_field(code_name, bad):
+    # a symbol read from a node is checked before it is used: a collect
+    # from A holding node 0 rejects a bad value at any offset of node 0,
+    # and a repair of node 1 rejects it exactly at the beta offsets it
+    # reads from helper 0, and returns the right column at the others
+    code = build_concat(6, 4, 3, 7) if code_name == "concat" else LayeredCode(6, 3, 11)
+    value = {"q": code.F.q, "-1": -1, "None": None}[bad]
+    blob = _seeded_blob(code)
+    nodes = code.encode(blob)
+    A = tuple(range(code.k))
+    rejected = 0
+    for s in range(code.alpha):
+        damaged = [list(row) for row in nodes]
+        damaged[0][s] = value
+        with pytest.raises(ValueError, match="node 0 holds a symbol outside GF"):
+            code.collect(damaged, A)
+        try:
+            column, _ = code.repair(damaged, 1)
+        except ValueError as exc:
+            assert "node 0 holds a symbol outside GF" in str(exc)
+            rejected += 1
+        else:
+            assert column == nodes[1]
+    assert rejected == code.beta
+
+
+def test_load_rejects_a_blob_of_the_wrong_length(tmp_path):
+    # a blob cut short, with a digest that matches it, would load and
+    # then disagree with what a collect returns
+    code = LayeredCode(6, 3, 11)
+    state = ingest(code, _seeded_blob(code))
+    path = str(tmp_path / "store")
+    save_state(state, path)
+    width = storesim._symbol_bytes(11)
+
+    def cut(doc):
+        doc["blob"] = doc["blob"][:-1]
+        doc["blob_digest"] = hashlib.sha256(storesim._pack(doc["blob"], width)).hexdigest()
+
+    _edit_manifest(path, cut)
+    with pytest.raises(ValueError, match=r"manifest.json holds 39 blob symbols, expected 40"):
+        load_state(path)
+
+
+def test_ingest_rejects_a_bool_symbol():
+    # reads and loads take only ints as symbols, so a write does too:
+    # otherwise the stored state could not be collected back
+    code = LayeredCode(5, 2, 7)
+    blob = _seeded_blob(code)
+    blob[0] = True
+    with pytest.raises(ValueError, match="payload holds a symbol outside GF"):
+        ingest(code, blob)
