@@ -93,7 +93,6 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--v", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--q", type=int, required=True)
-    p.add_argument("--scenario")
     _common(p)
 
     p = sub.add_parser("repair", help="repair every node, one at a time")
@@ -101,7 +100,6 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--v", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--q", type=int, required=True)
-    p.add_argument("--scenario")
     _common(p)
 
     p = sub.add_parser("subres-check",
@@ -114,8 +112,8 @@ def _parser() -> argparse.ArgumentParser:
 
 def _build_code(args):
     if args.v == args.k + 1:
-        return build_concat(args.n, args.v, args.k, args.q, args.scenario)
-    if args.k == args.n - 1 and args.scenario is None:
+        return build_concat(args.n, args.v, args.k, args.q)
+    if args.k == args.n - 1:
         return LayeredCode(args.n, args.v, args.q)
     raise ValueError(
         "simulation needs v = k+1 (concatenated) or k = n-1 (pure layered)")

@@ -164,12 +164,6 @@ def parse_scenario(text: str) -> Tuple[int, ...]:
     return ws
 
 
-def cascade_scenario(n: int, v: int, k: int) -> str:
-    """The scenario that transfers data only between layers in the same
-    census column: round r helps from sublayers of size v-1-r."""
-    return "-".join(str(v - 1 - r) for r in range(1, _num_rounds(n, v, k) + 1))
-
-
 def _num_rounds(n: int, v: int, k: int) -> int:
     rounds = 0
     for j in range(1, k + 1):
@@ -261,9 +255,6 @@ class ScenarioLayout:
     def name(self) -> str:
         return "-".join(str(w) for w in self.ws)
 
-    def is_cascade(self) -> bool:
-        return all(w == self.v - 1 - r for r, w in enumerate(self.ws, start=1))
-
 
 def admissible_scenarios(n: int, v: int, k: int) -> List[Tuple[int, ...]]:
     """Nonincreasing sublayer sizes with positive multiplicities."""
@@ -318,14 +309,13 @@ class _Round:
 class ConcatCode:
     """A concatenated layered code ready for encoding and recovery.
 
-    End-to-end encode/collect/repair supports the cascade scenario
-    (helper data moves only between layers in the same census column)
-    with a single top copy; other scenarios still get the full layout
-    and parameter accounting through ScenarioLayout.
+    The code is the cascade: round r helps from sublayers of size
+    v-1-r, so helper data moves only between layers in the same census
+    column, and there is one top copy.  ScenarioLayout tabulates the
+    other scenarios; no code is built for them.
     """
 
-    def __init__(self, n: int, v: int, k: int, q: int,
-                 scenario: Optional[str] = None):
+    def __init__(self, n: int, v: int, k: int, q: int):
         if v != k + 1:
             raise ValueError(f"need v = k+1, got v={v}, k={k}")
         if q < n:
@@ -338,16 +328,9 @@ class ConcatCode:
         self.F = field_make(q)
         self.n, self.v, self.k = n, v, k
         self.ell = n - 1 - k
-        if scenario is None:
-            scenario = cascade_scenario(n, v, k)
-        self.ws = parse_scenario(scenario) if scenario else ()
+        self.ws = tuple(v - 1 - r for r in range(1, _num_rounds(n, v, k) + 1))
         self.layout = ScenarioLayout(n, v, k, self.ws)
         self.beta = self.layout.beta
-        if not self.layout.is_cascade() or self.layout.scale != 1:
-            raise ValueError(
-                f"end-to-end coding implements cascade scenarios only; "
-                f"{self.layout.name!r} has no column-local labeling"
-            )
         self.lspec = {u: LayeredSpec(self.F, n, u) for u in range(1, v + 1)}
         self._codes: Dict[Tuple[int, int, int, int], JGCSpec] = {}
         # _lift's and _schedule's caches, filled on first use
@@ -639,16 +622,10 @@ class ConcatCode:
         what a collect at A0 does without reading: the precode words,
         every layer check, and syndromes handed down at every sublayer.
         """
-        F = self.F
         if len(payload) != self.M:
             raise ValueError(f"expected {self.M} payload symbols, "
                              f"got {len(payload)}")
-        try:  # the rule reads and loads apply, bools rejected
-            F.check_symbols(list(payload), "payload")
-        except ValueError:
-            for x in payload:
-                F.check(x)  # names a value outside [0, q)
-            raise
+        self.F.check_symbols(list(payload), "payload")
         lay = self._siblings
         vectors = {u: [None] * (self.lspec[u].R * u) for u in lay.order}
         injected: Dict[int, List[int]] = {}
@@ -732,7 +709,6 @@ class ConcatCode:
         return self._column(vectors, failed), counts
 
 
-def build_concat(n: int, v: int, k: int, q: int,
-                 scenario: Optional[str] = None) -> ConcatCode:
-    """Cascade-scenario concatenated code over GF(q), v = k+1."""
-    return ConcatCode(n, v, k, q, scenario=scenario)
+def build_concat(n: int, v: int, k: int, q: int) -> ConcatCode:
+    """The cascade concatenated code over GF(q), v = k+1 (ConcatCode)."""
+    return ConcatCode(n, v, k, q)

@@ -190,7 +190,7 @@ class Regions:
         self.top = q if B == 1 else 256 ** size  # a region is an int in [0, top)
         if B == 1:
             self.pack, self.unpack = (lambda xs: xs), list
-            self.dot, self.sum, self.check = F.dot, F.sum, F.check
+            self.dot, self.sum = F.dot, F.sum
             return
         if q <= 256:  # an element is the low byte of its slot
             def as_bytes(xs: Sequence[int]) -> bytes:
@@ -226,11 +226,6 @@ class Regions:
 
         self.dot = lambda row, regions: reduce(sum(map(_int_mul, row, regions)))
         self.sum = lambda regions: reduce(sum(regions))
-
-    def check(self, x) -> int:
-        if type(x) is not int or not 0 <= x < self.top:
-            raise ValueError(f"{x!r} is not a region of {self.B} symbols")
-        return x
 
 
 class FieldSpec:
@@ -335,17 +330,19 @@ class FieldSpec:
                 return powers
         raise AssertionError(f"GF({self.q}) has no primitive element")
 
-    def check(self, a: int) -> int:
-        if not isinstance(a, int) or not 0 <= a < self.q:
-            raise ValueError(f"{a!r} is not an element of GF({self.q})")
-        return a
-
-    def check_symbols(self, xs, where: str):
-        """xs, or ValueError naming ``where`` unless it is a list or tuple of
-        ints (not bools) in [0, q); checked in bulk."""
-        if not isinstance(xs, (list, tuple)) or xs and not (
-                set(map(type, xs)) == {int} and 0 <= min(xs) and max(xs) < self.q):
+    def check_symbols(self, xs, where: str, top: Optional[int] = None):
+        """xs, or ValueError naming ``where`` and its first bad entry
+        unless it is a list or tuple of ints (not bools) in [0, top): top
+        is q for symbols, Regions.top for region words.  Checked in bulk;
+        only a failure looks at the entries one by one."""
+        top = top or self.q
+        if not isinstance(xs, (list, tuple)):
             raise ValueError(f"{where} holds a symbol outside GF({self.q})")
+        if xs and not (set(map(type, xs)) == {int} and 0 <= min(xs) and max(xs) < top):
+            x = next(x for x in xs if type(x) is not int or not 0 <= x < top)
+            what = f"an element of GF({self.q})" if top == self.q else "a region"
+            raise ValueError(f"{where} holds a symbol outside GF({self.q}): "
+                             f"{x!r} is not {what}")
         return xs
 
     def add(self, a: int, b: int) -> int:

@@ -470,11 +470,11 @@ def erasure_decode(code: JGCSpec, A: Sequence[int],
     """Complete a vector from its values on the information set B_r(A).
 
     ``word`` is indexed like ``code.vertices``; only its B_r(A)
-    positions are read (each must hold an element of GF(q): None or a
-    value outside the field raises ValueError) and every other position
-    is ignored.  ``syndrome`` gives the products of the aligned dual
-    rows with the full vector (all zero for a plain codeword; nonzero
-    entries describe stored parities).  The positions
+    positions are read (each must hold an element of GF(q), an int and
+    not a bool: None or any other value raises ValueError) and every
+    other position is ignored.  ``syndrome`` gives the products of the
+    aligned dual rows with the full vector (all zero for a plain
+    codeword; nonzero entries describe stored parities).  The positions
     outside the ball are an information set of the dual code, so they
     are filled by the inverse the anchor's plan keeps (decode_plan); the
     completed vector, indexed like ``code.vertices``, is checked against
@@ -497,13 +497,13 @@ def erasure_decode(code: JGCSpec, A: Sequence[int],
     w = list(word)
     for i in plan.out:
         w[i] = 0
-    # ints and bools in [0, top) pass in bulk; else the first bad one raises
-    if not ({int, bool}.issuperset(map(type, w)) and 0 <= min(w)
-            and max(w) < K.top):
-        for i in plan.ball:
-            if w[i] is None:
-                raise ValueError(f"missing known coordinate at {code.vertices[i]}")
-            K.check(w[i])
+    try:
+        code.F.check_symbols(w, "word", K.top)
+    except ValueError:
+        if None in w:
+            raise ValueError("missing known coordinate at "
+                             f"{code.vertices[w.index(None)]}") from None
+        raise
     if not plan.infoset:
         raise ValueError(f"{A} is not an information set of the base code")
     w = _dense_complete(code, plan, H, syndrome, w, K)

@@ -73,17 +73,9 @@ def collect(state: StorageState, A: Sequence[int]) -> List[int]:
     return blob
 
 
-def repair_node(state: StorageState, failed: int,
-                helpers: Optional[Sequence[int]] = None) -> StorageState:
-    """New state with the failed node rebuilt from the other n-1 nodes.
-
-    Only single failures are supported; helpers, if given, must be all
-    remaining nodes (the codes are defined with d = n-1).
-    """
-    n = state.code.n
-    expected = [j for j in range(n) if j != failed]
-    if helpers is not None and sorted(helpers) != expected:
-        raise ValueError("repair requires helper data from all other nodes")
+def repair_node(state: StorageState, failed: int) -> StorageState:
+    """New state with the failed node rebuilt from the other n-1 nodes
+    (the codes are defined with d = n-1); single failures only."""
     column, counts = state.code.repair(state.nodes, failed)
     nodes = [list(row) for row in state.nodes]
     nodes[failed] = column
@@ -129,7 +121,10 @@ def code_from_manifest(doc: Dict):
     if family == "concat":
         n, v, k, q, scenario = (_required(doc, key, "code description")
                                 for key in ("n", "v", "k", "q", "scenario"))
-        return build_concat(n, v, k, q, scenario)
+        code = build_concat(n, v, k, q)
+        if scenario != code.layout.name:
+            raise ValueError(f"scenario {scenario!r} is not the cascade {code.layout.name!r}")
+        return code
     if family == "layered":
         n, v, q = (_required(doc, key, "code description")
                    for key in ("n", "v", "q"))

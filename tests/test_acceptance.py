@@ -76,7 +76,7 @@ _cached = {}
 
 def _code_854():
     if "854" not in _cached:
-        code = build_concat(8, 5, 4, 11, "3-2-1")
+        code = build_concat(8, 5, 4, 11)
         rng = random.Random(0)
         blob = [rng.randrange(11) for _ in range(code.M)]
         _cached["854"] = ingest(code, blob)

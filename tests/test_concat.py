@@ -12,7 +12,6 @@ from graphcodes.concat import (
     admissible_scenarios,
     balance_table,
     build_concat,
-    cascade_scenario,
     concat_params,
     demand_row,
     parse_scenario,
@@ -71,7 +70,6 @@ def test_subgraph_code_table_854():
 
 def test_scenario_parsing():
     assert parse_scenario("3-2-1") == (3, 2, 1)
-    assert cascade_scenario(8, 5, 4) == "3-2-1"
     with pytest.raises(ValueError):
         parse_scenario("3-x-1")
     with pytest.raises(ValueError):
@@ -102,8 +100,9 @@ def test_scenario_layouts_854():
 
 
 def test_cascade_counts_match_series():
-    lay = ScenarioLayout(8, 5, 4, (3, 2, 1))
-    assert lay.is_cascade()
+    # the one scenario a code is built for: round r from size v-1-r
+    lay = build_concat(8, 5, 4, 11).layout
+    assert lay.name == "3-2-1"
     assert lay.scale == 1
     assert lay.counts == concat_params(8, 5, 4).counts
 
@@ -117,11 +116,6 @@ def test_small_layer_size_rejected():
     # layers disjoint from the accessed nodes cannot be completed
     with pytest.raises(ValueError):
         build_concat(7, 3, 2, 11)
-
-
-def test_non_cascade_end_to_end_rejected():
-    with pytest.raises(ValueError):
-        build_concat(8, 5, 4, 11, "3-1-1")
 
 
 def test_field_too_small_rejected():

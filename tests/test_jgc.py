@@ -200,9 +200,8 @@ def test_erasure_decode_rejects_ball_values_outside_the_field():
 
 
 def test_erasure_decode_ball_value_rules():
-    # the ball is checked in bulk; it must accept and reject exactly what
-    # a per-value check does: None is missing, a non-element is named,
-    # and bools pass as F.check lets them
+    # the ball is checked in bulk by the one symbol rule: None is
+    # missing, and any other non-element, a bool included, is named
     code = rs_jgc(6, 3, 2, 1, 11)
     A = (1, 4)
     word, known = _codeword_and_ball(code, A, 29)
@@ -212,18 +211,23 @@ def test_erasure_decode_ball_value_rules():
                              (11, r"is not an element of GF\(11\)"),
                              (-1, r"is not an element of GF\(11\)"),
                              (3.0, r"is not an element of GF\(11\)"),
-                             ("3", r"is not an element of GF\(11\)")]:
+                             ("3", r"is not an element of GF\(11\)"),
+                             (True, r"True is not an element of GF\(11\)"),
+                             (False, r"False is not an element of GF\(11\)")]:
             damaged = list(known)
             damaged[i] = bad
             with pytest.raises(ValueError, match=message):
                 erasure_decode(code, A, damaged)
-        for flag in (True, False):
-            flagged = list(known)
-            flagged[i] = flag
-            plain = list(known)
-            plain[i] = int(flag)
-            assert erasure_decode(code, A, flagged) == erasure_decode(code, A, plain)
     assert erasure_decode(code, A, known) == word
+    # region words are held to the same rule, below Regions.top
+    K = code.F.regions(2, code.length + 1)
+    regions = K.pack([x for x in word for _ in range(2)])
+    assert K.unpack(erasure_decode(code, A, regions, None, K)) == K.unpack(regions)
+    for bad in (True, -1, K.top):
+        damaged = list(regions)
+        damaged[plan.ball[0]] = bad
+        with pytest.raises(ValueError, match=f"{bad!r} is not a region"):
+            erasure_decode(code, A, damaged, None, K)
 
 
 def test_weight_one_dual_rows_keep_exact_syndromes():
@@ -274,6 +278,17 @@ def test_erasure_decode_rejects_wrong_word_length():
         with pytest.raises(ValueError, match="word length"):
             erasure_decode(code, A, bad)
     assert erasure_decode(code, A, known) == word
+
+
+def test_erasure_decode_rejects_a_syndrome_longer_than_the_dual_dimension():
+    code = rs_jgc(6, 3, 2, 1, 11)
+    A = (1, 4)
+    word, known = _codeword_and_ball(code, A, 17)
+    syndrome = syndrome_of(code, word)
+    assert len(syndrome) == code.length - code.dim
+    with pytest.raises(ValueError, match="syndrome length must equal the dual dimension"):
+        erasure_decode(code, A, known, syndrome + [0])
+    assert erasure_decode(code, A, known, syndrome) == word
 
 
 def test_dense_complete_rejects_missing_ball_coordinate():

@@ -8,8 +8,9 @@ a statement about ranks of column blocks of G:
 - any k nodes give back the blob: G on their columns has rank M, for
   every k-subset, with M = k*alpha;
 - a failed node f is rebuilt from beta symbols per helper: the columns
-  of f lie in the span of the helpers' repair positions (the layers
-  holding both the helper and f in every component of size >= 2).
+  of f lie in the span of the helpers' repair positions, the offsets
+  ``code.repair`` actually reads from each helper (recorded by the
+  rows, not recomputed from the layout).
 
 A tampered encode must fail the first check, so the check can fail.
 """
@@ -57,18 +58,28 @@ def _node_columns(code, nodes):
     return [j * code.alpha + s for j in nodes for s in range(code.alpha)]
 
 
-def _repair_columns(code, failed, helper):
-    """Columns of helper's symbols in the layers it shares with the
-    failed node, over every component of size >= 2."""
-    cols = []
-    for u, off in zip(code.sizes, code.offsets):
-        spec = code.lspec[u]
-        if u < 2:
-            continue
-        for p in spec.at[helper]:
-            if failed in spec.layers[p // u]:
-                cols.append(helper * code.alpha + off + spec.slot[p])
-    return cols
+class ReadRow(list):
+    """A node array that records every offset read through ``row[i]``."""
+
+    def __init__(self, values, node, log):
+        super().__init__(values)
+        self.node, self.log = node, log
+
+    def __getitem__(self, i):
+        self.log.append((self.node, i))
+        return list.__getitem__(self, i)
+
+
+def _repair_reads(code, nodes, failed):
+    """{helper: the offsets code.repair reads from it} for one repair."""
+    log = []
+    column, _ = code.repair([ReadRow(row, j, log) for j, row in enumerate(nodes)], failed)
+    assert column == nodes[failed]
+    reads = {}
+    for j, i in log:
+        reads.setdefault(j, set()).add(i)
+    assert sorted(reads) == [j for j in range(code.n) if j != failed]
+    return reads
 
 
 @settings(max_examples=20, derandomize=True, deadline=None)
@@ -103,13 +114,12 @@ def test_any_k_nodes_recover_and_beta_per_helper_repairs(shape):
     for A in itertools.combinations(range(n), k):
         assert spans(_node_columns(code, A)), A
 
+    nodes = code.encode(blob)
     for f in range(n):
         helpers = []
-        for j in range(n):
-            if j != f:
-                cols = _repair_columns(code, f, j)
-                assert len(cols) == code.beta
-                helpers.extend(cols)
+        for j, offsets in _repair_reads(code, nodes, f).items():
+            assert len(offsets) == code.beta
+            helpers.extend(j * code.alpha + i for i in sorted(offsets))
         r = rank(F, take_columns(G, helpers))
         assert rank(F, take_columns(G, helpers + _node_columns(code, [f]))) == r, f
 

@@ -479,6 +479,8 @@ def _worst(q, B, longest=210):
 @example(_worst(8, 115))
 @example(_worst(9, 2))
 @example(_worst(13, 2, longest=1))
+@example(_worst(257, 2))
+@example(_worst(257, 115))
 def test_region_ops_match_reference(args):
     # each slot of a region op equals the scalar reference on that slot
     q, B, longest, row, vectors = args

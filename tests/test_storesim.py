@@ -99,13 +99,6 @@ def test_concat_collect_and_repair():
     assert set(repaired.last_repair_bandwidth.values()) == {code.layout.beta}
 
 
-def test_partial_helpers_rejected():
-    code = LayeredCode(6, 3, 11)
-    state = ingest(code, _seeded_blob(code))
-    with pytest.raises(ValueError):
-        repair_node(state, 0, helpers=[1, 2, 3])
-
-
 def test_ingest_validates_length():
     code = LayeredCode(5, 2, 7)
     with pytest.raises(ValueError):
@@ -205,9 +198,10 @@ def test_load_rejects_a_blob_entry_that_is_not_a_symbol(tmp_path):
     state = ingest(code, _seeded_blob(code))
     path = str(tmp_path / "store")
     save_state(state, path)
-    _edit_manifest(path, lambda doc: doc["blob"].__setitem__(0, "3"))
-    with pytest.raises(ValueError, match=r"manifest.json holds a symbol outside GF\(11\)"):
-        load_state(path)
+    for bad in ("3", True):  # JSON true loads as a bool, which is no symbol
+        _edit_manifest(path, lambda doc: doc["blob"].__setitem__(0, bad))
+        with pytest.raises(ValueError, match=r"manifest.json holds a symbol outside GF\(11\)"):
+            load_state(path)
 
 
 def test_load_rejects_wrong_symbol_width(tmp_path):
@@ -233,6 +227,10 @@ def test_manifest_describes_code(tmp_path):
     assert rebuilt.M == code.M
     with pytest.raises(ValueError):
         code_from_manifest({"family": "mystery"})
+    # a code is built for the cascade only, so a store naming another
+    # scenario is rejected
+    with pytest.raises(ValueError, match="'1-1' is not the cascade '2-1'"):
+        code_from_manifest(dict(doc["code"], scenario="1-1"))
 
 
 def test_node_width_checked():
@@ -341,7 +339,7 @@ def test_load_rejects_unexpected_node_files(tmp_path):
         load_state(path)
 
 
-@pytest.mark.parametrize("bad", ["q", "-1", "None"])
+@pytest.mark.parametrize("bad", ["q", "-1", "None", "True"])
 @pytest.mark.parametrize("code_name", ["concat", "layered"])
 def test_reads_reject_symbols_outside_the_field(code_name, bad):
     # a symbol read from a node is checked before it is used: a collect
@@ -349,7 +347,7 @@ def test_reads_reject_symbols_outside_the_field(code_name, bad):
     # and a repair of node 1 rejects it exactly at the beta offsets it
     # reads from helper 0, and returns the right column at the others
     code = build_concat(6, 4, 3, 7) if code_name == "concat" else LayeredCode(6, 3, 11)
-    value = {"q": code.F.q, "-1": -1, "None": None}[bad]
+    value = {"q": code.F.q, "-1": -1, "None": None, "True": True}[bad]
     blob = _seeded_blob(code)
     nodes = code.encode(blob)
     A = tuple(range(code.k))
