@@ -27,7 +27,7 @@ from graphcodes.field import field_make
 from graphcodes.jgc import certify_infosets, dual, to_json
 from graphcodes.layered import census_csv, tradeoff_points
 from graphcodes.rs import rs_jgc
-from graphcodes.storesim import LayeredCode, collect, ingest, repair_node
+from graphcodes.storesim import collect, ingest, repair_node
 from graphcodes.subres import (
     poly_deg,
     poly_gcd,
@@ -108,15 +108,6 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=200)
     _common(p)
     return parser
-
-
-def _build_code(args):
-    if args.v == args.k + 1:
-        return build_concat(args.n, args.v, args.k, args.q)
-    if args.k == args.n - 1:
-        return LayeredCode(args.n, args.v, args.q)
-    raise ValueError(
-        "simulation needs v = k+1 (concatenated) or k = n-1 (pure layered)")
 
 
 def _run_construct(args) -> int:
@@ -204,7 +195,7 @@ def _run_tradeoff(args) -> int:
 
 
 def _run_simulate(args) -> int:
-    code = _build_code(args)
+    code = build_concat(args.n, args.v, args.k, args.q)
     rng = random.Random(args.seed)
     blob = [rng.randrange(args.q) for _ in range(code.M)]
     state = ingest(code, blob)
@@ -215,7 +206,7 @@ def _run_simulate(args) -> int:
             failures.append(A)
     doc = {
         "n": code.n, "k": code.k, "q": args.q,
-        "scenario": getattr(getattr(code, "layout", None), "name", None),
+        "scenario": code.layout and code.layout.name,
         "M": code.M, "alpha": code.alpha, "beta": code.beta,
         "recovered": len(anchors) - len(failures),
         "anchors": len(anchors),
@@ -232,7 +223,7 @@ def _run_simulate(args) -> int:
 
 
 def _run_repair(args) -> int:
-    code = _build_code(args)
+    code = build_concat(args.n, args.v, args.k, args.q)
     rng = random.Random(args.seed)
     blob = [rng.randrange(args.q) for _ in range(code.M)]
     state = ingest(code, blob)

@@ -22,8 +22,10 @@ one helper code are stacked into wider regions, so a round makes one
 erasure_decode per anchor and one syndrome_of.  A collect's schedule
 is recorded once per (size, anchor A), as in Jerasure; encode runs
 the precode at the fixed anchor A0 and hands down everywhere, repair
-at the sublayers holding the failed node.  The pure layered code
-(storesim.LayeredCode) is the case of one component, nothing injected.
+at the sublayers holding the failed node.  One component rule gives
+every copy its rounds; with k = n-1 every helper code is trivial, so
+the pure layered code (storesim.LayeredCode) is the case of one
+component, nothing injected.
 """
 
 from __future__ import annotations
@@ -309,58 +311,43 @@ class _Round:
 class ConcatCode:
     """A concatenated layered code ready for encoding and recovery.
 
-    The code is the cascade: round r helps from sublayers of size
-    v-1-r, so helper data moves only between layers in the same census
-    column, and there is one top copy.  ScenarioLayout tabulates the
-    other scenarios; no code is built for them.
+    One component rule builds every code: a size-u copy gets, for
+    c = u-2 .. 1, a round of u-1-c stored vectors per size-c sublayer
+    whose syndromes under the helper code (n-c, u-c, k-c, 1) are
+    injected into size-c dependents, unless that code has codimension
+    0.  Starting from one size-v copy this gives two families:
+    - v = k+1 < n: the cascade, helper data moving only between layers
+      in the same census column; layout is its ScenarioLayout, which
+      tabulates the other scenarios too (no code is built for them).
+    - k = n-1: every helper code has codimension 0, so this is the pure
+      layered code, one component with nothing injected; layout is
+      None, and any 1 <= v <= n and field order is accepted.
     """
 
     def __init__(self, n: int, v: int, k: int, q: int):
-        if v != k + 1:
-            raise ValueError(f"need v = k+1, got v={v}, k={k}")
-        if q < n:
-            raise ValueError(f"need q >= n, got q={q}, n={n}")
-        if comb(n - k, v) > 0:
-            raise ValueError(
-                f"need v > n-k so that every layer meets the accessed "
-                f"nodes, got v={v}, n-k={n - k}"
-            )
+        if not 0 <= k < n:
+            raise ValueError(f"need 0 <= k < n, got k={k}, n={n}")
+        self.layout = None
+        if k < n - 1:
+            if v != k + 1:
+                raise ValueError(f"need v = k+1 (concatenated) or k = n-1 "
+                                 f"(pure layered), got n={n}, v={v}, k={k}")
+            if q < n:
+                raise ValueError(f"need q >= n, got q={q}, n={n}")
+            if comb(n - k, v) > 0:
+                raise ValueError(
+                    f"need v > n-k so that every layer meets the accessed "
+                    f"nodes, got v={v}, n-k={n - k}"
+                )
+            self.layout = ScenarioLayout(n, v, k, range(v - 2, v - 2 - _num_rounds(n, v, k), -1))
+        elif not 1 <= v <= n:
+            raise ValueError(f"need 1 <= v <= n, got v={v}, n={n}")
         self.F = field_make(q)
-        self.n, self.v, self.k = n, v, k
-        self.ell = n - 1 - k
-        self.ws = tuple(v - 1 - r for r in range(1, _num_rounds(n, v, k) + 1))
-        self.layout = ScenarioLayout(n, v, k, self.ws)
-        self.beta = self.layout.beta
-        self.lspec = {u: LayeredSpec(self.F, n, u) for u in range(1, v + 1)}
+        self.n, self.v, self.k, self.A0 = n, v, k, tuple(range(k))
         self._codes: Dict[Tuple[int, int, int, int], JGCSpec] = {}
         # _lift's and _schedule's caches, filled on first use
         self._lifts: Dict[Tuple[JGCSpec, Layer, int], Tuple[int, ...]] = {}
         self._schedules: Dict[Tuple[int, Layer], tuple] = {}
-
-        # precodes: the u-1 data vectors of a size-u copy are codewords
-        # of the graph code with radius u-1, so any k accessed nodes
-        # determine them; pre_pos[u] is the layer index of each precode
-        # vertex.  data[u] lists a size-u vector's payload positions in
-        # payload order: for a precode size, l*u + j for each word j and
-        # each layer l of the information set at A0
-        self.precode: Dict[int, Optional[JGCSpec]] = {}
-        self.pre_pos: Dict[int, List[int]] = {}
-        self.data: Dict[int, List[int]] = {v: self.lspec[v].data, 1: []}
-        A0 = tuple(range(k))
-        for u in range(2, v):
-            if not self.layout.counts.get(u):
-                continue
-            if _shape_codim((n, u, k, 1)) == 0:
-                # every layer meets any k-set; the data vectors are free
-                self.precode[u] = None
-                info = range(self.lspec[u].R)
-            else:
-                self.precode[u] = code = self._code(n, u, k, 1)
-                self.pre_pos[u] = pos = [self.lspec[u].index[L] for L in code.vertices]
-                B = ball(A0, code.r, n, u)
-                info = [p for L, p in zip(code.vertices, pos) if L in B]
-            self.data[u] = [l * u + j for j in range(u - 1) for l in info]
-        self.A0 = A0
 
         # sizes[cid] is component cid's layer size; a dependent of round
         # rd gets the syndrome entries rd.deps assigns it
@@ -376,14 +363,33 @@ class ConcatCode:
                     self.sizes.append(rd.c)
                     if rd.c >= 3:
                         queue.append(rd.deps[-1])
-        self.counts = {}
-        for u in self.sizes:
-            self.counts[u] = self.counts.get(u, 0) + 1
-        if self.counts != self.layout.counts:
+        if self.layout and {u: self.sizes.count(u) for u in set(self.sizes)} != self.layout.counts:
             raise AssertionError("component registry disagrees with layout")
+        self.lspec = {u: LayeredSpec(self.F, n, u) for u in set(self.sizes)}
+
+        # precodes: the u-1 data vectors of a size-u copy below the top
+        # are codewords of the graph code with radius u-1, so any k
+        # accessed nodes determine them (where the code has codimension
+        # 0, every layer meets any k-set and the vectors are free);
+        # pre_pos[u] is the layer index of each precode vertex.  data[u]
+        # lists a size-u vector's payload positions in payload order:
+        # below the top, l*u + j for each word j and each layer l of the
+        # information set at A0
+        self.precode: Dict[int, JGCSpec] = {}
+        self.pre_pos: Dict[int, List[int]] = {}
+        self.data: Dict[int, List[int]] = {}
+        for u, spec in self.lspec.items():
+            info = range(spec.R)
+            if 1 < u < v and _shape_codim((n, u, k, 1)):
+                self.precode[u] = code = self._code(n, u, k, 1)
+                self.pre_pos[u] = pos = [spec.index[L] for L in code.vertices]
+                B = ball(self.A0, code.r, n, u)
+                info = [p for L, p in zip(code.vertices, pos) if L in B]
+            self.data[u] = spec.data if u == v else [l * u + j for j in range(u - 1) for l in info]
         *self.offsets, self.alpha = itertools.accumulate(
             (comb(n - 1, u - 1) for u in self.sizes), initial=0)
-        self.M = self.layout.M
+        self.M = sum(len(self.data[u]) for u in self.sizes)
+        self.beta = sum(self.lspec[u].beta for u in self.sizes)
 
     # ----- helper code bookkeeping -----
 
@@ -397,21 +403,12 @@ class ConcatCode:
         return self._codes[key]
 
     def _component_rounds(self, u: int) -> List["_Round"]:
-        if u == self.v:
-            pairs = [(w, m) for w, m in
-                     zip(self.ws, (int(x) for x in self.layout.multiplicities))]
-        else:
-            pairs = [(c, u - 1 - c) for c in range(u - 2, 0, -1)]
         rds = []
-        for ridx, (c, m) in enumerate(pairs, start=1):
-            if u == self.v:
-                shape = self.layout.shapes[ridx - 1]
-            else:
-                shape = (self.n - c, u - c, self.k - c, 1)
-            if _shape_codim(shape) == 0:
-                # the radius ball already covers every layer above L_c
-                continue
-            rds.append(_Round(c, m, self._code(*shape)))
+        for c in range(u - 2, 0, -1):
+            shape = (self.n - c, u - c, self.k - c, 1)
+            # codimension 0: the radius ball already covers every layer above L_c
+            if _shape_codim(shape):
+                rds.append(_Round(c, u - 1 - c, self._code(*shape)))
         return rds
 
     # ----- labelings -----
@@ -510,54 +507,37 @@ class ConcatCode:
         """What a collect at anchor A does to every size-u component (rds:
         the rounds of one), kept for at most (sizes) x C(n, k) keys, as
         the _replay schedule (first, rounds, handdown, precode).  A fill
-        is an array of target positions (t lies in layer t // u), first
-        the one of the layers meeting A in u-1 nodes; rounds has (subs,
-        fill) per round, subs holding (A2, plan, pieces) per anchor A2:
-        A relabeled outside a sublayer L_c inside A, pieces listing
-        (index, the m lifts) of each such L_c; handdown has every
-        sublayer (where L_c lies inside A, the syndrome of w equals the
-        sum read there); precode is the fill of the layers missing A
-        after the precode words are completed, or None.  A fill takes
-        each layer's first position not yet known (read, decoded or
-        filled), so where two are left the replay's fill_layers raises.
+        is an array of target positions (t lies in layer t // u), and
+        every target is the position of its layer's largest node outside
+        A: first fills the layers meeting A in u-1 nodes; rounds has
+        (subs, fill) per round, whose decodes set lifts 0 .. u-2-c of the
+        layers meeting A in c nodes and whose fill completes them, subs
+        holding (A2, plan, pieces) per anchor A2: A relabeled outside a
+        sublayer L_c inside A, pieces listing (index, the m lifts) of
+        each such L_c; handdown has every sublayer (where L_c lies inside
+        A, the syndrome of w equals the sum read there); precode fills
+        the layers missing A after the precode words are completed, or
+        is None for size 1 (whose first fill is that).
         """
         if (u, A) in self._schedules:
             return self._schedules[u, A]
         sA = set(A)
-        known = [j in sA for L in self.lspec[u].layers for j in L]
-        meet = [len(sA.intersection(L)) for L in self.lspec[u].layers]
-
-        def fill(c: int) -> array:
-            targets = array("i")
-            for l in (l for l, m in enumerate(meet) if m == c):
-                seg = known[l * u:(l + 1) * u]
-                if not all(seg):
-                    targets.append(l * u + seg.index(False))
-                    known[l * u:(l + 1) * u] = [True] * u
-            return targets
-
-        first, rounds = fill(u - 1), []
+        fills: Dict[int, array] = {}
+        for l, L in enumerate(self.lspec[u].layers):
+            out = [i for i, j in enumerate(L) if j not in sA]
+            if out:
+                fills.setdefault(u - len(out), array("i")).append(l * u + out[-1])
+        rounds = []
         for rd in rds:
             subs: Dict[Layer, tuple] = {}
             for L_c in itertools.combinations(A, rd.c):
                 rest = [x for x in range(self.n) if x not in L_c]
                 A2 = tuple(rest.index(a) for a in A if a not in L_c)
-                plan = decode_plan(rd.code, A2)
-                lifts = [self._lift(rd, L_c, i) for i in range(rd.m)]
-                for lift in lifts:
-                    for j in plan.out:
-                        known[lift[j]] = True
-                subs.setdefault(A2, (A2, plan, []))[2].append(
-                    (self.lspec[rd.c].index[L_c], lifts))
-            rounds.append((list(subs.values()), fill(rd.c)))
-        precode = None
-        if 1 < u < self.v and 0 in meet:
-            if self.precode[u] is None:
-                raise AssertionError("missed layers despite trivial precode")
-            # the completed precode words leave only the last symbol of
-            # each layer missing A
-            precode = array("i", (l * u + u - 1 for l, m in enumerate(meet) if not m))
-        sched = self._schedules[u, A] = (first, rounds, self._siblings.everywhere, precode)
+                subs.setdefault(A2, (A2, decode_plan(rd.code, A2), []))[2].append(
+                    (self.lspec[rd.c].index[L_c], [self._lift(rd, L_c, i) for i in range(rd.m)]))
+            rounds.append((list(subs.values()), fills.get(rd.c, ())))
+        sched = self._schedules[u, A] = (fills.get(u - 1, ()), rounds, self._siblings.everywhere,
+                                         fills.get(0) if u > 1 else None)
         return sched
 
     def _replay(self, u: int, w: List[Optional[int]], sched: tuple,
@@ -710,5 +690,6 @@ class ConcatCode:
 
 
 def build_concat(n: int, v: int, k: int, q: int) -> ConcatCode:
-    """The cascade concatenated code over GF(q), v = k+1 (ConcatCode)."""
+    """ConcatCode(n, v, k, q): the cascade for v = k+1 < n, the pure
+    layered code for k = n-1."""
     return ConcatCode(n, v, k, q)

@@ -18,13 +18,11 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from graphcodes.combinat import layer
 from graphcodes.concat import ConcatCode, build_concat
-from graphcodes.field import field_make
-from graphcodes.layered import LayeredSpec
 
 
 class LayeredCode(ConcatCode):
-    """Pure layered code: the concatenated code's one-component case,
-    with nothing injected, no helper rounds and no precode.
+    """Pure layered code: the concatenated code's case k = n-1, one
+    component with nothing injected, no helper rounds and no precode.
 
     Collection needs exactly k = n-1 nodes (every layer is then fully
     or sufficiently accessed); repair downloads C(n-2,v-2) symbols per
@@ -32,13 +30,7 @@ class LayeredCode(ConcatCode):
     """
 
     def __init__(self, n: int, v: int, q: int):
-        self.F = field_make(q)
-        spec = LayeredSpec(self.F, n, v)
-        self.n, self.v, self.k, self.A0 = n, v, n - 1, None
-        self.alpha, self.M, self.beta = spec.alpha, spec.M1, spec.beta
-        self.lspec, self.data = {v: spec}, {v: spec.data}
-        self.sizes, self.offsets = [v], [0]
-        self.rounds, self.precode, self._schedules = {}, {}, {}
+        super().__init__(n, v, n - 1, q)
 
 
 class StorageState:
@@ -99,13 +91,11 @@ def _unpack(data: bytes, width: int) -> List[int]:
             for i in range(0, len(data), width)]
 
 
-def _describe(code) -> Dict:
-    if isinstance(code, LayeredCode):
+def _describe(code: ConcatCode) -> Dict:
+    if code.layout is None:
         return {"family": "layered", "n": code.n, "v": code.v, "q": code.F.q}
-    if isinstance(code, ConcatCode):
-        return {"family": "concat", "n": code.n, "v": code.v, "k": code.k,
-                "q": code.F.q, "scenario": code.layout.name}
-    raise ValueError(f"cannot persist {type(code).__name__}")
+    return {"family": "concat", "n": code.n, "v": code.v, "k": code.k,
+            "q": code.F.q, "scenario": code.layout.name}
 
 
 def _required(doc: Dict, key: str, where: str = "manifest"):
@@ -122,6 +112,8 @@ def code_from_manifest(doc: Dict):
         n, v, k, q, scenario = (_required(doc, key, "code description")
                                 for key in ("n", "v", "k", "q", "scenario"))
         code = build_concat(n, v, k, q)
+        if code.layout is None:
+            raise ValueError(f"k={k} = n-1 gives the pure layered code, not a concat one")
         if scenario != code.layout.name:
             raise ValueError(f"scenario {scenario!r} is not the cascade {code.layout.name!r}")
         return code

@@ -132,3 +132,7 @@ def test_invalid_parameters_exit_2(capsys):
     rc, _ = _run(capsys, "simulate", "--n", "8", "--v", "3",
                  "--k", "4", "--q", "11")
     assert rc == 2
+    # k must name fewer nodes than there are
+    for verb in ("simulate", "repair"):
+        assert main([verb, "--n", "5", "--v", "7", "--k", "6", "--q", "7"]) == 2
+        assert "need 0 <= k < n, got k=6" in capsys.readouterr().err

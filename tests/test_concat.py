@@ -18,6 +18,8 @@ from graphcodes.concat import (
     scenario_table,
     series_multiplicities,
     subgraph_code_table,
+    _num_rounds,
+    _shape_codim,
 )
 from graphcodes.jgc import _sparse_dual_rows
 
@@ -99,12 +101,63 @@ def test_scenario_layouts_854():
         (1024, 256, 64), (848, 212, 56), (1464, 366, 96), (672, 168, 60)]
 
 
-def test_cascade_counts_match_series():
-    # the one scenario a code is built for: round r from size v-1-r
-    lay = build_concat(8, 5, 4, 11).layout
-    assert lay.name == "3-2-1"
+# every shape ConcatCode accepts as a cascade (v = k+1 < n, every layer
+# meeting any k nodes) with n <= 15
+CASCADE_SHAPES = [(n, k + 1, k) for n in range(3, 16) for k in range(1, n - 1)
+                  if comb(n - k, k + 1) == 0]
+
+
+def _name(shape):
+    return "-".join(map(str, shape))
+
+
+@pytest.mark.parametrize("shape", CASCADE_SHAPES, ids=_name)
+def test_cascade_counts_match_series(shape):
+    # the component rule (round c with v-1-c vectors of the helper code
+    # (n-c, v-c, k-c, 1), where its codimension is nonzero) is the
+    # cascade layout, round r from size v-1-r with multiplicity r
+    n, v, k = shape
+    rounds = _num_rounds(n, v, k)
+    lay = ScenarioLayout(n, v, k, range(v - 2, v - 2 - rounds, -1))
     assert lay.scale == 1
-    assert lay.counts == concat_params(8, 5, 4).counts
+    assert lay.multiplicities == tuple(range(1, rounds + 1))
+    rule = [(n - c, v - c, k - c, 1) for c in range(v - 2, 0, -1)
+            if _shape_codim((n - c, v - c, k - c, 1))]
+    assert [s for s, codim in zip(lay.shapes, lay.codims) if codim] == rule
+    p = concat_params(n, v, k)
+    assert (p.counts, p.M, p.alpha, p.beta) == (lay.counts, lay.M, lay.alpha, lay.beta)
+
+
+@pytest.mark.parametrize("n", range(1, 16))
+def test_layered_shapes_have_no_helper_rounds(n):
+    # with k = n-1 every helper code of the rule has codimension 0, so
+    # the pure layered code is the one-component case
+    for v in range(1, n + 1):
+        assert not any(_shape_codim((n - c, v - c, n - 1 - c, 1)) for c in range(v - 2, 0, -1))
+
+
+@pytest.mark.parametrize("shape, match", [
+    ((5, 7, 6, 7), "need 0 <= k < n, got k=6"),
+    ((0, 1, 0, 7), "need 0 <= k < n, got k=0"),
+    # the pure layered code's layers are v-subsets of the n nodes
+    ((5, 9, 4, 7), "need 1 <= v <= n, got v=9"),
+    # v != k+1 with k < n-1: neither the cascade nor the pure layered code
+    ((8, 3, 4, 11), r"need v = k\+1 \(concatenated\) or k = n-1"),
+], ids=lambda x: _name(x) if isinstance(x, tuple) else "")
+def test_shape_outside_both_families_rejected(shape, match):
+    with pytest.raises(ValueError, match=match):
+        build_concat(*shape)
+
+
+@pytest.mark.parametrize("shape", [(6, 3, 5, 4), (6, 6, 5, 5), (7, 1, 6, 11)], ids=_name)
+def test_layered_shape_is_one_component(shape):
+    # k = n-1 gives the pure layered code, for any v <= n and field order
+    code = build_concat(*shape)
+    n, v = shape[:2]
+    assert code.layout is None
+    assert (code.sizes, code.rounds, code.precode) == ([v], {0: []}, {})
+    assert (code.M, code.alpha, code.beta) == (
+        comb(n, v) * (v - 1), comb(n - 1, v - 1), comb(n - 2, v - 2) if v >= 2 else 0)
 
 
 def test_oversupplied_scenario_rejected():

@@ -35,7 +35,9 @@ CONCAT = {
 }
 
 LAYERED = {
+    (6, 3, 4): "7055cd883a726ce1 4e57615b201d87e3",
     (6, 3, 11): "2a367f7d8eb38019 96874c481774ebdf",
+    (6, 6, 5): "9ae0877fc87d8a25 4109e4fdb73a2e17",
     (7, 1, 11): "837885c8f8091aea 837885c8f8091aea",
 }
 

@@ -261,6 +261,25 @@ def test_layered_manifest_relabeled_concat_rejected(tmp_path):
         load_state(path)
 
 
+
+def test_layered_shape_from_build_concat_persists_as_layered(tmp_path):
+    # build_concat with k = n-1 is the pure layered code, so its store
+    # names the layered family and loads back as that code
+    code = build_concat(6, 3, 5, 11)
+    state = ingest(code, _seeded_blob(code, 4))
+    path = str(tmp_path / "store")
+    save_state(state, path)
+    with open(os.path.join(path, "manifest.json")) as fh:
+        assert json.load(fh)["code"] == {"family": "layered", "n": 6, "v": 3, "q": 11}
+    back = load_state(path)
+    assert back.nodes == state.nodes == LayeredCode(6, 3, 11).encode(state.blob)
+    # a concat manifest naming that shape is refused, typed
+    _edit_manifest(path, lambda doc: doc["code"].update(
+        family="concat", k=5, scenario=""))
+    with pytest.raises(ValueError, match="k=5 = n-1 gives the pure layered code"):
+        load_state(path)
+
+
 class _DyingFile:
     """A file open for writing whose first write stores half the bytes
     and then fails, as if the process died mid-write."""
