@@ -3,7 +3,7 @@
 Verbs: construct, certify, dual, tables, tradeoff, simulate, repair,
 subres-check.  Output is deterministic for fixed flags and --seed
 (default 0) and goes to stdout or --out.  Exit codes: 0 success, 1
-failed certification or simulation mismatch, 2 bad flags.
+failed certify, simulate, repair or subres-check, 2 bad flags or values.
 """
 
 from __future__ import annotations
@@ -13,13 +13,13 @@ import itertools
 import json
 import random
 import sys
-from math import comb
 from typing import List, Optional
 
 from graphcodes.combinat import layer_str
 from graphcodes.concat import (
     balance_table,
     build_concat,
+    code_family,
     concat_params,
     scenario_table,
 )
@@ -140,9 +140,9 @@ def _run_dual(args) -> int:
 
 def _run_tables(args) -> int:
     n, v, k = args.n, args.v, args.k
-    census = census_csv(n, v, k)
-    sections = {"census": census}
-    if v == k + 1 and comb(n - k, v) == 0:
+    family = code_family(n, v, k)
+    sections = {"census": census_csv(n, v, k)}
+    if family == "concat":
         params = concat_params(n, v, k)
         rows, sums = balance_table(n, v, k)
         sections["balance"] = {
@@ -160,7 +160,7 @@ def _run_tables(args) -> int:
     if args.format == "json":
         text = json.dumps(sections, indent=2, default=str) + "\n"
     else:
-        parts = [census]
+        parts = [sections["census"]]
         if "parameters" in sections:
             p = sections["parameters"]
             parts.append("M1,M0,M,alpha,beta\n"

@@ -219,8 +219,7 @@ class ScenarioLayout:
             _round_code_shape(n, v, k, ws[r - 1], r) for r in range(1, rounds + 1)
         ]
         self.codims = [_shape_codim(s) for s in self.shapes]
-        scale = lcm(*(m.denominator for m in mult)) if mult else 1
-        self.scale = scale
+        self.scale = scale = lcm(*(m.denominator for m in mult))
         counts: Dict[int, Fraction] = {v: Fraction(1)}
         for w, m, codim in zip(ws, mult, self.codims):
             counts[w] = counts.get(w, Fraction(0)) + m * codim
@@ -231,13 +230,9 @@ class ScenarioLayout:
             for c in range(u - 2, 0, -1):
                 codim = _shape_codim((n - c, u - c, k - c, 1))
                 counts[c] = counts.get(c, Fraction(0)) + cnt * (u - 1 - c) * codim
-        self.counts = {}
-        for u, cnt in counts.items():
-            scaled = cnt * scale
-            if scaled.denominator != 1:
-                raise AssertionError("scale did not clear denominators")
-            if scaled:
-                self.counts[u] = int(scaled)
+        # each count is an integer combination of 1 and the
+        # multiplicities, so scaling by their denominators' lcm is exact
+        self.counts = {u: int(cnt * scale) for u, cnt in counts.items() if cnt}
         dims = {
             u: ball_size(n, u, k, u - 1) for u in self.counts if 2 <= u < v
         }
@@ -308,6 +303,22 @@ class _Round:
         self.deps: List[int] = []
 
 
+def code_family(n: int, v: int, k: int) -> Optional[str]:
+    """The family (n, v, k) names: "layered" (the pure layered code) for
+    k = n-1, "concat" (the cascade) for v = k+1 > n-k, else None; raises
+    ValueError unless n, v, k are ints with 0 <= k < n and 1 <= v <= n."""
+    for name, x in zip("nvk", (n, v, k)):
+        if not isinstance(x, int) or isinstance(x, bool):
+            raise ValueError(f"{name}={x!r} is not an integer")
+    if not 0 <= k < n:
+        raise ValueError(f"need 0 <= k < n, got k={k}, n={n}")
+    if not 1 <= v <= n:
+        raise ValueError(f"need 1 <= v <= n, got v={v}, n={n}")
+    if k == n - 1:
+        return "layered"
+    return "concat" if v == k + 1 and comb(n - k, v) == 0 else None
+
+
 class ConcatCode:
     """A concatenated layered code ready for encoding and recovery.
 
@@ -315,34 +326,26 @@ class ConcatCode:
     c = u-2 .. 1, a round of u-1-c stored vectors per size-c sublayer
     whose syndromes under the helper code (n-c, u-c, k-c, 1) are
     injected into size-c dependents, unless that code has codimension
-    0.  Starting from one size-v copy this gives two families:
-    - v = k+1 < n: the cascade, helper data moving only between layers
-      in the same census column; layout is its ScenarioLayout, which
-      tabulates the other scenarios too (no code is built for them).
-    - k = n-1: every helper code has codimension 0, so this is the pure
-      layered code, one component with nothing injected; layout is
-      None, and any 1 <= v <= n and field order is accepted.
+    0.  Starting from one size-v copy this gives the two families that
+    code_family names (any other shape raises ValueError):
+    - "concat", the cascade v = k+1 > n-k: helper data moves only between
+      layers in the same census column; q >= n, and layout is its
+      ScenarioLayout, which tabulates the other scenarios too.
+    - "layered", k = n-1: every helper code has codimension 0, so this is
+      the pure layered code, one component with nothing injected; layout
+      is None, and any 1 <= v <= n and field order is accepted.
     """
 
     def __init__(self, n: int, v: int, k: int, q: int):
-        if not 0 <= k < n:
-            raise ValueError(f"need 0 <= k < n, got k={k}, n={n}")
-        self.layout = None
-        if k < n - 1:
-            if v != k + 1:
-                raise ValueError(f"need v = k+1 (concatenated) or k = n-1 "
-                                 f"(pure layered), got n={n}, v={v}, k={k}")
-            if q < n:
-                raise ValueError(f"need q >= n, got q={q}, n={n}")
-            if comb(n - k, v) > 0:
-                raise ValueError(
-                    f"need v > n-k so that every layer meets the accessed "
-                    f"nodes, got v={v}, n-k={n - k}"
-                )
-            self.layout = ScenarioLayout(n, v, k, range(v - 2, v - 2 - _num_rounds(n, v, k), -1))
-        elif not 1 <= v <= n:
-            raise ValueError(f"need 1 <= v <= n, got v={v}, n={n}")
+        family = code_family(n, v, k)
+        if family is None:
+            raise ValueError(f"need v = k+1 > n-k (concatenated) or k = n-1 "
+                             f"(pure layered), got n={n}, v={v}, k={k}")
         self.F = field_make(q)
+        if family == "concat" and q < n:
+            raise ValueError(f"need q >= n, got q={q}, n={n}")
+        self.layout = (ScenarioLayout(n, v, k, range(v - 2, v - 2 - _num_rounds(n, v, k), -1))
+                       if family == "concat" else None)
         self.n, self.v, self.k, self.A0 = n, v, k, tuple(range(k))
         self._codes: Dict[Tuple[int, int, int, int], JGCSpec] = {}
         # _lift's and _schedule's caches, filled on first use
@@ -363,8 +366,6 @@ class ConcatCode:
                     self.sizes.append(rd.c)
                     if rd.c >= 3:
                         queue.append(rd.deps[-1])
-        if self.layout and {u: self.sizes.count(u) for u in set(self.sizes)} != self.layout.counts:
-            raise AssertionError("component registry disagrees with layout")
         self.lspec = {u: LayeredSpec(self.F, n, u) for u in set(self.sizes)}
 
         # precodes: the u-1 data vectors of a size-u copy below the top
@@ -690,6 +691,6 @@ class ConcatCode:
 
 
 def build_concat(n: int, v: int, k: int, q: int) -> ConcatCode:
-    """ConcatCode(n, v, k, q): the cascade for v = k+1 < n, the pure
-    layered code for k = n-1."""
+    """ConcatCode(n, v, k, q), of the family code_family(n, v, k) names:
+    the cascade or the pure layered code."""
     return ConcatCode(n, v, k, q)

@@ -17,7 +17,7 @@ import os
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from graphcodes.combinat import layer
-from graphcodes.concat import ConcatCode, build_concat
+from graphcodes.concat import ConcatCode, build_concat, code_family
 
 
 class LayeredCode(ConcatCode):
@@ -92,7 +92,7 @@ def _unpack(data: bytes, width: int) -> List[int]:
 
 
 def _describe(code: ConcatCode) -> Dict:
-    if code.layout is None:
+    if code_family(code.n, code.v, code.k) == "layered":
         return {"family": "layered", "n": code.n, "v": code.v, "q": code.F.q}
     return {"family": "concat", "n": code.n, "v": code.v, "k": code.k,
             "q": code.F.q, "scenario": code.layout.name}
@@ -106,22 +106,19 @@ def _required(doc: Dict, key: str, where: str = "manifest"):
         raise ValueError(f"{where} has no {key!r}") from None
 
 
-def code_from_manifest(doc: Dict):
-    family = _required(doc, "family", "code description")
-    if family == "concat":
-        n, v, k, q, scenario = (_required(doc, key, "code description")
-                                for key in ("n", "v", "k", "q", "scenario"))
-        code = build_concat(n, v, k, q)
-        if code.layout is None:
-            raise ValueError(f"k={k} = n-1 gives the pure layered code, not a concat one")
-        if scenario != code.layout.name:
-            raise ValueError(f"scenario {scenario!r} is not the cascade {code.layout.name!r}")
-        return code
-    if family == "layered":
-        n, v, q = (_required(doc, key, "code description")
-                   for key in ("n", "v", "q"))
-        return LayeredCode(n, v, q)
-    raise ValueError(f"unknown family {family!r}")
+def code_from_manifest(doc: Dict) -> ConcatCode:
+    """build_concat of the (n, v, k, q) a code description names; raises
+    ValueError unless _describe(code) gives back that description."""
+    where = "code description"
+    family, n, v, q = (_required(doc, key, where) for key in ("family", "n", "v", "q"))
+    if family == "layered":  # no k: it is n-1, and code_family names a non-int n
+        k = n - 1 if isinstance(n, int) else None
+    else:
+        k = _required(doc, "k", where)
+    code = build_concat(n, v, k, q)
+    if _describe(code) != doc:
+        raise ValueError(f"{where} {doc!r} differs from the code's own {_describe(code)!r}")
+    return code
 
 
 def _node_file(i: int, slot: int) -> str:

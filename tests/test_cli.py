@@ -1,9 +1,13 @@
 """Command-line interface: verbs, formats, exit codes, determinism."""
 
+import itertools
 import json
 
 import pytest
 
+from graphcodes import cli
+from graphcodes.combinat import layer_str
+from graphcodes.concat import code_family
 from graphcodes.cli import main
 
 
@@ -136,3 +140,80 @@ def test_invalid_parameters_exit_2(capsys):
     for verb in ("simulate", "repair"):
         assert main([verb, "--n", "5", "--v", "7", "--k", "6", "--q", "7"]) == 2
         assert "need 0 <= k < n, got k=6" in capsys.readouterr().err
+
+
+def test_tables_sections_follow_code_family(capsys):
+    # the balance (and parameter and scenario) sections appear exactly
+    # for the cascade; a shape out of range exits 2
+    for n in range(1, 10):
+        for v, k in itertools.product(range(0, n + 2), range(-1, n + 1)):
+            rc, out = _run(capsys, "tables", "--n", str(n), "--v", str(v),
+                           "--k", str(k), "--format", "json")
+            try:
+                family = code_family(n, v, k)
+            except ValueError:
+                assert (rc, out) == (2, "")
+                continue
+            assert rc == 0
+            doc = json.loads(out)
+            assert ("balance" in doc) == ("parameters" in doc) == (family == "concat")
+
+
+def test_tables_of_the_pure_layered_shape_v_equals_n(capsys):
+    # (6, 6, 5) is the pure layered code, as simulate builds it, so no
+    # cascade scenario row is printed
+    rc, out = _run(capsys, "tables", "--n", "6", "--v", "6", "--k", "5")
+    assert (rc, out) == (0, "intersection,layers\n5,1\n")
+    assert main(["tables", "--n", "5", "--v", "2", "--k", "7"]) == 2
+    assert "need 0 <= k < n, got k=7" in capsys.readouterr().err
+
+
+SIMULATE = ("--n", "6", "--v", "4", "--k", "3", "--q", "7", "--format", "json")
+
+
+def test_simulate_wrong_blob_exits_1(capsys, monkeypatch):
+    def collect(state, A):
+        blob = real(state, A)
+        return blob[:-1] + [(blob[-1] + 1) % 7] if A == (1, 3, 5) else blob
+
+    real = cli.collect
+    monkeypatch.setattr(cli, "collect", collect)
+    rc, out = _run(capsys, "simulate", *SIMULATE)
+    doc = json.loads(out)
+    assert rc == 1
+    assert (doc["recovered"], doc["anchors"]) == (19, 20)
+    assert doc["failures"] == [layer_str((1, 3, 5), 6)]
+
+
+def test_inexact_repair_exits_1(capsys, monkeypatch):
+    def repair_node(state, failed):
+        out = real(state, failed)
+        if failed == 2:
+            out.nodes[2][0] = (out.nodes[2][0] + 1) % 7
+        return out
+
+    real = cli.repair_node
+    monkeypatch.setattr(cli, "repair_node", repair_node)
+    rc, out = _run(capsys, "repair", *SIMULATE)
+    rows = json.loads(out)
+    assert rc == 1
+    assert [r["exact"] for r in rows] == [True, True, False, True, True, True]
+
+
+@pytest.mark.parametrize("value", [0, 1])
+def test_subresultant_failures_exit_1(capsys, monkeypatch, value):
+    # 0 breaks the criterion where the gcd has degree i, 1 where it has
+    # a larger degree; over GF(3) both happen within 40 trials
+    monkeypatch.setattr(cli, "principal_subresultant", lambda F, p, q, i: value)
+    rc, out = _run(capsys, "subres-check", "--q", "3", "--trials", "40",
+                   "--format", "json")
+    doc = json.loads(out)
+    assert rc == 1
+    assert doc["gcd_criterion_failures"] > 0 and doc["identity_failures"] == 0
+
+
+def test_identity_failures_exit_1(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "sh_identity_check", lambda *args, **kw: False)
+    rc, out = _run(capsys, "subres-check", "--q", "7", "--trials", "25")
+    assert rc == 1
+    assert out.strip().splitlines()[1] == "7,25,0,25"

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import re
 from fractions import Fraction
 from math import comb
 
@@ -12,6 +13,7 @@ from graphcodes.concat import (
     admissible_scenarios,
     balance_table,
     build_concat,
+    code_family,
     concat_params,
     demand_row,
     parse_scenario,
@@ -142,7 +144,7 @@ def test_layered_shapes_have_no_helper_rounds(n):
     # the pure layered code's layers are v-subsets of the n nodes
     ((5, 9, 4, 7), "need 1 <= v <= n, got v=9"),
     # v != k+1 with k < n-1: neither the cascade nor the pure layered code
-    ((8, 3, 4, 11), r"need v = k\+1 \(concatenated\) or k = n-1"),
+    ((8, 3, 4, 11), r"need v = k\+1 > n-k \(concatenated\) or k = n-1"),
 ], ids=lambda x: _name(x) if isinstance(x, tuple) else "")
 def test_shape_outside_both_families_rejected(shape, match):
     with pytest.raises(ValueError, match=match):
@@ -158,6 +160,45 @@ def test_layered_shape_is_one_component(shape):
     assert (code.sizes, code.rounds, code.precode) == ([v], {0: []}, {})
     assert (code.M, code.alpha, code.beta) == (
         comb(n, v) * (v - 1), comb(n - 1, v - 1), comb(n - 2, v - 2) if v >= 2 else 0)
+
+
+# every shape with n <= 9, and k or v one step out of range on each side
+ALL_SHAPES = [(n, v, k) for n in range(1, 10) for v in range(0, n + 2) for k in range(-1, n + 1)]
+
+
+def test_build_follows_code_family():
+    # build_concat succeeds exactly when code_family names a family, and
+    # builds that family; out of range, both raise the same message
+    for n, v, k in ALL_SHAPES:
+        try:
+            family = code_family(n, v, k)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+                build_concat(n, v, k, 11)
+            continue
+        if family is None:
+            with pytest.raises(ValueError, match=r"need v = k\+1 > n-k \(concatenated\)"):
+                build_concat(n, v, k, 11)
+        else:
+            code = build_concat(n, v, k, 11)
+            assert (code.layout is not None) == (family == "concat")
+
+
+@pytest.mark.parametrize("shape, match", [
+    ((6, 4, "3", 7), "k='3' is not an integer"),
+    ((6, 4, 3.0, 7), "k=3.0 is not an integer"),
+    ((6.0, 4, 3, 7), "n=6.0 is not an integer"),
+    ((6, None, 3, 7), "v=None is not an integer"),
+    ((6, True, 5, 7), "v=True is not an integer"),
+    ((True, 1, 0, 7), "n=True is not an integer"),
+    # q is checked as a field order before the cascade compares q < n
+    ((6, 4, 3, "7"), "field order '7' is not an integer"),
+    ((6, 4, 3, 7.0), "field order 7.0 is not an integer"),
+    ((6, 4, 3, None), "field order None is not an integer"),
+], ids=repr)
+def test_shape_that_is_not_ints_rejected(shape, match):
+    with pytest.raises(ValueError, match=re.escape(match)):
+        build_concat(*shape)
 
 
 def test_oversupplied_scenario_rejected():

@@ -4,6 +4,7 @@ import hashlib
 import json
 import os
 import random
+import re
 from math import comb
 
 import pytest
@@ -229,7 +230,7 @@ def test_manifest_describes_code(tmp_path):
         code_from_manifest({"family": "mystery"})
     # a code is built for the cascade only, so a store naming another
     # scenario is rejected
-    with pytest.raises(ValueError, match="'1-1' is not the cascade '2-1'"):
+    with pytest.raises(ValueError, match="'scenario': '1-1'} differs from the code's own .*'scenario': '2-1'"):
         code_from_manifest(dict(doc["code"], scenario="1-1"))
 
 
@@ -276,7 +277,37 @@ def test_layered_shape_from_build_concat_persists_as_layered(tmp_path):
     # a concat manifest naming that shape is refused, typed
     _edit_manifest(path, lambda doc: doc["code"].update(
         family="concat", k=5, scenario=""))
-    with pytest.raises(ValueError, match="k=5 = n-1 gives the pure layered code"):
+    with pytest.raises(ValueError, match="'k': 5, 'scenario': ''} differs from the code's own {'family': 'layered'"):
+        load_state(path)
+
+
+CASCADE_643 = {"family": "concat", "n": 6, "v": 4, "k": 3, "q": 7, "scenario": "2-1"}
+LAYERED_63 = {"family": "layered", "n": 6, "v": 3, "q": 11}
+
+
+@pytest.mark.parametrize("desc, match", [
+    (dict(CASCADE_643, k="3"), "k='3' is not an integer"),
+    (dict(CASCADE_643, k=3.0), "k=3.0 is not an integer"),
+    (dict(CASCADE_643, n=6.0), "n=6.0 is not an integer"),
+    (dict(CASCADE_643, v=None), "v=None is not an integer"),
+    (dict(CASCADE_643, q=7.0), "field order 7.0 is not an integer"),
+    # a layered description has no k, and n-1 is never taken of a non-int n
+    (dict(LAYERED_63, n=6.0), "n=6.0 is not an integer"),
+    (dict(LAYERED_63, n="6"), "n='6' is not an integer"),
+    (dict(LAYERED_63, n=None), "n=None is not an integer"),
+    (dict(LAYERED_63, n=True), "n=True is not an integer"),
+    (dict(LAYERED_63, v=[3]), "v=[3] is not an integer"),
+    # a key the code's own description lacks
+    (dict(LAYERED_63, k=5), "differs from the code's own"),
+], ids=repr)
+def test_manifest_shape_that_is_not_ints_rejected(tmp_path, desc, match):
+    with pytest.raises(ValueError, match=re.escape(match)):
+        code_from_manifest(desc)
+    code = build_concat(6, 4, 3, 7) if desc["family"] == "concat" else LayeredCode(6, 3, 11)
+    path = str(tmp_path / "store")
+    save_state(ingest(code, _seeded_blob(code)), path)
+    _edit_manifest(path, lambda doc: doc.update(code=desc))
+    with pytest.raises(ValueError, match=re.escape(match)):
         load_state(path)
 
 
