@@ -169,6 +169,7 @@ ALL_SHAPES = [(n, v, k) for n in range(1, 10) for v in range(0, n + 2) for k in 
 def test_build_follows_code_family():
     # build_concat succeeds exactly when code_family names a family, and
     # builds that family; out of range, both raise the same message
+    named = {}
     for n, v, k in ALL_SHAPES:
         try:
             family = code_family(n, v, k)
@@ -176,12 +177,15 @@ def test_build_follows_code_family():
             with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
                 build_concat(n, v, k, 11)
             continue
+        named.setdefault(family, set()).add((n, v, k))
         if family is None:
             with pytest.raises(ValueError, match=r"need v = k\+1 > n-k \(concatenated\)"):
                 build_concat(n, v, k, 11)
         else:
             code = build_concat(n, v, k, 11)
             assert (code.layout is not None) == (family == "concat")
+    assert named["concat"] == {s for s in CASCADE_SHAPES if s[0] <= 9}
+    assert named["layered"] == {(n, v, n - 1) for n in range(1, 10) for v in range(1, n + 1)}
 
 
 @pytest.mark.parametrize("shape, match", [
