@@ -24,8 +24,9 @@ the median in-process time of ``build_concat``, of
 starts) and of ``ConcatCode.repair`` of every node at (8,5,4,11) and
 (10,6,5,11), of ``LayeredCode`` encode,
 collect from every (n-1)-subset and repair of every node at (8,5,11)
-and (10,4,11), of ``load_state`` at (8,5,4,11)
-and of criterion 8's
+and (10,4,11), of ``load_state`` at (8,5,4,11) while the code that
+saved the store is alive, and again once no code of those parameters
+is alive (each load drops its result), and of criterion 8's
 sweep (``certify_infosets`` on ``rs_jgc(n,v,k,t,7)`` for every n <= 7,
 codes built before the clock starts), passes of
 ``storesim.collect`` over every k-subset anchor of (8,5,4,11) and
@@ -73,7 +74,7 @@ LAYERS = [
 # time field_make, code builds, loads, criterion 8's certify sweep and
 # all-anchor collect passes in a fresh process
 PROBE = r"""
-import itertools, json, random, resource, statistics, sys, tempfile, time
+import gc, itertools, json, random, resource, statistics, sys, tempfile, time, weakref
 from graphcodes import concat, field, jgc, rs, storesim
 out = {"field_make_s": {}}
 for q in (243, 256):
@@ -123,6 +124,13 @@ state = storesim.ingest(code, [rng.randrange(code.F.q) for _ in range(code.M)])
 with tempfile.TemporaryDirectory() as tmp:
     storesim.save_state(state, tmp)
     out["median_ms"]["load_state(8,5,4,11)"] = median_ms(
+        lambda: storesim.load_state(tmp), 9)
+    saved = weakref.ref(code)
+    del code, state
+    gc.collect()
+    if saved() is not None:
+        sys.exit("the code that saved the store is still alive")
+    out["median_ms"]["load_state(8,5,4,11), no live code"] = median_ms(
         lambda: storesim.load_state(tmp), 9)
 sweep = [rs.rs_jgc(n, v, k, t, 7) for n in range(2, 8) for v in range(1, n + 1)
          for k in range(1, n) for t in range(1, min(v, k) + 1)]

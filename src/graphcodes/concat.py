@@ -31,6 +31,7 @@ component, nothing injected.
 from __future__ import annotations
 
 import itertools
+import weakref
 from array import array
 from fractions import Fraction
 from functools import cached_property
@@ -334,6 +335,13 @@ class ConcatCode:
     - "layered", k = n-1: every helper code has codimension 0, so this is
       the pure layered code, one component with nothing injected; layout
       is None, and any 1 <= v <= n and field order is accepted.
+
+    After __init__ a code changes only its memo caches, each filled
+    deterministically from the parameters: _lifts, _schedules,
+    _siblings (with its repairs) and every helper and precode JGCSpec's
+    _plans, _dual, _aligned and _sparse.  So every caller of one
+    (n, v, k, q) can share one code, as live_concat does, and shares its
+    warm plans and schedules with it.
     """
 
     def __init__(self, n: int, v: int, k: int, q: int):
@@ -690,7 +698,27 @@ class ConcatCode:
         return self._column(vectors, failed), counts
 
 
+# every code build_concat made that something still holds, by its
+# (n, v, k, q), all exact ints once the build has checked them
+_built: "weakref.WeakValueDictionary[Tuple[int, int, int, int], ConcatCode]" = \
+    weakref.WeakValueDictionary()
+
+
 def build_concat(n: int, v: int, k: int, q: int) -> ConcatCode:
-    """ConcatCode(n, v, k, q), of the family code_family(n, v, k) names:
-    the cascade or the pure layered code."""
-    return ConcatCode(n, v, k, q)
+    """A new ConcatCode(n, v, k, q), of the family code_family(n, v, k)
+    names: the cascade or the pure layered code.  Every call builds; the
+    code is also recorded weakly, which keeps nothing alive, for
+    live_concat to share (a code does not change after it is built; see
+    ConcatCode)."""
+    code = _built[n, v, k, q] = ConcatCode(n, v, k, q)
+    return code
+
+
+def live_concat(n: int, v: int, k: int, q: int) -> ConcatCode:
+    """The code build_concat last built for (n, v, k, q) while anything
+    still holds it, else build_concat(n, v, k, q).  The parameters are
+    checked before the lookup, since 11.0 and True hash like 11 and 1."""
+    code_family(n, v, k)
+    field_make(q)
+    code = _built.get((n, v, k, q))
+    return build_concat(n, v, k, q) if code is None else code

@@ -17,7 +17,7 @@ import os
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from graphcodes.combinat import layer
-from graphcodes.concat import ConcatCode, build_concat, code_family
+from graphcodes.concat import ConcatCode, code_family, live_concat
 
 
 class LayeredCode(ConcatCode):
@@ -107,15 +107,17 @@ def _required(doc: Dict, key: str, where: str = "manifest"):
 
 
 def code_from_manifest(doc: Dict) -> ConcatCode:
-    """build_concat of the (n, v, k, q) a code description names; raises
-    ValueError unless _describe(code) gives back that description."""
+    """live_concat of the (n, v, k, q) a code description names: a live
+    code of those parameters is shared (a code does not change after it
+    is built), else one is built.  Raises ValueError unless
+    _describe(code) gives back that description."""
     where = "code description"
     family, n, v, q = (_required(doc, key, where) for key in ("family", "n", "v", "q"))
     if family == "layered":  # no k: it is n-1, and code_family names a non-int n
         k = n - 1 if isinstance(n, int) else None
     else:
         k = _required(doc, "k", where)
-    code = build_concat(n, v, k, q)
+    code = live_concat(n, v, k, q)
     if _describe(code) != doc:
         raise ValueError(f"{where} {doc!r} differs from the code's own {_describe(code)!r}")
     return code
@@ -183,10 +185,22 @@ def save_state(state: StorageState, path: str) -> None:
 
 
 def load_state(path: str) -> StorageState:
+    """The state save_state wrote at path, every digest and symbol
+    checked; a live code of the manifest's parameters is shared, not
+    rebuilt (code_from_manifest)."""
     with open(os.path.join(path, "manifest.json")) as fh:
         manifest = json.load(fh)
     code = code_from_manifest(_required(manifest, "code"))
+    # type(x) is int refuses bools, as JSON true loads as one
+    for key in ("alpha", "M"):
+        got, want = _required(manifest, key), getattr(code, key)
+        if type(got) is not int or got != want:
+            raise ValueError(f"manifest {key}={got!r} differs from the code's {key}={want}")
+    # any width from the least one up loads: older stores used 4 bytes
     width = _required(manifest, "symbol_bytes")
+    if type(width) is not int or width < _symbol_bytes(code.F.q):
+        raise ValueError(f"manifest symbol_bytes={width!r} is not an integer "
+                         f">= {_symbol_bytes(code.F.q)}")
     digests = _required(manifest, "digests")
     files = _required(manifest, "node_files")
     if files not in ([_node_file(i, slot) for i in range(code.n)]

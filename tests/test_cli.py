@@ -33,6 +33,12 @@ def test_certify_pass_and_fail(capsys):
     lines = out.strip().splitlines()
     assert lines[0] == "anchor,status"
     assert all(line.endswith(",pass") for line in lines[1:])
+    rc, out = _run(capsys, "certify", "--n", "6", "--v", "3",
+                   "--k", "2", "--t", "1", "--q", "7", "--format", "json")
+    assert rc == 0
+    doc = json.loads(out)
+    assert doc["pass"] == [line.split(",")[0] for line in lines[1:]]
+    assert doc["fail"] == doc["skipped"] == []
     # q < n is reported as a usage error
     rc, _ = _run(capsys, "certify", "--n", "8", "--v", "3",
                  "--k", "2", "--t", "1", "--q", "7")
@@ -70,6 +76,12 @@ def test_tradeoff(capsys):
     assert rc == 0
     assert out.strip().splitlines() == [
         "v,alpha_over_M,beta_over_M", "2,1/2,1/6", "3,3/8,1/4", "4,1/3,1/3"]
+    rc, out = _run(capsys, "tradeoff", "--n", "4", "--format", "json")
+    assert rc == 0
+    assert json.loads(out) == [
+        {"v": 2, "alpha_over_M": "1/2", "beta_over_M": "1/6"},
+        {"v": 3, "alpha_over_M": "3/8", "beta_over_M": "1/4"},
+        {"v": 4, "alpha_over_M": "1/3", "beta_over_M": "1/3"}]
 
 
 def test_simulate_layered(capsys):

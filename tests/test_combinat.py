@@ -24,6 +24,7 @@ from graphcodes.combinat import (
 def test_layer_normalizes_and_prints():
     assert layer([3, 1, 2]) == (1, 2, 3)
     assert layer_str((0, 2, 4), 5) == "024"
+    assert layer_str((0, 3, 10), 11) == "0,3,10"  # past n = 10, digits need commas
     assert complement((1, 3), 5) == (0, 2, 4)
 
 

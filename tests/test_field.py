@@ -20,6 +20,8 @@ def test_prime_field_arithmetic():
     assert F.inv(3) == 5
     assert F.div(1, 3) == 5
     assert F.pow(3, 6) == 1
+    assert F.pow(3, -1) == 5 and F.pow(3, -2) == 4  # powers of the inverse
+    assert repr(F) == "FieldSpec(q=7)"
 
 
 def test_gf8_is_characteristic_two():
@@ -35,6 +37,7 @@ def test_gf9_inverse_roundtrip():
     F = field_make(9)
     for a in range(1, 9):
         assert F.mul(a, F.inv(a)) == 1
+        assert F.pow(a, -3) == F.inv(F.pow(a, 3))
 
 
 def test_field_axioms_small():
@@ -81,6 +84,7 @@ def test_explicit_reduction_polynomial():
     F = FieldSpec(8, reduction=[1, 1, 0])
     x = 2
     assert F.mul(F.mul(x, x), x) == F.add(x, 1)
+    assert repr(F) == "FieldSpec(q=8, p=2, m=3, reduction=[1, 1, 0])"
 
 
 def _digitwise(a, b, p, m):

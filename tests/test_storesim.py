@@ -1,10 +1,12 @@
 """Storage simulator: ingest, collect, repair, persistence."""
 
+import gc
 import hashlib
 import json
 import os
 import random
 import re
+import weakref
 from math import comb
 
 import pytest
@@ -215,6 +217,60 @@ def test_load_rejects_wrong_symbol_width(tmp_path):
         load_state(path)
 
 
+@pytest.mark.parametrize("q, width", [
+    (11, "1"), (11, 1.0), (11, 0), (11, -1), (11, None),
+    (11, True),  # JSON true, a bool that equals 1
+    (257, 1),    # narrower than a symbol of GF(257)
+], ids=repr)
+def test_load_rejects_a_symbol_width_that_cannot_hold_a_symbol(tmp_path, q, width):
+    code = LayeredCode(4, 2, q)
+    path = str(tmp_path / "store")
+    save_state(ingest(code, _seeded_blob(code)), path)
+    _edit_manifest(path, lambda doc: doc.update(symbol_bytes=width))
+    with pytest.raises(ValueError, match=re.escape(f"symbol_bytes={width!r} is not an integer")):
+        load_state(path)
+
+
+@pytest.mark.parametrize("wrong", [lambda x: 3, lambda x: x + 1, float, str, bool],
+                         ids=["3", "one more", "float", "str", "bool"])
+@pytest.mark.parametrize("key", ["alpha", "M"])
+def test_load_rejects_an_alpha_or_M_that_is_not_the_codes(tmp_path, key, wrong):
+    code = build_concat(6, 4, 3, 7)
+    path = str(tmp_path / "store")
+    save_state(ingest(code, _seeded_blob(code)), path)
+    _edit_manifest(path, lambda doc: doc.update({key: wrong(doc[key])}))
+    with pytest.raises(ValueError, match=f"manifest {key}=.* differs from the code's {key}="):
+        load_state(path)
+
+
+def test_loads_share_the_live_code_of_their_parameters(tmp_path):
+    code = build_concat(6, 4, 3, 7)
+    state = ingest(code, _seeded_blob(code, 2))
+    path = str(tmp_path / "store")
+    save_state(state, path)
+    first, second = load_state(path), load_state(path)
+    assert first.code is second.code is code
+    for back in (first, second):
+        assert back.nodes == state.nodes and back.blob == state.blob
+    assert code_from_manifest(CASCADE_643) is code
+
+
+def test_build_concat_builds_every_time():
+    assert build_concat(6, 4, 3, 7) is not build_concat(6, 4, 3, 7)
+
+
+def test_shared_codes_keep_no_code_alive(tmp_path):
+    code = build_concat(6, 4, 3, 7)
+    path = str(tmp_path / "store")
+    save_state(ingest(code, _seeded_blob(code)), path)
+    back = load_state(path)
+    assert back.code is code
+    ref = weakref.ref(code)
+    del code, back
+    gc.collect()
+    assert ref() is None
+
+
 def test_manifest_describes_code(tmp_path):
     code = build_concat(6, 4, 3, 7)
     state = ingest(code, _seeded_blob(code))
@@ -297,13 +353,19 @@ LAYERED_63 = {"family": "layered", "n": 6, "v": 3, "q": 11}
     (dict(LAYERED_63, n=None), "n=None is not an integer"),
     (dict(LAYERED_63, n=True), "n=True is not an integer"),
     (dict(LAYERED_63, v=[3]), "v=[3] is not an integer"),
+    (dict(LAYERED_63, q=11.0), "field order 11.0 is not an integer"),
+    (dict(LAYERED_63, q=True), "field order True is not an integer"),
+    (dict(CASCADE_643, v=True), "v=True is not an integer"),
     # a key the code's own description lacks
     (dict(LAYERED_63, k=5), "differs from the code's own"),
+    (dict(CASCADE_643, extra=0), "differs from the code's own"),
 ], ids=repr)
 def test_manifest_shape_that_is_not_ints_rejected(tmp_path, desc, match):
+    # the code of the well-formed description is live, so a lookup made
+    # before the checks (q=7.0 hashes like 7) would find it
+    code = build_concat(6, 4, 3, 7) if desc["family"] == "concat" else build_concat(6, 3, 5, 11)
     with pytest.raises(ValueError, match=re.escape(match)):
         code_from_manifest(desc)
-    code = build_concat(6, 4, 3, 7) if desc["family"] == "concat" else LayeredCode(6, 3, 11)
     path = str(tmp_path / "store")
     save_state(ingest(code, _seeded_blob(code)), path)
     _edit_manifest(path, lambda doc: doc.update(code=desc))
