@@ -27,7 +27,7 @@ from graphcodes.field import field_make
 from graphcodes.jgc import certify_infosets, dual, to_json
 from graphcodes.layered import census_csv, tradeoff_points
 from graphcodes.rs import rs_jgc
-from graphcodes.storesim import collect, ingest, repair_node
+from graphcodes.storesim import StorageState, collect, ingest, repair_node
 from graphcodes.subres import (
     poly_deg,
     poly_gcd,
@@ -45,13 +45,15 @@ def _emit(text: str, out: Optional[str]) -> None:
         sys.stdout.write(text)
 
 
-def _code_flags(p: argparse.ArgumentParser, t: bool = True) -> None:
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--v", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    if t:
-        p.add_argument("--t", type=int, required=True)
-    p.add_argument("--q", type=int, required=True)
+def _ints(p: argparse.ArgumentParser, names: str) -> None:
+    """One required integer flag per letter of names: "nvk" adds --n,
+    --v and --k."""
+    for name in names:
+        p.add_argument(f"--{name}", type=int, required=True)
+
+
+def _code_flags(p: argparse.ArgumentParser) -> None:
+    _ints(p, "nvktq")
     p.add_argument("--order", choices=("klex", "lex"), default="klex")
 
 
@@ -79,32 +81,22 @@ def _parser() -> argparse.ArgumentParser:
     _common(p)
 
     p = sub.add_parser("tables", help="census, balance, and scenario tables")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--v", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
+    _ints(p, "nvk")
     _common(p)
 
     p = sub.add_parser("tradeoff", help="layered storage/repair tradeoff")
-    p.add_argument("--n", type=int, required=True)
+    _ints(p, "n")
     _common(p)
 
-    p = sub.add_parser("simulate", help="ingest and recover from all anchors")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--v", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--q", type=int, required=True)
-    _common(p)
-
-    p = sub.add_parser("repair", help="repair every node, one at a time")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--v", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--q", type=int, required=True)
-    _common(p)
+    for verb, text in (("simulate", "ingest and recover from all anchors"),
+                       ("repair", "repair every node, one at a time")):
+        p = sub.add_parser(verb, help=text)
+        _ints(p, "nvkq")
+        _common(p)
 
     p = sub.add_parser("subres-check",
                        help="randomized subresultant gcd criteria")
-    p.add_argument("--q", type=int, required=True)
+    _ints(p, "q")
     p.add_argument("--trials", type=int, default=200)
     _common(p)
     return parser
@@ -194,11 +186,17 @@ def _run_tradeoff(args) -> int:
     return 0
 
 
-def _run_simulate(args) -> int:
+def _ingested(args) -> StorageState:
+    """A new state of build_concat(--n, --v, --k, --q) holding a blob
+    drawn from --seed."""
     code = build_concat(args.n, args.v, args.k, args.q)
     rng = random.Random(args.seed)
-    blob = [rng.randrange(args.q) for _ in range(code.M)]
-    state = ingest(code, blob)
+    return ingest(code, [rng.randrange(args.q) for _ in range(code.M)])
+
+
+def _run_simulate(args) -> int:
+    state = _ingested(args)
+    code, blob = state.code, state.blob
     anchors = list(itertools.combinations(range(code.n), code.k))
     failures = []
     for A in anchors:
@@ -223,13 +221,10 @@ def _run_simulate(args) -> int:
 
 
 def _run_repair(args) -> int:
-    code = build_concat(args.n, args.v, args.k, args.q)
-    rng = random.Random(args.seed)
-    blob = [rng.randrange(args.q) for _ in range(code.M)]
-    state = ingest(code, blob)
+    state = _ingested(args)
     rows = []
     bad = 0
-    for f in range(code.n):
+    for f in range(state.code.n):
         repaired = repair_node(state, f)
         exact = repaired.nodes[f] == state.nodes[f]
         bw = sorted(set(repaired.last_repair_bandwidth.values()))

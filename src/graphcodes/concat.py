@@ -40,7 +40,7 @@ from operator import itemgetter
 from types import SimpleNamespace
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from graphcodes.combinat import Layer, ball, ball_size, layer
+from graphcodes.combinat import Layer, ball_size, layer
 from graphcodes.field import field_make
 from graphcodes.jgc import JGCSpec, decode_plan, dual, erasure_decode, getter, syndrome_of
 from graphcodes.layered import LayeredSpec, check_node, fill_layers
@@ -339,7 +339,7 @@ class ConcatCode:
     After __init__ a code changes only its memo caches, each filled
     deterministically from the parameters: _lifts, _schedules,
     _siblings (with its repairs) and every helper and precode JGCSpec's
-    _plans, _dual, _aligned and _sparse.  So every caller of one
+    _plans, _dual, _aligned, _sparse and _masks.  So every caller of one
     (n, v, k, q) can share one code, as live_concat does, and shares its
     warm plans and schedules with it.
     """
@@ -392,13 +392,13 @@ class ConcatCode:
             if 1 < u < v and _shape_codim((n, u, k, 1)):
                 self.precode[u] = code = self._code(n, u, k, 1)
                 self.pre_pos[u] = pos = [spec.index[L] for L in code.vertices]
-                B = ball(self.A0, code.r, n, u)
-                info = [p for L, p in zip(code.vertices, pos) if L in B]
+                info = [pos[i] for i in code.ball(self.A0)]
             self.data[u] = spec.data if u == v else [l * u + j for j in range(u - 1) for l in info]
         *self.offsets, self.alpha = itertools.accumulate(
             (comb(n - 1, u - 1) for u in self.sizes), initial=0)
         self.M = sum(len(self.data[u]) for u in self.sizes)
         self.beta = sum(self.lspec[u].beta for u in self.sizes)
+        _built[n, v, k, q] = self
 
     # ----- helper code bookkeeping -----
 
@@ -698,25 +698,24 @@ class ConcatCode:
         return self._column(vectors, failed), counts
 
 
-# every code build_concat made that something still holds, by its
-# (n, v, k, q), all exact ints once the build has checked them
+# every ConcatCode (storesim.LayeredCode too) that something still holds,
+# by its (n, v, k, q), all exact ints once ConcatCode.__init__ checked them
 _built: "weakref.WeakValueDictionary[Tuple[int, int, int, int], ConcatCode]" = \
     weakref.WeakValueDictionary()
 
 
 def build_concat(n: int, v: int, k: int, q: int) -> ConcatCode:
     """A new ConcatCode(n, v, k, q), of the family code_family(n, v, k)
-    names: the cascade or the pure layered code.  Every call builds; the
-    code is also recorded weakly, which keeps nothing alive, for
-    live_concat to share (a code does not change after it is built; see
-    ConcatCode)."""
-    code = _built[n, v, k, q] = ConcatCode(n, v, k, q)
-    return code
+    names: the cascade or the pure layered code.  Every call builds; like
+    every ConcatCode, the code is also recorded weakly, which keeps
+    nothing alive, for live_concat to share (a code does not change
+    after it is built; see ConcatCode)."""
+    return ConcatCode(n, v, k, q)
 
 
 def live_concat(n: int, v: int, k: int, q: int) -> ConcatCode:
-    """The code build_concat last built for (n, v, k, q) while anything
-    still holds it, else build_concat(n, v, k, q).  The parameters are
+    """The code last built for (n, v, k, q) while anything still holds
+    it, else build_concat(n, v, k, q).  The parameters are
     checked before the lookup, since 11.0 and True hash like 11 and 1."""
     code_family(n, v, k)
     field_make(q)

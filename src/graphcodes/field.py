@@ -235,12 +235,12 @@ class FieldSpec:
     ----------
     q : int
         Field size, a prime power.
-    reduction : list of int or None
-        Coefficients [c_0, ..., c_{m-1}] of a monic irreducible
-        x^m + c_{m-1} x^{m-1} + ... + c_0 over GF(p).  Empty for m = 1.
-        If None, the smallest irreducible is chosen: candidates are
-        ordered by their base-p coefficient integer, so every run picks
-        the same polynomial.
+
+    The attribute ``reduction`` holds the coefficients [c_0, ...,
+    c_{m-1}] of the monic irreducible x^m + c_{m-1} x^{m-1} + ... + c_0
+    over GF(p) that the field reduces by, empty for m = 1: the smallest
+    one, candidates ordered by their base-p coefficient integer, so
+    every run picks the same polynomial.
 
     Besides the scalar operations (add, sub, neg, mul, inv, div, pow)
     the field has four vector operations, set when it is built:
@@ -250,7 +250,7 @@ class FieldSpec:
     shorter one.
     """
 
-    def __init__(self, q: int, reduction: Optional[List[int]] = None):
+    def __init__(self, q: int):
         _check_order(q)
         pm = _factor_prime_power(q)
         if pm is None:
@@ -261,15 +261,9 @@ class FieldSpec:
         self.m = m
         if m == 1:
             self.reduction = []
-        elif reduction is not None:
-            if len(reduction) != m or not _is_irreducible(list(reduction), p):
-                raise ValueError("reduction polynomial not irreducible of degree m")
-            self.reduction = list(reduction)
-        else:
-            self.reduction = self._smallest_irreducible()
-        if m == 1:
             kernel = _prime_kernel(p)
         else:
+            self.reduction = self._smallest_irreducible()
             self._build_tables()
             kernel = _table_kernel(self._add, self._sub, self._mul)
         self.dot, self.sub_mul, self.scale, self.sum = kernel
@@ -282,12 +276,10 @@ class FieldSpec:
         return self._regions[B, longest]
 
     def _smallest_irreducible(self) -> List[int]:
+        # an irreducible polynomial of every degree exists over GF(p)
         p, m = self.p, self.m
-        for code in range(p**m):
-            coeffs = _digits(code, p, m)
-            if _is_irreducible(coeffs, p):
-                return coeffs
-        raise ValueError(f"no irreducible polynomial of degree {m} over GF({p})")
+        return next(coeffs for coeffs in (_digits(c, p, m) for c in range(p**m))
+                    if _is_irreducible(coeffs, p))
 
     def _build_tables(self) -> None:
         """add, sub, mul (q x q) and neg, inv (q) tables for m > 1."""
@@ -319,7 +311,8 @@ class FieldSpec:
         self._inv = [0] + [exp[-i % (q - 1)] for i in logs]
 
     def _primitive_powers(self) -> List[int]:
-        """[g^0, ..., g^(q-2)] for the smallest primitive element g."""
+        """[g^0, ..., g^(q-2)] for the smallest primitive element g, which
+        exists since GF(q)* is cyclic."""
         for g in range(2, self.q):
             powers = [1]
             x = g
@@ -328,7 +321,6 @@ class FieldSpec:
                 x = _poly_mul_mod(x, g, self.p, self.m, self.reduction)
             if len(powers) == self.q - 1:
                 return powers
-        raise AssertionError(f"GF({self.q}) has no primitive element")
 
     def check_symbols(self, xs, where: str, top: Optional[int] = None):
         """xs, or ValueError naming ``where`` and its first bad entry

@@ -10,16 +10,12 @@ the family specializes to binary Reed-Muller codes.
 from __future__ import annotations
 
 import itertools
-from typing import Dict, List, Sequence
+from typing import List, Sequence
 
-from graphcodes.combinat import (
-    hamming_ball,
-    hamming_shell_index,
-    hamming_vertices,
-)
+from graphcodes.combinat import hamming_shell_index, hamming_vertices
 from graphcodes.field import FieldSpec, field_make
-from graphcodes.jgc import extend_base, systematic_rows
-from graphcodes.matrix import Mat, column_rank_test, rank, rref, tau
+from graphcodes.jgc import certify_infosets, extend_base, systematic_rows
+from graphcodes.matrix import Mat, rank, rref, tau
 
 
 class HGCSpec:
@@ -47,13 +43,9 @@ class HGCSpec:
         self.r = m - t
         self.base = [list(row) for row in base]
         self.g = extend_base(self.base, pivots)
-        anchor = tuple(range(k))
-        self.vertices = hamming_vertices(m, n, anchor=anchor)
+        self.vertices = hamming_vertices(m, n, anchor=range(k))
         self.vertex_pos = {L: i for i, L in enumerate(self.vertices)}
-        self.basis_index = [
-            I for I in self.vertices
-            if hamming_shell_index(I, anchor) <= self.r
-        ]
+        self.basis_index = [self.vertices[i] for i in self.ball(range(k))]
         self.generator = [
             tau(F, [self.g[i] for i in I], self.vertices)
             for I in self.basis_index
@@ -63,6 +55,13 @@ class HGCSpec:
     @property
     def length(self) -> int:
         return self.n ** self.m
+
+    def ball(self, A0: Sequence[int]) -> List[int]:
+        """The positions, in ``vertices`` order, of B_r(A0^m): the tuples
+        with at most r coordinates outside A0."""
+        sA = set(A0)
+        return [i for i, L in enumerate(self.vertices)
+                if sum(x not in sA for x in L) <= self.r]
 
     def __repr__(self) -> str:
         return (
@@ -76,24 +75,8 @@ def construct_hgc(F: FieldSpec, base: Mat, m: int, t: int) -> HGCSpec:
     return HGCSpec(F, base, m, t)
 
 
-def certify_hgc_infosets(code: HGCSpec) -> Dict[str, List[tuple]]:
-    """Check, per k-subset A0 of the alphabet, whether the ball
-    B_r(A0^m) indexes an information set; anchors that are not
-    information sets of the base code are reported as skipped.  As in
-    certify_infosets, the base and the generator are each row-reduced
-    once per call (column_rank_test), and each anchor costs one rank of
-    a block with at most min(dim, codim) rows."""
-    base_spans = column_rank_test(code.F, code.base)
-    spans = column_rank_test(code.F, code.generator)
-    report = {"pass": [], "fail": [], "skipped": []}
-    for A0 in itertools.combinations(range(code.n), code.k):
-        if not base_spans(A0):
-            report["skipped"].append(A0)
-            continue
-        ball = hamming_ball(A0, code.r, code.m, code.n)
-        cols = [i for i, L in enumerate(code.vertices) if L in ball]
-        report["pass" if spans(cols) else "fail"].append(A0)
-    return report
+# the Hamming certify is the Johnson one: both ask code.ball(A0)
+certify_hgc_infosets = certify_infosets
 
 
 def dual_hgc(code: HGCSpec) -> HGCSpec:

@@ -101,15 +101,27 @@ class JGCSpec:
             )
         # built on first use: the dual, its rows in this code's vertex
         # order and their nonzeros (dual, aligned_dual_rows,
-        # _sparse_dual_rows), one plan per anchor with its inverse
+        # _sparse_dual_rows), the vertices as bit masks (ball), one plan
+        # per anchor with its inverse
         self._dual: Optional[JGCSpec] = None
         self._aligned: Optional[Mat] = None
+        self._masks: Optional[List[int]] = None
         self._sparse: Optional[list] = None
         self._plans: Dict[Layer, DecodePlan] = {}
 
     @property
     def length(self) -> int:
         return comb(self.n, self.v)
+
+    def ball(self, A: Sequence[int]) -> List[int]:
+        """The positions, in ``vertices`` order, of B_r(A): the layers L
+        with shell_index(L, A) <= r, that is |L intersect A| >=
+        min(v, |A|) - r, a popcount over the vertices' bit masks."""
+        if self._masks is None:
+            self._masks = [sum(1 << j for j in L) for L in self.vertices]
+        a = sum(1 << j for j in A)
+        meet = min(self.v, len(A)) - self.r
+        return [i for i, m in enumerate(self._masks) if (m & a).bit_count() >= meet]
 
     def __repr__(self) -> str:
         return (
@@ -271,9 +283,9 @@ def unit_codeword(code: JGCSpec, A0: Sequence[int], L: Sequence[int]) -> List[in
     return anchored_minor_vector(code.F, code.base, A0, L, code.vertices)
 
 
-def certify_infosets(code: JGCSpec) -> Dict[str, List[Layer]]:
-    """Check, for every k-subset A, whether B_r(A) indexes an
-    information set of the graph code.
+def certify_infosets(code) -> Dict[str, List[tuple]]:
+    """Check, for every k-subset A, whether code.ball(A) indexes an
+    information set of the graph code, a Johnson or a Hamming one.
 
     Anchors that are not information sets of the base code cannot
     satisfy the guarantee and are reported under "skipped"; among the
@@ -281,21 +293,16 @@ def certify_infosets(code: JGCSpec) -> Dict[str, List[Layer]]:
     restricted to the ball columns has full rank.  The base and the
     generator are each row-reduced once per call (column_rank_test), so
     each anchor costs one rank of a block with at most min(dim, codim)
-    rows.  L lies in B_r(A) exactly when |L intersect A| >= min(v,k) - r.
+    rows.
     """
     base_spans = column_rank_test(code.F, code.base)
     spans = column_rank_test(code.F, code.generator)
-    meet = min(code.v, code.k) - code.r
-    # vertices and anchors as bit masks: |L intersect A| is a popcount
-    masks = [sum(1 << j for j in L) for L in code.vertices]
     report = {"pass": [], "fail": [], "skipped": []}
     for A in combinations(range(code.n), code.k):
         if not base_spans(A):
             report["skipped"].append(A)
             continue
-        a = sum(1 << j for j in A)
-        ball = [i for i, m in enumerate(masks) if (m & a).bit_count() >= meet]
-        report["pass" if spans(ball) else "fail"].append(A)
+        report["pass" if spans(code.ball(A)) else "fail"].append(A)
     return report
 
 
@@ -408,9 +415,8 @@ def decode_plan(code: JGCSpec, A: Sequence[int]) -> DecodePlan:
     A = layer(A)
     plan = code._plans.get(A)
     if plan is None:
-        ball, out = [], []
-        for i, L in enumerate(code.vertices):
-            (ball if shell_index(L, A) <= code.r else out).append(i)
+        ball = code.ball(A)
+        out = sorted(set(range(code.length)).difference(ball))
         infoset = is_infoset(code.F, code.base, A)
         inverse = None
         if infoset:

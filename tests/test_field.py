@@ -80,8 +80,10 @@ def test_inverse_of_zero_rejected():
 
 
 def test_explicit_reduction_polynomial():
-    # x^3 + x + 1 over GF(2): ascending lower coefficients of the monic modulus
-    F = FieldSpec(8, reduction=[1, 1, 0])
+    # x^3 + x + 1 over GF(2), the smallest irreducible cubic: ascending
+    # lower coefficients of the monic modulus
+    F = FieldSpec(8)
+    assert F.reduction == [1, 1, 0]
     x = 2
     assert F.mul(F.mul(x, x), x) == F.add(x, 1)
     assert repr(F) == "FieldSpec(q=8, p=2, m=3, reduction=[1, 1, 0])"

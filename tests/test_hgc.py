@@ -104,3 +104,11 @@ def test_dimension_formula_varies_with_t():
     assert dims == [12, 4]
     with pytest.raises(ValueError):
         construct_hgc(F2, EXAMPLE_BASE, 2, 3)
+
+
+def test_typed_input_errors():
+    with pytest.raises(ValueError, match="full rank"):
+        construct_hgc(F2, [[1, 0, 1, 1], [1, 0, 1, 1]], 2, 1)
+    for r in (-1, 3):
+        with pytest.raises(ValueError, match="need 0 <= r <= m"):
+            rm_generator(r, 2)

@@ -23,6 +23,7 @@ from graphcodes.jgc import (
     signed_pairing,
     sparse_parities,
     syndrome_of,
+    systematic_rows,
     to_json,
     unit_codeword,
 )
@@ -397,3 +398,15 @@ def test_bad_threshold_rejected():
         construct(F2, EXAMPLE_BASE, 3, 0)
     with pytest.raises(ValueError):
         construct(F2, EXAMPLE_BASE, 3, 3)
+
+
+def test_typed_input_errors():
+    with pytest.raises(ValueError, match="full rank"):
+        construct(F2, [[1, 0, 1, 1, 0], [1, 0, 1, 1, 0]], 3, 1)
+    with pytest.raises(ValueError, match="not an information set"):
+        systematic_rows(F2, EXAMPLE_BASE, (0, 2))
+    code = construct(F2, EXAMPLE_BASE, 3, 2)
+    with pytest.raises(ValueError, match="meets anchor .* < t=2"):
+        unit_codeword(code, (0, 1), (0, 2, 3))
+    with pytest.raises(ValueError, match="not an information set"):
+        sparse_parities(code, (0, 2))

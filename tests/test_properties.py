@@ -9,13 +9,14 @@ import random
 
 import pytest
 
-from graphcodes.combinat import hamming_shell_index, shell_index
+from graphcodes.combinat import ball, hamming_ball, hamming_shell_index, shell_index
 from graphcodes.concat import build_concat
 from graphcodes.field import _poly_mul_mod, field_make
 from graphcodes.hgc import HGCSpec, certify_hgc_infosets
 from graphcodes.jgc import (
     JGCSpec,
     certify_infosets,
+    decode_plan,
     dual,
     erasure_decode,
     is_infoset,
@@ -329,6 +330,49 @@ def test_certify_sweeps_match_per_anchor_reference(hamming_code):
     else:
         expected = _reference_certify(code, lambda L, A: shell_index(L, A) <= code.r)
         assert certify_infosets(code) == expected
+
+
+# ----- the ball each graph code gives against the reference sets -----
+
+# the running non-MDS examples: some anchors are not base information
+# sets, so plans without an inverse are checked too
+JOHNSON_BASES = [[[1, 0, 1, 1, 0], [0, 1, 0, 1, 1]],
+                 [[1, 0, 0, 1, 1, 0], [0, 1, 0, 1, 0, 1], [0, 0, 1, 0, 1, 1]]]
+HAMMING_BASES = [[[1, 0, 1, 1], [0, 1, 0, 1]], [[1, 1, 1]], [[1, 0, 1], [0, 1, 1]]]
+
+
+@pytest.mark.parametrize("order", ["klex", "lex"])
+@pytest.mark.parametrize("base", JOHNSON_BASES, ids=["5x2", "6x3"])
+def test_johnson_ball_matches_shell_index_at_every_anchor(base, order):
+    F2 = field_make(2)
+    k, n = len(base), len(base[0])
+    for v in range(1, n):
+        for t in range(1, min(v, k) + 1):
+            code = JGCSpec(F2, base, v, t, order=order)
+            for A in combinations(range(n), k):
+                inside = tuple(i for i, L in enumerate(code.vertices)
+                               if shell_index(L, A) <= code.r)
+                B = ball(A, code.r, n, v)
+                assert tuple(code.ball(A)) == inside
+                assert inside == tuple(i for i, L in enumerate(code.vertices) if L in B)
+                if code.dim == code.length:
+                    continue  # codimension 0: no dual code, so no plan
+                plan = decode_plan(code, A)
+                assert plan.ball == inside
+                assert plan.out == tuple(i for i in range(code.length) if i not in inside)
+
+
+@pytest.mark.parametrize("base", HAMMING_BASES, ids=["4x2", "3x1", "3x2"])
+def test_hamming_ball_matches_hamming_ball_at_every_anchor(base):
+    F2 = field_make(2)
+    k, n = len(base), len(base[0])
+    for m in range(1, 4):
+        for t in range(1, m + 1):
+            code = HGCSpec(F2, base, m, t)
+            assert code.basis_index == [code.vertices[i] for i in code.ball(range(k))]
+            for A0 in combinations(range(n), k):
+                B = hamming_ball(A0, code.r, m, n)
+                assert code.ball(A0) == [i for i, L in enumerate(code.vertices) if L in B]
 
 
 # ----- field kernel against a scalar reference -----

@@ -505,3 +505,20 @@ def test_ingest_rejects_a_bool_symbol():
     blob[0] = True
     with pytest.raises(ValueError, match="payload holds a symbol outside GF"):
         ingest(code, blob)
+
+
+def test_loads_share_a_live_layered_code(tmp_path):
+    code = LayeredCode(6, 3, 11)
+    path = str(tmp_path / "store")
+    save_state(ingest(code, _seeded_blob(code)), path)
+    assert load_state(path).code is code
+
+
+@pytest.mark.parametrize("blob", ["0123", {"0": 1}], ids=["string", "object"])
+def test_load_rejects_a_blob_that_is_not_a_list(tmp_path, blob):
+    code = LayeredCode(6, 3, 11)
+    path = str(tmp_path / "store")
+    save_state(ingest(code, _seeded_blob(code)), path)
+    _edit_manifest(path, lambda doc: doc.update(blob=blob))
+    with pytest.raises(ValueError, match=r"manifest.json holds a symbol outside GF\(11\)"):
+        load_state(path)
