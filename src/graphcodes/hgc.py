@@ -4,7 +4,9 @@ A codeword assigns a field element to every m-tuple over {0..n-1}.
 Generators are tensor vectors tau(M) of m x n matrices M with at least
 t of their rows in a k-dimensional base code; the dimension is the size
 of the radius-(m-t) ball around the anchor tuple set, and for n=2, k=1
-the family specializes to binary Reed-Muller codes.
+the family specializes to binary Reed-Muller codes.  The dual, unit
+codewords, certification and decoding are jgc's, shared through
+jgc.GraphCode.
 """
 
 from __future__ import annotations
@@ -12,49 +14,38 @@ from __future__ import annotations
 import itertools
 from typing import List, Sequence
 
-from graphcodes.combinat import hamming_shell_index, hamming_vertices
+from graphcodes.combinat import hamming_vertices
 from graphcodes.field import FieldSpec, field_make
-from graphcodes.jgc import certify_infosets, extend_base, systematic_rows
-from graphcodes.matrix import Mat, rank, rref, tau
+from graphcodes.jgc import GraphCode, certify_infosets
+from graphcodes.matrix import Mat, rank, tau
 
 
-class HGCSpec:
+class HGCSpec(GraphCode):
     """Immutable description of a constructed Hamming graph code.
 
-    Attributes mirror JGCSpec: base is k x n, r = m - t, vertices are
+    Attributes, besides GraphCode's: m, with r = m - t.  Vertices are
     the m-tuples in shell-block order around the anchor (0..k-1), and
-    generator rows are tau(M) for row-index tuples I with at most m - t
-    coordinates outside {0..k-1}.
+    generator rows are tau(M) for the row-index tuples I in
+    basis_index, those with at most m - t coordinates outside {0..k-1}.
     """
 
-    def __init__(self, F: FieldSpec, base: Mat, m: int, t: int):
-        k = len(base)
-        n = len(base[0])
-        _, pivots = rref(F, base)
-        if len(pivots) != k:
-            raise ValueError("base matrix must have full rank")
-        if not 0 < t <= m:
-            raise ValueError(f"need 0 < t <= m, got t={t}, m={m}")
-        self.F = F
-        self.m = m
-        self.n = n
-        self.k = k
-        self.t = t
-        self.r = m - t
-        self.base = [list(row) for row in base]
-        self.g = extend_base(self.base, pivots)
-        self.vertices = hamming_vertices(m, n, anchor=range(k))
-        self.vertex_pos = {L: i for i, L in enumerate(self.vertices)}
-        self.basis_index = [self.vertices[i] for i in self.ball(range(k))]
-        self.generator = [
-            tau(F, [self.g[i] for i in I], self.vertices)
-            for I in self.basis_index
-        ]
-        self.dim = len(self.generator)
+    _repr_params = ("m", "n")
 
-    @property
-    def length(self) -> int:
-        return self.n ** self.m
+    def __init__(self, F: FieldSpec, base: Mat, m: int, t: int):
+        self.m = m
+        super().__init__(F, base, t, m,
+                         hamming_vertices(m, len(base[0]), anchor=range(len(base))))
+
+    def _generator(self, pivots: Sequence[int]) -> Mat:
+        self.basis_index = [self.vertices[i] for i in self.ball(range(self.k))]
+        return [tau(self.F, [self.g[i] for i in I], self.vertices)
+                for I in self.basis_index]
+
+    def coords(self, M: Mat) -> List[int]:
+        return tau(self.F, M, self.vertices)
+
+    def _dual_code(self, D0: Mat) -> HGCSpec:
+        return HGCSpec(self.F, D0, self.m, self.m + 1 - self.t)
 
     def ball(self, A0: Sequence[int]) -> List[int]:
         """The positions, in ``vertices`` order, of B_r(A0^m): the tuples
@@ -62,12 +53,6 @@ class HGCSpec:
         sA = set(A0)
         return [i for i, L in enumerate(self.vertices)
                 if sum(x not in sA for x in L) <= self.r]
-
-    def __repr__(self) -> str:
-        return (
-            f"HGCSpec(m={self.m}, n={self.n}, k={self.k}, t={self.t}, "
-            f"r={self.r}, q={self.F.q}, dim={self.dim})"
-        )
 
 
 def construct_hgc(F: FieldSpec, base: Mat, m: int, t: int) -> HGCSpec:
@@ -77,48 +62,6 @@ def construct_hgc(F: FieldSpec, base: Mat, m: int, t: int) -> HGCSpec:
 
 # the Hamming certify is the Johnson one: both ask code.ball(A0)
 certify_hgc_infosets = certify_infosets
-
-
-def dual_hgc(code: HGCSpec) -> HGCSpec:
-    """Dual graph code: built from the dual base with threshold m+1-t.
-
-    Orthogonality factors through the per-row inner products, and the
-    dimensions of the pair sum to n^m.
-    """
-    from graphcodes.matrix import nullspace
-
-    D0 = nullspace(code.F, code.base)
-    return HGCSpec(code.F, D0, code.m, code.m + 1 - code.t)
-
-
-def hgc_unit_codeword(code: HGCSpec, A0: Sequence[int],
-                      L: Sequence[int]) -> List[int]:
-    """Codeword with value 1 at the tuple L and 0 at every other tuple
-    at most as far from the anchor as L; for L on the boundary shell it
-    vanishes on all of B_r(A0^m) except L.  Weight at most
-    (n-k+1)^(m-s) for L on shell s, which is (n-k+1)^t on the boundary.
-
-    Rows of M: the systematic base word for coordinates inside A0, the
-    unit vector for coordinates outside.  Repeated coordinates simply
-    repeat rows.
-    """
-    L = tuple(L)
-    if hamming_shell_index(L, A0) > code.r:
-        raise ValueError(f"tuple {L} lies outside the radius-{code.r} ball")
-    F = code.F
-    sA0 = set(A0)
-    sys_rows = systematic_rows(F, code.base, sorted(A0))
-    M = []
-    for j in L:
-        if j in sA0:
-            M.append(sys_rows[j])
-        else:
-            M.append([1 if c == j else 0 for c in range(code.n)])
-    word = tau(F, M, code.vertices)
-    pivot = word[code.vertex_pos[L]]
-    if pivot != 1:
-        word = F.scale(F.inv(pivot), word)
-    return word
 
 
 def rm_generator(r: int, m: int) -> Mat:
@@ -138,7 +81,10 @@ def rm_generator(r: int, m: int) -> Mat:
 
 
 def rm_equivalent(r: int, m: int) -> bool:
-    """True when HGC(m,2,1,r) and RM(r,m) have equal row spaces."""
+    """True when HGC(m,2,1,r) and RM(r,m) have equal row spaces; the
+    graph code needs a threshold t = m - r > 0, so 0 <= r < m."""
+    if not 0 <= r < m:
+        raise ValueError(f"need 0 <= r < m, got r={r}, m={m}")
     F = field_make(2)
     code = construct_hgc(F, [[1, 1]], m, m - r)
     rm = rm_generator(r, m)

@@ -1,4 +1,4 @@
-"""Johnson graph codes.
+"""Johnson graph codes, and what every graph code shares.
 
 A code here lives on the vertex set of J(n,v): a codeword assigns one
 field element to every v-subset (layer) of {0..n-1}.  Starting from a
@@ -13,19 +13,21 @@ entry is 0 or a signed minor of the base: pi(M)_L = +-det(base rows of
 M, L minus U) when U lies in L, and 0 otherwise.  A code is built from
 one Laplace pass over all s x s minors of the base, s <= min(v,k)
 (about sum_s C(k,s) C(n,s) s products), not one determinant per vertex.
+
+GraphCode holds what a Johnson code (JGCSpec) and a Hamming code
+(hgc.HGCSpec) share, and dual, unit_codeword, certify_infosets,
+decode_plan, erasure_decode and syndrome_of serve both families.
 """
 
 from __future__ import annotations
 
 import json
 from itertools import combinations
-from math import comb
 from operator import itemgetter
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from graphcodes.combinat import (
     Layer,
-    ball_size,
     complement,
     johnson_vertices,
     layer,
@@ -47,71 +49,98 @@ from graphcodes.matrix import (
 )
 
 
-class JGCSpec:
-    """Immutable description of a constructed Johnson graph code.
+class GraphCode:
+    """What a Johnson and a Hamming graph code share.
+
+    A subclass gives its vertices and the largest threshold ``top``,
+    and defines _generator(pivots), ball(A), coords(M) (pi or tau over
+    ``vertices``), _dual_code(D0) (the code on the dual base D0 with
+    threshold top + 1 - t) and _repr_params, its own parameters.
 
     Attributes
     ----------
     F : FieldSpec
-    n, v, k, t, r : parameters, r = min(v,k) - t
+    n, k, t, r : base length and dimension, threshold, r = top - t
     base : k x n generator of the base code
-    order : vertex ordering ("klex" or "lex")
-    vertices : list of layers indexing the columns
-    basis_index : row-index layers I with |I intersect {0..k-1}| >= t
-    g : the base extended by unit rows at its non-pivot columns (extend_base)
-    generator : dim x C(n,v) generator matrix, row I = pi(g restricted to
-        I); entry L is 0 unless the unit columns U of I lie in L, and
-        otherwise +-det(base rows of I, L minus U), taken from one
-        Laplace pass over the base's minors (plucker_rows): about
-        sum_s C(k,s) C(n,s) s products for s <= min(v,k)
+    g : the n x n base extended by unit rows at its non-pivot columns in
+        increasing order, invertible for any full-rank base
+    vertices, vertex_pos, length : the columns' vertices, their
+        positions, and their number
+    generator, dim : the generator rows and their number
     """
 
-    def __init__(self, F: FieldSpec, base: Mat, v: int, t: int, order: str = "klex"):
-        k = len(base)
-        n = len(base[0])
+    def __init__(self, F: FieldSpec, base: Mat, t: int, top: int,
+                 vertices: List[tuple]):
         _, pivots = rref(F, base)
-        if len(pivots) != k:
+        if len(pivots) != len(base):
             raise ValueError("base matrix must have full rank")
-        if not 0 < t <= min(v, k):
-            raise ValueError(f"need 0 < t <= min(v,k), got t={t}, v={v}, k={k}")
+        if not 0 < t <= top:
+            raise ValueError(f"need 0 < t <= {top}, got t={t}")
         self.F = F
-        self.n = n
-        self.v = v
-        self.k = k
+        self.n = len(base[0])
+        self.k = len(base)
         self.t = t
-        self.r = min(v, k) - t
-        self.order = order
+        self.r = top - t
         self.base = [list(row) for row in base]
-        self.g = extend_base(self.base, pivots)
-        self.vertices = johnson_vertices(n, v, order=order, k=k)
+        self.g = [list(row) for row in self.base] + [
+            [int(c == j) for c in range(self.n)] for j in range(self.n) if j not in pivots]
+        self.vertices = vertices
         self.vertex_pos = {L: i for i, L in enumerate(self.vertices)}
-        head = set(range(k))
-        self.basis_index = [
-            I for I in johnson_vertices(n, v, order="klex", k=k)
-            if len(head.intersection(I)) >= t
-        ]
-        self.generator = plucker_rows(F, self.base, pivots, v, self.basis_index,
-                                      self.vertex_pos)
+        self.length = len(self.vertices)
+        self.generator = self._generator(pivots)
         self.dim = len(self.generator)
-        expected = ball_size(n, v, k, self.r)
-        if self.dim != expected:
-            raise AssertionError(
-                f"basis size {self.dim} != ball size {expected} for "
-                f"(n,v,k,t)=({n},{v},{k},{t})"
-            )
         # built on first use: the dual, its rows in this code's vertex
         # order and their nonzeros (dual, aligned_dual_rows,
         # _sparse_dual_rows), the vertices as bit masks (ball), one plan
         # per anchor with its inverse
-        self._dual: Optional[JGCSpec] = None
+        self._dual: Optional[GraphCode] = None
         self._aligned: Optional[Mat] = None
         self._masks: Optional[List[int]] = None
         self._sparse: Optional[list] = None
         self._plans: Dict[Layer, DecodePlan] = {}
 
-    @property
-    def length(self) -> int:
-        return comb(self.n, self.v)
+    def __repr__(self) -> str:
+        own = ", ".join(f"{p}={getattr(self, p)}" for p in self._repr_params)
+        return (f"{type(self).__name__}({own}, k={self.k}, t={self.t}, "
+                f"r={self.r}, q={self.F.q}, dim={self.dim})")
+
+
+class JGCSpec(GraphCode):
+    """Immutable description of a constructed Johnson graph code.
+
+    Attributes, besides GraphCode's
+    -------------------------------
+    v : vertex size, r = min(v,k) - t
+    order : vertex ordering ("klex" or "lex")
+    basis_index : row-index layers I with |I intersect {0..k-1}| >= t,
+        that is B_r({0..k-1})
+    generator : dim x C(n,v) generator matrix, row I = pi(g restricted to
+        I), from one Laplace pass over the base's minors (plucker_rows)
+    """
+
+    _repr_params = ("n", "v")
+
+    def __init__(self, F: FieldSpec, base: Mat, v: int, t: int, order: str = "klex"):
+        self.v = v
+        self.order = order
+        k = len(base)
+        super().__init__(F, base, t, min(v, k),
+                         johnson_vertices(len(base[0]), v, order=order, k=k))
+
+    def _generator(self, pivots: Sequence[int]) -> Mat:
+        head = set(range(self.k))
+        self.basis_index = [
+            I for I in johnson_vertices(self.n, self.v, order="klex", k=self.k)
+            if len(head.intersection(I)) >= self.t
+        ]
+        return plucker_rows(self.F, self.base, pivots, self.v, self.basis_index,
+                            self.vertex_pos)
+
+    def coords(self, M: Mat) -> List[int]:
+        return pi(self.F, M, self.vertices)
+
+    def _dual_code(self, D0: Mat) -> JGCSpec:
+        return JGCSpec(self.F, D0, self.v, self.v + 1 - self.t, order=self.order)
 
     def ball(self, A: Sequence[int]) -> List[int]:
         """The positions, in ``vertices`` order, of B_r(A): the layers L
@@ -122,12 +151,6 @@ class JGCSpec:
         a = sum(1 << j for j in A)
         meet = min(self.v, len(A)) - self.r
         return [i for i, m in enumerate(self._masks) if (m & a).bit_count() >= meet]
-
-    def __repr__(self) -> str:
-        return (
-            f"JGCSpec(n={self.n}, v={self.v}, k={self.k}, t={self.t}, "
-            f"r={self.r}, q={self.F.q}, dim={self.dim})"
-        )
 
 
 class ParityStructure:
@@ -151,27 +174,12 @@ class ParityStructure:
         return len(self.rows)
 
 
-def extend_base(base: Mat, pivots: Sequence[int]) -> Mat:
-    """Extend the k x n base, whose rref has the pivot columns
-    ``pivots``, to an invertible n x n matrix.
-
-    The extra n-k rows are unit vectors placed at the non-pivot columns
-    of the base, in increasing order, so the extension is invertible for
-    any full-rank base.
-    """
-    n = len(base[0])
-    g = [list(row) for row in base]
-    for j in range(n):
-        if j not in pivots:
-            g.append([1 if c == j else 0 for c in range(n)])
-    return g
-
-
 def plucker_rows(F: FieldSpec, base: Mat, pivots: Sequence[int], v: int,
                  basis_index: Sequence[Layer],
                  vertex_pos: Dict[Layer, int]) -> Mat:
-    """The rows pi(g restricted to I), I in basis_index, of the extended
-    base g = extend_base(base, pivots), from the minors of the base.
+    """The rows pi(g restricted to I), I in basis_index, of the base
+    extended by unit rows at its non-pivot columns (GraphCode.g), from
+    the minors of the base.
 
     Row I takes the base rows I_b = I intersect {0..k-1} and the unit
     rows of g at the non-pivot columns U.  Its entry at the vertex L is
@@ -237,53 +245,53 @@ def is_infoset(F: FieldSpec, base: Mat, A: Sequence[int]) -> bool:
 
 
 def anchored_minor_vector(F: FieldSpec, base: Mat, A0: Sequence[int],
-                          L: Sequence[int], vertices: Sequence[Layer]) -> List[int]:
-    """pi(M) for the anchored matrix M attached to (A0, L).
+                          L: Sequence[int], coords: Callable[[Mat], List[int]]) -> List[int]:
+    """coords(M), a graph code's ``coords``, for the anchored matrix M
+    attached to (A0, L).
 
-    M has, for each j in L intersect A0, the systematic base word with a
-    single 1 on A0 (at j); for each j in L minus A0, the unit vector at
-    j.  The coordinate at L is scaled to 1.  The number of nonzeros is
-    at most C(2a + n - k - v, a) with a = |L intersect A0|.
+    M has, for each j in L inside A0, the systematic base word with a
+    single 1 on A0 (at j); for each j in L outside A0, the unit vector
+    at j.  Its coordinate at L is 1.  With a = the number of entries of
+    L inside A0, the number of nonzeros is at most C(2a + n - k - v, a)
+    for a Johnson code and (n - k + 1)^a for a Hamming code.
     """
-    return _anchored_word(F, systematic_rows(F, base, A0), len(base[0]), L,
-                          vertices)
+    return _anchored_word(coords, systematic_rows(F, base, A0), len(base[0]), L)
 
 
-def _anchored_word(F: FieldSpec, sys_rows: Dict[int, List[int]], n: int,
-                   L: Sequence[int], vertices: Sequence[Layer]) -> List[int]:
+def _anchored_word(coords: Callable[[Mat], List[int]], sys_rows: Dict[int, List[int]],
+                   n: int, L: Sequence[int]) -> List[int]:
     """anchored_minor_vector from the systematic rows over A0 (keyed by
-    the elements of A0), so one elimination serves every L."""
-    L = layer(L)
-    M = [sys_rows[j] if j in sys_rows else [int(c == j) for c in range(n)]
-         for j in L]
-    word = pi(F, M, vertices)
-    pivot = word[vertices.index(L)]
-    if pivot == 0:
-        raise ValueError(f"anchored vector degenerate at L={L}, A0={sorted(sys_rows)}")
-    if pivot != 1:
-        word = F.scale(F.inv(pivot), word)
-    return word
+    the elements of A0), so one elimination serves every L.
+
+    Row i of M has a 1 at column L_i, and its other entries at L's
+    columns lie only in rows in A0 and columns outside A0.  So for pi,
+    M on L's columns is unipotent and its determinant, the coordinate
+    at L, is exactly 1; for tau that coordinate is a product of ones.
+    No normalization is needed.
+    """
+    return coords([sys_rows[j] if j in sys_rows else [int(c == j) for c in range(n)]
+                   for j in L])
 
 
-def unit_codeword(code: JGCSpec, A0: Sequence[int], L: Sequence[int]) -> List[int]:
-    """Codeword with value 1 at L and 0 at every other layer at most as
-    far from A0 as L; for L on the boundary shell this vanishes on all
-    of B_r(A0) except L.
+def unit_codeword(code: GraphCode, A0: Sequence[int], L: Sequence[int]) -> List[int]:
+    """Codeword with value 1 at the vertex L and 0 at every other vertex
+    at most as far from A0 as L; for L on the boundary shell this
+    vanishes on all of B_r(A0) except L.
 
-    Requires |L intersect A0| >= t so that the anchored matrix has
-    enough base rows; its weight is then at most C(2t + n - k - v, t).
+    Requires L to have at least t entries in A0 (it lies in B_r(A0)),
+    so that the anchored matrix has enough base rows.
     """
     A0 = layer(A0)
-    L = layer(L)
-    a = len(set(A0).intersection(L))
+    L = tuple(L)
+    if L not in code.vertex_pos:
+        raise ValueError(f"{L} is not a vertex of {code!r}")
+    a = sum(j in A0 for j in L)
     if a < code.t:
-        raise ValueError(
-            f"layer {L} meets anchor {A0} in {a} < t={code.t} positions"
-        )
-    return anchored_minor_vector(code.F, code.base, A0, L, code.vertices)
+        raise ValueError(f"vertex {L} meets anchor {A0} in {a} < t={code.t} positions")
+    return anchored_minor_vector(code.F, code.base, A0, L, code.coords)
 
 
-def certify_infosets(code) -> Dict[str, List[tuple]]:
+def certify_infosets(code: GraphCode) -> Dict[str, List[tuple]]:
     """Check, for every k-subset A, whether code.ball(A) indexes an
     information set of the graph code, a Johnson or a Hamming one.
 
@@ -306,18 +314,20 @@ def certify_infosets(code) -> Dict[str, List[tuple]]:
     return report
 
 
-def dual(code: JGCSpec) -> JGCSpec:
+def dual(code: GraphCode) -> GraphCode:
     """The dual graph code, built from the dual of the base code.
 
     The base of the dual is a nullspace basis of the primal base and
-    the threshold becomes v + 1 - t; dimensions of the pair sum to
-    C(n,v) and generators are orthogonal.  It is built once and kept on
-    the code, so every call returns the same object.
+    the threshold becomes v + 1 - t (m + 1 - t for a Hamming code);
+    dimensions of the pair sum to the length and generators are
+    orthogonal.  It is built once and kept on the code, so every call
+    returns the same object.  A code of codimension 0 has no dual code
+    and raises ValueError.
     """
     if code._dual is None:
-        D0 = nullspace(code.F, code.base)
-        code._dual = JGCSpec(code.F, D0, code.v, code.v + 1 - code.t,
-                             order=code.order)
+        if code.dim == code.length:
+            raise ValueError(f"{code!r} has codimension 0: its dual is the zero code")
+        code._dual = code._dual_code(nullspace(code.F, code.base))
     return code._dual
 
 
@@ -365,7 +375,7 @@ def sparse_parities(code: JGCSpec, A: Sequence[int]) -> ParityStructure:
     targets = [L for L in code.vertices if shell_index(L, A) > code.r]
     targets.sort(key=lambda L: (shell_index(L, A), L))
     for Lp in targets:
-        word = _anchored_word(F, sys_rows, code.n, Lp, code.vertices)
+        word = _anchored_word(code.coords, sys_rows, code.n, Lp)
         support = [
             (L, x) for L, x in zip(code.vertices, word) if x != 0
         ]
@@ -392,18 +402,20 @@ class DecodePlan(NamedTuple):
     inverse: Optional[Mat]
 
 
-def aligned_dual_rows(code: JGCSpec) -> Mat:
+def aligned_dual_rows(code: GraphCode) -> Mat:
     """The generator rows of ``dual(code)`` re-indexed by this code's
-    vertex order, built once and kept on the code.  Callers must not
-    modify the returned rows."""
+    vertex order, built once and kept on the code; none for a code of
+    codimension 0.  Callers must not modify the returned rows."""
     if code._aligned is None:
-        D = dual(code)
-        code._aligned = [[hrow[D.vertex_pos[L]] for L in code.vertices]
-                         for hrow in D.generator]
+        code._aligned = []
+        if code.dim < code.length:
+            D = dual(code)
+            code._aligned = [[hrow[D.vertex_pos[L]] for L in code.vertices]
+                             for hrow in D.generator]
     return code._aligned
 
 
-def decode_plan(code: JGCSpec, A: Sequence[int]) -> DecodePlan:
+def decode_plan(code: GraphCode, A: Sequence[int]) -> DecodePlan:
     """The anchor-only part of a decode at A, built once per anchor and
     kept on the code: at most C(n, k) plans for k-subset anchors.
 
@@ -441,7 +453,7 @@ def getter(pos: Sequence[int]):
     return itemgetter(*pos) if pos else lambda x: ()
 
 
-def _sparse_dual_rows(code: JGCSpec) -> list:
+def _sparse_dual_rows(code: GraphCode) -> list:
     """Each aligned dual row as (gather, coefficients, [1] + -coefficients)
     over its nonzero positions, so that F.dot(coefficients, gather(vec))
     is the row's product with vec and F.dot(the third, (s,) + gather(vec))
@@ -455,7 +467,7 @@ def _sparse_dual_rows(code: JGCSpec) -> list:
     return code._sparse
 
 
-def syndrome_of(code: JGCSpec, vec: Sequence[int],
+def syndrome_of(code: GraphCode, vec: Sequence[int],
                 regions: Optional[Regions] = None) -> List[int]:
     """Products of the aligned dual generator rows with a full vector.
 
@@ -469,7 +481,7 @@ def syndrome_of(code: JGCSpec, vec: Sequence[int],
     return [dot(coefs, gather(vec)) for gather, coefs, _ in _sparse_dual_rows(code)]
 
 
-def erasure_decode(code: JGCSpec, A: Sequence[int],
+def erasure_decode(code: GraphCode, A: Sequence[int],
                    word: Sequence[Optional[int]],
                    syndrome: Optional[Sequence[int]] = None,
                    regions: Optional[Regions] = None) -> List[int]:
@@ -520,7 +532,7 @@ def erasure_decode(code: JGCSpec, A: Sequence[int],
     return w
 
 
-def _dense_complete(code: JGCSpec, plan: DecodePlan, H: list,
+def _dense_complete(code: GraphCode, plan: DecodePlan, H: list,
                     syndrome: Sequence[int], w: List[int], K: Regions) -> List[int]:
     """Set w (indexed like code.vertices: ball values, 0 elsewhere) at
     plan.out to x = E (syndrome - H w), E being the inverse the anchor's

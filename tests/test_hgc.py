@@ -9,11 +9,10 @@ from graphcodes.field import field_make
 from graphcodes.hgc import (
     certify_hgc_infosets,
     construct_hgc,
-    dual_hgc,
-    hgc_unit_codeword,
     rm_equivalent,
     rm_generator,
 )
+from graphcodes.jgc import dual as dual_hgc, unit_codeword as hgc_unit_codeword
 from graphcodes.matrix import rank, tau
 
 F2 = field_make(2)
@@ -112,3 +111,6 @@ def test_typed_input_errors():
     for r in (-1, 3):
         with pytest.raises(ValueError, match="need 0 <= r <= m"):
             rm_generator(r, 2)
+    for r in (-1, 2):
+        with pytest.raises(ValueError, match=f"need 0 <= r < m, got r={r}"):
+            rm_equivalent(r, 2)

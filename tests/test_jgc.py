@@ -267,7 +267,7 @@ def test_sparse_parities_make_one_systematic_elimination(monkeypatch):
     monkeypatch.undo()
     assert len(structure) == 53
     for Lp, support in structure.rows:
-        word = anchored_minor_vector(code.F, D0, Ac, Lp, code.vertices)
+        word = anchored_minor_vector(code.F, D0, Ac, Lp, code.coords)
         assert support == [(L, x) for L, x in zip(code.vertices, word) if x]
 
 
@@ -393,6 +393,22 @@ def test_json_float_field_order_rejected():
         from_json(json.dumps(doc))
 
 
+def test_codimension_zero_code_decodes_without_a_dual():
+    # dim 15 = C(6,4): the ball of every anchor is the whole word, and
+    # the dual threshold v+1-t = 4 would exceed min(v, n-k) = 3
+    code = construct(F2, [[1, 0, 0, 1, 1, 0], [0, 1, 0, 1, 0, 1], [0, 0, 1, 0, 1, 1]], 4, 1)
+    assert code.dim == code.length == 15
+    A = (0, 1, 2)
+    plan = decode_plan(code, A)
+    assert plan.out == () and plan.inverse == []
+    word, known = _codeword_and_ball(code, A, 5)
+    assert known == word
+    assert erasure_decode(code, A, known) == word
+    assert syndrome_of(code, word) == []
+    with pytest.raises(ValueError, match="codimension 0"):
+        dual(code)
+
+
 def test_bad_threshold_rejected():
     with pytest.raises(ValueError):
         construct(F2, EXAMPLE_BASE, 3, 0)
@@ -408,5 +424,8 @@ def test_typed_input_errors():
     code = construct(F2, EXAMPLE_BASE, 3, 2)
     with pytest.raises(ValueError, match="meets anchor .* < t=2"):
         unit_codeword(code, (0, 1), (0, 2, 3))
+    # a vertex is a sorted layer: a permuted one would flip pi's sign
+    with pytest.raises(ValueError, match=r"\(2, 0, 3\) is not a vertex of JGCSpec\(n=5"):
+        unit_codeword(code, (0, 1), (2, 0, 3))
     with pytest.raises(ValueError, match="not an information set"):
         sparse_parities(code, (0, 2))

@@ -182,3 +182,14 @@ def test_compound_of_upper_triangular_is_upper_triangular():
 def test_pi_rejects_wide_rows():
     with pytest.raises(ValueError):
         pi(F7, [[1, 2], [3, 4], [5, 6]], [(0, 1)])
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: mat_mul(F7, [[1, 2]], [[1, 2]]), "shape mismatch: 1x2 times 1x2"),
+    (lambda: det(F7, [[1, 2]]), "square"),
+    (lambda: compound(F7, [[1, 2]], 1), "square"),
+    (lambda: compound(F7, identity(11), 1), "only for n <= 10"),
+], ids=["mat_mul", "det", "compound-shape", "compound-size"])
+def test_shape_errors_are_typed(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()

@@ -355,8 +355,6 @@ def test_johnson_ball_matches_shell_index_at_every_anchor(base, order):
                 B = ball(A, code.r, n, v)
                 assert tuple(code.ball(A)) == inside
                 assert inside == tuple(i for i, L in enumerate(code.vertices) if L in B)
-                if code.dim == code.length:
-                    continue  # codimension 0: no dual code, so no plan
                 plan = decode_plan(code, A)
                 assert plan.ball == inside
                 assert plan.out == tuple(i for i in range(code.length) if i not in inside)
@@ -370,9 +368,21 @@ def test_hamming_ball_matches_hamming_ball_at_every_anchor(base):
         for t in range(1, m + 1):
             code = HGCSpec(F2, base, m, t)
             assert code.basis_index == [code.vertices[i] for i in code.ball(range(k))]
+            # a seeded codeword, nonzero since its first row has coefficient 1
+            rng = random.Random(m * 10 + t)
+            word = mat_vec(F2, [list(col) for col in zip(*code.generator)],
+                           [1] + [rng.randrange(2) for _ in range(code.dim - 1)])
+            assert not any(syndrome_of(code, word))
             for A0 in combinations(range(n), k):
                 B = hamming_ball(A0, code.r, m, n)
-                assert code.ball(A0) == [i for i, L in enumerate(code.vertices) if L in B]
+                inside = code.ball(A0)
+                assert inside == [i for i, L in enumerate(code.vertices) if L in B]
+                plan = decode_plan(code, A0)
+                assert plan.ball == tuple(inside)
+                assert plan.out == tuple(i for i in range(code.length) if i not in inside)
+                if plan.infoset:
+                    known = [x if i in plan.ball else None for i, x in enumerate(word)]
+                    assert erasure_decode(code, A0, known) == word
 
 
 # ----- field kernel against a scalar reference -----

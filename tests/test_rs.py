@@ -27,6 +27,8 @@ def test_vandermonde_entries():
     assert V == [[1, 1, 1], [0, 1, 2], [0, 1, 4]]
     with pytest.raises(ValueError):
         vandermonde(F7, [1, 1])
+    with pytest.raises(ValueError, match="evaluation points must be distinct"):
+        RSBasis(F7, [1, 1], "monomial")
 
 
 def test_three_forms_share_leading_row_space():
@@ -60,6 +62,8 @@ def test_block_form_vanishes_on_anchor():
         assert all(blk.rows[i][j] == 0 for j in range(k))
     with pytest.raises(ValueError):
         RSBasis(F, list(range(6)), "block")
+    with pytest.raises(ValueError, match="unknown form 'newton'"):
+        RSBasis(F, list(range(6)), "newton")
 
 
 def test_det_h_monomial_rows_give_vandermonde():
@@ -69,6 +73,8 @@ def test_det_h_monomial_rows_give_vandermonde():
     for L in combinations(range(7), 4):
         pts = [alphas[j] for j in L]
         assert det_h(blk, range(4), L) == vandermonde_det(F, pts)
+    with pytest.raises(ValueError, match="equal size"):
+        det_h(blk, range(3), (0, 1))
 
 
 def test_det_h_block_triangular_row_equality():
@@ -120,3 +126,6 @@ def test_product_poly_gcd_precondition():
     # n-v+1 = 3 shares a factor with q-1 = 6
     with pytest.raises(ValueError):
         product_poly_code(5, 3, 7)
+    # gcd(2, 3) = 1, but GF(4) has too few points for n = 5
+    with pytest.raises(ValueError, match="need q >= n, got q=4, n=5"):
+        product_poly_code(5, 4, 4)
