@@ -52,11 +52,6 @@ def _ints(p: argparse.ArgumentParser, names: str) -> None:
         p.add_argument(f"--{name}", type=int, required=True)
 
 
-def _code_flags(p: argparse.ArgumentParser) -> None:
-    _ints(p, "nvktq")
-    p.add_argument("--order", choices=("klex", "lex"), default="klex")
-
-
 def _common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out")
@@ -68,17 +63,12 @@ def _parser() -> argparse.ArgumentParser:
         prog="graphcodes", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    p = sub.add_parser("construct", help="build a Johnson graph code")
-    _code_flags(p)
-    _common(p)
-
-    p = sub.add_parser("certify", help="check every anchor's information set")
-    _code_flags(p)
-    _common(p)
-
-    p = sub.add_parser("dual", help="descriptor of the dual graph code")
-    _code_flags(p)
-    _common(p)
+    for verb, text in (("construct", "build a Johnson graph code"),
+                       ("certify", "check every anchor's information set"),
+                       ("dual", "descriptor of the dual graph code")):
+        p = sub.add_parser(verb, help=text)
+        _ints(p, "nvktq")
+        _common(p)
 
     p = sub.add_parser("tables", help="census, balance, and scenario tables")
     _ints(p, "nvk")
@@ -103,13 +93,13 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def _run_construct(args) -> int:
-    code = rs_jgc(args.n, args.v, args.k, args.t, args.q, order=args.order)
+    code = rs_jgc(args.n, args.v, args.k, args.t, args.q)
     _emit(to_json(code, alphas=code.alphas) + "\n", args.out)
     return 0
 
 
 def _run_certify(args) -> int:
-    code = rs_jgc(args.n, args.v, args.k, args.t, args.q, order=args.order)
+    code = rs_jgc(args.n, args.v, args.k, args.t, args.q)
     report = certify_infosets(code)
     doc = {kind: [layer_str(A, code.n) for A in anchors]
            for kind, anchors in report.items()}
@@ -125,7 +115,7 @@ def _run_certify(args) -> int:
 
 
 def _run_dual(args) -> int:
-    code = rs_jgc(args.n, args.v, args.k, args.t, args.q, order=args.order)
+    code = rs_jgc(args.n, args.v, args.k, args.t, args.q)
     _emit(to_json(dual(code)) + "\n", args.out)
     return 0
 

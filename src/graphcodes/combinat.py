@@ -34,24 +34,18 @@ def complement(L: Sequence[int], n: int) -> Layer:
     return tuple(i for i in range(n) if i not in s)
 
 
-def johnson_vertices(n: int, v: int, order: str = "lex", k: int = None) -> List[Layer]:
-    """All v-subsets of {0..n-1}.
-
-    order "lex" is plain lexicographic; order "klex" sorts primarily by
-    decreasing |L intersect {0..k-1}|, ties broken lexicographically.
+def johnson_vertices(n: int, v: int, k: int = None) -> List[Layer]:
+    """All v-subsets of {0..n-1}, in lexicographic order, or with k in
+    k-lex order: by decreasing |L intersect {0..k-1}|, ties broken
+    lexicographically.
     """
     if not 0 <= v <= n:
         raise ValueError(f"need 0 <= v <= n, got v={v}, n={n}")
     verts = list(itertools.combinations(range(n), v))
-    if order == "lex":
-        return verts
-    if order == "klex":
-        if k is None:
-            raise ValueError("klex order requires k")
+    if k is not None:
         head = set(range(k))
         verts.sort(key=lambda L: (-len(head.intersection(L)), L))
-        return verts
-    raise ValueError(f"unknown order {order!r}")
+    return verts
 
 
 def shell_index(L: Sequence[int], A: Sequence[int]) -> int:
@@ -97,18 +91,14 @@ def sign_of(L: Sequence[int]) -> int:
     return -1 if e % 2 else 1
 
 
-def hamming_vertices(m: int, n: int, anchor: Sequence[int] = None) -> List[HammingVertex]:
-    """All m-tuples over {0..n-1}.
-
-    With an anchor A the tuples come in shell blocks S_0(A^m), S_1(A^m), ...
-    (number of coordinates outside A), ties lexicographic.  Without an
-    anchor the order is plain lexicographic.
+def hamming_vertices(m: int, n: int, anchor: Sequence[int]) -> List[HammingVertex]:
+    """All m-tuples over {0..n-1}, in shell blocks S_0(A^m), S_1(A^m),
+    ... around the anchor A (number of coordinates outside A), ties
+    lexicographic.
     """
-    verts = list(itertools.product(range(n), repeat=m))
-    if anchor is not None:
-        sA = set(anchor)
-        verts.sort(key=lambda t: (sum(1 for x in t if x not in sA), t))
-    return verts
+    sA = set(anchor)
+    return sorted(itertools.product(range(n), repeat=m),
+                  key=lambda t: (sum(1 for x in t if x not in sA), t))
 
 
 def hamming_shell_index(L: Sequence[int], A: Sequence[int]) -> int:

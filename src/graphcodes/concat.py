@@ -145,10 +145,9 @@ def subgraph_code_table(n: int, v: int, k: int) -> List[Dict[str, int]]:
         n2, v2, k2 = n - w, v - w, k - w
         length = comb(n2, v2)
         prev = 0
+        # every shell in this radius range is nonempty
         for r in range(min(v2, k2, n2 - v2, n2 - k2) + 1):
             size = ball_size(n2, v2, k2, r)
-            if size == prev:
-                continue
             rows.append({
                 "w": w, "r": r, "shell": size - prev,
                 "length": length, "dim": size,
@@ -211,10 +210,9 @@ class ScenarioLayout:
             cap = comb(k - j, ws[j - 1])
             if cap == 0:
                 raise ValueError(f"round {j} sublayer size {ws[j - 1]} too large")
-            m = Fraction(j - supplied, cap)
-            if m <= 0:
-                raise ValueError(f"scenario {ws} oversupplies shell {j}")
-            mult.append(m)
+            # positive: rounds before j supply at most j-1, since
+            # C(k-j, w) <= C(k-j+1, w) and round j-1 meets shell j-1
+            mult.append(Fraction(j - supplied, cap))
         self.multiplicities = tuple(mult)
         self.shapes = [
             _round_code_shape(n, v, k, ws[r - 1], r) for r in range(1, rounds + 1)

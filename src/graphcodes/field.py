@@ -39,7 +39,7 @@ def _factor_prime_power(q: int) -> Optional[tuple]:
         return None
     for p in range(2, q + 1):
         if p * p > q:
-            p = q
+            p = q  # q divides itself, so the loop always returns
         if q % p == 0:
             m = 0
             x = q
@@ -50,7 +50,6 @@ def _factor_prime_power(q: int) -> Optional[tuple]:
                 return None
             # p is the smallest divisor of q, hence prime
             return (p, m)
-    return None
 
 
 def _check_order(q) -> None:

@@ -34,12 +34,7 @@ class HGCSpec(GraphCode):
     def __init__(self, F: FieldSpec, base: Mat, m: int, t: int):
         self.m = m
         super().__init__(F, base, t, m,
-                         hamming_vertices(m, len(base[0]), anchor=range(len(base))))
-
-    def _generator(self, pivots: Sequence[int]) -> Mat:
-        self.basis_index = [self.vertices[i] for i in self.ball(range(self.k))]
-        return [tau(self.F, [self.g[i] for i in I], self.vertices)
-                for I in self.basis_index]
+                         hamming_vertices(m, len(base[0]), range(len(base))))
 
     def coords(self, M: Mat) -> List[int]:
         return tau(self.F, M, self.vertices)
@@ -70,7 +65,7 @@ def rm_generator(r: int, m: int) -> Mat:
     the same vertex order as HGC(m,2,1,r)."""
     if not 0 <= r <= m:
         raise ValueError(f"need 0 <= r <= m, got r={r}, m={m}")
-    vertices = hamming_vertices(m, 2, anchor=(0,))
+    vertices = hamming_vertices(m, 2, (0,))
     rows = []
     for size in range(r + 1):
         for S in itertools.combinations(range(m), size):

@@ -53,9 +53,11 @@ class GraphCode:
     """What a Johnson and a Hamming graph code share.
 
     A subclass gives its vertices and the largest threshold ``top``,
-    and defines _generator(pivots), ball(A), coords(M) (pi or tau over
-    ``vertices``), _dual_code(D0) (the code on the dual base D0 with
-    threshold top + 1 - t) and _repr_params, its own parameters.
+    and defines ball(A), coords(M) (pi or tau over ``vertices``),
+    _dual_code(D0) (the code on the dual base D0 with threshold
+    top + 1 - t) and _repr_params, its own parameters.  The generator
+    rows are coords(g restricted to I) for I in basis_index; a subclass
+    may compute them faster (_generator).
 
     Attributes
     ----------
@@ -66,6 +68,8 @@ class GraphCode:
         increasing order, invertible for any full-rank base
     vertices, vertex_pos, length : the columns' vertices, their
         positions, and their number
+    basis_index : the row-index vertices, B_r({0..k-1}) in ``vertices``
+        order
     generator, dim : the generator rows and their number
     """
 
@@ -87,8 +91,6 @@ class GraphCode:
         self.vertices = vertices
         self.vertex_pos = {L: i for i, L in enumerate(self.vertices)}
         self.length = len(self.vertices)
-        self.generator = self._generator(pivots)
-        self.dim = len(self.generator)
         # built on first use: the dual, its rows in this code's vertex
         # order and their nonzeros (dual, aligned_dual_rows,
         # _sparse_dual_rows), the vertices as bit masks (ball), one plan
@@ -98,6 +100,13 @@ class GraphCode:
         self._masks: Optional[List[int]] = None
         self._sparse: Optional[list] = None
         self._plans: Dict[Layer, DecodePlan] = {}
+        self.basis_index = [vertices[i] for i in self.ball(range(self.k))]
+        self.generator = self._generator(pivots)
+        self.dim = len(self.generator)
+
+    def _generator(self, pivots: Sequence[int]) -> Mat:
+        """The rows coords(g restricted to I), I in basis_index."""
+        return [self.coords([self.g[i] for i in I]) for I in self.basis_index]
 
     def __repr__(self) -> str:
         own = ", ".join(f"{p}={getattr(self, p)}" for p in self._repr_params)
@@ -111,28 +120,20 @@ class JGCSpec(GraphCode):
     Attributes, besides GraphCode's
     -------------------------------
     v : vertex size, r = min(v,k) - t
-    order : vertex ordering ("klex" or "lex")
-    basis_index : row-index layers I with |I intersect {0..k-1}| >= t,
-        that is B_r({0..k-1})
+    vertices : the v-subsets in k-lex order, so basis_index, the layers
+        I with |I intersect {0..k-1}| >= t, is their first dim entries
     generator : dim x C(n,v) generator matrix, row I = pi(g restricted to
         I), from one Laplace pass over the base's minors (plucker_rows)
     """
 
     _repr_params = ("n", "v")
 
-    def __init__(self, F: FieldSpec, base: Mat, v: int, t: int, order: str = "klex"):
+    def __init__(self, F: FieldSpec, base: Mat, v: int, t: int):
         self.v = v
-        self.order = order
         k = len(base)
-        super().__init__(F, base, t, min(v, k),
-                         johnson_vertices(len(base[0]), v, order=order, k=k))
+        super().__init__(F, base, t, min(v, k), johnson_vertices(len(base[0]), v, k))
 
     def _generator(self, pivots: Sequence[int]) -> Mat:
-        head = set(range(self.k))
-        self.basis_index = [
-            I for I in johnson_vertices(self.n, self.v, order="klex", k=self.k)
-            if len(head.intersection(I)) >= self.t
-        ]
         return plucker_rows(self.F, self.base, pivots, self.v, self.basis_index,
                             self.vertex_pos)
 
@@ -140,7 +141,7 @@ class JGCSpec(GraphCode):
         return pi(self.F, M, self.vertices)
 
     def _dual_code(self, D0: Mat) -> JGCSpec:
-        return JGCSpec(self.F, D0, self.v, self.v + 1 - self.t, order=self.order)
+        return JGCSpec(self.F, D0, self.v, self.v + 1 - self.t)
 
     def ball(self, A: Sequence[int]) -> List[int]:
         """The positions, in ``vertices`` order, of B_r(A): the layers L
@@ -216,10 +217,10 @@ def plucker_rows(F: FieldSpec, base: Mat, pivots: Sequence[int], v: int,
     return rows
 
 
-def construct(F: FieldSpec, base: Mat, v: int, t: int, order: str = "klex") -> JGCSpec:
+def construct(F: FieldSpec, base: Mat, v: int, t: int) -> JGCSpec:
     """Build the Johnson graph code generated by pi(M) for v x n matrices
     M with at least t rows in the base code."""
-    return JGCSpec(F, base, v, t, order=order)
+    return JGCSpec(F, base, v, t)
 
 
 def systematic_rows(F: FieldSpec, base: Mat, A0: Sequence[int]) -> Dict[int, List[int]]:
@@ -333,9 +334,11 @@ def dual(code: GraphCode) -> GraphCode:
 
 def signed_dual(code: JGCSpec) -> JGCSpec:
     """Code on J(n, n-v) whose sign-twisted pairing with the primal
-    vanishes: sum over L of sign(L) c_L d_{L^c} = 0."""
-    return JGCSpec(code.F, code.base, code.n - code.v, code.k + 1 - code.t,
-                   order=code.order)
+    vanishes: sum over L of sign(L) c_L d_{L^c} = 0.  A code of
+    codimension 0 has none and raises ValueError, as dual does."""
+    if code.dim == code.length:
+        raise ValueError(f"{code!r} has codimension 0: its signed dual is the zero code")
+    return JGCSpec(code.F, code.base, code.n - code.v, code.k + 1 - code.t)
 
 
 def aligned_dot(F: FieldSpec, c: Sequence[int], vertices_c: Sequence[Layer],
@@ -558,7 +561,7 @@ def to_json(code: JGCSpec, alphas: Optional[Sequence[int]] = None) -> str:
         "r": code.r,
         "q": code.F.q,
         "generator": code.base,
-        "order": code.order,
+        "order": "klex",
     }
     if alphas is not None:
         doc["alphas"] = list(alphas)
@@ -566,9 +569,13 @@ def to_json(code: JGCSpec, alphas: Optional[Sequence[int]] = None) -> str:
 
 
 def from_json(text: str) -> JGCSpec:
+    """The code a to_json descriptor names; an order other than "klex"
+    (the one vertex order) raises ValueError."""
     doc = json.loads(text)
     if doc.get("family") != "JGC":
         raise ValueError(f"unexpected family {doc.get('family')!r}")
+    if doc.get("order", "klex") != "klex":
+        raise ValueError(f"unknown vertex order {doc['order']!r}: Johnson codes list "
+                         "their vertices in k-lex order")
     F = field_make(doc["q"])
-    return JGCSpec(F, doc["generator"], doc["v"], doc["t"],
-                   order=doc.get("order", "klex"))
+    return JGCSpec(F, doc["generator"], doc["v"], doc["t"])

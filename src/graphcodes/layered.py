@@ -46,7 +46,7 @@ class LayeredSpec:
         self.n = n
         self.v = v
         self.R, self.alpha, self.beta, self.M1 = layered_params(n, v)
-        self.layers = johnson_vertices(n, v, order="lex")
+        self.layers = johnson_vertices(n, v)
         self.index = {L: l for l, L in enumerate(self.layers)}
         self.at: List[List[int]] = [[] for _ in range(n)]
         self.slot = [0] * (self.R * v)
@@ -54,12 +54,6 @@ class LayeredSpec:
             self.slot[p] = len(self.at[j])
             self.at[j].append(p)
         self.data = [p for p in range(self.R * v) if p % v != v - 1]
-
-    def __repr__(self) -> str:
-        return (
-            f"LayeredSpec(n={self.n}, v={self.v}, q={self.F.q}, "
-            f"R={self.R}, alpha={self.alpha}, beta={self.beta})"
-        )
 
 
 def layered_params(n: int, v: int) -> Tuple[int, int, int, int]:
@@ -103,7 +97,7 @@ def classify_access(n: int, v: int, A: Sequence[int]) -> Tuple[Dict[int, int], D
     sA = set(A)
     census: Dict[int, int] = {}
     classes: Dict[Layer, str] = {}
-    for L in johnson_vertices(n, v, order="lex"):
+    for L in johnson_vertices(n, v):
         c = len(sA.intersection(L))
         census[c] = census.get(c, 0) + 1
         if c == v:

@@ -244,18 +244,18 @@ def compound_row(F: FieldSpec, g: Mat, I: Sequence[int],
     return pi(F, [g[i] for i in I], vertices)
 
 
-def compound(F: FieldSpec, g: Mat, v: int, order: str = "lex",
-             k: int = None) -> Tuple[Mat, List[Tuple[int, ...]]]:
+def compound(F: FieldSpec, g: Mat, v: int) -> Tuple[Mat, List[Tuple[int, ...]]]:
     """Full compound matrix of all v x v minors of the n x n matrix g.
 
-    Returns (matrix, vertex list); entry [I][L] = det(g restricted to
-    rows I, columns L).  Materialized only for n <= 10 (C(10,5) = 252).
+    Returns (matrix, vertex list in lex order); entry [I][L] = det(g
+    restricted to rows I, columns L).  Materialized only for n <= 10
+    (C(10,5) = 252).
     """
     n = len(g)
     if any(len(row) != n for row in g):
         raise ValueError("compound requires a square matrix")
     if n > 10:
         raise ValueError("full compound matrix materialized only for n <= 10")
-    vertices = johnson_vertices(n, v, order=order, k=k)
+    vertices = johnson_vertices(n, v)
     mat = [compound_row(F, g, I, vertices) for I in vertices]
     return mat, vertices

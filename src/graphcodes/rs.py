@@ -72,22 +72,18 @@ def det_h(basis: RSBasis, I: Sequence[int], L: Sequence[int]) -> int:
     return det(F, sub)
 
 
-def rs_jgc(n: int, v: int, k: int, t: int, q: int,
-           alphas: Optional[Sequence[int]] = None,
-           order: str = "klex") -> JGCSpec:
+def rs_jgc(n: int, v: int, k: int, t: int, q: int) -> JGCSpec:
     """Johnson graph code built on the leading k Vandermonde rows.
 
-    Canonical evaluation points are the field elements 0 .. n-1, so
-    every run reproduces the same generator.
+    The evaluation points (code.alphas) are the field elements 0 .. n-1,
+    so every run reproduces the same generator.
     """
     if q < n:
         raise ValueError(f"need q >= n, got q={q}, n={n}")
     F = field_make(q)
-    if alphas is None:
-        alphas = list(range(n))
-    base = [[F.pow(a, i) for a in alphas] for i in range(k)]
-    code = construct(F, base, v, t, order=order)
-    code.alphas = list(alphas)
+    alphas = list(range(n))
+    code = construct(F, [[F.pow(a, i) for a in alphas] for i in range(k)], v, t)
+    code.alphas = alphas
     return code
 
 
@@ -132,7 +128,7 @@ class ProductPolyCode:
         for a in self.alphas:
             fs.append([F.pow(a, d) for d in range(n - v + 1)])
         self.factors = fs
-        self.vertices = johnson_vertices(n, v, order="lex")
+        self.vertices = johnson_vertices(n, v)
         rows = []
         width = v * (n - v) + 1
         for L in self.vertices:

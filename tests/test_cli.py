@@ -138,6 +138,11 @@ def test_bad_flags_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+    # Johnson codes have one vertex order, so there is no --order flag
+    with pytest.raises(SystemExit) as exc:
+        main(["construct", "--n", "6", "--v", "3", "--k", "2", "--t", "1",
+              "--q", "7", "--order", "klex"])
+    assert exc.value.code == 2
 
 
 def test_invalid_parameters_exit_2(capsys):

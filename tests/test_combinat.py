@@ -2,6 +2,8 @@
 
 from math import comb
 
+import pytest
+
 from graphcodes.combinat import (
     ball,
     ball_size,
@@ -31,7 +33,7 @@ def test_layer_normalizes_and_prints():
 def test_johnson_vertex_counts():
     for n in range(2, 8):
         for v in range(1, n + 1):
-            verts = johnson_vertices(n, v, order="lex")
+            verts = johnson_vertices(n, v)
             assert len(verts) == comb(n, v)
             assert len(set(verts)) == comb(n, v)
             assert verts == sorted(verts)
@@ -39,7 +41,7 @@ def test_johnson_vertex_counts():
 
 def test_klex_order_groups_by_anchor_overlap():
     # klex around k=2: blocks 012,013,014 | 023,... ,134 | 234
-    verts = johnson_vertices(5, 3, order="klex", k=2)
+    verts = johnson_vertices(5, 3, k=2)
     assert verts[:3] == [(0, 1, 2), (0, 1, 3), (0, 1, 4)]
     assert verts[-1] == (2, 3, 4)
     A = (0, 1)
@@ -121,3 +123,14 @@ def test_bruhat_order():
 
 def test_ball_size_negative_radius_is_empty():
     assert ball_size(6, 3, 2, -1) == 0
+    assert ball((0, 1), -1, 6, 3) == set()
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: layer([1, 2, 1]), "layer elements must be distinct"),
+    (lambda: johnson_vertices(3, 4), "need 0 <= v <= n, got v=4, n=3"),
+    (lambda: hamming_ball((0, 1), 3, 2, 4), "need 0 <= r <= m, got r=3, m=2"),
+], ids=["layer", "johnson_vertices", "hamming_ball"])
+def test_typed_input_errors(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()

@@ -37,6 +37,7 @@ def test_parameters_854():
     assert p.counts == {5: 1, 3: 6, 2: 8, 1: 39}
     assert (p.M1, p.M0, p.M) == (1120, 96, 1024)
     assert (p.alpha, p.beta) == (256, 64)
+    assert repr(p) == "ConcatParams(n=8, v=5, k=4, M=1024, alpha=256, beta=64)"
     # MSR point for d = n-1
     assert p.M == p.k * p.alpha
     assert p.alpha == (p.n - p.k) ** p.k
@@ -208,6 +209,15 @@ def test_shape_that_is_not_ints_rejected(shape, match):
 def test_oversupplied_scenario_rejected():
     with pytest.raises(ValueError):
         ScenarioLayout(8, 5, 4, (3, 3, 1))
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: concat_params(5, 3, 5), "need k <= n-1"),
+    (lambda: ScenarioLayout(8, 5, 4, (2, 1)), "scenario needs 3 rounds, got 2"),
+], ids=["concat_params", "ScenarioLayout"])
+def test_typed_parameter_errors(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()
 
 
 def test_small_layer_size_rejected():

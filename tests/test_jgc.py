@@ -383,6 +383,13 @@ def test_json_roundtrip():
     assert back.vertices == code.vertices
     with pytest.raises(ValueError):
         from_json('{"family": "other"}')
+    # one vertex order: a descriptor may omit it, but not name another
+    doc = json.loads(to_json(code))
+    del doc["order"]
+    assert from_json(json.dumps(doc)).generator == code.generator
+    doc["order"] = "lex"
+    with pytest.raises(ValueError, match="unknown vertex order 'lex'"):
+        from_json(json.dumps(doc))
 
 
 def test_json_float_field_order_rejected():
@@ -407,6 +414,8 @@ def test_codimension_zero_code_decodes_without_a_dual():
     assert syndrome_of(code, word) == []
     with pytest.raises(ValueError, match="codimension 0"):
         dual(code)
+    with pytest.raises(ValueError, match="codimension 0"):
+        signed_dual(code)
 
 
 def test_bad_threshold_rejected():

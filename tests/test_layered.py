@@ -75,6 +75,8 @@ def test_encode_extract_roundtrip():
     nodes = node_arrays(spec, encode_layered(spec, data))
     values = read_layers(spec, nodes, range(6), 0)
     assert [values[p] for p in spec.data] == data
+    with pytest.raises(ValueError, match="expected 40 data symbols, got 39"):
+        encode_layered(spec, data[:-1])
 
 
 def test_decode_with_one_node_missing():

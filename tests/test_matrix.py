@@ -69,6 +69,8 @@ def test_rref_rank_nullspace():
     assert len(N) == 1
     for row in N:
         assert mat_vec(F7, M, row) == [0, 0, 0]
+    # no rows give no column count, so no basis vectors
+    assert nullspace(F7, []) == []
 
 
 def test_solve_roundtrip():
@@ -173,7 +175,7 @@ def test_compound_multiplicative():
 
 def test_compound_of_upper_triangular_is_upper_triangular():
     g = [[1, 2, 3, 4], [0, 5, 6, 1], [0, 0, 2, 3], [0, 0, 0, 4]]
-    C, _ = compound(F7, g, 2, order="lex")
+    C, _ = compound(F7, g, 2)
     for i in range(len(C)):
         for j in range(i):
             assert C[i][j] == 0

@@ -220,11 +220,11 @@ def test_decoded_codeword_meets_sparse_parities(code_anchor, data):
 
 @st.composite
 def graph_code_specs(draw):
-    """A Johnson graph code with n <= 7 over GF(7), GF(8) or GF(9), in
-    klex or lex order, or its dual or signed dual (whose bases pivot away
-    from columns 0..k-1).  The base is the Reed-Solomon one of rs_jgc or
-    [I_k | X] with X random and the columns shuffled, so the unit rows
-    of the extended base land on scattered columns."""
+    """A Johnson graph code with n <= 7 over GF(7), GF(8) or GF(9), or
+    its dual or signed dual (whose bases pivot away from columns
+    0..k-1).  The base is the Reed-Solomon one of rs_jgc or [I_k | X]
+    with X random and the columns shuffled, so the unit rows of the
+    extended base land on scattered columns."""
     n = draw(st.integers(min_value=2, max_value=7))
     v = draw(st.integers(min_value=1, max_value=n - 1))
     k = draw(st.integers(min_value=1, max_value=n - 1))
@@ -232,9 +232,8 @@ def graph_code_specs(draw):
     t = draw(st.integers(min_value=max(1, v + k + 1 - n),
                          max_value=min(v, k)))
     q = draw(st.sampled_from([7, 8, 9]))
-    order = draw(st.sampled_from(["klex", "lex"]))
     if draw(st.booleans()):
-        code = rs_jgc(n, v, k, t, q, order=order)
+        code = rs_jgc(n, v, k, t, q)
     else:
         X = draw(st.lists(st.lists(st.integers(min_value=0, max_value=q - 1),
                                    min_size=n - k, max_size=n - k),
@@ -242,7 +241,7 @@ def graph_code_specs(draw):
         perm = draw(st.permutations(range(n)))
         rows = [[int(i == j) for j in range(k)] + X[i] for i in range(k)]
         base = [[row[c] for c in perm] for row in rows]
-        code = JGCSpec(field_make(q), base, v, t, order=order)
+        code = JGCSpec(field_make(q), base, v, t)
     which = draw(st.sampled_from(["code", "dual", "signed_dual"]))
     return {"code": lambda c: c, "dual": dual,
             "signed_dual": signed_dual}[which](code)
@@ -275,10 +274,10 @@ def _reference_certify(code, in_ball):
 
 @st.composite
 def tampered_graph_codes(draw):
-    """A Johnson (either order) or Hamming graph code on a random
-    full-rank base over GF(2), GF(3), GF(4), GF(7), GF(8) or GF(9), as
-    built or tampered: r one lower or one higher, or one generator row
-    zeroed, replaced by a copy of another row or drawn at random."""
+    """A Johnson or Hamming graph code on a random full-rank base over
+    GF(2), GF(3), GF(4), GF(7), GF(8) or GF(9), as built or tampered: r
+    one lower or one higher, or one generator row zeroed, replaced by a
+    copy of another row or drawn at random."""
     q = draw(st.sampled_from([2, 3, 4, 7, 8, 9]))
     Fq = field_make(q)
     hamming = draw(st.booleans())
@@ -294,7 +293,7 @@ def tampered_graph_codes(draw):
     else:
         v = draw(st.integers(min_value=1, max_value=n))
         t = draw(st.integers(min_value=1, max_value=min(v, k)))
-        code = JGCSpec(Fq, base, v, t, order=draw(st.sampled_from(["klex", "lex"])))
+        code = JGCSpec(Fq, base, v, t)
     tamper = draw(st.sampled_from(["none", "r-1", "r+1", "zero row", "copy row",
                                    "random row"]))
     if tamper in ("r-1", "r+1"):
@@ -341,14 +340,13 @@ JOHNSON_BASES = [[[1, 0, 1, 1, 0], [0, 1, 0, 1, 1]],
 HAMMING_BASES = [[[1, 0, 1, 1], [0, 1, 0, 1]], [[1, 1, 1]], [[1, 0, 1], [0, 1, 1]]]
 
 
-@pytest.mark.parametrize("order", ["klex", "lex"])
 @pytest.mark.parametrize("base", JOHNSON_BASES, ids=["5x2", "6x3"])
-def test_johnson_ball_matches_shell_index_at_every_anchor(base, order):
+def test_johnson_ball_matches_shell_index_at_every_anchor(base):
     F2 = field_make(2)
     k, n = len(base), len(base[0])
     for v in range(1, n):
         for t in range(1, min(v, k) + 1):
-            code = JGCSpec(F2, base, v, t, order=order)
+            code = JGCSpec(F2, base, v, t)
             for A in combinations(range(n), k):
                 inside = tuple(i for i, L in enumerate(code.vertices)
                                if shell_index(L, A) <= code.r)

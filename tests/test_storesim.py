@@ -438,6 +438,24 @@ def test_interrupted_save_keeps_old_state(tmp_path, monkeypatch, point,
     assert sorted(os.listdir(path)) == sorted(files + ["manifest.json"])
 
 
+def test_save_after_a_live_node_file_was_lost(tmp_path):
+    # the next save writes the other set of names, and deleting the old
+    # set skips the file that is already gone
+    code = LayeredCode(6, 3, 11)
+    state = ingest(code, _seeded_blob(code, 3))
+    path = str(tmp_path / "store")
+    save_state(state, path)
+    with open(os.path.join(path, "manifest.json")) as fh:
+        lost = json.load(fh)["node_files"][2]
+    os.remove(os.path.join(path, lost))
+    save_state(state, path)
+    back = load_state(path)
+    assert back.blob == state.blob and back.nodes == state.nodes
+    with open(os.path.join(path, "manifest.json")) as fh:
+        files = json.load(fh)["node_files"]
+    assert sorted(os.listdir(path)) == sorted(files + ["manifest.json"])
+
+
 def test_load_rejects_unexpected_node_files(tmp_path):
     code = LayeredCode(6, 3, 11)
     state = ingest(code, _seeded_blob(code))

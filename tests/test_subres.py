@@ -152,6 +152,17 @@ def test_bad_inputs_rejected():
         sylvester_principal(F, [1, 1], [1, 1], 2)
     with pytest.raises(ValueError):
         sigma_I(F, [1, 1], poly_from_roots(F, [0, 1, 2]), 3, (0, 3, 4))
+    with pytest.raises(ZeroDivisionError, match="polynomial division by zero"):
+        poly_divmod(F, [1, 2], [0, 0])
+    with pytest.raises(ValueError, match="polynomials must be nonzero"):
+        sylvester_principal(F, [0], [1, 1], 0)
+    with pytest.raises(ValueError, match="I must be distinct nonnegative integers"):
+        SubresultantFrame(3, (0, 2, 2))
+    with pytest.raises(ValueError, match=r"need \|L\| = \|I\|"):
+        eta_I(F, list(range(9)), (2, 5), 3, (0, 3, 4))
+    # alphas[8] repeats alphas[0]
+    with pytest.raises(ValueError, match="repeated roots"):
+        sh_identity_sides(F, list(range(8)) + [0], (0, 5, 8), 3, (0, 3, 4))
 
 
 def test_subresultant_frame_rejects_negative_k():
