@@ -118,12 +118,3 @@ def hamming_ball(A: Sequence[int], r: int, m: int, n: int) -> Set[HammingVertex]
         if sum(1 for x in t if x not in sA) <= r
     }
 
-
-def bruhat_leq(B: Sequence[int], A: Sequence[int]) -> bool:
-    """Bruhat order on sorted v-subsets: B <= A iff b_i <= a_i for all i."""
-    return all(b <= a for b, a in zip(B, A))
-
-
-def bruhat_height(L: Sequence[int]) -> int:
-    """|L| = sum(l_i - i); counts the adjacent vertices preceding L."""
-    return sum(x - i for i, x in enumerate(L))

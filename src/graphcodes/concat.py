@@ -632,7 +632,10 @@ class ConcatCode:
 
         Only entries of nodes listed in A are touched, each read once
         and checked to be a symbol; the log records every (node, offset)
-        read.  Then each size's components are recovered together.
+        read.  Then each size's components are recovered together: every
+        position outside A is a target of a fill or a decode of the
+        schedule (a round is skipped only at codimension 0, where no
+        layer meets A in c nodes), each of which raises on a gap.
         """
         A = layer(A)
         if len(A) != self.k:
@@ -650,8 +653,6 @@ class ConcatCode:
             ids = lay.order[u]
             self._replay(u, w, self._schedule(u, A, self.rounds.get(ids[0], [])),
                          A, injected, vectors)
-            if None in w:
-                raise AssertionError(f"size-{u} components not recovered")
             vals = lay.kernels[u].unpack([w[p] for p in self.data[u]])
             for b, cid in enumerate(ids):
                 payload[cid] = vals[b::len(ids)]

@@ -4,6 +4,7 @@ Field elements are integers in [0, q).  For prime q the integer is the
 residue mod p.  For q = p^m with m > 1 the integer encodes a polynomial
 over GF(p) in base-p digits: digit i is the coefficient of x^i in the
 basis {1, x, ..., x^{m-1}} modulo a fixed irreducible polynomial.
+So the elements are ``range(q)``, and a / b is ``mul(a, inv(b))``.
 
 The arithmetic is chosen once, when the field is built, from q alone;
 there is no other path and no option.  For prime q it is plain integer
@@ -241,7 +242,7 @@ class FieldSpec:
     one, candidates ordered by their base-p coefficient integer, so
     every run picks the same polynomial.
 
-    Besides the scalar operations (add, sub, neg, mul, inv, div, pow)
+    Besides the scalar operations (add, sub, neg, mul, inv, pow)
     the field has four vector operations, set when it is built:
     ``dot(x, y)``, the row update ``sub_mul(x, f, y)`` = x - f*y,
     ``scale(f, x)`` = f*x and ``sum(x)``.  Vector arguments are
@@ -363,9 +364,6 @@ class FieldSpec:
             return pow(a, self.p - 2, self.p)
         return self._inv[a]
 
-    def div(self, a: int, b: int) -> int:
-        return self.mul(a, self.inv(b))
-
     def pow(self, a: int, e: int) -> int:
         if e < 0:
             a = self.inv(a)
@@ -378,9 +376,6 @@ class FieldSpec:
             base = self.mul(base, base)
             e >>= 1
         return result
-
-    def elements(self) -> List[int]:
-        return list(range(self.q))
 
     def __eq__(self, other) -> bool:
         return (

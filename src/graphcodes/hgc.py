@@ -83,7 +83,6 @@ def rm_equivalent(r: int, m: int) -> bool:
     F = field_make(2)
     code = construct_hgc(F, [[1, 1]], m, m - r)
     rm = rm_generator(r, m)
-    if code.dim != len(rm):
-        return False
+    # rm has full rank, so unequal dimensions fail the last test
     stacked = code.generator + rm
     return rank(F, stacked) == code.dim == rank(F, rm)

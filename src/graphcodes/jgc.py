@@ -16,7 +16,9 @@ one Laplace pass over all s x s minors of the base, s <= min(v,k)
 
 GraphCode holds what a Johnson code (JGCSpec) and a Hamming code
 (hgc.HGCSpec) share, and dual, unit_codeword, certify_infosets,
-decode_plan, erasure_decode and syndrome_of serve both families.
+decode_plan, erasure_decode and syndrome_of serve both families.  The
+ball B_r(A) is always code.ball(A): a DecodePlan keeps only the
+positions outside it and the inverse of the dual rows there.
 """
 
 from __future__ import annotations
@@ -280,7 +282,10 @@ def unit_codeword(code: GraphCode, A0: Sequence[int], L: Sequence[int]) -> List[
     vanishes on all of B_r(A0) except L.
 
     Requires L to have at least t entries in A0 (it lies in B_r(A0)),
-    so that the anchored matrix has enough base rows.
+    so that the anchored matrix has enough base rows.  Paper claim:
+    these anchored minor vectors are codewords, unit on the ball shell
+    by shell, so B_r(A0) is an information set, and each is sparse
+    (anchored_minor_vector's weight bound).
     """
     A0 = layer(A0)
     L = tuple(L)
@@ -394,12 +399,12 @@ def express_in_rows(F: FieldSpec, H: Mat, h: Sequence[int]) -> Optional[List[int
 
 class DecodePlan(NamedTuple):
     """What a decode at one anchor A needs besides the data: the vertex
-    positions inside and outside B_r(A), whether A is an information
-    set of the base code, and the inverse E of the aligned dual rows on
-    the outside positions (E H_out = I), or None when A is not an
-    information set or H_out is not square and invertible."""
+    positions outside B_r(A) (the ball is code.ball(A)), whether A is
+    an information set of the base code, and the inverse E of the
+    aligned dual rows on the outside positions (E H_out = I), or None
+    when A is not an information set or H_out is not square and
+    invertible."""
 
-    ball: Tuple[int, ...]
     out: Tuple[int, ...]
     infoset: bool
     inverse: Optional[Mat]
@@ -430,8 +435,7 @@ def decode_plan(code: GraphCode, A: Sequence[int]) -> DecodePlan:
     A = layer(A)
     plan = code._plans.get(A)
     if plan is None:
-        ball = code.ball(A)
-        out = sorted(set(range(code.length)).difference(ball))
+        out = sorted(set(range(code.length)).difference(code.ball(A)))
         infoset = is_infoset(code.F, code.base, A)
         inverse = None
         if infoset:
@@ -444,8 +448,7 @@ def decode_plan(code: GraphCode, A: Sequence[int]) -> DecodePlan:
             # columns exactly when H_out is square and invertible
             if pivots == list(range(u)):
                 inverse = [row[u:] for row in R]
-        plan = code._plans[A] = DecodePlan(tuple(ball), tuple(out), infoset,
-                                           inverse)
+        plan = code._plans[A] = DecodePlan(tuple(out), infoset, inverse)
     return plan
 
 

@@ -1,9 +1,11 @@
 """Exact dense linear algebra over GF(q).
 
 Matrices are lists of rows; each row is a list of field elements
-(integers in [0, q)).  Every function takes the FieldSpec first and
-does its arithmetic with the field's vector operations (``F.dot``,
-``F.sub_mul``, ``F.scale``).
+(integers in [0, q)).  Every function that computes in the field takes
+the FieldSpec first and does its arithmetic with the field's vector
+operations (``F.dot``, ``F.sub_mul``, ``F.scale``); a scalar product of
+two vectors is ``F.dot`` itself.  ``identity`` and ``submatrix`` are
+the reference shapes the tests compare against.
 """
 
 from __future__ import annotations
@@ -17,16 +19,8 @@ from graphcodes.field import FieldSpec
 Mat = List[List[int]]
 
 
-def zeros(rows: int, cols: int) -> Mat:
-    return [[0] * cols for _ in range(rows)]
-
-
 def identity(n: int) -> Mat:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
-def copy_mat(M: Mat) -> Mat:
-    return [list(row) for row in M]
 
 
 def transpose(M: Mat) -> Mat:
@@ -44,10 +38,6 @@ def mat_mul(F: FieldSpec, A: Mat, B: Mat) -> Mat:
 def mat_vec(F: FieldSpec, A: Mat, x: Sequence[int]) -> List[int]:
     dot = F.dot
     return [dot(row, x) for row in A]
-
-
-def dot(F: FieldSpec, x: Sequence[int], y: Sequence[int]) -> int:
-    return F.dot(x, y)
 
 
 def det(F: FieldSpec, M: Mat) -> int:
@@ -82,7 +72,7 @@ def det(F: FieldSpec, M: Mat) -> int:
 
 def rref(F: FieldSpec, M: Mat) -> Tuple[Mat, List[int]]:
     """Reduced row echelon form and pivot column indices."""
-    A = copy_mat(M)
+    A = [list(row) for row in M]
     rows = len(A)
     cols = len(A[0]) if rows else 0
     sub_mul = F.sub_mul
@@ -238,12 +228,6 @@ def all_minors(F: FieldSpec, M: Mat, smax: int) -> Dict[Tuple[int, ...], List[in
     return minors
 
 
-def compound_row(F: FieldSpec, g: Mat, I: Sequence[int],
-                 vertices: Sequence[Sequence[int]]) -> List[int]:
-    """Row I of the compound matrix: pi of the rows of g indexed by I."""
-    return pi(F, [g[i] for i in I], vertices)
-
-
 def compound(F: FieldSpec, g: Mat, v: int) -> Tuple[Mat, List[Tuple[int, ...]]]:
     """Full compound matrix of all v x v minors of the n x n matrix g.
 
@@ -257,5 +241,5 @@ def compound(F: FieldSpec, g: Mat, v: int) -> Tuple[Mat, List[Tuple[int, ...]]]:
     if n > 10:
         raise ValueError("full compound matrix materialized only for n <= 10")
     vertices = johnson_vertices(n, v)
-    mat = [compound_row(F, g, I, vertices) for I in vertices]
+    mat = [pi(F, [g[i] for i in I], vertices) for I in vertices]
     return mat, vertices

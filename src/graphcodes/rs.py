@@ -5,7 +5,9 @@ distinct points.  Three bases of F[x]_{<n} are used: the monomials
 x^i, the falling products f_i = (x - a_0)...(x - a_{i-1}), and the
 block basis h_i (monomials below k, f_k shifted by x above).  The
 leading k rows of each span the same code, and their v x v evaluation
-minors feed the Johnson graph code construction.
+minors feed the Johnson graph code construction.  ProductPolyCode
+states the ball property of a Johnson graph code with products of
+polynomials, one per vertex.
 """
 
 from __future__ import annotations
@@ -87,29 +89,18 @@ def rs_jgc(n: int, v: int, k: int, t: int, q: int) -> JGCSpec:
     return code
 
 
-def dual_scaling(F: FieldSpec, alphas: Sequence[int]) -> List[int]:
-    """Diagonal entries -1/p'(alpha_j) for p(z) = prod (z - alpha_j).
-
-    Scaling the Vandermonde columns by these values turns its leading
-    rows into generators of the dual Reed-Solomon code.
-    """
-    out = []
-    for j, aj in enumerate(alphas):
-        prime = 1
-        for i, ai in enumerate(alphas):
-            if i != j:
-                prime = F.mul(prime, F.sub(aj, ai))
-        out.append(F.neg(F.inv(prime)))
-    return out
-
-
 class ProductPolyCode:
     """Rows f_L = prod of f_i over i in L, one per vertex of J(n,v).
 
     Here f_i = 1 + a_i x + ... + a_i^(n-v) x^(n-v), so f_L has degree
     v(n-v) and the matrix is C(n,v) x (v(n-v)+1).  Rows are indexed by
-    vertices (unlike JGCSpec, whose columns are); for every anchor A
-    the rows {f_L : |L & A| >= v-1} form a basis of the row space.
+    vertices (unlike JGCSpec, whose columns are).
+
+    Paper claim (the ball property in product-polynomial form): when
+    gcd(n-v+1, q-1) = 1, for every v-subset anchor A the 1 + v(n-v)
+    rows of the radius-1 ball, {f_L : |L & A| >= v-1}, are a basis of
+    the polynomials of degree at most v(n-v); anchor_basis_ok(A)
+    checks it.
     """
 
     def __init__(self, n: int, v: int, q: int):
@@ -152,7 +143,3 @@ class ProductPolyCode:
             return False
         sub = [self.rows[i] for i in idx]
         return rank(self.F, sub) == width
-
-
-def product_poly_code(n: int, v: int, q: int) -> ProductPolyCode:
-    return ProductPolyCode(n, v, q)

@@ -2,6 +2,8 @@
 
 import itertools
 import json
+import runpy
+import sys
 
 import pytest
 
@@ -82,6 +84,17 @@ def test_tradeoff(capsys):
         {"v": 2, "alpha_over_M": "1/2", "beta_over_M": "1/6"},
         {"v": 3, "alpha_over_M": "3/8", "beta_over_M": "1/4"},
         {"v": 4, "alpha_over_M": "1/3", "beta_over_M": "1/3"}]
+
+
+def test_module_runs_as_a_script(capsys, monkeypatch):
+    # python -m graphcodes.cli: the verb's status becomes the exit status;
+    # the module is run afresh, as the interpreter would
+    monkeypatch.delitem(sys.modules, "graphcodes.cli")
+    monkeypatch.setattr(sys, "argv", ["graphcodes.cli", "tradeoff", "--n", "3"])
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_module("graphcodes.cli", run_name="__main__")
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.splitlines()[0] == "v,alpha_over_M,beta_over_M"
 
 
 def test_simulate_layered(capsys):

@@ -7,8 +7,6 @@ import pytest
 from graphcodes.combinat import (
     ball,
     ball_size,
-    bruhat_height,
-    bruhat_leq,
     complement,
     graph_params,
     hamming_ball,
@@ -111,14 +109,6 @@ def test_hamming_ball():
     B1 = hamming_ball((0, 1), 1, 2, 4)
     assert len(B1) == 12
     assert (2, 3) not in B1
-
-
-def test_bruhat_order():
-    assert bruhat_leq((0, 1), (0, 2))
-    assert bruhat_leq((0, 2), (1, 2))
-    assert not bruhat_leq((1, 2), (0, 3))
-    assert bruhat_height((0, 1, 2)) == bruhat_height((0, 1, 2))
-    assert bruhat_height((1, 2)) > bruhat_height((0, 2))
 
 
 def test_ball_size_negative_radius_is_empty():

@@ -206,9 +206,14 @@ def test_shape_that_is_not_ints_rejected(shape, match):
         build_concat(*shape)
 
 
-def test_oversupplied_scenario_rejected():
-    with pytest.raises(ValueError):
+def test_sublayer_larger_than_its_round_rejected():
+    # round j chooses sublayers of size ws[j-1] among k-j nodes
+    with pytest.raises(ValueError, match="round 2 sublayer size 3 too large"):
         ScenarioLayout(8, 5, 4, (3, 3, 1))
+    # at (4,3,1) the one scenario in range, (1,), fails that check too
+    with pytest.raises(ValueError, match="round 1 sublayer size 1 too large"):
+        ScenarioLayout(4, 3, 1, (1,))
+    assert admissible_scenarios(4, 3, 1) == []
 
 
 @pytest.mark.parametrize("call, match", [

@@ -27,7 +27,7 @@ from graphcodes.jgc import (
     to_json,
     unit_codeword,
 )
-from graphcodes.matrix import dot, mat_vec, nullspace, rank
+from graphcodes.matrix import mat_vec, nullspace, rank
 from graphcodes.rs import rs_jgc
 
 F2 = field_make(2)
@@ -132,7 +132,7 @@ def test_sparse_parity_structure():
         for L, c in support:
             h[gen_pos[L]] = c
         for row in code.generator:
-            assert dot(code.F, row, h) == 0
+            assert code.F.dot(row, h) == 0
 
 
 def _ball(code, A, vec, fill=None):
@@ -191,7 +191,7 @@ def test_erasure_decode_rejects_ball_values_outside_the_field():
     code = rs_jgc(6, 3, 2, 1, 11)
     A = (1, 4)
     word, known = _codeword_and_ball(code, A, 23)
-    i = decode_plan(code, A).ball[0]
+    i = code.ball(A)[0]
     for bad in (11, -1, word[i] + 11, word[i] - 11):
         damaged = list(known)
         damaged[i] = bad
@@ -206,8 +206,8 @@ def test_erasure_decode_ball_value_rules():
     code = rs_jgc(6, 3, 2, 1, 11)
     A = (1, 4)
     word, known = _codeword_and_ball(code, A, 29)
-    plan = decode_plan(code, A)
-    for i in (plan.ball[0], plan.ball[-1]):
+    ball = code.ball(A)
+    for i in (ball[0], ball[-1]):
         for bad, message in [(None, "missing known coordinate"),
                              (11, r"is not an element of GF\(11\)"),
                              (-1, r"is not an element of GF\(11\)"),
@@ -226,7 +226,7 @@ def test_erasure_decode_ball_value_rules():
     assert K.unpack(erasure_decode(code, A, regions, None, K)) == K.unpack(regions)
     for bad in (True, -1, K.top):
         damaged = list(regions)
-        damaged[plan.ball[0]] = bad
+        damaged[ball[0]] = bad
         with pytest.raises(ValueError, match=f"{bad!r} is not a region"):
             erasure_decode(code, A, damaged, None, K)
 
@@ -243,7 +243,7 @@ def test_weight_one_dual_rows_keep_exact_syndromes():
     for _ in range(5):
         vec = [rng.randrange(3) for _ in range(code.length)]
         syn = syndrome_of(code, vec)
-        assert syn == [dot(F3, h, vec) for h in H]
+        assert syn == [F3.dot(h, vec) for h in H]
         assert erasure_decode(code, A, _ball(code, A, vec), syn) == vec
 
 
@@ -296,7 +296,7 @@ def test_dense_complete_rejects_missing_ball_coordinate():
     code = rs_jgc(6, 3, 2, 1, 11)
     A = (1, 4)
     word, known = _codeword_and_ball(code, A, 11)
-    known[decode_plan(code, A).ball[0]] = None
+    known[code.ball(A)[0]] = None
     with pytest.raises(ValueError, match="missing known coordinate"):
         erasure_decode(code, A, known)
     # a radius one too small leaves more unknowns than dual rows: the
@@ -342,7 +342,7 @@ def test_missing_ball_coordinate_rejected_with_warm_plan():
     assert erasure_decode(code, A, known) == word
     plan = decode_plan(code, A)
     partial = list(known)
-    partial[plan.ball[0]] = None
+    partial[code.ball(A)[0]] = None
     with pytest.raises(ValueError, match="missing known coordinate"):
         erasure_decode(code, A, partial)
     assert decode_plan(code, A) is plan and plan.inverse is not None

@@ -26,7 +26,6 @@ from graphcodes.matrix import (
     take_columns,
     tau,
     transpose,
-    zeros,
 )
 
 F7 = field_make(7)
@@ -37,7 +36,6 @@ def _rand_mat(rng, F, rows, cols):
 
 
 def test_basic_shapes():
-    assert zeros(2, 3) == [[0, 0, 0], [0, 0, 0]]
     assert identity(3) == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
     assert transpose([[1, 2, 3], [4, 5, 6]]) == [[1, 4], [2, 5], [3, 6]]
     assert submatrix([[1, 2], [3, 4]], [1], [0]) == [[3]]

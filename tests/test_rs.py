@@ -10,10 +10,9 @@ from graphcodes.field import field_make
 from graphcodes.jgc import certify_infosets
 from graphcodes.matrix import rank
 from graphcodes.rs import (
+    ProductPolyCode,
     RSBasis,
     det_h,
-    dual_scaling,
-    product_poly_code,
     rs_jgc,
     vandermonde,
 )
@@ -99,33 +98,21 @@ def test_rs_jgc_certifies_every_anchor():
         rs_jgc(8, 3, 2, 1, 7)
 
 
-def test_dual_scaling_oracle():
-    # GF(7), points 0,1,2: first entry -1/((0-1)(0-2)) = -1/2 = 3
-    d = dual_scaling(F7, [0, 1, 2])
-    assert d[0] == 3
-    # scaled Vandermonde rows generate the dual RS code
-    alphas = list(range(5))
-    d = dual_scaling(F7, alphas)
-    for i in range(2):
-        for j in range(3):
-            s = 0
-            for a, w in zip(alphas, d):
-                s = F7.add(s, F7.mul(w, F7.pow(a, i + j)))
-            assert s == 0
-
-
 def test_product_poly_anchor_bases():
-    code = product_poly_code(5, 3, 8)
+    code = ProductPolyCode(5, 3, 8)
     assert len(code.rows) == comb(5, 3)
     assert all(len(row) == 3 * 2 + 1 for row in code.rows)
     for A in combinations(range(5), 3):
         assert code.anchor_basis_ok(A)
+    # an anchor of two nodes has 3 rows f_L with |L & A| >= 2, not 7
+    assert len(code.basis_rows((0, 1))) == 3
+    assert code.anchor_basis_ok((0, 1)) is False
 
 
 def test_product_poly_gcd_precondition():
     # n-v+1 = 3 shares a factor with q-1 = 6
     with pytest.raises(ValueError):
-        product_poly_code(5, 3, 7)
+        ProductPolyCode(5, 3, 7)
     # gcd(2, 3) = 1, but GF(4) has too few points for n = 5
     with pytest.raises(ValueError, match="need q >= n, got q=4, n=5"):
-        product_poly_code(5, 4, 4)
+        ProductPolyCode(5, 4, 4)
