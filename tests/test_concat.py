@@ -210,7 +210,11 @@ def test_sublayer_larger_than_its_round_rejected():
     # round j chooses sublayers of size ws[j-1] among k-j nodes
     with pytest.raises(ValueError, match="round 2 sublayer size 3 too large"):
         ScenarioLayout(8, 5, 4, (3, 3, 1))
-    # at (4,3,1) the one scenario in range, (1,), fails that check too
+
+
+def test_no_scenario_admissible_at_4_3_1():
+    # the one scenario in range, (1,), chooses a sublayer of size 1 among
+    # k-1 = 0 nodes, so the sublayer-size check rejects it
     with pytest.raises(ValueError, match="round 1 sublayer size 1 too large"):
         ScenarioLayout(4, 3, 1, (1,))
     assert admissible_scenarios(4, 3, 1) == []

@@ -104,7 +104,11 @@ def test_product_poly_anchor_bases():
     assert all(len(row) == 3 * 2 + 1 for row in code.rows)
     for A in combinations(range(5), 3):
         assert code.anchor_basis_ok(A)
+
+
+def test_product_poly_short_anchor_is_not_a_basis():
     # an anchor of two nodes has 3 rows f_L with |L & A| >= 2, not 7
+    code = ProductPolyCode(5, 3, 8)
     assert len(code.basis_rows((0, 1))) == 3
     assert code.anchor_basis_ok((0, 1)) is False
 
