@@ -13,9 +13,11 @@ in both checkouts, one process at a time, the parent first when p is
 even; S is the seed base plus 100 times the workload's position in
 WORKLOADS plus p.  Each end-to-end metric gets both sides' runs,
 medians and quartiles, the change's median relative to the parent's and
-the pairs the change won (by the direction BENCHMARK.json gives).  Then, on both checkouts: one
-``--trace 1`` run per workload at seed 3 (per-layer numbers and the
-output digest that must not change).  Last, PROBE_ROUNDS = 3 rounds of
+the pairs the change won (by the direction BENCHMARK.json gives), and
+the same for two numbers of each run's details line: the unscaled
+setup median and the reference kernel's median.  Then, on both
+checkouts: one ``--trace 1`` run per workload at seed 3 (per-layer
+numbers and the output digest that must not change).  Last, PROBE_ROUNDS = 3 rounds of
 an in-process probe per checkout, the two sides alternating (the parent
 first in even rounds) and every round recorded: the time of
 ``field_make`` for q = 243 and 256,
@@ -31,8 +33,14 @@ sweep (``certify_infosets`` on ``rs_jgc(n,v,k,t,7)`` for every n <= 7,
 codes built before the clock starts), passes of
 ``storesim.collect`` over every k-subset anchor of (8,5,4,11) and
 (10,6,5,11), each followed by the process's peak RSS (``ru_maxrss``:
-a pass over every anchor fills every per-anchor cache), and the line
-count of ``src/``.
+a pass over every anchor fills every per-anchor cache), the
+cold-minus-warm collect probe, and the line count of ``src/``.  The
+cold-minus-warm probe builds a new (10,6,5,11) code, ingests one seeded
+blob and collects at 30 seeded anchors, each once cold (its schedule
+and plans unbuilt) and then 3 times warm; it reports the quartiles of
+cold minus the warm minimum, of cold and of warm, and the collections
+of each garbage-collector generation over the pass, counted in the
+process by a ``gc.callbacks`` hook.
 """
 
 from __future__ import annotations
@@ -155,6 +163,41 @@ for shape, passes in (((8, 5, 4, 11), 3), ((10, 6, 5, 11), 1)):
     out["all_anchor_collects"].append(
         {"shape": list(shape), "anchors": len(anchors), "passes_s": times,
          "peak_rss_mb_after_pass": rss})
+
+# cold minus warm: each of 30 seeded anchors collected once with its
+# schedule and plans unbuilt, then warm (the minimum of 3 collects)
+def collect_ms(A):
+    t0 = time.perf_counter()
+    got = storesim.collect(state, A)
+    ms = (time.perf_counter() - t0) * 1000
+    state.access_log.clear()
+    if got != blob:
+        sys.exit("collect returned a wrong blob")
+    return ms
+
+def quartiles_ms(xs):
+    return [round(x, 2) for x in statistics.quantiles(xs, n=4, method="inclusive")]
+
+def count_gc(phase, info):
+    if phase == "start":
+        gc_counts[info["generation"]] += 1
+
+code = concat.build_concat(10, 6, 5, 11)
+rng = random.Random(1)
+blob = [rng.randrange(code.F.q) for _ in range(code.M)]
+state = storesim.ingest(code, blob)
+anchors = random.Random(1).sample(list(itertools.combinations(range(code.n), code.k)), 30)
+gc_counts, cold, warm = [0, 0, 0], [], []
+gc.callbacks.append(count_gc)
+for A in anchors:
+    cold.append(collect_ms(A))
+    warm.append(min(collect_ms(A) for _ in range(3)))
+gc.callbacks.remove(count_gc)
+out["cold_minus_warm"] = {
+    "shape": [10, 6, 5, 11], "anchors": len(anchors), "quartiles": ["q1", "median", "q3"],
+    "gap_ms": quartiles_ms([c - w for c, w in zip(cold, warm)]),
+    "cold_ms": quartiles_ms(cold), "warm_ms": quartiles_ms(warm),
+    "gc_collections_by_generation": gc_counts}
 print(json.dumps(out))
 """
 
@@ -209,11 +252,14 @@ def main():
     for wi, workload in enumerate(WORKLOADS):
         seeds = [args.seed_base + 100 * wi + p for p in range(PAIRS)]
         runs = {"parent": [], "change": []}
+        raw = {"parent": [], "change": []}
         for p, seed in enumerate(seeds):
             order = ("parent", "change") if p % 2 == 0 else ("change", "parent")
             for side in order:
-                _, result = run_bench(sides[side], workload, seed, 0)
+                info, result = run_bench(sides[side], workload, seed, 0)
                 runs[side].append(result)
+                raw[side].append((info["raw_ops"]["setup"]["p50_ms"],
+                                  info["reference_kernel_ms"]["p50"]))
                 print(workload, seed, side, json.dumps(
                     {k: round(v["value"], 3) for k, v in result["metrics"].items()}),
                     file=sys.stderr, flush=True)
@@ -225,6 +271,12 @@ def main():
                                       [r["metrics"][name]["value"] for r in runs["change"]],
                                       direction)
                         for name, direction in better.items()},
+            # setup_s is scaled by the reference kernel; these are the
+            # details line's unscaled setup median and the kernel's median
+            "details": {name: compare([r[i] for r in raw["parent"]],
+                                      [r[i] for r in raw["change"]], "lower")
+                        for i, name in enumerate(("raw_setup_p50_ms",
+                                                  "reference_kernel_p50_ms"))},
         }
 
     per_layer = {}

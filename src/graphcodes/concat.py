@@ -318,6 +318,28 @@ def code_family(n: int, v: int, k: int) -> Optional[str]:
     return "concat" if v == k + 1 and comb(n - k, v) == 0 else None
 
 
+class ReadLog:
+    """The reads of one collect: records holds one (node, offsets) pair
+    per node read, in the order read.  len() is the number of symbols
+    read and iteration yields each (node, offset) read, so a log costs
+    O(nodes), not O(symbols), to keep."""
+
+    __slots__ = ("records",)
+
+    def __init__(self, records: List[Tuple[int, Sequence[int]]]):
+        self.records = records
+
+    def __len__(self) -> int:
+        return sum(len(offsets) for _, offsets in self.records)
+
+    def __iter__(self):
+        for node, offsets in self.records:
+            yield from zip(itertools.repeat(node), offsets)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, ReadLog) and self.records == other.records
+
+
 class ConcatCode:
     """A concatenated layered code ready for encoding and recovery.
 
@@ -336,6 +358,7 @@ class ConcatCode:
 
     After __init__ a code changes only its memo caches, each filled
     deterministically from the parameters: _lifts, _schedules,
+    _layer_masks (one bit mask per layer of a size, read by _schedule),
     _siblings (with its repairs) and every helper and precode JGCSpec's
     _plans, _dual, _aligned, _sparse and _masks.  So every caller of one
     (n, v, k, q) can share one code, as live_concat does, and shares its
@@ -357,6 +380,7 @@ class ConcatCode:
         # _lift's and _schedule's caches, filled on first use
         self._lifts: Dict[Tuple[JGCSpec, Layer, int], Tuple[int, ...]] = {}
         self._schedules: Dict[Tuple[int, Layer], tuple] = {}
+        self._layer_masks: Dict[int, List[int]] = {}
 
         # sizes[cid] is component cid's layer size; a dependent of round
         # rd gets the syndrome entries rd.deps assigns it
@@ -449,9 +473,10 @@ class ConcatCode:
         Size c takes each larger size u (from slot first[u, c]) and each
         dependent index j in turn, the j-th dependents of u's slots in
         slot order, so one round's syndromes fill B_u consecutive slots.
-        kernels[u]: regions of B_u slots; read(row)
-        lists a node's symbols by (size, position, slot), row(values)
-        puts them back in column order; repairs keeps repair's reads."""
+        kernels[u]: regions of B_u slots; read(row) lists a node's
+        symbols at the offsets cols, by (size, position, slot), and
+        row(values) puts them back in column order; repairs keeps
+        repair's reads."""
         order, first = {self.sizes[0]: [0]}, {}
         for u in sorted(set(self.sizes), reverse=True):
             for ridx, rd in enumerate(self.rounds.get(order[u][0], ())):
@@ -464,11 +489,11 @@ class ConcatCode:
         longest = 1 + max([self.v] + [c.length for c in self.precode.values() if c]
                           + [rd.code.length for rds in self.rounds.values() for rd in rds])
         kernels = {u: self.F.regions(len(ids), longest) for u, ids in order.items()}
-        cols = [self.offsets[cid] + s for u, ids in order.items()
-                for s in range(self.lspec[u].alpha) for cid in ids]
+        cols = tuple(self.offsets[cid] + s for u, ids in order.items()
+                     for s in range(self.lspec[u].alpha) for cid in ids)
         return SimpleNamespace(
             order=order, first=first, kernels=kernels, longest=longest,
-            read=getter(cols),
+            cols=cols, read=getter(cols),
             everywhere={c: range(spec.R) for c, spec in self.lspec.items()},
             row=getter(sorted(range(len(cols)), key=cols.__getitem__)), repairs={},
             start=list(itertools.accumulate((len(self.data[u]) for u in self.sizes),
@@ -516,32 +541,43 @@ class ConcatCode:
         the _replay schedule (first, rounds, handdown, precode).  A fill
         is an array of target positions (t lies in layer t // u), and
         every target is the position of its layer's largest node outside
-        A: first fills the layers meeting A in u-1 nodes; rounds has
-        (subs, fill) per round, whose decodes set lifts 0 .. u-2-c of the
-        layers meeting A in c nodes and whose fill completes them, subs
-        holding (A2, plan, pieces) per anchor A2: A relabeled outside a
-        sublayer L_c inside A, pieces listing (index, the m lifts) of
-        each such L_c; handdown has every sublayer (where L_c lies inside
-        A, the syndrome of w equals the sum read there); precode fills
-        the layers missing A after the precode words are completed, or
-        is None for size 1 (whose first fill is that).
+        A, both read off the layer's bit mask (_layer_masks[u], built on
+        first use, the rule JGCSpec.ball uses): first fills the layers
+        meeting A in u-1 nodes; rounds has (subs, fill) per round, whose
+        decodes set lifts 0 .. u-2-c of the layers meeting A in c nodes
+        and whose fill completes them, subs holding (A2, plan, pieces)
+        per anchor A2: A relabeled outside a sublayer L_c inside A,
+        pieces listing (index, the m lifts) of each such L_c; handdown
+        has every sublayer (where L_c lies inside A, the syndrome of w
+        equals the sum read there); precode fills the layers missing A
+        after the precode words are completed, or is None for size 1
+        (whose first fill is that).
         """
         if (u, A) in self._schedules:
             return self._schedules[u, A]
-        sA = set(A)
-        fills: Dict[int, array] = {}
-        for l, L in enumerate(self.lspec[u].layers):
-            out = [i for i, j in enumerate(L) if j not in sA]
-            if out:
-                fills.setdefault(u - len(out), array("i")).append(l * u + out[-1])
+        masks = self._layer_masks.get(u)
+        if masks is None:
+            masks = self._layer_masks[u] = [sum(1 << j for j in L) for L in self.lspec[u].layers]
+        inside = sum(1 << j for j in A)
+        outside, by_meet = ~inside, [array("i") for _ in range(u)]
+        # a layer L missing A has its largest node outside A at the top
+        # bit of m & ~A, whose index in L is u-1 less the nodes of L above
+        for end, m in zip(range(u - 1, len(masks) * u, u), masks):
+            top = (m & outside).bit_length()
+            if top:
+                by_meet[(m & inside).bit_count()].append(end - (m >> top).bit_count())
+        fills = {c: fill for c, fill in enumerate(by_meet) if fill}
         rounds = []
         for rd in rds:
             subs: Dict[Layer, tuple] = {}
+            index, lift = self.lspec[rd.c].index, self._lift
             for L_c in itertools.combinations(A, rd.c):
                 rest = [x for x in range(self.n) if x not in L_c]
                 A2 = tuple(rest.index(a) for a in A if a not in L_c)
-                subs.setdefault(A2, (A2, decode_plan(rd.code, A2), []))[2].append(
-                    (self.lspec[rd.c].index[L_c], [self._lift(rd, L_c, i) for i in range(rd.m)]))
+                sub = subs.get(A2)
+                if sub is None:
+                    sub = subs[A2] = (A2, decode_plan(rd.code, A2), [])
+                sub[2].append((index[L_c], [lift(rd, L_c, i) for i in range(rd.m)]))
             rounds.append((list(subs.values()), fills.get(rd.c, ())))
         sched = self._schedules[u, A] = (fills.get(u - 1, ()), rounds, self._siblings.everywhere,
                                          fills.get(0) if u > 1 else None)
@@ -627,26 +663,29 @@ class ConcatCode:
     # ----- data collection -----
 
     def collect(self, nodes: Sequence[Sequence[int]], A: Sequence[int]
-                ) -> Tuple[List[int], List[Tuple[int, int]]]:
+                ) -> Tuple[List[int], ReadLog]:
         """Payload back from the k nodes in A, with the read log.
 
         Only entries of nodes listed in A are touched, each read once
-        and checked to be a symbol; the log records every (node, offset)
-        read.  Then each size's components are recovered together: every
-        position outside A is a target of a fill or a decode of the
-        schedule (a round is skipped only at codimension 0, where no
-        layer meets A in c nodes), each of which raises on a gap.
+        and checked to be a symbol; the log records each node's read as
+        it is gathered, one (node, offsets) record per node, every record
+        sharing the one offsets tuple all nodes are read at.  Then each
+        size's components are recovered together: every position outside
+        A is a target of a fill or a decode of the schedule (a round is
+        skipped only at codimension 0, where no layer meets A in c
+        nodes), each of which raises on a gap.
         """
         A = layer(A)
         if len(A) != self.k:
             raise ValueError(f"need exactly k={self.k} nodes, got {len(A)}")
         lay = self._siblings
         vectors = {u: [None] * (self.lspec[u].R * u) for u in lay.order}
+        log = ReadLog([])
         for i in A:
             check_node(self.n, i)
             self._put(self.F.check_symbols(lay.read(nodes[i]), f"node {i}"),
                       [(u, self.lspec[u].at[i]) for u in lay.order], vectors)
-        log = list(itertools.product(A, range(self.alpha)))
+            log.records.append((i, lay.cols))
         injected: Dict[int, List[int]] = {}
         payload: List[Sequence[int]] = [()] * len(self.sizes)
         for u, w in vectors.items():

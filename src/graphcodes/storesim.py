@@ -14,10 +14,10 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from graphcodes.combinat import layer
-from graphcodes.concat import ConcatCode, code_family, live_concat
+from graphcodes.concat import ConcatCode, ReadLog, code_family, live_concat
 
 
 class LayeredCode(ConcatCode):
@@ -34,7 +34,11 @@ class LayeredCode(ConcatCode):
 
 
 class StorageState:
-    """Blob, node arrays, and the audit trail of a simulated system."""
+    """Blob, node arrays, and the audit trail of a simulated system.
+
+    access_log keeps one entry per collect, its concat.ReadLog: one
+    (node, offsets) record per node read, every record of a code sharing
+    one offsets tuple, so an entry holds k records, not k*alpha pairs."""
 
     def __init__(self, code, blob: Sequence[int],
                  nodes: Optional[List[List[int]]] = None):
@@ -43,7 +47,7 @@ class StorageState:
         self.nodes = nodes if nodes is not None else code.encode(self.blob)
         if any(len(row) != code.alpha for row in self.nodes):
             raise ValueError("node array width differs from alpha")
-        self.access_log: List[List[Tuple[int, int]]] = []
+        self.access_log: List[ReadLog] = []
         self.last_repair_bandwidth: Dict[int, int] = {}
 
 
@@ -55,13 +59,15 @@ def ingest(code, blob: Sequence[int]) -> StorageState:
 
 
 def collect(state: StorageState, A: Sequence[int]) -> List[int]:
-    """Blob back from the nodes in A; the read log is appended to
-    state.access_log and touches only nodes in A."""
+    """Blob back from the nodes in A.  The collect's read log, one
+    (node, offsets) record per node read with the offsets tuple shared
+    (concat.ReadLog), is appended to state.access_log; ValueError if a
+    record names a node outside A."""
     blob, log = state.code.collect(state.nodes, A)
     state.access_log.append(log)
-    outside = {i for i, _ in log} - set(layer(A))
+    outside = {i for i, _ in log.records} - set(layer(A))
     if outside:
-        raise AssertionError(f"reads outside contacted nodes: {outside}")
+        raise ValueError(f"reads outside contacted nodes: {sorted(outside)}")
     return blob
 
 

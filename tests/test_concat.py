@@ -364,3 +364,28 @@ def test_lift_positions_decode_to_layer_and_node():
                     L = spec.layers[p // spec.v]
                     assert L == tuple(sorted(L_c + tuple(nodes)))
                     assert L[p % spec.v] == nodes[i]
+
+
+def _reference_fills(code, u, A):
+    """The fill targets of _schedule(u, A, ...) by the number of nodes a
+    layer meets A in: each layer missing A gives the position of its
+    largest node outside A, in layer order."""
+    fills = {}
+    for l, L in enumerate(code.lspec[u].layers):
+        out = [i for i, j in enumerate(L) if j not in A]
+        if out:
+            fills.setdefault(u - len(out), []).append(l * u + out[-1])
+    return fills
+
+
+@pytest.mark.parametrize("shape", [(8, 5, 4, 11), (10, 6, 5, 11)], ids=_name)
+def test_schedule_fills_match_the_per_layer_reference(shape):
+    code = build_concat(*shape)
+    for A in itertools.combinations(range(code.n), code.k):
+        for u, ids in code._siblings.order.items():
+            rds = code.rounds.get(ids[0], [])
+            first, rounds, _, precode = code._schedule(u, A, rds)
+            ref = _reference_fills(code, u, A)
+            assert list(first) == ref.get(u - 1, [])
+            assert [list(fill) for _, fill in rounds] == [ref.get(rd.c, []) for rd in rds]
+            assert (None if precode is None else list(precode)) == (ref.get(0) if u > 1 else None)

@@ -2,6 +2,7 @@
 
 import gc
 import hashlib
+import itertools
 import json
 import os
 import random
@@ -72,6 +73,43 @@ def test_layered_collect_and_log():
     assert {i for i, _ in log} <= set(A)
     with pytest.raises(ValueError):
         collect(state, (0, 1, 2))
+
+
+@pytest.mark.parametrize("make", [lambda: build_concat(8, 5, 4, 11),
+                                  lambda: LayeredCode(6, 3, 11)], ids=["8-5-4-11", "6-3-11"])
+def test_read_log_keeps_one_record_per_node(make):
+    # each collect appends one log holding k (node, offsets) records, all
+    # sharing one offsets tuple, that reads every symbol of A once
+    code = make()
+    state = ingest(code, _seeded_blob(code))
+    for A in itertools.combinations(range(code.n), code.k):
+        before = len(state.access_log)
+        assert collect(state, A) == state.blob
+        assert len(state.access_log) == before + 1
+        log = state.access_log[-1]
+        assert [i for i, _ in log.records] == list(A)
+        assert all(offsets is log.records[0][1] for _, offsets in log.records)
+        assert sorted(log) == list(itertools.product(A, range(code.alpha)))
+        assert len(log) == code.k * code.alpha
+    assert len({id(offsets) for log in state.access_log for _, offsets in log.records}) == 1
+
+
+def test_collect_rejects_a_read_outside_the_anchor():
+    code = LayeredCode(6, 3, 11)
+    state = ingest(code, _seeded_blob(code))
+
+    class ReadsNode5:
+        """A code whose collect also logs a read of node 5."""
+
+        def collect(self, nodes, A):
+            blob, log = code.collect(nodes, A)
+            log.records.append((5, log.records[0][1]))
+            return blob, log
+
+    state.code = ReadsNode5()
+    with pytest.raises(ValueError, match=r"reads outside contacted nodes: \[5\]"):
+        collect(state, (0, 1, 2, 3, 4))
+    assert [i for i, _ in state.access_log[-1].records] == [0, 1, 2, 3, 4, 5]
 
 
 def test_layered_collect_needs_exactly_k_nodes():
