@@ -15,17 +15,18 @@ Every dependent is smaller than its parent, so the components of one
 size (siblings) are recovered together: every operation reads (encode
 places the payload at data[u]), packs the siblings' vectors into
 region vectors (field.Regions, one slot per sibling) and replays, once
-per size and largest first, one schedule with one function, _replay:
-layer-check fills, decode rounds, a precode completion and the
-syndromes handed down to the dependents as injected values.  Words of
-one helper code are stacked into wider regions, so a round makes one
-erasure_decode per anchor and one syndrome_of.  A collect's schedule
-is recorded once per (size, anchor A), as in Jerasure; encode runs
-the precode at the fixed anchor A0 and hands down everywhere, repair
-at the sublayers holding the failed node.  One component rule gives
-every copy its rounds; with k = n-1 every helper code is trivial, so
-the pure layered code (storesim.LayeredCode) is the case of one
-component, nothing injected.
+per size and largest first, one list of steps with one function,
+_replay: decode rounds, layer-check fills and the syndromes handed
+down to the dependents as injected values.  One component rule gives
+every size u its rounds c = u-2 .. 0; the last, c = 0, is the precode,
+the same graph code family with a zero syndrome.  Words of one helper
+code are stacked into wider regions, so a round makes one
+erasure_decode per anchor and one syndrome_of.  A collect's steps are
+recorded once per (size, anchor A), as in Jerasure; encode runs round
+0 at the fixed anchor A0 and hands down everywhere, repair fills at
+the sublayers holding the failed node.  With k = n-1 every helper code
+is trivial, so the pure layered code (storesim.LayeredCode) is the
+case of one component, no rounds, nothing injected.
 """
 
 from __future__ import annotations
@@ -289,17 +290,17 @@ def scenario_table(n: int, v: int, k: int,
 
 
 class _Round:
-    """One helper round of a component: syndromes of ``code`` computed
-    from sublayers of size c, m stored vectors per sublayer."""
+    """Round c of every size-u component: its m = u-1-c stored vectors
+    per size-c sublayer are words of ``code``, (n-c, u-c, k-c, 1), with
+    syndromes handed down for c >= 1 and zero for c = 0, the precode."""
 
-    __slots__ = ("c", "m", "code", "codim", "deps")
+    __slots__ = ("c", "m", "code", "codim")
 
     def __init__(self, c: int, m: int, code: JGCSpec):
         self.c = c
         self.m = m
         self.code = code
         self.codim = code.length - code.dim
-        self.deps: List[int] = []
 
 
 def code_family(n: int, v: int, k: int) -> Optional[str]:
@@ -344,11 +345,14 @@ class ConcatCode:
     """A concatenated layered code ready for encoding and recovery.
 
     One component rule builds every code: a size-u copy gets, for
-    c = u-2 .. 1, a round of u-1-c stored vectors per size-c sublayer
-    whose syndromes under the helper code (n-c, u-c, k-c, 1) are
-    injected into size-c dependents, unless that code has codimension
-    0.  Starting from one size-v copy this gives the two families that
-    code_family names (any other shape raises ValueError):
+    c = u-2 .. 0, a round of u-1-c stored vectors per size-c sublayer,
+    words of the graph code (n-c, u-c, k-c, 1), unless that code has
+    codimension 0.  For c >= 1 their syndromes are injected into size-c
+    dependents; round c = 0 is the precode, whose words have syndrome 0,
+    so any k nodes determine the u-1 data vectors.  Every component of
+    one size has the same rounds, rounds[u].  Starting from one size-v
+    copy this gives the two families that code_family names (any other
+    shape raises ValueError):
     - "concat", the cascade v = k+1 > n-k: helper data moves only between
       layers in the same census column; q >= n, and layout is its
       ScenarioLayout, which tabulates the other scenarios too.
@@ -358,9 +362,8 @@ class ConcatCode:
 
     After __init__ a code changes only its memo caches, each filled
     deterministically from the parameters: _lifts, _schedules,
-    _layer_masks (one bit mask per layer of a size, read by _schedule),
-    _siblings (with its repairs) and every helper and precode JGCSpec's
-    _plans, _dual, _aligned, _sparse and _masks.  So every caller of one
+    _siblings (with its repairs) and every round JGCSpec's _plans,
+    _dual, _aligned, _sparse and _masks.  So every caller of one
     (n, v, k, q) can share one code, as live_concat does, and shares its
     warm plans and schedules with it.
     """
@@ -379,42 +382,32 @@ class ConcatCode:
         self._codes: Dict[Tuple[int, int, int, int], JGCSpec] = {}
         # _lift's and _schedule's caches, filled on first use
         self._lifts: Dict[Tuple[JGCSpec, Layer, int], Tuple[int, ...]] = {}
-        self._schedules: Dict[Tuple[int, Layer], tuple] = {}
-        self._layer_masks: Dict[int, List[int]] = {}
+        self._schedules: Dict[Tuple[int, Layer], list] = {}
 
-        # sizes[cid] is component cid's layer size; a dependent of round
-        # rd gets the syndrome entries rd.deps assigns it
+        # sizes[cid] is component cid's layer size, numbered breadth
+        # first (the loop visits the ids it appends): cid's dependents
+        # are kids[cid] onwards, rd.m * rd.codim per round c >= 1 of
+        # rounds[sizes[cid]], in round order
         self.sizes: List[int] = [v]
+        self.kids: List[int] = []
         self.rounds: Dict[int, List[_Round]] = {}
-        queue = [0]
-        while queue:
-            cid = queue.pop(0)
-            self.rounds[cid] = rds = self._component_rounds(self.sizes[cid])
-            for rd in rds:
-                for _ in range(rd.m * rd.codim):
-                    rd.deps.append(len(self.sizes))
-                    self.sizes.append(rd.c)
-                    if rd.c >= 3:
-                        queue.append(rd.deps[-1])
-        self.lspec = {u: LayeredSpec(self.F, n, u) for u in set(self.sizes)}
+        for u in self.sizes:
+            self.kids.append(len(self.sizes))
+            if u not in self.rounds:
+                self.rounds[u] = self._size_rounds(u)
+            self.sizes += [rd.c for rd in self.rounds[u] if rd.c for _ in range(rd.m * rd.codim)]
+        self.lspec = {u: LayeredSpec(self.F, n, u) for u in self.rounds}
 
-        # precodes: the u-1 data vectors of a size-u copy below the top
-        # are codewords of the graph code with radius u-1, so any k
-        # accessed nodes determine them (where the code has codimension
-        # 0, every layer meets any k-set and the vectors are free);
-        # pre_pos[u] is the layer index of each precode vertex.  data[u]
-        # lists a size-u vector's payload positions in payload order:
-        # below the top, l*u + j for each word j and each layer l of the
-        # information set at A0
-        self.precode: Dict[int, JGCSpec] = {}
-        self.pre_pos: Dict[int, List[int]] = {}
+        # data[u] lists a size-u vector's payload positions in payload
+        # order: below the top, l*u + j for each word j < u-1 and each
+        # layer l of round 0's information set at A0 (every layer where
+        # the size has no round 0, as every layer then meets any k-set)
         self.data: Dict[int, List[int]] = {}
         for u, spec in self.lspec.items():
             info = range(spec.R)
-            if 1 < u < v and _shape_codim((n, u, k, 1)):
-                self.precode[u] = code = self._code(n, u, k, 1)
-                self.pre_pos[u] = pos = [spec.index[L] for L in code.vertices]
-                info = [pos[i] for i in code.ball(self.A0)]
+            for rd in self.rounds[u]:
+                if not rd.c:
+                    info = [spec.index[rd.code.vertices[i]] for i in rd.code.ball(self.A0)]
             self.data[u] = spec.data if u == v else [l * u + j for j in range(u - 1) for l in info]
         *self.offsets, self.alpha = itertools.accumulate(
             (comb(n - 1, u - 1) for u in self.sizes), initial=0)
@@ -433,9 +426,9 @@ class ConcatCode:
             dual(code)
         return self._codes[key]
 
-    def _component_rounds(self, u: int) -> List["_Round"]:
+    def _size_rounds(self, u: int) -> List[_Round]:
         rds = []
-        for c in range(u - 2, 0, -1):
+        for c in range(u - 2, -1, -1):
             shape = (self.n - c, u - c, self.k - c, 1)
             # codimension 0: the radius ball already covers every layer above L_c
             if _shape_codim(shape):
@@ -450,9 +443,9 @@ class ConcatCode:
         The coordinate at the (relabeled) sublayer L' belongs to the
         layer L = L_c | L' of the size-(c + v') component and is the
         stored symbol at the i-th smallest node of L minus L_c.  The
-        tuple is built once per (helper code, L_c, i) and shared by every
-        round using that helper code, so the cache holds at most
-        (helper codes) x C(n, c) x m tuples.
+        tuple is built once per (helper code, L_c, i), and every round
+        has its own helper code, shared by every component of its size, so
+        the cache holds at most sum(C(n, rd.c) * rd.m) tuples over rounds.
         """
         key = (rd.code, L_c, i)
         out = self._lifts.get(key)
@@ -471,23 +464,24 @@ class ConcatCode:
     def _siblings(self) -> SimpleNamespace:
         """order[u]: the size-u component ids by slot, sizes largest first.
         Size c takes each larger size u (from slot first[u, c]) and each
-        dependent index j in turn, the j-th dependents of u's slots in
-        slot order, so one round's syndromes fill B_u consecutive slots.
-        kernels[u]: regions of B_u slots; read(row) lists a node's
+        dependent index j in turn, the j-th dependents (kids[cid] + j)
+        of u's slots in slot order, so one round's syndromes fill B_u
+        consecutive slots.  kernels[u]: regions of B_u slots; read(row) lists a node's
         symbols at the offsets cols, by (size, position, slot), and
         row(values) puts them back in column order; repairs keeps
         repair's reads."""
-        order, first = {self.sizes[0]: [0]}, {}
-        for u in sorted(set(self.sizes), reverse=True):
-            for ridx, rd in enumerate(self.rounds.get(order[u][0], ())):
+        order, first = {self.v: [0]}, {}
+        for u in sorted(self.rounds, reverse=True):
+            at = 0
+            for rd in (rd for rd in self.rounds[u] if rd.c):
                 dst = order.setdefault(rd.c, [])
                 first[u, rd.c] = len(dst)
-                for j in range(len(rd.deps)):
-                    dst.extend(self.rounds[cid][ridx].deps[j] for cid in order[u])
+                dst.extend(self.kids[cid] + j for j in range(at, at + rd.m * rd.codim)
+                           for cid in order[u])
+                at += rd.m * rd.codim
         order = {u: order[u] for u in sorted(order, reverse=True)}
         # a decode's right-hand side row is a dual row plus the syndrome
-        longest = 1 + max([self.v] + [c.length for c in self.precode.values() if c]
-                          + [rd.code.length for rds in self.rounds.values() for rd in rds])
+        longest = 1 + max([self.v] + [rd.code.length for rds in self.rounds.values() for rd in rds])
         kernels = {u: self.F.regions(len(ids), longest) for u, ids in order.items()}
         cols = tuple(self.offsets[cid] + s for u, ids in order.items()
                      for s in range(self.lspec[u].alpha) for cid in ids)
@@ -498,6 +492,12 @@ class ConcatCode:
             row=getter(sorted(range(len(cols)), key=cols.__getitem__)), repairs={},
             start=list(itertools.accumulate((len(self.data[u]) for u in self.sizes),
                                             initial=0)))
+
+    def _array(self, nodes: Sequence[Sequence[int]], i: int) -> Sequence[int]:
+        """nodes[i], or ValueError unless it is there with alpha entries."""
+        if i >= len(nodes) or len(nodes[i]) != self.alpha:
+            raise ValueError(f"node {i} has no array of alpha={self.alpha} symbols")
+        return nodes[i]
 
     def _put(self, vals: Sequence[int], parts, vectors: Dict[int, list]) -> None:
         """Pack vals, listed by (size, position, slot), into the region
@@ -535,29 +535,21 @@ class ConcatCode:
                                 itertools.product(out, lifts)):
             w[lift[t]] = x
 
-    def _schedule(self, u: int, A: Layer, rds: Sequence[_Round]) -> tuple:
-        """What a collect at anchor A does to every size-u component (rds:
-        the rounds of one), kept for at most (sizes) x C(n, k) keys, as
-        the _replay schedule (first, rounds, handdown, precode).  A fill
-        is an array of target positions (t lies in layer t // u), and
-        every target is the position of its layer's largest node outside
-        A, both read off the layer's bit mask (_layer_masks[u], built on
-        first use, the rule JGCSpec.ball uses): first fills the layers
-        meeting A in u-1 nodes; rounds has (subs, fill) per round, whose
-        decodes set lifts 0 .. u-2-c of the layers meeting A in c nodes
-        and whose fill completes them, subs holding (A2, plan, pieces)
-        per anchor A2: A relabeled outside a sublayer L_c inside A,
-        pieces listing (index, the m lifts) of each such L_c; handdown
-        has every sublayer (where L_c lies inside A, the syndrome of w
-        equals the sum read there); precode fills the layers missing A
-        after the precode words are completed, or is None for size 1
-        (whose first fill is that).
+    def _schedule(self, u: int, A: Layer) -> list:
+        """What a collect at anchor A does to every size-u component, as
+        _replay steps, kept for at most (sizes) x C(n, k) keys.  A fill is
+        an array of target positions (t lies in layer t // u), and every
+        target is the position of its layer's largest node outside A,
+        both read off the layer's bit mask (LayeredSpec.masks, the rule
+        JGCSpec.ball uses).  The first step fills the layers meeting A in
+        u-1 nodes; then each round rd of rounds[u] has a step whose
+        decodes (_subs) set lifts 0 .. rd.m-1 of the layers meeting A in
+        rd.c nodes and whose fill completes them.  A round is missing
+        only at codimension 0, where no layer meets A in c nodes.
         """
         if (u, A) in self._schedules:
             return self._schedules[u, A]
-        masks = self._layer_masks.get(u)
-        if masks is None:
-            masks = self._layer_masks[u] = [sum(1 << j for j in L) for L in self.lspec[u].layers]
+        masks = self.lspec[u].masks
         inside = sum(1 << j for j in A)
         outside, by_meet = ~inside, [array("i") for _ in range(u)]
         # a layer L missing A has its largest node outside A at the top
@@ -567,67 +559,61 @@ class ConcatCode:
             if top:
                 by_meet[(m & inside).bit_count()].append(end - (m >> top).bit_count())
         fills = {c: fill for c, fill in enumerate(by_meet) if fill}
-        rounds = []
-        for rd in rds:
-            subs: Dict[Layer, tuple] = {}
-            index, lift = self.lspec[rd.c].index, self._lift
-            for L_c in itertools.combinations(A, rd.c):
-                rest = [x for x in range(self.n) if x not in L_c]
-                A2 = tuple(rest.index(a) for a in A if a not in L_c)
-                sub = subs.get(A2)
-                if sub is None:
-                    sub = subs[A2] = (A2, decode_plan(rd.code, A2), [])
-                sub[2].append((index[L_c], [lift(rd, L_c, i) for i in range(rd.m)]))
-            rounds.append((list(subs.values()), fills.get(rd.c, ())))
-        sched = self._schedules[u, A] = (fills.get(u - 1, ()), rounds, self._siblings.everywhere,
-                                         fills.get(0) if u > 1 else None)
+        sched = self._schedules[u, A] = [(None, (), fills.get(u - 1, ()))] + [
+            (rd, self._subs(rd, A), fills.get(rd.c, ())) for rd in self.rounds[u]]
         return sched
 
-    def _replay(self, u: int, w: List[Optional[int]], sched: tuple,
-                A: Optional[Layer], injected: Dict[int, List[int]],
-                vectors: Optional[Dict[int, list]] = None) -> None:
-        """Complete the region vector w of the size-u components (slot b:
-        _siblings.order[u][b]) by the schedule (first, rounds, handdown,
-        precode), from their injected values (lists over handdown[u]),
-        and set the dependents' ones, syndromes of w at handdown[c].
+    def _subs(self, rd: _Round, A: Layer) -> list:
+        """Round rd's decodes at anchor A: (A2, plan, pieces) per anchor
+        A2, A relabeled outside a sublayer L_c inside A, pieces listing
+        (index of L_c, the rd.m lifts) of each such L_c.  Round 0 has the
+        one sublayer (), with A2 = A and no index: it reads no sums."""
+        subs: Dict[Layer, tuple] = {}
+        index = self.lspec[rd.c].index if rd.c else {(): None}
+        for L_c in itertools.combinations(A, rd.c):
+            rest = [x for x in range(self.n) if x not in L_c]
+            A2 = tuple(rest.index(a) for a in A if a not in L_c)
+            sub = subs.get(A2)
+            if sub is None:
+                sub = subs[A2] = (A2, decode_plan(rd.code, A2), [])
+            sub[2].append((index[L_c], [self._lift(rd, L_c, i) for i in range(rd.m)]))
+        return list(subs.values())
 
-        first and each round's fill are fill_layers targets; a round
-        decodes once per A2 of subs, each (L_c, lift) stacked, with the
-        sums of the dependents' read layers L_c as syndromes; precode,
-        unless None, completes the precode words at A and fills its
-        targets.  Collect replays _schedule(u, A, rounds); encode ((),
-        (), every sublayer, every layer's last position) at A0; repair
-        (the failed node's positions, (), the sublayers holding it,
-        None)."""
+    def _replay(self, u: int, w: List[Optional[int]], steps: list, handdown: Dict[int, Sequence[int]],
+                injected: Dict[int, List[int]], vectors: Optional[Dict[int, list]] = None) -> None:
+        """Complete the region vector w of the size-u components (slot b:
+        _siblings.order[u][b]) by steps, from their injected values
+        (lists over handdown[u]), and set the dependents' ones, syndromes
+        of w at handdown[c] for each round c >= 1.
+
+        A step (rd, subs, fill) decodes once per (A2, plan, pieces) of
+        subs, each (L_c, lift) stacked, with the sums of the dependents'
+        read layers L_c in vectors as syndromes (zero in round 0), then
+        fills fill's targets (fill_layers).  Collect replays
+        _schedule(u, A); encode round 0's step at A0 filling every
+        layer's last position, or that fill alone; repair a fill of the
+        failed node's positions, handdown the sublayers holding it."""
         lay = self._siblings
         K, ids = lay.kernels[u], lay.order[u]
         B, inj = K.B, None
-        rds = self.rounds.get(ids[0], ())
-        first, rounds, handdown, precode = sched
         if ids[0] in injected:
             inj = [0] * self.lspec[u].R
             for l, x in zip(handdown[u], K.pack(_flat(zip(*(injected[cid] for cid in ids))))):
                 inj[l] = x
-        fill_layers(K, w, u, inj, first)
-        for rd, (subs, fill) in zip(rds, rounds):
-            c, codim, Kc = rd.c, rd.codim, lay.kernels[rd.c]
+        for rd, subs, fill in steps:
             for A2, plan, pieces in subs:
                 labs = [(lc, i, lift) for lc, lifts in pieces for i, lift in enumerate(lifts)]
-                # the sums of the dependents' read layers L_c, by slot of size c
-                sums = {lc: Kc.unpack([Kc.sum(vectors[c][lc * c:(lc + 1) * c])])
-                        for lc, _ in pieces}
-                s = [x for e in range(codim) for lc, i, _ in labs
-                     for j in [lay.first[u, c] + (i * codim + e) * B] for x in sums[lc][j:j + B]]
+                s = None
+                if rd.c:
+                    c, codim, Kc = rd.c, rd.codim, lay.kernels[rd.c]
+                    # the sums of the dependents' read layers L_c, by slot of size c
+                    sums = {lc: Kc.unpack([Kc.sum(vectors[c][lc * c:(lc + 1) * c])])
+                            for lc, _ in pieces}
+                    s = [x for e in range(codim) for lc, i, _ in labs
+                         for j in [lay.first[u, c] + (i * codim + e) * B] for x in sums[lc][j:j + B]]
                 self._decode(K, w, rd.code, A2, [lift for *_, lift in labs], s, plan.out)
             fill_layers(K, w, u, inj, fill)
-        if precode is not None:
-            if self.precode.get(u):
-                pos = self.pre_pos[u]
-                self._decode(K, w, self.precode[u], A, [[p * u + j for p in pos]
-                                                        for j in range(u - 1)],
-                             None, range(len(pos)))
-            fill_layers(K, w, u, inj, precode)
-        for rd in rds:
+        for rd in (rd for rd in self.rounds[u] if rd.c):
             layers, deps = self.lspec[rd.c].layers, lay.order[rd.c][lay.first[u, rd.c]:]
             K2, word = self._stack(K, w, [self._lift(rd, layers[lc], i)
                                           for lc in handdown[rd.c] for i in range(rd.m)])
@@ -642,8 +628,8 @@ class ConcatCode:
         """Node arrays (n lists of alpha symbols) for M payload symbols.
 
         Each size's components take their payload at data[u] and replay
-        what a collect at A0 does without reading: the precode words,
-        every layer check, and syndromes handed down at every sublayer.
+        what a collect at A0 does without reading: round 0's words, every
+        layer check, and syndromes handed down at every sublayer.
         """
         if len(payload) != self.M:
             raise ValueError(f"expected {self.M} payload symbols, "
@@ -656,8 +642,9 @@ class ConcatCode:
             n = len(self.data[u])
             self._put(_flat(zip(*(payload[lay.start[cid]:lay.start[cid] + n]
                                   for cid in lay.order[u]))), [(u, self.data[u])], vectors)
-            self._replay(u, w, ((), (), lay.everywhere, range(u - 1, len(w), u)),
-                         self.A0, injected)
+            last = range(u - 1, len(w), u)
+            steps = [(rd, self._subs(rd, self.A0), last) for rd in self.rounds[u] if not rd.c]
+            self._replay(u, w, steps or [(None, (), last)], lay.everywhere, injected)
         return [self._column(vectors, j) for j in range(self.n)]
 
     # ----- data collection -----
@@ -666,32 +653,30 @@ class ConcatCode:
                 ) -> Tuple[List[int], ReadLog]:
         """Payload back from the k nodes in A, with the read log.
 
-        Only entries of nodes listed in A are touched, each read once
-        and checked to be a symbol; the log records each node's read as
-        it is gathered, one (node, offsets) record per node, every record
-        sharing the one offsets tuple all nodes are read at.  Then each
-        size's components are recovered together: every position outside
-        A is a target of a fill or a decode of the schedule (a round is
-        skipped only at codimension 0, where no layer meets A in c
-        nodes), each of which raises on a gap.
+        A must list k int node indices, each array of alpha entries,
+        else ValueError.  Only entries of nodes listed in A are touched,
+        each read once and checked to be a symbol; the log records each
+        node's read as it is gathered, one (node, offsets) record per
+        node, every record sharing the one offsets tuple all nodes are
+        read at.  Then each size's components are recovered together:
+        every position outside A is a target of a fill or a decode of
+        the schedule (_schedule), each of which raises on a gap.
         """
-        A = layer(A)
+        A = layer([check_node(self.n, i) for i in A])
         if len(A) != self.k:
             raise ValueError(f"need exactly k={self.k} nodes, got {len(A)}")
         lay = self._siblings
         vectors = {u: [None] * (self.lspec[u].R * u) for u in lay.order}
         log = ReadLog([])
         for i in A:
-            check_node(self.n, i)
-            self._put(self.F.check_symbols(lay.read(nodes[i]), f"node {i}"),
+            self._put(self.F.check_symbols(lay.read(self._array(nodes, i)), f"node {i}"),
                       [(u, self.lspec[u].at[i]) for u in lay.order], vectors)
             log.records.append((i, lay.cols))
         injected: Dict[int, List[int]] = {}
         payload: List[Sequence[int]] = [()] * len(self.sizes)
         for u, w in vectors.items():
             ids = lay.order[u]
-            self._replay(u, w, self._schedule(u, A, self.rounds.get(ids[0], [])),
-                         A, injected, vectors)
+            self._replay(u, w, self._schedule(u, A), lay.everywhere, injected, vectors)
             vals = lay.kernels[u].unpack([w[p] for p in self.data[u]])
             for b, cid in enumerate(ids):
                 payload[cid] = vals[b::len(ids)]
@@ -705,7 +690,9 @@ class ConcatCode:
 
         Helper j sends, for every copy of size >= 2, its symbols at
         layers containing both j and the failed node: exactly beta
-        symbols per helper, each checked to be a symbol.  The replay
+        symbols per helper, each checked to be a symbol, from an array
+        checked to hold alpha entries (else ValueError, as for a failed
+        index that is not an int node index).  The replay
         fills the failed symbols from the layer checks and hands
         syndromes down at the sublayers holding the failed node, from
         already rebuilt copies, one size at a time.
@@ -726,13 +713,13 @@ class ConcatCode:
                 reads.append((j, cols, parts))
         counts = {}
         for j, cols, parts in lay.repairs[failed]:
-            self._put(self.F.check_symbols(getter(cols)(nodes[j]), f"node {j}"),
+            self._put(self.F.check_symbols(getter(cols)(self._array(nodes, j)), f"node {j}"),
                       parts, vectors)
             counts[j] = len(cols)
         holding = {c: [p // c for p in spec.at[failed]] for c, spec in self.lspec.items()}
         injected: Dict[int, List[int]] = {}
         for u, w in vectors.items():
-            self._replay(u, w, (self.lspec[u].at[failed], (), holding, None), None, injected)
+            self._replay(u, w, [(None, (), self.lspec[u].at[failed])], holding, injected)
         return self._column(vectors, failed), counts
 
 

@@ -38,7 +38,8 @@ class LayeredSpec:
     layers containing i), and slot[p] is position p's offset in its
     node's array, so at[i][slot[p]] == p.  data lists the positions of
     the M1 data symbols in payload order: every position of a layer but
-    its last, whose symbol is the layer check.
+    its last, whose symbol is the layer check.  masks[l] is layer l's
+    bit mask, bit j set for each node j of the layer.
     """
 
     def __init__(self, F: FieldSpec, n: int, v: int):
@@ -54,6 +55,7 @@ class LayeredSpec:
             self.slot[p] = len(self.at[j])
             self.at[j].append(p)
         self.data = [p for p in range(self.R * v) if p % v != v - 1]
+        self.masks = [sum(1 << j for j in L) for L in self.layers]
 
 
 def layered_params(n: int, v: int) -> Tuple[int, int, int, int]:
@@ -129,10 +131,12 @@ def tradeoff_points(n: int) -> List[Tuple[int, Fraction, Fraction]]:
     return points
 
 
-def check_node(n: int, i: int) -> None:
-    """ValueError unless i names one of the n nodes."""
-    if not 0 <= i < n:
-        raise ValueError(f"bad node index {i}")
+def check_node(n: int, i: int) -> int:
+    """i, or ValueError unless i is an int (not a bool) naming one of
+    the n nodes."""
+    if not isinstance(i, int) or isinstance(i, bool) or not 0 <= i < n:
+        raise ValueError(f"bad node index {i!r}")
+    return i
 
 
 def fill_layers(F: FieldSpec, w: List[Optional[int]], v: int,

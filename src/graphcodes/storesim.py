@@ -22,7 +22,8 @@ from graphcodes.concat import ConcatCode, ReadLog, code_family, live_concat
 
 class LayeredCode(ConcatCode):
     """Pure layered code: the concatenated code's case k = n-1, one
-    component with nothing injected, no helper rounds and no precode.
+    component with nothing injected and no rounds (every round code,
+    c = 0 included, has codimension 0).
 
     Collection needs exactly k = n-1 nodes (every layer is then fully
     or sufficiently accessed); repair downloads C(n-2,v-2) symbols per

@@ -158,7 +158,8 @@ def test_layered_shape_is_one_component(shape):
     code = build_concat(*shape)
     n, v = shape[:2]
     assert code.layout is None
-    assert (code.sizes, code.rounds, code.precode) == ([v], {0: []}, {})
+    # no rounds, not even round c = 0: the one component has no dependents
+    assert (code.sizes, code.kids, code.rounds) == ([v], [1], {v: []})
     assert (code.M, code.alpha, code.beta) == (
         comb(n, v) * (v - 1), comb(n - 1, v - 1), comb(n - 2, v - 2) if v >= 2 else 0)
 
@@ -315,14 +316,89 @@ END_TO_END_SHAPES = [(5, 4, 3, 5), (6, 4, 3, 7), (6, 4, 3, 8), (6, 4, 3, 9),
                      (10, 6, 5, 11)]
 
 
+def _dependents(code, cid):
+    """(rd, ids) per round c >= 1 of component cid's size: the ids of the
+    dependents it hands that round's syndromes to, from kids[cid] on."""
+    at = code.kids[cid]
+    for rd in code.rounds[code.sizes[cid]]:
+        if rd.c:
+            yield rd, range(at, at + rd.m * rd.codim)
+            at += rd.m * rd.codim
+
+
 @pytest.mark.parametrize("shape", END_TO_END_SHAPES, ids=lambda s: "-".join(map(str, s)))
 def test_dependents_are_smaller_and_later(shape):
     # recovering a size's components together needs every parent done
     # first: each dependent is smaller than its parent and has a higher id
     code = build_concat(*shape)
-    for cid, rounds in code.rounds.items():
-        for dep in (dep for rd in rounds for dep in rd.deps):
-            assert code.sizes[dep] < code.sizes[cid] and dep > cid
+    assert set(code.rounds) == set(code.sizes)
+    deps = []
+    for cid, u in enumerate(code.sizes):
+        for rd, ids in _dependents(code, cid):
+            assert rd.c < u and all(code.sizes[dep] == rd.c and dep > cid for dep in ids)
+            deps += ids
+    # every component but the top is the dependent of exactly one
+    assert sorted(deps) == list(range(1, len(code.sizes)))
+
+
+def _reference_components(n, v, k):
+    """(sizes, deps, order, first) by the queue loop that numbered the
+    components while each kept its own rounds: deps[cid] lists (c, ids)
+    per round c >= 1, and order and first are _siblings' from them."""
+    sizes, deps, queue = [v], {}, [0]
+    while queue:
+        cid = queue.pop(0)
+        u, deps[cid] = sizes[cid], []
+        for c in range(u - 2, 0, -1):
+            codim = _shape_codim((n - c, u - c, k - c, 1))
+            if codim:
+                deps[cid].append((c, []))
+                for _ in range((u - 1 - c) * codim):
+                    deps[cid][-1][1].append(len(sizes))
+                    sizes.append(c)
+                    if c >= 3:
+                        queue.append(len(sizes) - 1)
+    order, first = {v: [0]}, {}
+    for u in sorted(set(sizes), reverse=True):
+        for ridx, (c, ids) in enumerate(deps.get(order[u][0], ())):
+            dst = order.setdefault(c, [])
+            first[u, c] = len(dst)
+            for j in range(len(ids)):
+                dst.extend(deps[cid][ridx][1][j] for cid in order[u])
+    return sizes, deps, {u: order[u] for u in sorted(order, reverse=True)}, first
+
+
+@pytest.mark.parametrize("shape", END_TO_END_SHAPES, ids=lambda s: "-".join(map(str, s)))
+def test_components_match_the_queue_reference(shape):
+    code = build_concat(*shape)
+    sizes, deps, order, first = _reference_components(*shape[:3])
+    assert code.sizes == sizes
+    assert list(code._siblings.order.items()) == list(order.items())
+    assert code._siblings.first == first
+    for cid, rounds in deps.items():
+        assert [(rd.c, list(ids)) for rd, ids in _dependents(code, cid)] == rounds
+
+
+# every cascade shape with n <= 9, and the pure layered shapes above
+ROUND_ZERO_SHAPES = [(n, k + 1, k, 11) for n in range(1, 10) for k in range(n)
+                     if code_family(n, k + 1, k) == "concat"] + [
+                         (6, 3, 5, 4), (6, 6, 5, 5), (7, 1, 6, 11)]
+
+
+@pytest.mark.parametrize("shape", ROUND_ZERO_SHAPES, ids=_name)
+def test_round_zero_is_the_precode_rule(shape):
+    # a size has a round c = 0, the precode (n, u, k, 1) with its u-1
+    # data vectors as words, exactly when 1 < u < v and that code has
+    # nonzero codimension; it is the size's last round
+    n, v, k, _ = shape
+    code = build_concat(*shape)
+    for u, rds in code.rounds.items():
+        assert [rd.c for rd in rds] == sorted({rd.c for rd in rds}, reverse=True)
+        zero = [rd for rd in rds if rd.c == 0]
+        assert len(zero) == (1 < u < v and _shape_codim((n, u, k, 1)) > 0)
+        for rd in zero:
+            assert rd is rds[-1] and rd.m == u - 1
+            assert (rd.code.n, rd.code.v, len(rd.code.base), rd.code.t) == (n, u, k, 1)
 
 
 @pytest.mark.parametrize("shape", END_TO_END_SHAPES, ids=lambda s: "-".join(map(str, s)))
@@ -332,7 +408,6 @@ def test_region_slots_hold_every_row(shape):
     # included, has at most the terms the slot width was derived for
     code = build_concat(*shape)
     codes = [rd.code for rds in code.rounds.values() for rd in rds]
-    codes += [c for c in code.precode.values() if c]
     rows = [len(minus) for c in codes for _, _, minus in _sparse_dual_rows(c)]
     assert max(rows + [code.v]) <= code._siblings.longest
 
@@ -341,11 +416,20 @@ def test_lift_lists_shared_per_helper_code():
     code = build_concat(8, 5, 4, 11)
     assert not code._lifts  # nothing is cached at build time
     rds = [rd for rounds in code.rounds.values() for rd in rounds]
-    a, b = next((a, b) for a in rds for b in rds
-                if a is not b and a.code is b.code)
-    layers = code.lspec[a.c].layers
-    # rounds of different components share their helper code's lists
-    assert code._lift(a, layers[0], 0) is code._lift(b, layers[0], 0)
+    # one round, with its own helper code, serves every component of a size
+    assert len({rd.code for rd in rds}) == len(rds)
+    rng = random.Random(4)
+    nodes = code.encode([rng.randrange(code.F.q) for _ in range(code.M)])
+    # encode hands down at every sublayer and decodes round 0 at (), so
+    # it builds every list once; collects only share them
+    built = sum(comb(code.n, rd.c) * rd.m for rd in rds)
+    assert len(code._lifts) == built
+    lists = dict(code._lifts)
+    for A in itertools.combinations(range(code.n), code.k):
+        code.collect(nodes, A)
+    assert len(code._lifts) == built
+    by_code = {rd.code: rd for rd in rds}
+    assert all(code._lift(by_code[c], L_c, i) is lift for (c, L_c, i), lift in lists.items())
 
 
 def test_lift_positions_decode_to_layer_and_node():
@@ -354,7 +438,7 @@ def test_lift_positions_decode_to_layer_and_node():
     code = build_concat(8, 5, 4, 11)
     for rd in (rd for rounds in code.rounds.values() for rd in rounds):
         spec = code.lspec[rd.c + rd.code.v]
-        for L_c in code.lspec[rd.c].layers:
+        for L_c in itertools.combinations(range(code.n), rd.c):
             rest = [x for x in range(code.n) if x not in L_c]
             for i in range(rd.m):
                 lift = code._lift(rd, L_c, i)
@@ -367,7 +451,7 @@ def test_lift_positions_decode_to_layer_and_node():
 
 
 def _reference_fills(code, u, A):
-    """The fill targets of _schedule(u, A, ...) by the number of nodes a
+    """The fill targets of _schedule(u, A) by the number of nodes a
     layer meets A in: each layer missing A gives the position of its
     largest node outside A, in layer order."""
     fills = {}
@@ -382,10 +466,11 @@ def _reference_fills(code, u, A):
 def test_schedule_fills_match_the_per_layer_reference(shape):
     code = build_concat(*shape)
     for A in itertools.combinations(range(code.n), code.k):
-        for u, ids in code._siblings.order.items():
-            rds = code.rounds.get(ids[0], [])
-            first, rounds, _, precode = code._schedule(u, A, rds)
+        for u, rds in code.rounds.items():
+            steps = code._schedule(u, A)
             ref = _reference_fills(code, u, A)
-            assert list(first) == ref.get(u - 1, [])
-            assert [list(fill) for _, fill in rounds] == [ref.get(rd.c, []) for rd in rds]
-            assert (None if precode is None else list(precode)) == (ref.get(0) if u > 1 else None)
+            # a first fill, then one step per round, round 0 included
+            assert [rd for rd, _, _ in steps] == [None] + rds
+            # every layer missing A is filled, once, by the step of its meet
+            fills = {u - 1 if rd is None else rd.c: list(fill) for rd, _, fill in steps}
+            assert {c: fill for c, fill in fills.items() if fill} == ref

@@ -32,6 +32,7 @@ CONCAT = {
     (8, 5, 4, 11): "386c4025b1575b82 9adcfdd4b0686d71",
     (8, 6, 5, 11): "63273756e5ac72ec 0f9a80defa1a41bb",
     (9, 7, 6, 11): "8cc8d693f88e127c 993e620a4b63a7b4",
+    (10, 6, 5, 11): "b39e5dc5cd859dd0 76ef3ed6f2c88cf6",
 }
 
 LAYERED = {

@@ -130,11 +130,11 @@ def test_tampered_encode_fails_the_certificate(shape):
     # drops what the top copy's syndromes hand down, so G loses rank on
     # k-subsets and the certificate must say so
     code = build_concat(*shape)
-    dep = code.rounds[0][0].deps[0]
+    dep = code.kids[0]
     replay = code._replay
 
-    def tampered(cid, w, sched, A, injected, values=None):
-        replay(cid, w, sched, A, injected, values)
+    def tampered(u, w, steps, handdown, injected, vectors=None):
+        replay(u, w, steps, handdown, injected, vectors)
         if dep in injected:
             injected[dep][:] = [0] * len(injected[dep])
 

@@ -45,6 +45,45 @@ def test_bad_node_index_rejected(call, code_name, past_end):
             code.repair(nodes, bad)
 
 
+@pytest.mark.parametrize("bad", [1.0, True, "1"], ids=["float", "bool", "str"])
+@pytest.mark.parametrize("call", ["collect", "repair"])
+def test_node_index_that_is_not_an_int_rejected(call, bad):
+    # 1.0 and True index lists like 1 (a repair of True rebuilt node 1),
+    # and a str in A broke the sort of A
+    code = build_concat(6, 4, 3, 7)
+    state = ingest(code, _seeded_blob(code))
+    with pytest.raises(ValueError, match=re.escape(f"bad node index {bad!r}")):
+        if call == "collect":
+            collect(state, (0, 2, bad))
+        else:
+            repair_node(state, bad)
+    assert state.access_log == []
+
+
+def _damaged(code, j, damage):
+    """Encoded node arrays with node j's array dropped (with every later
+    one), one symbol short or one symbol long."""
+    nodes = code.encode(_seeded_blob(code))
+    if damage == "missing":
+        return nodes[:j]
+    nodes[j] = nodes[j][:-1] if damage == "short" else nodes[j] + [0]
+    return nodes
+
+
+@pytest.mark.parametrize("damage", ["missing", "short", "long"])
+def test_collect_rejects_a_node_array_of_the_wrong_length(damage):
+    code = build_concat(6, 4, 3, 7)
+    with pytest.raises(ValueError, match=f"node 2 has no array of alpha={code.alpha} symbols"):
+        code.collect(_damaged(code, 2, damage), (0, 1, 2))
+
+
+@pytest.mark.parametrize("damage", ["missing", "short", "long"])
+def test_repair_rejects_a_node_array_of_the_wrong_length(damage):
+    code = build_concat(6, 4, 3, 7)
+    with pytest.raises(ValueError, match=f"node 4 has no array of alpha={code.alpha} symbols"):
+        code.repair(_damaged(code, 4, damage), 0)
+
+
 @pytest.mark.parametrize("q", [11, 256])
 @pytest.mark.parametrize("bad", ["-1", "q"])
 @pytest.mark.parametrize("code_name", ["concat", "layered"])
