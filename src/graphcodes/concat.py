@@ -362,7 +362,7 @@ class ConcatCode:
 
     After __init__ a code changes only its memo caches, each filled
     deterministically from the parameters: _lifts, _schedules,
-    _siblings (with its repairs) and every round JGCSpec's _plans,
+    _handdowns, _siblings (with its repairs) and every round JGCSpec's _plans,
     _dual, _aligned, _sparse and _masks.  So every caller of one
     (n, v, k, q) can share one code, as live_concat does, and shares its
     warm plans and schedules with it.
@@ -380,9 +380,10 @@ class ConcatCode:
                        if family == "concat" else None)
         self.n, self.v, self.k, self.A0 = n, v, k, tuple(range(k))
         self._codes: Dict[Tuple[int, int, int, int], JGCSpec] = {}
-        # _lift's and _schedule's caches, filled on first use
+        # _lift's, _schedule's and _handdown's caches, filled on first use
         self._lifts: Dict[Tuple[JGCSpec, Layer, int], Tuple[int, ...]] = {}
         self._schedules: Dict[Tuple[int, Layer], list] = {}
+        self._handdowns: Dict[Tuple[int, int], list] = {}
 
         # sizes[cid] is component cid's layer size, numbered breadth
         # first (the loop visits the ids it appends): cid's dependents
@@ -488,7 +489,6 @@ class ConcatCode:
         return SimpleNamespace(
             order=order, first=first, kernels=kernels, longest=longest,
             cols=cols, read=getter(cols),
-            everywhere={c: range(spec.R) for c, spec in self.lspec.items()},
             row=getter(sorted(range(len(cols)), key=cols.__getitem__)), repairs={},
             start=list(itertools.accumulate((len(self.data[u]) for u in self.sizes),
                                             initial=0)))
@@ -515,25 +515,50 @@ class ConcatCode:
         return list(lay.row(_flat(lay.kernels[u].unpack(
             getter(self.lspec[u].at[j])(vectors[u])) for u in lay.order)))
 
-    def _stack(self, K, w: list, lifts) -> tuple:
+    def _stack(self, K, w: list, code: JGCSpec, lifts, out: Sequence[int] = ()) -> tuple:
         """(K2, word): the G words of w at the position lists in lifts, one
-        word of K2's G*B-slot regions, slot (g, b) holding slot b of
-        word g; a position is None where a word has None."""
+        word of K2's G*B-slot regions, slot (g, b) holding slot b of word
+        g, and 0 at the positions out (a decode's unknowns): one gather,
+        and the words' bytes cut into K2's regions.  A None at any other
+        position fails K.to_bytes: ValueError naming its vertex."""
         K2 = self.F.regions(len(lifts) * K.B, self._siblings.longest)
-        cols = list(zip(*(itemgetter(*lift)(w) for lift in lifts)))
-        packed = iter(K2.pack(K.unpack(_flat(col for col in cols if None not in col))))
-        return K2, [None if None in col else next(packed) for col in cols]
+        cols = list(zip(*[itemgetter(*lift)(w) for lift in lifts]))
+        zero = (0,) * len(lifts)
+        for t in out:
+            cols[t] = zero
+        try:
+            stack = K.to_bytes(itertools.chain.from_iterable(cols))
+        except TypeError:
+            t = next(t for t, col in enumerate(cols) if None in col)
+            raise ValueError(f"missing known coordinate at {code.vertices[t]}") from None
+        return K2, K2.from_bytes(stack)
 
     def _decode(self, K, w: list, code: JGCSpec, A: Layer, lifts, syndrome,
                 out: Sequence[int]) -> None:
         """Complete the words of w at the position lists in lifts with one
-        erasure_decode of their stack (_stack), given its syndrome's values
-        by (row, word, slot) or None for zero, and set positions out."""
-        K2, word = self._stack(K, w, lifts)
-        word = erasure_decode(code, A, word, syndrome and K2.pack(syndrome), K2)
-        for x, (t, lift) in zip(K.pack(K2.unpack([word[t] for t in out])),
+        erasure_decode of their stack (_stack), given its syndrome as K2
+        regions (_syndrome) or None for zero, and set positions out."""
+        K2, word = self._stack(K, w, code, lifts, out)
+        word = erasure_decode(code, A, word, syndrome, K2)
+        for x, (t, lift) in zip(K.from_bytes(K2.to_bytes([word[t] for t in out])),
                                 itertools.product(out, lifts)):
             w[lift[t]] = x
+
+    def _syndrome(self, u: int, rd: _Round, pieces, vectors: Dict[int, list]) -> List[int]:
+        """The syndrome of a round rd >= 1 decode of size u over pieces
+        (_subs): rd.codim regions of its stack's kernel, slot (g, b) of row
+        e for word g = (L_c, i) holding slot first[u, c] + (i*codim + e)*B
+        of the sum of read layer L_c in vectors[c].  Every kernel of one
+        code has one slot width, so each row joins G chunks of B slots cut
+        from the bytes of the sums."""
+        lay = self._siblings
+        c, codim, B, Kc = rd.c, rd.codim, lay.kernels[u].B, lay.kernels[rd.c]
+        sums = Kc.to_bytes([Kc.sum(vectors[c][lc * c:(lc + 1) * c]) for lc, _ in pieces])
+        chunk = B * Kc.width
+        starts = [(k * Kc.B + lay.first[u, c] + i * codim * B) * Kc.width
+                  for k in range(len(pieces)) for i in range(rd.m)]
+        return [int.from_bytes(b"".join(sums[j + e * chunk:j + (e + 1) * chunk] for j in starts),
+                               "little") for e in range(codim)]
 
     def _schedule(self, u: int, A: Layer) -> list:
         """What a collect at anchor A does to every size-u component, as
@@ -579,44 +604,52 @@ class ConcatCode:
             sub[2].append((index[L_c], [self._lift(rd, L_c, i) for i in range(rd.m)]))
         return list(subs.values())
 
-    def _replay(self, u: int, w: List[Optional[int]], steps: list, handdown: Dict[int, Sequence[int]],
-                injected: Dict[int, List[int]], vectors: Optional[Dict[int, list]] = None) -> None:
+    def _handdown(self, u: int, rd: _Round, lcs: Optional[Sequence[int]]) -> list:
+        """The lifts of the size-u words round rd hands down, by (L_c, i)
+        over the size-c sublayers lcs; lcs None is every sublayer, the
+        list encode and collect share, built once into _handdowns."""
+        if lcs is None:
+            if (u, rd.c) not in self._handdowns:
+                self._handdowns[u, rd.c] = self._handdown(u, rd, range(self.lspec[rd.c].R))
+            return self._handdowns[u, rd.c]
+        layers = self.lspec[rd.c].layers
+        return [self._lift(rd, layers[lc], i) for lc in lcs for i in range(rd.m)]
+
+    def _replay(self, u: int, w: List[Optional[int]], steps: list,
+                handdown: Optional[Dict[int, Sequence[int]]], injected: Dict[int, List[int]],
+                vectors: Optional[Dict[int, list]] = None) -> None:
         """Complete the region vector w of the size-u components (slot b:
         _siblings.order[u][b]) by steps, from their injected values
         (lists over handdown[u]), and set the dependents' ones, syndromes
-        of w at handdown[c] for each round c >= 1.
+        of w at handdown[c] for each round c >= 1; handdown None stands
+        for every sublayer (encode and collect).
 
         A step (rd, subs, fill) decodes once per (A2, plan, pieces) of
-        subs, each (L_c, lift) stacked, with the sums of the dependents'
-        read layers L_c in vectors as syndromes (zero in round 0), then
-        fills fill's targets (fill_layers).  Collect replays
-        _schedule(u, A); encode round 0's step at A0 filling every
-        layer's last position, or that fill alone; repair a fill of the
-        failed node's positions, handdown the sublayers holding it."""
+        subs, each (L_c, lift) stacked, with K2 regions assembled from the
+        sums of the dependents' read layers L_c in vectors as syndrome
+        (_syndrome; zero in round 0), then fills fill's targets
+        (fill_layers).  Collect replays _schedule(u, A); encode round 0's
+        step at A0 filling every layer's last position, or that fill
+        alone; repair a fill of the failed node's positions, handdown the
+        sublayers holding it."""
         lay = self._siblings
         K, ids = lay.kernels[u], lay.order[u]
         B, inj = K.B, None
         if ids[0] in injected:
-            inj = [0] * self.lspec[u].R
-            for l, x in zip(handdown[u], K.pack(_flat(zip(*(injected[cid] for cid in ids))))):
-                inj[l] = x
+            inj = K.pack(_flat(zip(*(injected[cid] for cid in ids))))
+            if handdown is not None:
+                inj, held = [0] * self.lspec[u].R, inj
+                for l, x in zip(handdown[u], held):
+                    inj[l] = x
         for rd, subs, fill in steps:
             for A2, plan, pieces in subs:
-                labs = [(lc, i, lift) for lc, lifts in pieces for i, lift in enumerate(lifts)]
-                s = None
-                if rd.c:
-                    c, codim, Kc = rd.c, rd.codim, lay.kernels[rd.c]
-                    # the sums of the dependents' read layers L_c, by slot of size c
-                    sums = {lc: Kc.unpack([Kc.sum(vectors[c][lc * c:(lc + 1) * c])])
-                            for lc, _ in pieces}
-                    s = [x for e in range(codim) for lc, i, _ in labs
-                         for j in [lay.first[u, c] + (i * codim + e) * B] for x in sums[lc][j:j + B]]
-                self._decode(K, w, rd.code, A2, [lift for *_, lift in labs], s, plan.out)
+                self._decode(K, w, rd.code, A2, [lift for _, lifts in pieces for lift in lifts],
+                             self._syndrome(u, rd, pieces, vectors) if rd.c else None, plan.out)
             fill_layers(K, w, u, inj, fill)
         for rd in (rd for rd in self.rounds[u] if rd.c):
-            layers, deps = self.lspec[rd.c].layers, lay.order[rd.c][lay.first[u, rd.c]:]
-            K2, word = self._stack(K, w, [self._lift(rd, layers[lc], i)
-                                          for lc in handdown[rd.c] for i in range(rd.m)])
+            deps = lay.order[rd.c][lay.first[u, rd.c]:]
+            K2, word = self._stack(K, w, rd.code, self._handdown(
+                u, rd, None if handdown is None else handdown[rd.c]))
             syn = K2.unpack(syndrome_of(rd.code, word, K2))
             for e, i, b in itertools.product(range(rd.codim), range(rd.m), range(B)):
                 injected[deps[(i * rd.codim + e) * B + b]] = \
@@ -644,7 +677,7 @@ class ConcatCode:
                                   for cid in lay.order[u]))), [(u, self.data[u])], vectors)
             last = range(u - 1, len(w), u)
             steps = [(rd, self._subs(rd, self.A0), last) for rd in self.rounds[u] if not rd.c]
-            self._replay(u, w, steps or [(None, (), last)], lay.everywhere, injected)
+            self._replay(u, w, steps or [(None, (), last)], None, injected)
         return [self._column(vectors, j) for j in range(self.n)]
 
     # ----- data collection -----
@@ -676,7 +709,7 @@ class ConcatCode:
         payload: List[Sequence[int]] = [()] * len(self.sizes)
         for u, w in vectors.items():
             ids = lay.order[u]
-            self._replay(u, w, self._schedule(u, A), lay.everywhere, injected, vectors)
+            self._replay(u, w, self._schedule(u, A), None, injected, vectors)
             vals = lay.kernels[u].unpack([w[p] for p in self.data[u]])
             for b, cid in enumerate(ids):
                 payload[cid] = vals[b::len(ids)]

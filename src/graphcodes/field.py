@@ -170,6 +170,13 @@ def _table_kernel(add: Table, sub: Table, mul: Table):
     return dot, sub_mul, scale, total
 
 
+def _ints(b: bytes, size: int) -> List[int]:
+    """The little-endian ints of b's consecutive size-byte chunks, cut and
+    converted by map, so no Python code runs per chunk."""
+    cuts = map(slice, range(0, len(b), size), range(size, len(b) + size, size))
+    return list(map(int.from_bytes, map(b.__getitem__, cuts), repeat("little")))
+
+
 class Regions:
     """Arithmetic on regions: B elements of GF(q) per int, slot b at bits
     [b*W, (b+1)*W); one slot is the element itself.  dot(row, regions)
@@ -179,6 +186,14 @@ class Regions:
     a dot or sum is given: a prime's slots hold longest*(p-1)^2 unless
     that takes n bytes with n*(p-1) > 255; then, and for m > 1, a slot
     holds one element and an operation loops over the slots.
+
+    ``width`` is W in bytes, the same for every B at one q and
+    ``longest``: a region is B*width bytes little-endian, slot b in bytes
+    [b*width, (b+1)*width).  to_bytes joins the bytes of regions and
+    from_bytes cuts bytes back into regions, so regions of one width
+    restack between slot counts as bytes: the bytes of G regions of B
+    slots are those of one region of G*B slots.  Each runs in C, with no
+    Python step per region, and to_bytes raises TypeError on None.
     """
 
     def __init__(self, F: "FieldSpec", B: int, longest: int):
@@ -186,27 +201,31 @@ class Regions:
         nb = ((longest * (q - 1) ** 2).bit_length() + 7) // 8
         packed = F.m == 1 and nb * (p - 1) < 256
         nb = nb if packed else ((q - 1).bit_length() + 7) // 8
-        self.p, self.B, size = p, B, B * nb
+        self.p, self.B, self.width, size = p, B, nb, B * nb
         self.top = q if B == 1 else 256 ** size  # a region is an int in [0, top)
-        if B == 1:
-            self.pack, self.unpack = (lambda xs: xs), list
-            self.dot, self.sum = F.dot, F.sum
-            return
         if q <= 256:  # an element is the low byte of its slot
-            def as_bytes(xs: Sequence[int]) -> bytes:
+            def as_bytes(xs: Iterable[int]) -> bytes:
+                xs = bytes(xs)
+                if nb == 1:
+                    return xs
                 b = bytearray(len(xs) * nb)
-                b[::nb] = bytes(xs)
-                return b
+                b[::nb] = xs
+                return bytes(b)
 
             values = lambda b: list(b[::nb])
         else:
-            as_bytes = lambda xs: b"".join(x.to_bytes(nb, "little") for x in xs)
-            values = lambda b: [int.from_bytes(b[i:i + nb], "little")
-                                for i in range(0, len(b), nb)]
-        self.pack = lambda xs: [int.from_bytes(b[i:i + size], "little")
-                                for b in [as_bytes(xs)] for i in range(0, len(b), size)]
-        self.unpack = lambda regions: values(b"".join(
-            map(int.to_bytes, regions, repeat(size), repeat("little"))))
+            as_bytes = lambda xs: b"".join(map(int.to_bytes, xs, repeat(nb), repeat("little")))
+            values = lambda b: _ints(b, nb)
+        if B == 1:
+            self.to_bytes, self.from_bytes = as_bytes, values
+            self.pack, self.unpack = (lambda xs: xs), list
+            self.dot, self.sum = F.dot, F.sum
+            return
+        self.to_bytes = lambda regions: b"".join(
+            map(int.to_bytes, regions, repeat(size), repeat("little")))
+        self.from_bytes = lambda b: _ints(b, size)
+        self.pack = lambda xs: self.from_bytes(as_bytes(xs))
+        self.unpack = lambda regions: values(self.to_bytes(regions))
         if not packed:
             cols = lambda regions: [xs[b::B] for xs in [self.unpack(regions)] for b in range(B)]
             self.dot = lambda row, regions: self.pack([F.dot(row, c) for c in cols(regions)])[0]

@@ -474,3 +474,93 @@ def test_schedule_fills_match_the_per_layer_reference(shape):
             # every layer missing A is filled, once, by the step of its meet
             fills = {u - 1 if rd is None else rd.c: list(fill) for rd, _, fill in steps}
             assert {c: fill for c, fill in fills.items() if fill} == ref
+
+
+def _reference_decode_syndromes(code, u, rd, pieces, vectors):
+    """A round rd >= 1 decode's syndrome values by (row e, word (L_c, i),
+    slot b): slot first[u, c] + (i*codim + e)*B of read layer L_c's sum."""
+    lay = code._siblings
+    B, c, codim, Kc = lay.kernels[u].B, rd.c, rd.codim, lay.kernels[rd.c]
+    sums = {lc: Kc.unpack([Kc.sum(vectors[c][lc * c:(lc + 1) * c])]) for lc, _ in pieces}
+    words = [(lc, i) for lc, lifts in pieces for i in range(len(lifts))]
+    return [x for e in range(codim) for lc, i in words
+            for j in [lay.first[u, c] + (i * codim + e) * B] for x in sums[lc][j:j + B]]
+
+
+@pytest.mark.parametrize("shape", [(8, 5, 4, 11), (10, 6, 5, 11)], ids=_name)
+def test_decode_syndromes_match_the_per_value_reference(shape):
+    # the syndrome regions cut from the sums' bytes hold what packing the
+    # per-value list gives, at every size, round and anchor
+    code = build_concat(*shape)
+    rng = random.Random(5)
+    nodes = code.encode([rng.randrange(code.F.q) for _ in range(code.M)])
+    lay = code._siblings
+    vectors = {u: [None] * (code.lspec[u].R * u) for u in lay.order}
+    for j in range(code.n):
+        code._put(lay.read(nodes[j]), [(u, code.lspec[u].at[j]) for u in lay.order], vectors)
+    nonzero = 0
+    for A in itertools.combinations(range(code.n), code.k):
+        for u in code.rounds:
+            for rd, subs, _ in code._schedule(u, A):
+                for _, _, pieces in (subs if rd and rd.c else ()):
+                    K2 = code.F.regions(len(pieces) * rd.m * lay.kernels[u].B, lay.longest)
+                    got = code._syndrome(u, rd, pieces, vectors)
+                    assert got == K2.pack(_reference_decode_syndromes(code, u, rd, pieces, vectors))
+                    nonzero += any(got)
+    assert nonzero
+
+
+@pytest.mark.parametrize("shape", [(8, 5, 4, 11), (6, 4, 3, 8), (6, 4, 3, 9), (4, 3, 2, 257)],
+                         ids=_name)
+def test_decode_gap_raises_the_typed_error(shape):
+    # a gap at a known coordinate of a stack (a packed prime field, the
+    # table kernel, and slots of two bytes per element for q > 256)
+    # raises erasure_decode's ValueError naming the vertex, never the
+    # TypeError the packing meets first
+    code = build_concat(*shape)
+    rng = random.Random(6)
+    blob = [rng.randrange(code.F.q) for _ in range(code.M)]
+    nodes = code.encode(blob)
+    A = tuple(range(1, code.k + 1))
+    for u in (u for u, rds in code.rounds.items() if rds):
+        K = code._siblings.kernels[u]
+        for rd, subs, _ in code._schedule(u, A)[1:]:
+            for A2, plan, pieces in subs:
+                lifts = [lift for _, ls in pieces for lift in ls]
+                t = max(set(range(rd.code.length)).difference(plan.out))
+                w = [0] * (code.lspec[u].R * u)
+                w[lifts[-1][t]] = None
+                with pytest.raises(ValueError, match=re.escape(
+                        f"missing known coordinate at {rd.code.vertices[t]}")):
+                    code._decode(K, w, rd.code, A2, lifts, None, plan.out)
+        # through collect: without its first fill, the schedule's first
+        # decode meets a gap
+        sched = code._schedule(u, A)
+        first = sched[0]
+        sched[0] = (None, (), ())
+        try:
+            with pytest.raises(ValueError, match="missing known coordinate at"):
+                code.collect(nodes, A)
+        finally:
+            sched[0] = first
+        assert code.collect(nodes, A)[0] == blob
+
+
+def test_handdown_lists_built_once_per_round():
+    code = build_concat(8, 5, 4, 11)
+    assert not code._handdowns  # nothing is cached at build time
+    rng = random.Random(7)
+    nodes = code.encode([rng.randrange(code.F.q) for _ in range(code.M)])
+    # encode hands down at every sublayer: one list per (size, round c >= 1)
+    rounds = {(u, rd.c): rd for u, rds in code.rounds.items() for rd in rds if rd.c}
+    assert set(code._handdowns) == set(rounds)
+    assert all(len(code._handdowns[key]) == code.lspec[rd.c].R * rd.m
+               for key, rd in rounds.items())
+    lists = dict(code._handdowns)
+    for A in itertools.combinations(range(code.n), code.k):
+        code.collect(nodes, A)
+    for f in range(code.n):
+        code.repair(nodes, f)
+    # collects share the lists; a repair hands down only where the failed node is
+    assert code._handdowns.keys() == lists.keys()
+    assert all(code._handdowns[key] is lift for key, lift in lists.items())

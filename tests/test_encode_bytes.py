@@ -6,6 +6,7 @@ random.Random(seed) and the n node arrays are hashed in node order.
 """
 
 import hashlib
+import itertools
 import random
 
 import pytest
@@ -33,6 +34,7 @@ CONCAT = {
     (8, 6, 5, 11): "63273756e5ac72ec 0f9a80defa1a41bb",
     (9, 7, 6, 11): "8cc8d693f88e127c 993e620a4b63a7b4",
     (10, 6, 5, 11): "b39e5dc5cd859dd0 76ef3ed6f2c88cf6",
+    (11, 7, 6, 11): "946c71fd5314dabf fd72829df72f9674",
 }
 
 LAYERED = {
@@ -57,3 +59,15 @@ def test_concat_encode_bytes(shape):
 def test_layered_encode_bytes(shape):
     code = LayeredCode(*shape)
     assert [_digest(code, seed) for seed in (1, 2)] == LAYERED[shape].split()
+
+
+def test_wide_kernel_collects_return_the_blob():
+    # (11,7,6,11) packs more siblings per region than any benchmarked
+    # shape, so its collects guard the slot order of the wider stacks
+    code = build_concat(11, 7, 6, 11)
+    rng = random.Random(1)
+    blob = [rng.randrange(code.F.q) for _ in range(code.M)]
+    nodes = code.encode(blob)
+    anchors = random.Random(3).sample(list(itertools.combinations(range(code.n), code.k)), 3)
+    for A in anchors:
+        assert code.collect(nodes, A)[0] == blob

@@ -543,6 +543,12 @@ def test_region_ops_match_reference(args):
     slots = [[vec[b] for vec in vectors] for b in range(B)]
     assert K.unpack([K.dot(row, regions)]) == [R.dot(row, col) for col in slots]
     assert K.unpack([K.sum(regions)]) == [R.dot([1] * len(col), col) for col in slots]
+    # regions of one width restack as bytes: the n regions of B slots are
+    # one region of n*B slots
+    assert K.from_bytes(K.to_bytes(regions)) == regions
+    if vectors:
+        wide = F.regions(len(vectors) * B, longest)
+        assert wide.width == K.width and wide.from_bytes(K.to_bytes(regions)) == wide.pack(flat)
 
 
 @settings(max_examples=200, derandomize=True, deadline=None)
