@@ -16,8 +16,15 @@ medians and quartiles, the change's median relative to the parent's and
 the pairs the change won (by the direction BENCHMARK.json gives), and
 the same for two numbers of each run's details line: the unscaled
 setup median and the reference kernel's median.  Then, on both
-checkouts: one ``--trace 1`` run per workload at seed 3 (per-layer
-numbers and the output digest that must not change).  Last, PROBE_ROUNDS = 3 rounds of
+checkouts: one ``--trace 1`` run per workload at seed 3, giving the
+output digest and the per-layer counts (COUNTS), both compared across
+the sides (``digest_equal``, ``counts_equal``), as neither may change
+when the output does not.  The same run's per-layer timings
+(SINGLE_RUN_TIMINGS: every ``*.self_s``, ``field.ops_per_s.*``,
+``matrix.det5_per_s``, ``matrix.rref_24x48_ms`` and ``trace.*``) are
+kept under each side's ``single_run_timings``; they come from one run
+per side, so host load during that run moves them, and they cannot be
+compared across sides.  Last, PROBE_ROUNDS = 3 rounds of
 an in-process probe per checkout, the two sides alternating (the parent
 first in even rounds) and every round recorded: the time of
 ``field_make`` for q = 243 and 256,
@@ -63,17 +70,19 @@ PAIRS = 10
 TRACE_SEED = 3
 PROBE_ROUNDS = 3
 
-LAYERS = [
+COUNTS = [
     "field.add.calls", "field.sub.calls", "field.neg.calls", "field.mul.calls",
-    "field.inv.calls", "field.ops_per_s.q11", "field.ops_per_s.q8",
+    "field.inv.calls", "matrix.det.calls", "matrix.rref.calls", "matrix.pi.calls",
+    "combinat.shell_index.calls", "jgc.syndrome_of.calls",
+    "jgc.erasure_decode.calls", "jgc.dense_fallback.calls",
+    "layered.encode_layered.calls",
+]
+SINGLE_RUN_TIMINGS = [
+    "field.ops_per_s.q11", "field.ops_per_s.q8",
     "matrix.det5_per_s", "matrix.rref_24x48_ms",
-    "matrix.det.calls", "matrix.det.self_s", "matrix.rref.calls",
-    "matrix.rref.self_s", "matrix.pi.calls", "matrix.pi.self_s",
-    "jgc.certify_infosets.self_s", "combinat.shell_index.calls",
-    "concat.build.self_s",
-    "jgc.syndrome_of.calls", "jgc.syndrome_of.self_s",
-    "jgc.erasure_decode.calls", "jgc.erasure_decode.self_s",
-    "jgc.dense_fallback.calls", "layered.encode_layered.calls",
+    "matrix.det.self_s", "matrix.rref.self_s", "matrix.pi.self_s",
+    "jgc.certify_infosets.self_s", "concat.build.self_s",
+    "jgc.syndrome_of.self_s", "jgc.erasure_decode.self_s",
     "layered.encode_layered.self_s",
     "concat.collect.self_s", "concat.repair.self_s", "concat.encode.self_s",
     "trace.overhead_ratio", "trace.traced_s", "trace.untraced_s",
@@ -286,10 +295,12 @@ def main():
             info, result = run_bench(checkout, workload, TRACE_SEED, 1)
             per_layer[workload][side] = {
                 "digest": info["digest"], "correct": result["correct"],
-                **{k: result["metrics"][k]["value"] for k in LAYERS}}
-        per_layer[workload]["digest_equal"] = (
-            per_layer[workload]["parent"]["digest"]
-            == per_layer[workload]["change"]["digest"])
+                **{k: result["metrics"][k]["value"] for k in COUNTS},
+                "single_run_timings": {k: result["metrics"][k]["value"]
+                                       for k in SINGLE_RUN_TIMINGS}}
+        parent, change = per_layer[workload]["parent"], per_layer[workload]["change"]
+        per_layer[workload]["digest_equal"] = parent["digest"] == change["digest"]
+        per_layer[workload]["counts_equal"] = all(parent[k] == change[k] for k in COUNTS)
     probes = {side: [] for side in sides}
     for r in range(PROBE_ROUNDS):
         for side in ("parent", "change") if r % 2 == 0 else ("change", "parent"):

@@ -21,7 +21,8 @@ outside its definition, and no ``perfbench/`` or ``scripts/`` file
 names it (as a variable, attribute, import or string, the way the
 tracer names its targets).  A name that ``tests/test_acceptance.py``
 imports is marked ``[gate]``.  This scan reads the files with ``ast``
-and runs nothing.  Exits with pytest's status.
+and runs nothing, so tier-1 runs it too: ``tests/test_reach_audit.py``
+holds its list to a committed allowlist.  Exits with pytest's status.
 """
 
 from __future__ import annotations

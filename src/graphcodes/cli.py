@@ -286,7 +286,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = _parser().parse_args(argv)
     try:
         return _RUNNERS[args.verb](args)
-    except (ValueError, NotImplementedError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

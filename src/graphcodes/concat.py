@@ -35,10 +35,8 @@ import itertools
 import weakref
 from array import array
 from fractions import Fraction
-from functools import cached_property
 from math import comb, lcm
 from operator import itemgetter
-from types import SimpleNamespace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from graphcodes.combinat import Layer, ball_size, layer
@@ -320,10 +318,10 @@ def code_family(n: int, v: int, k: int) -> Optional[str]:
 
 
 class ReadLog:
-    """The reads of one collect: records holds one (node, offsets) pair
-    per node read, in the order read.  len() is the number of symbols
-    read and iteration yields each (node, offset) read, so a log costs
-    O(nodes), not O(symbols), to keep."""
+    """The reads of one collect or repair (ConcatCode._gather): records
+    holds one (node, offsets) pair per node read, in the order read.
+    len() is the number of symbols read and iteration yields each (node,
+    offset) read, so a log costs O(nodes), not O(symbols), to keep."""
 
     __slots__ = ("records",)
 
@@ -362,8 +360,8 @@ class ConcatCode:
 
     After __init__ a code changes only its memo caches, each filled
     deterministically from the parameters: _lifts, _schedules,
-    _handdowns, _siblings (with its repairs) and every round JGCSpec's _plans,
-    _dual, _aligned, _sparse and _masks.  So every caller of one
+    _handdowns, _repairs and every round JGCSpec's _plans, _aligned,
+    _sparse and _masks (its _dual is built with it).  So every caller of one
     (n, v, k, q) can share one code, as live_concat does, and shares its
     warm plans and schedules with it.
     """
@@ -379,11 +377,11 @@ class ConcatCode:
         self.layout = (ScenarioLayout(n, v, k, range(v - 2, v - 2 - _num_rounds(n, v, k), -1))
                        if family == "concat" else None)
         self.n, self.v, self.k, self.A0 = n, v, k, tuple(range(k))
-        self._codes: Dict[Tuple[int, int, int, int], JGCSpec] = {}
-        # _lift's, _schedule's and _handdown's caches, filled on first use
+        # _lift's, _schedule's, _handdown's and repair's caches, filled on first use
         self._lifts: Dict[Tuple[JGCSpec, Layer, int], Tuple[int, ...]] = {}
         self._schedules: Dict[Tuple[int, Layer], list] = {}
         self._handdowns: Dict[Tuple[int, int], list] = {}
+        self._repairs: Dict[int, list] = {}
 
         # sizes[cid] is component cid's layer size, numbered breadth
         # first (the loop visits the ids it appends): cid's dependents
@@ -414,26 +412,47 @@ class ConcatCode:
             (comb(n - 1, u - 1) for u in self.sizes), initial=0)
         self.M = sum(len(self.data[u]) for u in self.sizes)
         self.beta = sum(self.lspec[u].beta for u in self.sizes)
+        self.start = list(itertools.accumulate((len(self.data[u]) for u in self.sizes), initial=0))
+
+        # order[u]: the size-u component ids by slot, sizes largest first.
+        # Size c takes each larger size u (from slot first[u, c]) and each
+        # dependent index j in turn, the j-th dependents (kids[cid] + j) of
+        # u's slots in slot order, so one round's syndromes fill B_u
+        # consecutive slots.  kernels[u]: regions of B_u slots
+        order, self.first = {v: [0]}, {}
+        for u in sorted(self.rounds, reverse=True):
+            at = 0
+            for rd in (rd for rd in self.rounds[u] if rd.c):
+                dst = order.setdefault(rd.c, [])
+                self.first[u, rd.c] = len(dst)
+                dst.extend(self.kids[cid] + j for j in range(at, at + rd.m * rd.codim)
+                           for cid in order[u])
+                at += rd.m * rd.codim
+        self.order = {u: order[u] for u in sorted(order, reverse=True)}
+        # a decode's right-hand side row is a dual row plus the syndrome
+        self.longest = 1 + max([v] + [rd.code.length for rds in self.rounds.values() for rd in rds])
+        self.kernels = {u: self.F.regions(len(ids), self.longest) for u, ids in self.order.items()}
+        # a collect reads node j at the offsets cols, by (size, position,
+        # slot), into the positions at[j] of each size (reads[j], read by
+        # _gather), and row(values) puts them back in column order
+        self.cols = tuple(self.offsets[cid] + s for u, ids in self.order.items()
+                          for s in range(self.lspec[u].alpha) for cid in ids)
+        self.row = getter(sorted(range(len(self.cols)), key=self.cols.__getitem__))
+        self.reads = [(j, self.cols, [(u, self.lspec[u].at[j]) for u in self.order])
+                      for j in range(n)]
         _built[n, v, k, q] = self
 
     # ----- helper code bookkeeping -----
 
-    def _code(self, n2: int, v2: int, k2: int, t: int) -> JGCSpec:
-        key = (n2, v2, k2, t)
-        if key not in self._codes:
-            F = self.F
-            base = [[F.pow(a, i) for a in range(n2)] for i in range(k2)]
-            self._codes[key] = code = JGCSpec(F, base, v2, t)
-            dual(code)
-        return self._codes[key]
-
     def _size_rounds(self, u: int) -> List[_Round]:
-        rds = []
+        F, rds = self.F, []
         for c in range(u - 2, -1, -1):
-            shape = (self.n - c, u - c, self.k - c, 1)
+            n2, v2, k2 = self.n - c, u - c, self.k - c
             # codimension 0: the radius ball already covers every layer above L_c
-            if _shape_codim(shape):
-                rds.append(_Round(c, u - 1 - c, self._code(*shape)))
+            if _shape_codim((n2, v2, k2, 1)):
+                code = JGCSpec(F, [[F.pow(a, i) for a in range(n2)] for i in range(k2)], v2, 1)
+                dual(code)
+                rds.append(_Round(c, u - 1 - c, code))
         return rds
 
     # ----- labelings -----
@@ -461,38 +480,6 @@ class ConcatCode:
             out = self._lifts[key] = tuple(pos)
         return out
 
-    @cached_property
-    def _siblings(self) -> SimpleNamespace:
-        """order[u]: the size-u component ids by slot, sizes largest first.
-        Size c takes each larger size u (from slot first[u, c]) and each
-        dependent index j in turn, the j-th dependents (kids[cid] + j)
-        of u's slots in slot order, so one round's syndromes fill B_u
-        consecutive slots.  kernels[u]: regions of B_u slots; read(row) lists a node's
-        symbols at the offsets cols, by (size, position, slot), and
-        row(values) puts them back in column order; repairs keeps
-        repair's reads."""
-        order, first = {self.v: [0]}, {}
-        for u in sorted(self.rounds, reverse=True):
-            at = 0
-            for rd in (rd for rd in self.rounds[u] if rd.c):
-                dst = order.setdefault(rd.c, [])
-                first[u, rd.c] = len(dst)
-                dst.extend(self.kids[cid] + j for j in range(at, at + rd.m * rd.codim)
-                           for cid in order[u])
-                at += rd.m * rd.codim
-        order = {u: order[u] for u in sorted(order, reverse=True)}
-        # a decode's right-hand side row is a dual row plus the syndrome
-        longest = 1 + max([self.v] + [rd.code.length for rds in self.rounds.values() for rd in rds])
-        kernels = {u: self.F.regions(len(ids), longest) for u, ids in order.items()}
-        cols = tuple(self.offsets[cid] + s for u, ids in order.items()
-                     for s in range(self.lspec[u].alpha) for cid in ids)
-        return SimpleNamespace(
-            order=order, first=first, kernels=kernels, longest=longest,
-            cols=cols, read=getter(cols),
-            row=getter(sorted(range(len(cols)), key=cols.__getitem__)), repairs={},
-            start=list(itertools.accumulate((len(self.data[u]) for u in self.sizes),
-                                            initial=0)))
-
     def _array(self, nodes: Sequence[Sequence[int]], i: int) -> Sequence[int]:
         """nodes[i], or ValueError unless it is there with alpha entries."""
         if i >= len(nodes) or len(nodes[i]) != self.alpha:
@@ -504,16 +491,27 @@ class ConcatCode:
         vectors at parts, a list of (size, positions)."""
         start = 0
         for u, pos in parts:
-            K, w = self._siblings.kernels[u], vectors[u]
+            K, w = self.kernels[u], vectors[u]
             for p, x in zip(pos, K.pack(vals[start:start + len(pos) * K.B])):
                 w[p] = x
             start += len(pos) * K.B
 
     def _column(self, vectors: Dict[int, list], j: int) -> List[int]:
         """Node j's array, from the region vectors."""
-        lay = self._siblings
-        return list(lay.row(_flat(lay.kernels[u].unpack(
-            getter(self.lspec[u].at[j])(vectors[u])) for u in lay.order)))
+        return list(self.row(_flat(self.kernels[u].unpack(
+            getter(self.lspec[u].at[j])(vectors[u])) for u in self.order)))
+
+    def _gather(self, nodes: Sequence[Sequence[int]], reads, vectors: Dict[int, list]) -> ReadLog:
+        """Read each (node j, offsets, parts) of reads: node j's symbols
+        at offsets, from an array checked to hold alpha entries (_array),
+        each checked to be a symbol, packed into vectors at parts (_put).
+        The log has one (j, offsets) record per read, in the order read."""
+        log = ReadLog([])
+        for j, offsets, parts in reads:
+            self._put(self.F.check_symbols(getter(offsets)(self._array(nodes, j)), f"node {j}"),
+                      parts, vectors)
+            log.records.append((j, offsets))
+        return log
 
     def _stack(self, K, w: list, code: JGCSpec, lifts, out: Sequence[int] = ()) -> tuple:
         """(K2, word): the G words of w at the position lists in lifts, one
@@ -521,7 +519,7 @@ class ConcatCode:
         g, and 0 at the positions out (a decode's unknowns): one gather,
         and the words' bytes cut into K2's regions.  A None at any other
         position fails K.to_bytes: ValueError naming its vertex."""
-        K2 = self.F.regions(len(lifts) * K.B, self._siblings.longest)
+        K2 = self.F.regions(len(lifts) * K.B, self.longest)
         cols = list(zip(*[itemgetter(*lift)(w) for lift in lifts]))
         zero = (0,) * len(lifts)
         for t in out:
@@ -551,11 +549,10 @@ class ConcatCode:
         of the sum of read layer L_c in vectors[c].  Every kernel of one
         code has one slot width, so each row joins G chunks of B slots cut
         from the bytes of the sums."""
-        lay = self._siblings
-        c, codim, B, Kc = rd.c, rd.codim, lay.kernels[u].B, lay.kernels[rd.c]
+        c, codim, B, Kc = rd.c, rd.codim, self.kernels[u].B, self.kernels[rd.c]
         sums = Kc.to_bytes([Kc.sum(vectors[c][lc * c:(lc + 1) * c]) for lc, _ in pieces])
         chunk = B * Kc.width
-        starts = [(k * Kc.B + lay.first[u, c] + i * codim * B) * Kc.width
+        starts = [(k * Kc.B + self.first[u, c] + i * codim * B) * Kc.width
                   for k in range(len(pieces)) for i in range(rd.m)]
         return [int.from_bytes(b"".join(sums[j + e * chunk:j + (e + 1) * chunk] for j in starts),
                                "little") for e in range(codim)]
@@ -619,7 +616,7 @@ class ConcatCode:
                 handdown: Optional[Dict[int, Sequence[int]]], injected: Dict[int, List[int]],
                 vectors: Optional[Dict[int, list]] = None) -> None:
         """Complete the region vector w of the size-u components (slot b:
-        _siblings.order[u][b]) by steps, from their injected values
+        order[u][b]) by steps, from their injected values
         (lists over handdown[u]), and set the dependents' ones, syndromes
         of w at handdown[c] for each round c >= 1; handdown None stands
         for every sublayer (encode and collect).
@@ -632,8 +629,7 @@ class ConcatCode:
         step at A0 filling every layer's last position, or that fill
         alone; repair a fill of the failed node's positions, handdown the
         sublayers holding it."""
-        lay = self._siblings
-        K, ids = lay.kernels[u], lay.order[u]
+        K, ids = self.kernels[u], self.order[u]
         B, inj = K.B, None
         if ids[0] in injected:
             inj = K.pack(_flat(zip(*(injected[cid] for cid in ids))))
@@ -647,7 +643,7 @@ class ConcatCode:
                              self._syndrome(u, rd, pieces, vectors) if rd.c else None, plan.out)
             fill_layers(K, w, u, inj, fill)
         for rd in (rd for rd in self.rounds[u] if rd.c):
-            deps = lay.order[rd.c][lay.first[u, rd.c]:]
+            deps = self.order[rd.c][self.first[u, rd.c]:]
             K2, word = self._stack(K, w, rd.code, self._handdown(
                 u, rd, None if handdown is None else handdown[rd.c]))
             syn = K2.unpack(syndrome_of(rd.code, word, K2))
@@ -668,13 +664,12 @@ class ConcatCode:
             raise ValueError(f"expected {self.M} payload symbols, "
                              f"got {len(payload)}")
         self.F.check_symbols(list(payload), "payload")
-        lay = self._siblings
-        vectors = {u: [None] * (self.lspec[u].R * u) for u in lay.order}
+        vectors = {u: [None] * (self.lspec[u].R * u) for u in self.order}
         injected: Dict[int, List[int]] = {}
         for u, w in vectors.items():
             n = len(self.data[u])
-            self._put(_flat(zip(*(payload[lay.start[cid]:lay.start[cid] + n]
-                                  for cid in lay.order[u]))), [(u, self.data[u])], vectors)
+            self._put(_flat(zip(*(payload[self.start[cid]:self.start[cid] + n]
+                                  for cid in self.order[u]))), [(u, self.data[u])], vectors)
             last = range(u - 1, len(w), u)
             steps = [(rd, self._subs(rd, self.A0), last) for rd in self.rounds[u] if not rd.c]
             self._replay(u, w, steps or [(None, (), last)], None, injected)
@@ -688,29 +683,24 @@ class ConcatCode:
 
         A must list k int node indices, each array of alpha entries,
         else ValueError.  Only entries of nodes listed in A are touched,
-        each read once and checked to be a symbol; the log records each
-        node's read as it is gathered, one (node, offsets) record per
-        node, every record sharing the one offsets tuple all nodes are
-        read at.  Then each size's components are recovered together:
-        every position outside A is a target of a fill or a decode of
-        the schedule (_schedule), each of which raises on a gap.
+        each read once and checked to be a symbol (_gather of reads[i]);
+        the log has one (node, offsets) record per node, every record
+        sharing the one offsets tuple all nodes are read at.  Then each
+        size's components are recovered together: every position outside
+        A is a target of a fill or a decode of the schedule (_schedule),
+        each of which raises on a gap.
         """
         A = layer([check_node(self.n, i) for i in A])
         if len(A) != self.k:
             raise ValueError(f"need exactly k={self.k} nodes, got {len(A)}")
-        lay = self._siblings
-        vectors = {u: [None] * (self.lspec[u].R * u) for u in lay.order}
-        log = ReadLog([])
-        for i in A:
-            self._put(self.F.check_symbols(lay.read(self._array(nodes, i)), f"node {i}"),
-                      [(u, self.lspec[u].at[i]) for u in lay.order], vectors)
-            log.records.append((i, lay.cols))
+        vectors = {u: [None] * (self.lspec[u].R * u) for u in self.order}
+        log = self._gather(nodes, [self.reads[i] for i in A], vectors)
         injected: Dict[int, List[int]] = {}
         payload: List[Sequence[int]] = [()] * len(self.sizes)
         for u, w in vectors.items():
-            ids = lay.order[u]
+            ids = self.order[u]
             self._replay(u, w, self._schedule(u, A), None, injected, vectors)
-            vals = lay.kernels[u].unpack([w[p] for p in self.data[u]])
+            vals = self.kernels[u].unpack([w[p] for p in self.data[u]])
             for b, cid in enumerate(ids):
                 payload[cid] = vals[b::len(ids)]
         return _flat(payload), log
@@ -718,42 +708,39 @@ class ConcatCode:
     # ----- repair -----
 
     def repair(self, nodes: Sequence[Sequence[int]], failed: int
-               ) -> Tuple[List[int], Dict[int, int]]:
-        """Rebuild the failed node's column from the other n-1 nodes.
+               ) -> Tuple[List[int], ReadLog]:
+        """Rebuild the failed node's column from the other n-1 nodes,
+        with the read log: one (helper, offsets) record per helper.
 
         Helper j sends, for every copy of size >= 2, its symbols at
         layers containing both j and the failed node: exactly beta
         symbols per helper, each checked to be a symbol, from an array
-        checked to hold alpha entries (else ValueError, as for a failed
-        index that is not an int node index).  The replay
+        checked to hold alpha entries (_gather; else ValueError, as for
+        a failed index that is not an int node index).  The replay
         fills the failed symbols from the layer checks and hands
         syndromes down at the sublayers holding the failed node, from
         already rebuilt copies, one size at a time.
         """
         check_node(self.n, failed)
-        lay = self._siblings
-        vectors = {u: [None] * (self.lspec[u].R * u) for u in lay.order}
-        if failed not in lay.repairs:
+        vectors = {u: [None] * (self.lspec[u].R * u) for u in self.order}
+        reads = self._repairs.get(failed)
+        if reads is None:
             # per helper j: the columns, and the positions (per size), of
             # j's symbols in the layers holding both j and the failed node
-            lay.repairs[failed] = reads = []
+            self._repairs[failed] = reads = []
             for j in (j for j in range(self.n) if j != failed):
                 parts = [(u, array("i", (p for p in self.lspec[u].at[j]
                                          if failed in self.lspec[u].layers[p // u])))
-                         for u in lay.order]
+                         for u in self.order]
                 cols = array("i", (self.offsets[cid] + self.lspec[u].slot[p]
-                                   for u, pos in parts for p in pos for cid in lay.order[u]))
+                                   for u, pos in parts for p in pos for cid in self.order[u]))
                 reads.append((j, cols, parts))
-        counts = {}
-        for j, cols, parts in lay.repairs[failed]:
-            self._put(self.F.check_symbols(getter(cols)(self._array(nodes, j)), f"node {j}"),
-                      parts, vectors)
-            counts[j] = len(cols)
+        log = self._gather(nodes, reads, vectors)
         holding = {c: [p // c for p in spec.at[failed]] for c, spec in self.lspec.items()}
         injected: Dict[int, List[int]] = {}
         for u, w in vectors.items():
             self._replay(u, w, [(None, (), self.lspec[u].at[failed])], holding, injected)
-        return self._column(vectors, failed), counts
+        return self._column(vectors, failed), log
 
 
 # every ConcatCode (storesim.LayeredCode too) that something still holds,

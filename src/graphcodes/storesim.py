@@ -49,7 +49,12 @@ class StorageState:
         if any(len(row) != code.alpha for row in self.nodes):
             raise ValueError("node array width differs from alpha")
         self.access_log: List[ReadLog] = []
-        self.last_repair_bandwidth: Dict[int, int] = {}
+        self.last_repair_log = ReadLog([])
+
+    @property
+    def last_repair_bandwidth(self) -> Dict[int, int]:
+        """{helper: symbols it sent}, read off last_repair_log."""
+        return {j: len(offsets) for j, offsets in self.last_repair_log.records}
 
 
 def ingest(code, blob: Sequence[int]) -> StorageState:
@@ -59,6 +64,13 @@ def ingest(code, blob: Sequence[int]) -> StorageState:
     return StorageState(code, blob)
 
 
+def _check_reads(log: ReadLog, contacted: Sequence[int]) -> None:
+    """ValueError if a record of log names a node outside contacted."""
+    outside = {i for i, _ in log.records} - set(contacted)
+    if outside:
+        raise ValueError(f"reads outside contacted nodes: {sorted(outside)}")
+
+
 def collect(state: StorageState, A: Sequence[int]) -> List[int]:
     """Blob back from the nodes in A.  The collect's read log, one
     (node, offsets) record per node read with the offsets tuple shared
@@ -66,20 +78,22 @@ def collect(state: StorageState, A: Sequence[int]) -> List[int]:
     record names a node outside A."""
     blob, log = state.code.collect(state.nodes, A)
     state.access_log.append(log)
-    outside = {i for i, _ in log.records} - set(layer(A))
-    if outside:
-        raise ValueError(f"reads outside contacted nodes: {sorted(outside)}")
+    _check_reads(log, layer(A))
     return blob
 
 
 def repair_node(state: StorageState, failed: int) -> StorageState:
     """New state with the failed node rebuilt from the other n-1 nodes
-    (the codes are defined with d = n-1); single failures only."""
-    column, counts = state.code.repair(state.nodes, failed)
+    (the codes are defined with d = n-1); single failures only.  The
+    repair's read log, one (helper, offsets) record per helper, is kept
+    as the new state's last_repair_log; ValueError if a record names
+    the failed node."""
+    column, log = state.code.repair(state.nodes, failed)
+    _check_reads(log, [j for j in range(state.code.n) if j != failed])
     nodes = [list(row) for row in state.nodes]
     nodes[failed] = column
     out = StorageState(state.code, state.blob, nodes)
-    out.last_repair_bandwidth = counts
+    out.last_repair_log = log
     return out
 
 
@@ -198,16 +212,12 @@ def load_state(path: str) -> StorageState:
     with open(os.path.join(path, "manifest.json")) as fh:
         manifest = json.load(fh)
     code = code_from_manifest(_required(manifest, "code"))
+    width = _symbol_bytes(code.F.q)
     # type(x) is int refuses bools, as JSON true loads as one
-    for key in ("alpha", "M"):
-        got, want = _required(manifest, key), getattr(code, key)
+    for key, want in (("alpha", code.alpha), ("M", code.M), ("symbol_bytes", width)):
+        got = _required(manifest, key)
         if type(got) is not int or got != want:
             raise ValueError(f"manifest {key}={got!r} differs from the code's {key}={want}")
-    # any width from the least one up loads: older stores used 4 bytes
-    width = _required(manifest, "symbol_bytes")
-    if type(width) is not int or width < _symbol_bytes(code.F.q):
-        raise ValueError(f"manifest symbol_bytes={width!r} is not an integer "
-                         f">= {_symbol_bytes(code.F.q)}")
     digests = _required(manifest, "digests")
     files = _required(manifest, "node_files")
     if files not in ([_node_file(i, slot) for i in range(code.n)]

@@ -254,9 +254,10 @@ def _roundtrip(n, v, k, q):
         assert {i for i, _ in log} <= set(A)
         assert len(log) == k * code.alpha
     for f in range(n):
-        column, counts = code.repair(nodes, f)
+        column, log = code.repair(nodes, f)
         assert column == nodes[f]
-        assert set(counts.values()) == {code.layout.beta}
+        assert [j for j, _ in log.records] == [j for j in range(n) if j != f]
+        assert {len(offsets) for _, offsets in log.records} == {code.layout.beta}
     return code
 
 
@@ -344,7 +345,7 @@ def test_dependents_are_smaller_and_later(shape):
 def _reference_components(n, v, k):
     """(sizes, deps, order, first) by the queue loop that numbered the
     components while each kept its own rounds: deps[cid] lists (c, ids)
-    per round c >= 1, and order and first are _siblings' from them."""
+    per round c >= 1, and order and first are the code's from them."""
     sizes, deps, queue = [v], {}, [0]
     while queue:
         cid = queue.pop(0)
@@ -373,8 +374,8 @@ def test_components_match_the_queue_reference(shape):
     code = build_concat(*shape)
     sizes, deps, order, first = _reference_components(*shape[:3])
     assert code.sizes == sizes
-    assert list(code._siblings.order.items()) == list(order.items())
-    assert code._siblings.first == first
+    assert list(code.order.items()) == list(order.items())
+    assert code.first == first
     for cid, rounds in deps.items():
         assert [(rd.c, list(ids)) for rd, ids in _dependents(code, cid)] == rounds
 
@@ -409,7 +410,7 @@ def test_region_slots_hold_every_row(shape):
     code = build_concat(*shape)
     codes = [rd.code for rds in code.rounds.values() for rd in rds]
     rows = [len(minus) for c in codes for _, _, minus in _sparse_dual_rows(c)]
-    assert max(rows + [code.v]) <= code._siblings.longest
+    assert max(rows + [code.v]) <= code.longest
 
 
 def test_lift_lists_shared_per_helper_code():
@@ -479,12 +480,11 @@ def test_schedule_fills_match_the_per_layer_reference(shape):
 def _reference_decode_syndromes(code, u, rd, pieces, vectors):
     """A round rd >= 1 decode's syndrome values by (row e, word (L_c, i),
     slot b): slot first[u, c] + (i*codim + e)*B of read layer L_c's sum."""
-    lay = code._siblings
-    B, c, codim, Kc = lay.kernels[u].B, rd.c, rd.codim, lay.kernels[rd.c]
+    B, c, codim, Kc = code.kernels[u].B, rd.c, rd.codim, code.kernels[rd.c]
     sums = {lc: Kc.unpack([Kc.sum(vectors[c][lc * c:(lc + 1) * c])]) for lc, _ in pieces}
     words = [(lc, i) for lc, lifts in pieces for i in range(len(lifts))]
     return [x for e in range(codim) for lc, i in words
-            for j in [lay.first[u, c] + (i * codim + e) * B] for x in sums[lc][j:j + B]]
+            for j in [code.first[u, c] + (i * codim + e) * B] for x in sums[lc][j:j + B]]
 
 
 @pytest.mark.parametrize("shape", [(8, 5, 4, 11), (10, 6, 5, 11)], ids=_name)
@@ -494,16 +494,14 @@ def test_decode_syndromes_match_the_per_value_reference(shape):
     code = build_concat(*shape)
     rng = random.Random(5)
     nodes = code.encode([rng.randrange(code.F.q) for _ in range(code.M)])
-    lay = code._siblings
-    vectors = {u: [None] * (code.lspec[u].R * u) for u in lay.order}
-    for j in range(code.n):
-        code._put(lay.read(nodes[j]), [(u, code.lspec[u].at[j]) for u in lay.order], vectors)
+    vectors = {u: [None] * (code.lspec[u].R * u) for u in code.order}
+    code._gather(nodes, code.reads, vectors)
     nonzero = 0
     for A in itertools.combinations(range(code.n), code.k):
         for u in code.rounds:
             for rd, subs, _ in code._schedule(u, A):
                 for _, _, pieces in (subs if rd and rd.c else ()):
-                    K2 = code.F.regions(len(pieces) * rd.m * lay.kernels[u].B, lay.longest)
+                    K2 = code.F.regions(len(pieces) * rd.m * code.kernels[u].B, code.longest)
                     got = code._syndrome(u, rd, pieces, vectors)
                     assert got == K2.pack(_reference_decode_syndromes(code, u, rd, pieces, vectors))
                     nonzero += any(got)
@@ -523,7 +521,7 @@ def test_decode_gap_raises_the_typed_error(shape):
     nodes = code.encode(blob)
     A = tuple(range(1, code.k + 1))
     for u in (u for u, rds in code.rounds.items() if rds):
-        K = code._siblings.kernels[u]
+        K = code.kernels[u]
         for rd, subs, _ in code._schedule(u, A)[1:]:
             for A2, plan, pieces in subs:
                 lifts = [lift for _, ls in pieces for lift in ls]

@@ -71,14 +71,17 @@ class ReadRow(list):
 
 
 def _repair_reads(code, nodes, failed):
-    """{helper: the offsets code.repair reads from it} for one repair."""
+    """{helper: the offsets code.repair reads from it} for one repair,
+    each the offsets of the helper's one record in the repair's log."""
     log = []
-    column, _ = code.repair([ReadRow(row, j, log) for j, row in enumerate(nodes)], failed)
+    column, got = code.repair([ReadRow(row, j, log) for j, row in enumerate(nodes)], failed)
     assert column == nodes[failed]
     reads = {}
     for j, i in log:
         reads.setdefault(j, set()).add(i)
     assert sorted(reads) == [j for j in range(code.n) if j != failed]
+    assert [(j, set(offsets)) for j, offsets in got.records] == sorted(reads.items())
+    assert {len(offsets) for _, offsets in got.records} == {code.beta}
     return reads
 
 

@@ -151,6 +151,25 @@ def test_collect_rejects_a_read_outside_the_anchor():
     assert [i for i, _ in state.access_log[-1].records] == [0, 1, 2, 3, 4, 5]
 
 
+def test_repair_rejects_a_read_of_the_failed_node():
+    code = LayeredCode(6, 3, 11)
+    state = ingest(code, _seeded_blob(code))
+
+    class ReadsTheFailedNode:
+        """A code whose repair also logs a read of the failed node."""
+
+        n = code.n
+
+        def repair(self, nodes, failed):
+            column, log = code.repair(nodes, failed)
+            log.records.append((failed, log.records[0][1]))
+            return column, log
+
+    state.code = ReadsTheFailedNode()
+    with pytest.raises(ValueError, match=r"reads outside contacted nodes: \[2\]"):
+        repair_node(state, 2)
+
+
 def test_layered_collect_needs_exactly_k_nodes():
     # the pure layered code is the one-component concatenated code, so
     # its collect takes exactly k = n-1 nodes, as every collect does
@@ -164,10 +183,14 @@ def test_layered_collect_needs_exactly_k_nodes():
 def test_layered_repair_bandwidth():
     code = LayeredCode(6, 3, 11)
     state = ingest(code, _seeded_blob(code))
+    assert state.last_repair_log.records == [] and state.last_repair_bandwidth == {}
     for f in range(6):
         repaired = repair_node(state, f)
         assert repaired.nodes[f] == state.nodes[f]
-        assert set(repaired.last_repair_bandwidth.values()) == {code.beta}
+        # one record per helper, and the bandwidth is read off the records
+        helpers = [j for j in range(6) if j != f]
+        assert [j for j, _ in repaired.last_repair_log.records] == helpers
+        assert repaired.last_repair_bandwidth == dict.fromkeys(helpers, code.beta)
 
 
 def test_concat_collect_and_repair():
@@ -207,7 +230,9 @@ def test_store_uses_whole_bytes_per_symbol(tmp_path):
         assert json.load(fh)["symbol_bytes"] == 1
 
 
-def test_store_at_older_width_still_loads(tmp_path, monkeypatch):
+def test_store_at_a_wider_width_is_refused(tmp_path, monkeypatch):
+    # a store holds its symbols in the least whole number of bytes; one
+    # written 4 bytes wide, every digest consistent, does not load
     code = build_concat(6, 4, 3, 7)
     state = ingest(code, _seeded_blob(code, 3))
     path = str(tmp_path / "store")
@@ -215,9 +240,8 @@ def test_store_at_older_width_still_loads(tmp_path, monkeypatch):
     save_state(state, path)
     monkeypatch.undo()
     assert os.path.getsize(os.path.join(path, "node_0.bin")) == 4 * code.alpha
-    back = load_state(path)
-    assert back.blob == state.blob
-    assert back.nodes == state.nodes
+    with pytest.raises(ValueError, match="symbol_bytes=4 differs from the code's symbol_bytes=1"):
+        load_state(path)
 
 
 def test_persistence_detects_tampering(tmp_path):
@@ -290,7 +314,7 @@ def test_load_rejects_wrong_symbol_width(tmp_path):
     path = str(tmp_path / "store")
     save_state(state, path)
     _edit_manifest(path, lambda doc: doc.update(symbol_bytes=2))
-    with pytest.raises(ValueError, match="width differs from alpha"):
+    with pytest.raises(ValueError, match="symbol_bytes=2 differs from the code's symbol_bytes=1"):
         load_state(path)
 
 
@@ -304,7 +328,7 @@ def test_load_rejects_a_symbol_width_that_cannot_hold_a_symbol(tmp_path, q, widt
     path = str(tmp_path / "store")
     save_state(ingest(code, _seeded_blob(code)), path)
     _edit_manifest(path, lambda doc: doc.update(symbol_bytes=width))
-    with pytest.raises(ValueError, match=re.escape(f"symbol_bytes={width!r} is not an integer")):
+    with pytest.raises(ValueError, match=re.escape(f"symbol_bytes={width!r} differs from the code's")):
         load_state(path)
 
 
