@@ -47,7 +47,13 @@ blob and collects at 30 seeded anchors, each once cold (its schedule
 and plans unbuilt) and then 3 times warm; it reports the quartiles of
 cold minus the warm minimum, of cold and of warm, and the collections
 of each garbage-collector generation over the pass, counted in the
-process by a ``gc.callbacks`` hook.
+process by a ``gc.callbacks`` hook.  Then the first-use probe: PAIRS
+alternating pairs (the parent first when the pair is even) per shape in
+FIRST_USE_SHAPES, each run a fresh process that builds the code, ingests
+one seeded blob and collects it at one seeded anchor, and reports the
+three times, their sum and the process's peak RSS (``ru_maxrss``).  A
+code that defers work from its build to its first use moves time, and
+only this sum shows whether it removed any.
 """
 
 from __future__ import annotations
@@ -87,6 +93,30 @@ SINGLE_RUN_TIMINGS = [
     "concat.collect.self_s", "concat.repair.self_s", "concat.encode.self_s",
     "trace.overhead_ratio", "trace.traced_s", "trace.untraced_s",
 ]
+
+# build + first ingest + first collect of one new code in a fresh
+# process; the blob is drawn outside the clock
+FIRST_USE_SHAPES = [(10, 6, 5, 11), (12, 7, 6, 13)]
+FIRST_USE = r"""
+import itertools, json, random, resource, sys, time
+from graphcodes import concat, storesim
+n, v, k, q = map(int, sys.argv[1:])
+t0 = time.perf_counter()
+code = concat.build_concat(n, v, k, q)
+build = time.perf_counter() - t0
+rng = random.Random(1)
+blob = [rng.randrange(q) for _ in range(code.M)]
+A = rng.choice(list(itertools.combinations(range(n), k)))
+t0 = time.perf_counter()
+state = storesim.ingest(code, blob)
+t1 = time.perf_counter()
+if storesim.collect(state, A) != blob:
+    sys.exit("collect returned a wrong blob")
+t2 = time.perf_counter()
+print(json.dumps({"build_s": build, "ingest_s": t1 - t0, "collect_s": t2 - t1,
+                  "total_s": build + t2 - t0,
+                  "max_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024}))
+"""
 
 # time field_make, code builds, loads, criterion 8's certify sweep and
 # all-anchor collect passes in a fresh process
@@ -308,6 +338,19 @@ def main():
             proc = subprocess.run([sys.executable, "-c", PROBE], env=env,
                                   capture_output=True, text=True, check=True)
             probes[side].append(json.loads(proc.stdout))
+    first_use = {}
+    for shape in FIRST_USE_SHAPES:
+        runs = {"parent": [], "change": []}
+        for p in range(PAIRS):
+            for side in ("parent", "change") if p % 2 == 0 else ("change", "parent"):
+                env = dict(os.environ, PYTHONPATH=os.path.join(sides[side], "src"))
+                proc = subprocess.run([sys.executable, "-c", FIRST_USE, *map(str, shape)],
+                                      env=env, capture_output=True, text=True, check=True)
+                runs[side].append(json.loads(proc.stdout))
+        first_use["(%d,%d,%d,%d)" % shape] = {
+            name: compare([r[name] for r in runs["parent"]],
+                          [r[name] for r in runs["change"]], "lower")
+            for name in runs["parent"][0]}
 
     doc = {
         "machine": {"nproc": os.cpu_count(), "python": platform.python_version(),
@@ -321,6 +364,7 @@ def main():
         "end_to_end": end_to_end,
         "per_layer": {"seed": TRACE_SEED, **per_layer},
         "probes": probes,
+        "first_use": {"pairs": PAIRS, **first_use},
     }
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=1)

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import itertools
 from math import comb
-from typing import Iterable, List, Sequence, Set, Tuple
+from typing import Iterable, List, Sequence, Tuple
 
 Layer = Tuple[int, ...]
 HammingVertex = Tuple[int, ...]
@@ -61,18 +61,6 @@ def graph_params(n: int, v: int, k: int) -> Tuple[int, int, int]:
     return d1, d2, min(d1, d2)
 
 
-def shell(A: Sequence[int], r: int, n: int, v: int) -> Set[Layer]:
-    """S_r(A) inside J(n,v)."""
-    return {L for L in itertools.combinations(range(n), v) if shell_index(L, A) == r}
-
-
-def ball(A: Sequence[int], r: int, n: int, v: int) -> Set[Layer]:
-    """B_r(A) = union of shells S_0(A), ..., S_r(A) inside J(n,v)."""
-    if r < 0:
-        return set()
-    return {L for L in itertools.combinations(range(n), v) if shell_index(L, A) <= r}
-
-
 def ball_size(n: int, v: int, k: int, r: int) -> int:
     """|B_r(A)| for any anchor A of size k in J(n,v)."""
     if r < 0:
@@ -99,22 +87,3 @@ def hamming_vertices(m: int, n: int, anchor: Sequence[int]) -> List[HammingVerte
     sA = set(anchor)
     return sorted(itertools.product(range(n), repeat=m),
                   key=lambda t: (sum(1 for x in t if x not in sA), t))
-
-
-def hamming_shell_index(L: Sequence[int], A: Sequence[int]) -> int:
-    """Number of coordinates of the tuple L outside the alphabet subset A."""
-    sA = set(A)
-    return sum(1 for x in L if x not in sA)
-
-
-def hamming_ball(A: Sequence[int], r: int, m: int, n: int) -> Set[HammingVertex]:
-    """All m-tuples with at most r coordinates outside A."""
-    if not 0 <= r <= m:
-        raise ValueError(f"need 0 <= r <= m, got r={r}, m={m}")
-    sA = set(A)
-    return {
-        t
-        for t in itertools.product(range(n), repeat=m)
-        if sum(1 for x in t if x not in sA) <= r
-    }
-

@@ -41,7 +41,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from graphcodes.combinat import Layer, ball_size, layer
 from graphcodes.field import field_make
-from graphcodes.jgc import JGCSpec, decode_plan, dual, erasure_decode, getter, syndrome_of
+from graphcodes.jgc import (JGCSpec, aligned_dual_rows, decode_plan, erasure_decode, getter,
+                            syndrome_of)
 from graphcodes.layered import LayeredSpec, check_node, fill_layers
 
 
@@ -360,8 +361,9 @@ class ConcatCode:
 
     After __init__ a code changes only its memo caches, each filled
     deterministically from the parameters: _lifts, _schedules,
-    _handdowns, _repairs and every round JGCSpec's _plans, _aligned,
-    _sparse and _masks (its _dual is built with it).  So every caller of one
+    _handdowns, _repairs and every round JGCSpec's _plans, _sparse and
+    _masks (its _dual and _aligned are built with it; its own generator
+    rows never are, as nothing reads them).  So every caller of one
     (n, v, k, q) can share one code, as live_concat does, and shares its
     warm plans and schedules with it.
     """
@@ -451,7 +453,7 @@ class ConcatCode:
             # codimension 0: the radius ball already covers every layer above L_c
             if _shape_codim((n2, v2, k2, 1)):
                 code = JGCSpec(F, [[F.pow(a, i) for a in range(n2)] for i in range(k2)], v2, 1)
-                dual(code)
+                aligned_dual_rows(code)
                 rds.append(_Round(c, u - 1 - c, code))
         return rds
 

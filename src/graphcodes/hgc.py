@@ -33,8 +33,10 @@ class HGCSpec(GraphCode):
 
     def __init__(self, F: FieldSpec, base: Mat, m: int, t: int):
         self.m = m
-        super().__init__(F, base, t, m,
-                         hamming_vertices(m, len(base[0]), range(len(base))))
+        super().__init__(F, base, t, m)
+
+    def _all_vertices(self) -> List[tuple]:
+        return hamming_vertices(self.m, self.n, range(self.k))
 
     def coords(self, M: Mat) -> List[int]:
         return tau(self.F, M, self.vertices)

@@ -14,6 +14,11 @@ M, L minus U) when U lies in L, and 0 otherwise.  A code is built from
 one Laplace pass over all s x s minors of the base, s <= min(v,k)
 (about sum_s C(k,s) C(n,s) s products), not one determinant per vertex.
 
+The generator rows are built on first read (GraphCode.generator):
+certify_infosets and the dual's aligned rows read them, while encode,
+collect and repair read only the dual's rows and the base, so a helper
+code of a concatenated code never builds its own.
+
 GraphCode holds what a Johnson code (JGCSpec) and a Hamming code
 (hgc.HGCSpec) share, and dual, unit_codeword, certify_infosets,
 decode_plan, erasure_decode and syndrome_of serve both families.  The
@@ -24,6 +29,7 @@ positions outside it and the inverse of the dual rows there.
 from __future__ import annotations
 
 import json
+from functools import cached_property
 from itertools import combinations
 from operator import itemgetter
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
@@ -54,12 +60,14 @@ from graphcodes.matrix import (
 class GraphCode:
     """What a Johnson and a Hamming graph code share.
 
-    A subclass gives its vertices and the largest threshold ``top``,
-    and defines ball(A), coords(M) (pi or tau over ``vertices``),
-    _dual_code(D0) (the code on the dual base D0 with threshold
-    top + 1 - t) and _repr_params, its own parameters.  The generator
-    rows are coords(g restricted to I) for I in basis_index; a subclass
-    may compute them faster (_generator).
+    A subclass gives the largest threshold ``top`` and defines
+    _all_vertices() (its vertices, from n and k), ball(A), coords(M) (pi
+    or tau over ``vertices``), _dual_code(D0) (the code on the dual base
+    D0 with threshold top + 1 - t) and _repr_params, its own parameters.
+    The generator rows are coords(g restricted to I) for I in
+    basis_index; a subclass may compute them faster (by overriding
+    generator).  A base that is empty, ragged or holds a non-symbol
+    raises ValueError.
 
     Attributes
     ----------
@@ -72,25 +80,31 @@ class GraphCode:
         positions, and their number
     basis_index : the row-index vertices, B_r({0..k-1}) in ``vertices``
         order
-    generator, dim : the generator rows and their number
+    dim : the number of generator rows, one per basis_index vertex
+    generator : the generator rows, built on first read and kept
+        (a cached_property; ``"generator" in vars(code)`` once built)
     """
 
-    def __init__(self, F: FieldSpec, base: Mat, t: int, top: int,
-                 vertices: List[tuple]):
-        _, pivots = rref(F, base)
-        if len(pivots) != len(base):
-            raise ValueError("base matrix must have full rank")
-        if not 0 < t <= top:
-            raise ValueError(f"need 0 < t <= {top}, got t={t}")
+    def __init__(self, F: FieldSpec, base: Mat, t: int, top: int):
+        if not base or not base[0]:
+            raise ValueError("base matrix needs at least one row and one column")
+        for row in base:
+            if len(F.check_symbols(row, "base")) != len(base[0]):
+                raise ValueError("base matrix rows must have equal length")
         self.F = F
         self.n = len(base[0])
         self.k = len(base)
+        self.vertices = self._all_vertices()
+        _, self._pivots = rref(F, base)
+        if len(self._pivots) != len(base):
+            raise ValueError("base matrix must have full rank")
+        if not 0 < t <= top:
+            raise ValueError(f"need 0 < t <= {top}, got t={t}")
         self.t = t
         self.r = top - t
         self.base = [list(row) for row in base]
         self.g = [list(row) for row in self.base] + [
-            [int(c == j) for c in range(self.n)] for j in range(self.n) if j not in pivots]
-        self.vertices = vertices
+            [int(c == j) for c in range(self.n)] for j in range(self.n) if j not in self._pivots]
         self.vertex_pos = {L: i for i, L in enumerate(self.vertices)}
         self.length = len(self.vertices)
         # built on first use: the dual, its rows in this code's vertex
@@ -102,11 +116,11 @@ class GraphCode:
         self._masks: Optional[List[int]] = None
         self._sparse: Optional[list] = None
         self._plans: Dict[Layer, DecodePlan] = {}
-        self.basis_index = [vertices[i] for i in self.ball(range(self.k))]
-        self.generator = self._generator(pivots)
-        self.dim = len(self.generator)
+        self.basis_index = [self.vertices[i] for i in self.ball(range(self.k))]
+        self.dim = len(self.basis_index)
 
-    def _generator(self, pivots: Sequence[int]) -> Mat:
+    @cached_property
+    def generator(self) -> Mat:
         """The rows coords(g restricted to I), I in basis_index."""
         return [self.coords([self.g[i] for i in I]) for I in self.basis_index]
 
@@ -125,18 +139,22 @@ class JGCSpec(GraphCode):
     vertices : the v-subsets in k-lex order, so basis_index, the layers
         I with |I intersect {0..k-1}| >= t, is their first dim entries
     generator : dim x C(n,v) generator matrix, row I = pi(g restricted to
-        I), from one Laplace pass over the base's minors (plucker_rows)
+        I), from one Laplace pass over the base's minors (plucker_rows),
+        on first read
     """
 
     _repr_params = ("n", "v")
 
     def __init__(self, F: FieldSpec, base: Mat, v: int, t: int):
         self.v = v
-        k = len(base)
-        super().__init__(F, base, t, min(v, k), johnson_vertices(len(base[0]), v, k))
+        super().__init__(F, base, t, min(v, len(base)))
 
-    def _generator(self, pivots: Sequence[int]) -> Mat:
-        return plucker_rows(self.F, self.base, pivots, self.v, self.basis_index,
+    def _all_vertices(self) -> List[Layer]:
+        return johnson_vertices(self.n, self.v, self.k)
+
+    @cached_property
+    def generator(self) -> Mat:
+        return plucker_rows(self.F, self.base, self._pivots, self.v, self.basis_index,
                             self.vertex_pos)
 
     def coords(self, M: Mat) -> List[int]:

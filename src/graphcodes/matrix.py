@@ -4,8 +4,7 @@ Matrices are lists of rows; each row is a list of field elements
 (integers in [0, q)).  Every function that computes in the field takes
 the FieldSpec first and does its arithmetic with the field's vector
 operations (``F.dot``, ``F.sub_mul``, ``F.scale``); a scalar product of
-two vectors is ``F.dot`` itself.  ``identity`` and ``submatrix`` are
-the reference shapes the tests compare against.
+two vectors is ``F.dot`` itself.
 """
 
 from __future__ import annotations
@@ -17,10 +16,6 @@ from graphcodes.combinat import johnson_vertices, sign_of
 from graphcodes.field import FieldSpec
 
 Mat = List[List[int]]
-
-
-def identity(n: int) -> Mat:
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
 def transpose(M: Mat) -> Mat:
@@ -40,33 +35,49 @@ def mat_vec(F: FieldSpec, A: Mat, x: Sequence[int]) -> List[int]:
     return [dot(row, x) for row in A]
 
 
-def det(F: FieldSpec, M: Mat) -> int:
-    """Determinant by Gaussian elimination (exact over the field).
+def _eliminate(F: FieldSpec, rows: Mat):
+    """Forward elimination, one column at a time from the left.
 
-    Each step takes the first row with a nonzero leading entry as the
-    pivot (moving it to the top is a cyclic shift of ``top`` rows, sign
-    (-1)^top), clears the first column of the other rows and drops the
-    pivot row and the first column.
+    Yields None for a column that is zero on every remaining row, and
+    otherwise (top, head): the position of the first remaining row with
+    a nonzero entry there (the pivot) and that entry.  The pivot row
+    then clears the column of the other rows and is dropped; the column
+    is dropped either way.  Stops when no row or no column is left, so
+    the pivots it yields number the rank.
     """
-    n = len(M)
-    if M and set(map(len, M)) != {n}:
-        raise ValueError("determinant requires a square matrix")
     sub_mul = F.sub_mul
-    rows = M
-    d = 1
-    while rows:
+    while rows and rows[0]:
         for top, row in enumerate(rows):
             if row[0]:
                 break
         else:
-            return 0
-        if top % 2:
-            d = F.neg(d)
+            yield None
+            rows = [r[1:] for r in rows]
+            continue
         head, *tail = row
-        d = F.mul(d, head)
+        yield top, head
         tail = F.scale(F.inv(head), tail)
         rows = [sub_mul(r[1:], r[0], tail) if r[0] else r[1:]
                 for r in rows[:top] + rows[top + 1:]]
+
+
+def det(F: FieldSpec, M: Mat) -> int:
+    """Determinant by Gaussian elimination (exact over the field).
+
+    Moving each pivot to the top is a cyclic shift of ``top`` rows, sign
+    (-1)^top, and a zero column makes the determinant 0 (_eliminate).
+    """
+    n = len(M)
+    if M and set(map(len, M)) != {n}:
+        raise ValueError("determinant requires a square matrix")
+    d = 1
+    for step in _eliminate(F, M):
+        if step is None:
+            return 0
+        top, head = step
+        if top % 2:
+            d = F.neg(d)
+        d = F.mul(d, head)
     return d
 
 
@@ -98,10 +109,9 @@ def rref(F: FieldSpec, M: Mat) -> Tuple[Mat, List[int]]:
 
 
 def rank(F: FieldSpec, M: Mat) -> int:
-    if not M:
-        return 0
-    _, pivots = rref(F, M)
-    return len(pivots)
+    """The number of pivots of forward elimination, with no back
+    substitution (_eliminate)."""
+    return sum(step is not None for step in _eliminate(F, M))
 
 
 def column_rank_test(F: FieldSpec, M: Mat) -> Callable[[Sequence[int]], bool]:
@@ -158,10 +168,6 @@ def solve(F: FieldSpec, A: Mat, b: Sequence[int]) -> Optional[List[int]]:
     for r, c in enumerate(pivots):
         x[c] = R[r][cols]
     return x
-
-
-def submatrix(M: Mat, rows: Sequence[int], cols: Sequence[int]) -> Mat:
-    return [[M[i][j] for j in cols] for i in rows]
 
 
 def take_columns(M: Mat, cols: Sequence[int]) -> Mat:

@@ -33,15 +33,6 @@ def poly_deg(p: Sequence[int]) -> int:
     return len(poly_trim(p)) - 1
 
 
-def poly_add(F: FieldSpec, p: Sequence[int], q: Sequence[int]) -> Poly:
-    out = [0] * max(len(p), len(q))
-    for i, c in enumerate(p):
-        out[i] = c
-    for i, c in enumerate(q):
-        out[i] = F.add(out[i], c)
-    return poly_trim(out)
-
-
 def poly_scale(F: FieldSpec, c: int, p: Sequence[int]) -> Poly:
     return poly_trim(F.scale(c, p))
 

@@ -172,6 +172,13 @@ def test_invalid_parameters_exit_2(capsys):
         assert "need 0 <= k < n, got k=6" in capsys.readouterr().err
 
 
+def test_empty_base_exits_2(capsys):
+    # a base of k = 0 rows is empty: a ValueError, not an IndexError
+    for verb in ("construct", "certify"):
+        assert main([verb, "--n", "4", "--v", "2", "--k", "0", "--t", "1", "--q", "7"]) == 2
+        assert "at least one row and one column" in capsys.readouterr().err
+
+
 def test_tables_sections_follow_code_family(capsys):
     # the balance (and parameter and scenario) sections appear exactly
     # for the cascade; a shape out of range exits 2

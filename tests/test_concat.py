@@ -305,6 +305,23 @@ def test_prime_power_field_collect_and_repair_warm_and_fresh(q):
                 [warm.repair(rows, f) for f, rows in enumerate(damaged)]) == expected
 
 
+def test_round_codes_never_build_their_own_generator_rows():
+    # encode, collect and repair read a round code's base and its dual's
+    # rows, aligned to its vertex order when the code is built, and never
+    # the round code's own generator rows
+    code = build_concat(8, 5, 4, 11)
+    rounds = [rd for rds in code.rounds.values() for rd in rds]
+    assert rounds and all(rd.code._aligned for rd in rounds)
+    rng = random.Random(8)
+    blob = [rng.randrange(11) for _ in range(code.M)]
+    nodes = code.encode(blob)
+    for A in itertools.combinations(range(8), 4):
+        assert code.collect(nodes, A)[0] == blob
+    for f in range(8):
+        assert code.repair(nodes, f)[0] == nodes[f]
+    assert not any("generator" in vars(rd.code) for rd in rounds)
+
+
 def test_wrong_blob_length_rejected():
     code = build_concat(5, 4, 3, 5)
     with pytest.raises(ValueError):

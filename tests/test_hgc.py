@@ -4,7 +4,7 @@ import itertools
 
 import pytest
 
-from graphcodes.combinat import hamming_shell_index, hamming_vertices
+from graphcodes.combinat import hamming_vertices
 from graphcodes.field import field_make
 from graphcodes.hgc import (
     certify_hgc_infosets,
@@ -14,6 +14,7 @@ from graphcodes.hgc import (
 )
 from graphcodes.jgc import dual as dual_hgc, unit_codeword as hgc_unit_codeword
 from graphcodes.matrix import rank, tau
+from reference import hamming_shell_index
 
 F2 = field_make(2)
 
@@ -105,6 +106,20 @@ def test_dimension_formula_varies_with_t():
         construct_hgc(F2, EXAMPLE_BASE, 2, 3)
 
 
+def test_dim_is_the_generator_row_count_before_the_rows_are_built():
+    F3 = field_make(3)
+    bases = [(F2, EXAMPLE_BASE), (F2, [[1, 1]]), (F2, [[1, 0, 1]]),
+             (F3, [[1, 1, 1]]), (F3, [[1, 0, 1], [0, 1, 2]])]
+    for F, base in bases:
+        for m in range(1, 4):
+            for t in range(1, m + 1):
+                code = construct_hgc(F, base, m, t)
+                assert "generator" not in vars(code)
+                dim = code.dim
+                assert dim == len(code.generator)
+                assert dim == len(code.ball(range(code.k)))
+
+
 def test_typed_input_errors():
     with pytest.raises(ValueError, match="full rank"):
         construct_hgc(F2, [[1, 0, 1, 1], [1, 0, 1, 1]], 2, 1)
@@ -114,3 +129,11 @@ def test_typed_input_errors():
     for r in (-1, 2):
         with pytest.raises(ValueError, match=f"need 0 <= r < m, got r={r}"):
             rm_equivalent(r, 2)
+
+
+def test_empty_or_non_symbol_base_rejected():
+    for base in ([], [[]]):
+        with pytest.raises(ValueError, match="at least one row and one column"):
+            construct_hgc(F2, base, 2, 1)
+    with pytest.raises(ValueError, match="1.0 is not an element of GF"):
+        construct_hgc(F2, [[1.0, 1]], 2, 1)

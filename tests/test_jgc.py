@@ -438,3 +438,42 @@ def test_typed_input_errors():
         unit_codeword(code, (0, 1), (2, 0, 3))
     with pytest.raises(ValueError, match="not an information set"):
         sparse_parities(code, (0, 2))
+
+
+@pytest.mark.parametrize("base", [[], [[]], [[], []]])
+def test_empty_base_rejected(base):
+    # no rows (k = 0) or no columns
+    with pytest.raises(ValueError, match="at least one row and one column"):
+        construct(F2, base, 1, 1)
+
+
+def test_rs_jgc_with_k_at_most_0_rejected():
+    for k in (0, -1):
+        with pytest.raises(ValueError, match="at least one row and one column"):
+            rs_jgc(4, 2, k, 1, 7)
+
+
+@pytest.mark.parametrize("base, match", [
+    ([[1.0, 2]], "1.0 is not an element of GF"),
+    ([[1, True]], "True is not an element of GF"),
+    ([[1, 7]], "7 is not an element of GF"),
+    ([[1, None]], "None is not an element of GF"),
+    ([(1, 2), "ab"], "base holds a symbol outside GF"),
+    ([[1, 0, 1], [0, 1]], "rows must have equal length"),
+])
+def test_base_entries_checked(base, match):
+    with pytest.raises(ValueError, match=match):
+        construct(field_make(7), base, 1, 1)
+
+
+def test_dim_is_the_generator_row_count_before_the_rows_are_built():
+    # dim comes from basis_index; the rows are built on first read
+    for n in range(2, 7):
+        for v in range(1, n + 1):
+            for k in range(1, n):
+                for t in range(1, min(v, k) + 1):
+                    code = rs_jgc(n, v, k, t, 7)
+                    assert "generator" not in vars(code)
+                    dim = code.dim
+                    assert dim == len(code.generator) == ball_size(n, v, k, min(v, k) - t)
+                    assert "generator" in vars(code)

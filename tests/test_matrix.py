@@ -5,6 +5,8 @@ from itertools import combinations
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphcodes.combinat import johnson_vertices
 from graphcodes.field import field_make
@@ -13,7 +15,6 @@ from graphcodes.matrix import (
     column_rank_test,
     compound,
     det,
-    identity,
     mat_mul,
     mat_vec,
     nullspace,
@@ -22,11 +23,11 @@ from graphcodes.matrix import (
     rank,
     rref,
     solve,
-    submatrix,
     take_columns,
     tau,
     transpose,
 )
+from reference import identity, submatrix
 
 F7 = field_make(7)
 
@@ -109,6 +110,41 @@ def test_all_minors_equal_det_on_every_subset(q):
             assert minors[R] == [det(F, submatrix(M, R, C)) for C in cols]
     # a smaller smax stops at that size
     assert max(map(len, all_minors(F, M, 2))) == 2
+
+
+@st.composite
+def field_matrices(draw):
+    """(F, M): a rows x cols matrix over GF(2), GF(7), GF(8) or GF(11),
+    either with free entries or a product through an inner dimension s
+    no larger than either side, so of rank at most s (all zero at s = 0)."""
+    F = field_make(draw(st.sampled_from([2, 7, 8, 11])))
+    rows, cols = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    entry = st.integers(0, F.q - 1)
+    if draw(st.booleans()):
+        return F, [[draw(entry) for _ in range(cols)] for _ in range(rows)]
+    s = draw(st.integers(0, min(rows, cols)))
+    A = [[draw(entry) for _ in range(s)] for _ in range(rows)]
+    B = [[draw(entry) for _ in range(cols)] for _ in range(s)]
+    return F, [[F.dot(a, [b[j] for b in B]) for j in range(cols)] for a in A]
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(field_matrices())
+def test_rank_is_the_rref_pivot_count(case):
+    # rank eliminates forward only; rref also substitutes back
+    F, M = case
+    assert rank(F, M) == len(rref(F, M)[1])
+
+
+@pytest.mark.parametrize("q", [2, 7, 8, 11])
+def test_rank_of_empty_zero_and_deficient_matrices(q):
+    F = field_make(q)
+    # the last two rows are -row and row + u
+    row, u = [1, 2 % q, 3 % q, 0], [0, 1, 1, 1]
+    deficient = [row, u, F.scale(q - 1, row), [F.add(a, b) for a, b in zip(row, u)]]
+    for M, expected in [([], 0), ([[], [], []], 0), ([[0] * 4] * 3, 0),
+                        ([[0, 0], [0, 1]], 1), (deficient, 2)]:
+        assert rank(F, M) == len(rref(F, M)[1]) == expected
 
 
 @pytest.mark.parametrize("q", [2, 4, 7])

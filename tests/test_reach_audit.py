@@ -25,12 +25,6 @@ CLAIM = "kept as paper claim"
 
 ALLOWED = {
     "combinat.graph_params": f"{GATE}: criterion 9",
-    "combinat.ball": f"{REFERENCE}: the definition of B_r(A) that code.ball is tested against",
-    "combinat.shell": f"{REFERENCE}: the definition of S_r(A); the census test checks "
-                      "shell and ball sizes against ball_size",
-    "combinat.hamming_ball": f"{REFERENCE}: the definition that HGCSpec.ball is tested against",
-    "combinat.hamming_shell_index": f"{REFERENCE}: the shell index the Hamming vertex-order "
-                                    "and unit-codeword tests compare against",
     "concat.demand_row": f"{GATE}: criterion 4",
     "concat.subgraph_code_table": f"{GATE}: criterion 4",
     "hgc.certify_hgc_infosets": f"{GATE}: criterion 8",
@@ -46,17 +40,12 @@ ALLOWED = {
     "layered.node_arrays": f"{REFERENCE}: writes the node layout one vector at a time, "
                            "for the same tests",
     "layered.classify_access": f"{GATE}: criterion 1",
-    "matrix.identity": f"{REFERENCE}: the identity matrix of the determinant and compound tests",
-    "matrix.submatrix": f"{REFERENCE}: the restriction all_minors is checked against, "
-                        "one det per minor",
     "matrix.mat_vec": f"{GATE}: criterion 9",
     "matrix.pi_signed": f"{GATE}: criterion 9",
     "matrix.compound": f"{GATE}: criterion 9",
     "rs.det_h": f"{GATE}: criterion 9",
     "rs.ProductPolyCode": f"{CLAIM}: the ball property in product-polynomial form",
     "storesim.LayeredCode": f"{GATE}: criterion 7",
-    "subres.poly_add": f"{REFERENCE}: the property test checks poly_divmod "
-                       "by q * quo + rem == p",
 }
 
 
