@@ -17,9 +17,10 @@ the pairs the change won (by the direction BENCHMARK.json gives), and
 the same for two numbers of each run's details line: the unscaled
 setup median and the reference kernel's median.  Then, on both
 checkouts: one ``--trace 1`` run per workload at seed 3, giving the
-output digest and the per-layer counts (COUNTS), both compared across
-the sides (``digest_equal``, ``counts_equal``), as neither may change
-when the output does not.  The same run's per-layer timings
+output digest and the per-layer counts (COUNTS, the bytes a churn save
+writes among them), both compared across the sides (``digest_equal``,
+``counts_equal``), as neither may change when the output does not.
+The same run's per-layer timings
 (SINGLE_RUN_TIMINGS: every ``*.self_s``, ``field.ops_per_s.*``,
 ``matrix.det5_per_s``, ``matrix.rref_24x48_ms`` and ``trace.*``) are
 kept under each side's ``single_run_timings``; they come from one run
@@ -33,9 +34,10 @@ the median in-process time of ``build_concat``, of
 starts) and of ``ConcatCode.repair`` of every node at (8,5,4,11) and
 (10,6,5,11), of ``LayeredCode`` encode,
 collect from every (n-1)-subset and repair of every node at (8,5,11)
-and (10,4,11), of ``load_state`` at (8,5,4,11) while the code that
-saved the store is alive, and again once no code of those parameters
-is alive (each load drops its result), and of criterion 8's
+and (10,4,11), of ``save_state`` at (8,5,4,11) into one directory,
+of ``load_state`` of that store while the code that saved it is alive,
+and again once no code of those parameters is alive (each load drops
+its result), and of criterion 8's
 sweep (``certify_infosets`` on ``rs_jgc(n,v,k,t,7)`` for every n <= 7,
 codes built before the clock starts), passes of
 ``storesim.collect`` over every k-subset anchor of (8,5,4,11) and
@@ -47,7 +49,11 @@ blob and collects at 30 seeded anchors, each once cold (its schedule
 and plans unbuilt) and then 3 times warm; it reports the quartiles of
 cold minus the warm minimum, of cold and of warm, and the collections
 of each garbage-collector generation over the pass, counted in the
-process by a ``gc.callbacks`` hook.  Then the first-use probe: PAIRS
+process by a ``gc.callbacks`` hook.  Last in the probe, the median
+time of ``save_state`` and of ``load_state`` (the saving code alive)
+at (12,7,6,13), whose 46,656 symbols per node make the persistence
+layer's per-symbol cost visible; it runs after every peak-RSS reading,
+so its larger code does not raise them.  Then the first-use probe: PAIRS
 alternating pairs (the parent first when the pair is even) per shape in
 FIRST_USE_SHAPES, each run a fresh process that builds the code, ingests
 one seeded blob and collects it at one seeded anchor, and reports the
@@ -81,7 +87,7 @@ COUNTS = [
     "field.inv.calls", "matrix.det.calls", "matrix.rref.calls", "matrix.pi.calls",
     "combinat.shell_index.calls", "jgc.syndrome_of.calls",
     "jgc.erasure_decode.calls", "jgc.dense_fallback.calls",
-    "layered.encode_layered.calls",
+    "layered.encode_layered.calls", "storesim.bytes_written",
 ]
 SINGLE_RUN_TIMINGS = [
     "field.ops_per_s.q11", "field.ops_per_s.q8",
@@ -91,6 +97,7 @@ SINGLE_RUN_TIMINGS = [
     "jgc.syndrome_of.self_s", "jgc.erasure_decode.self_s",
     "layered.encode_layered.self_s",
     "concat.collect.self_s", "concat.repair.self_s", "concat.encode.self_s",
+    "storesim.save.self_s", "storesim.load.self_s",
     "trace.overhead_ratio", "trace.traced_s", "trace.untraced_s",
 ]
 
@@ -169,7 +176,8 @@ code = concat.build_concat(8, 5, 4, 11)
 rng = random.Random(1)
 state = storesim.ingest(code, [rng.randrange(code.F.q) for _ in range(code.M)])
 with tempfile.TemporaryDirectory() as tmp:
-    storesim.save_state(state, tmp)
+    out["median_ms"]["save_state(8,5,4,11)"] = median_ms(
+        lambda: storesim.save_state(state, tmp), 9)
     out["median_ms"]["load_state(8,5,4,11)"] = median_ms(
         lambda: storesim.load_state(tmp), 9)
     saved = weakref.ref(code)
@@ -237,6 +245,17 @@ out["cold_minus_warm"] = {
     "gap_ms": quartiles_ms([c - w for c, w in zip(cold, warm)]),
     "cold_ms": quartiles_ms(cold), "warm_ms": quartiles_ms(warm),
     "gc_collections_by_generation": gc_counts}
+
+code = concat.build_concat(12, 7, 6, 13)
+rng = random.Random(1)
+state = storesim.ingest(code, [rng.randrange(code.F.q) for _ in range(code.M)])
+with tempfile.TemporaryDirectory() as tmp:
+    out["median_ms"]["save_state(12,7,6,13)"] = median_ms(
+        lambda: storesim.save_state(state, tmp), 5)
+    if storesim.load_state(tmp).nodes != state.nodes:
+        sys.exit("load_state returned other node arrays")
+    out["median_ms"]["load_state(12,7,6,13)"] = median_ms(
+        lambda: storesim.load_state(tmp), 5)
 print(json.dumps(out))
 """
 

@@ -14,10 +14,12 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+from itertools import repeat
 from typing import Dict, List, Optional, Sequence
 
 from graphcodes.combinat import layer
 from graphcodes.concat import ConcatCode, ReadLog, code_family, live_concat
+from graphcodes.field import _ints
 
 
 class LayeredCode(ConcatCode):
@@ -104,12 +106,14 @@ def _symbol_bytes(q: int) -> int:
 
 
 def _pack(symbols: Sequence[int], width: int) -> bytes:
-    return b"".join(int(x).to_bytes(width, "little") for x in symbols)
+    """Checked symbols, width bytes each, little-endian, packed in C."""
+    if width == 1:
+        return bytes(symbols)
+    return b"".join(map(int.to_bytes, symbols, repeat(width), repeat("little")))
 
 
 def _unpack(data: bytes, width: int) -> List[int]:
-    return [int.from_bytes(data[i:i + width], "little")
-            for i in range(0, len(data), width)]
+    return list(data) if width == 1 else _ints(data, width)
 
 
 def _describe(code: ConcatCode) -> Dict:
@@ -169,12 +173,19 @@ def save_state(state: StorageState, path: str) -> None:
     with os.replace, then deletes the other set.  A save cut short
     before the replace leaves the old state loadable; after it, the new
     one.  Nothing is fsynced, so this covers a crashed process, not a
-    lost page cache.
+    lost page cache.  Every symbol is held to the field's rule before
+    any file is written.  The manifest is written in one write, in the
+    bytes json.dump(manifest, fh, indent=2) gives.
     """
+    F, M = state.code.F, state.code.M
+    if len(F.check_symbols(state.blob, "blob")) != M:
+        raise ValueError(f"blob holds {len(state.blob)} symbols, expected {M}")
+    for i, row in enumerate(state.nodes):
+        F.check_symbols(row, f"node {i}")
     os.makedirs(path, exist_ok=True)
     old = _node_files_in_use(path)
     slot = int(_node_file(0, 0) in old)
-    width = _symbol_bytes(state.code.F.q)
+    width = _symbol_bytes(F.q)
     files, digests = [], {}
     for i, row in enumerate(state.nodes):
         data = _pack(row, width)
@@ -184,19 +195,19 @@ def save_state(state: StorageState, path: str) -> None:
         with open(os.path.join(path, name), "wb") as fh:
             fh.write(data)
     blob_bytes = _pack(state.blob, width)
-    manifest = {
+    head = json.dumps({
         "code": _describe(state.code),
         "alpha": state.code.alpha,
-        "M": state.code.M,
+        "M": M,
         "symbol_bytes": width,
         "node_files": files,
         "digests": digests,
         "blob_digest": hashlib.sha256(blob_bytes).hexdigest(),
-        "blob": list(state.blob),
-    }
+    }, indent=2)
+    blob = ",\n    ".join(map(str, state.blob))
     tmp = os.path.join(path, "manifest.json.tmp")
     with open(tmp, "w") as fh:
-        json.dump(manifest, fh, indent=2)
+        fh.write(f'{head[:-2]},\n  "blob": [\n    {blob}\n  ]\n}}')
     os.replace(tmp, os.path.join(path, "manifest.json"))
     for i in range(len(old)):
         try:

@@ -3,8 +3,9 @@
 Each is the plain, slow form of something the library computes another
 way: the shells and balls of J(n,v) and H(m,n) by enumeration (against
 ball_size and each code's ball), the identity matrix and a submatrix
-(against det, compound and all_minors), and the sum of two polynomials
-(against poly_divmod).
+(against det, compound and all_minors), the sum of two polynomials
+(against poly_divmod), and the per-symbol packing of stored symbols
+(against storesim's _pack and _unpack).
 """
 
 import itertools
@@ -55,3 +56,14 @@ def poly_add(F, p: Sequence[int], q: Sequence[int]) -> List[int]:
     for i, c in enumerate(q):
         out[i] = F.add(out[i], c)
     return poly_trim(out)
+
+
+def pack(symbols: Sequence[int], width: int) -> bytes:
+    """Symbols as width-byte little-endian chunks, one to_bytes each."""
+    return b"".join(int(x).to_bytes(width, "little") for x in symbols)
+
+
+def unpack(data: bytes, width: int) -> List[int]:
+    """The ints of data's consecutive width-byte little-endian chunks."""
+    return [int.from_bytes(data[i:i + width], "little")
+            for i in range(0, len(data), width)]

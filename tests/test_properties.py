@@ -32,7 +32,7 @@ from graphcodes.layered import (
 )
 from graphcodes.matrix import det, mat_mul, mat_vec, pi, rank, rref, solve, take_columns
 from graphcodes.rs import rs_jgc
-from graphcodes.storesim import LayeredCode
+from graphcodes.storesim import LayeredCode, _pack, _unpack
 from graphcodes.subres import (
     poly_deg,
     poly_divmod,
@@ -40,7 +40,7 @@ from graphcodes.subres import (
     poly_mul,
     poly_trim,
 )
-from reference import ball, hamming_ball, hamming_shell_index, poly_add
+from reference import ball, hamming_ball, hamming_shell_index, pack, poly_add, unpack
 
 F = field_make(7)
 
@@ -582,3 +582,22 @@ def test_solve_matches_reference(args, data):
     else:
         assert consistent
         assert [Rf.dot(row, x) for row in A] == b
+
+
+@st.composite
+def packed_symbols(draw):
+    width = draw(st.sampled_from([1, 2]))
+    top = 256 ** width - 1
+    edges = st.sampled_from([0, 1, top - 1, top])
+    return width, draw(st.lists(st.integers(0, top) | edges, max_size=40))
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(packed_symbols())
+def test_store_packers_match_reference(args):
+    # storesim packs by bytes() or map(int.to_bytes) and unpacks by
+    # list() or field._ints; the reference converts one symbol at a time
+    width, symbols = args
+    data = pack(symbols, width)
+    assert _pack(symbols, width) == data
+    assert _unpack(data, width) == unpack(data, width) == symbols

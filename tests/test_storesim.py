@@ -12,6 +12,7 @@ from math import comb
 
 import pytest
 
+import reference
 from graphcodes import storesim
 from graphcodes.concat import build_concat
 from graphcodes.storesim import (
@@ -641,3 +642,105 @@ def test_load_rejects_a_blob_that_is_not_a_list(tmp_path, blob):
     _edit_manifest(path, lambda doc: doc.update(blob=blob))
     with pytest.raises(ValueError, match=r"manifest.json holds a symbol outside GF\(11\)"):
         load_state(path)
+
+
+# sha256 of every file of a first save of the seed-0 blob: any drift of
+# the stored format, node files or manifest text, fails here
+SAVED_FILES = {
+    "(8,5,4,11)": {
+        "manifest.json": "601d9c6f004605c9363bb44ddbf1c1b99d4dc5515b9a7742019464ae084f3c7f",
+        "node_0.bin": "118514cf860752afd3c8a392d592cf0c862245d54f80543898650f1dfd96e4b9",
+        "node_1.bin": "b2e81259a7b59c01275b7b4a4db558ccf46b2472ac3a67f723119fd648d10ac2",
+        "node_2.bin": "19f1861a478fda90fd1bf8ee1ec7c6ba8f111739acca588b4d674e2c9b45115c",
+        "node_3.bin": "30795895a0b28fcaf51e5886fed150c85ac8167d4fa0fa38337e6bb71f21e3fe",
+        "node_4.bin": "1be126298accf11d85f6a02583660ff2a052ae9e695e897c723080b4d56e704f",
+        "node_5.bin": "aea5bcde407b18ecbc61de93ff59d4b184b59d2a681daef6de01aa85b14af349",
+        "node_6.bin": "70f4ad0ff512b1345f24533b7cb04a895dbea4d86d22c51ec0ca1cd93e8535b6",
+        "node_7.bin": "d533c3ede1b12e6d3504c7cc5e481d8c166e7595179d5077fab18fce1b1e7ef9",
+    },
+    "LayeredCode(6,3,11)": {
+        "manifest.json": "1c271ba9869d189308fe02db0159d844499286404a6e3cd65b531b1c2f9e13b9",
+        "node_0.bin": "929830adec5a8fee0fed3017d7f4baf455ba106a58148f4dffabe1a6ee87674a",
+        "node_1.bin": "18513fcec43ff616cf9127f198884ec4bb3a0d6f2838de4865d10887e3dfba84",
+        "node_2.bin": "ec1df483849d84276f5436bdc1356cf8432bd0a0787a4aa830a84a56845ae67b",
+        "node_3.bin": "be5ffad29e0665c7706e29206781cb7137d0760a9007d1138f3665375281840b",
+        "node_4.bin": "da156b88f23f61883d290dbc356e65aa57ca69ead0fad22b582a02ca83077e24",
+        "node_5.bin": "88bc1c9983c54eb73dec6b7ea6cb72f04f46f83ab580b613b4c0064c5df69cc5",
+    },
+}
+PINNED_CODES = {"(8,5,4,11)": lambda: build_concat(8, 5, 4, 11),
+                "LayeredCode(6,3,11)": lambda: LayeredCode(6, 3, 11)}
+
+
+def _saved(tmp_path, name):
+    code = PINNED_CODES[name]()
+    path = str(tmp_path / "store")
+    save_state(ingest(code, _seeded_blob(code)), path)
+    return path
+
+
+@pytest.mark.parametrize("name", sorted(SAVED_FILES))
+def test_saved_files_keep_their_bytes(tmp_path, name):
+    path = _saved(tmp_path, name)
+    got = {}
+    for f in sorted(os.listdir(path)):
+        with open(os.path.join(path, f), "rb") as fh:
+            got[f] = hashlib.sha256(fh.read()).hexdigest()
+    assert got == SAVED_FILES[name]
+
+
+@pytest.mark.parametrize("name", sorted(SAVED_FILES))
+def test_manifest_text_is_json_dump_with_indent_2(tmp_path, name):
+    with open(os.path.join(_saved(tmp_path, name), "manifest.json")) as fh:
+        text = fh.read()
+    assert text == json.dumps(json.loads(text), indent=2)
+
+
+def test_two_byte_store_packs_as_the_reference(tmp_path):
+    code = LayeredCode(5, 3, 257)
+    state = ingest(code, _seeded_blob(code, 17))
+    # 256, GF(257)'s one symbol with a nonzero high byte, is in the blob and a node
+    assert 256 in state.blob and 256 in map(max, state.nodes)
+    path = str(tmp_path / "store")
+    save_state(state, path)
+    with open(os.path.join(path, "manifest.json")) as fh:
+        doc = json.load(fh)
+    assert doc["symbol_bytes"] == 2
+    assert doc["blob_digest"] == hashlib.sha256(reference.pack(state.blob, 2)).hexdigest()
+    for name, row in zip(doc["node_files"], state.nodes):
+        with open(os.path.join(path, name), "rb") as fh:
+            assert fh.read() == reference.pack(row, 2)
+    back = load_state(path)
+    assert back.blob == state.blob and back.nodes == state.nodes
+
+
+# one of each kind of non-symbol: truncated by int(), in [q, 256) so it
+# fits a byte, an int subclass, and no number at all
+NOT_SYMBOLS = [3.7, 200, True, None]
+
+
+@pytest.mark.parametrize("where", ["node", "blob"])
+@pytest.mark.parametrize("bad", NOT_SYMBOLS, ids=repr)
+def test_save_refuses_a_symbol_outside_the_field(tmp_path, bad, where):
+    code = LayeredCode(6, 3, 11)
+    old = ingest(code, _seeded_blob(code, 1))
+    new = ingest(code, _seeded_blob(code, 2))
+    path = str(tmp_path / "store")
+    save_state(old, path)
+    if where == "node":
+        new.nodes[2][3], label = bad, "node 2"
+    else:
+        new.blob[3], label = bad, "blob"
+    with pytest.raises(ValueError, match=rf"{label} holds a symbol outside GF\(11\): {bad!r}"):
+        save_state(new, path)
+    back = load_state(path)
+    assert back.blob == old.blob and back.nodes == old.nodes
+
+
+def test_save_refuses_a_blob_of_the_wrong_length(tmp_path):
+    code = LayeredCode(6, 3, 11)
+    state = ingest(code, _seeded_blob(code))
+    state.blob.pop()
+    with pytest.raises(ValueError, match="blob holds 39 symbols, expected 40"):
+        save_state(state, str(tmp_path / "store"))
+    assert not os.path.exists(tmp_path / "store")
