@@ -38,8 +38,9 @@ and (10,4,11), of ``save_state`` at (8,5,4,11) into one directory,
 of ``load_state`` of that store while the code that saved it is alive,
 and again once no code of those parameters is alive (each load drops
 its result), and of criterion 8's
-sweep (``certify_infosets`` on ``rs_jgc(n,v,k,t,7)`` for every n <= 7,
-codes built before the clock starts), passes of
+sweep (``certify_infosets`` on ``rs_jgc(n,v,k,t,q)`` for every n <= 7,
+one median for q = 7 and one for q = 8, as the certify-sweep workload
+runs both, codes built before the clock starts), passes of
 ``storesim.collect`` over every k-subset anchor of (8,5,4,11) and
 (10,6,5,11), each followed by the process's peak RSS (``ru_maxrss``:
 a pass over every anchor fills every per-anchor cache), the
@@ -187,10 +188,11 @@ with tempfile.TemporaryDirectory() as tmp:
         sys.exit("the code that saved the store is still alive")
     out["median_ms"]["load_state(8,5,4,11), no live code"] = median_ms(
         lambda: storesim.load_state(tmp), 9)
-sweep = [rs.rs_jgc(n, v, k, t, 7) for n in range(2, 8) for v in range(1, n + 1)
-         for k in range(1, n) for t in range(1, min(v, k) + 1)]
-out["median_ms"]["certify_infosets(rs_jgc(n,v,k,t,7)), n<=7"] = median_ms(
-    lambda: [jgc.certify_infosets(c) for c in sweep], 5)
+for q in (7, 8):
+    sweep = [rs.rs_jgc(n, v, k, t, q) for n in range(2, 8) for v in range(1, n + 1)
+             for k in range(1, n) for t in range(1, min(v, k) + 1)]
+    out["median_ms"]["certify_infosets(rs_jgc(n,v,k,t,%d)), n<=7" % q] = median_ms(
+        lambda: [jgc.certify_infosets(c) for c in sweep], 5)
 out["all_anchor_collects"] = []
 for shape, passes in (((8, 5, 4, 11), 3), ((10, 6, 5, 11), 1)):
     code = concat.build_concat(*shape)

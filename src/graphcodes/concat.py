@@ -315,7 +315,16 @@ def code_family(n: int, v: int, k: int) -> Optional[str]:
         raise ValueError(f"need 1 <= v <= n, got v={v}, n={n}")
     if k == n - 1:
         return "layered"
-    return "concat" if v == k + 1 and comb(n - k, v) == 0 else None
+    return "concat" if v == k + 1 > n - k else None
+
+
+def named_family(n: int, v: int, k: int) -> str:
+    """code_family(n, v, k), or ValueError when it names no family."""
+    family = code_family(n, v, k)
+    if family is None:
+        raise ValueError(f"need v = k+1 > n-k (concatenated) or k = n-1 "
+                         f"(pure layered), got n={n}, v={v}, k={k}")
+    return family
 
 
 class ReadLog:
@@ -369,10 +378,7 @@ class ConcatCode:
     """
 
     def __init__(self, n: int, v: int, k: int, q: int):
-        family = code_family(n, v, k)
-        if family is None:
-            raise ValueError(f"need v = k+1 > n-k (concatenated) or k = n-1 "
-                             f"(pure layered), got n={n}, v={v}, k={k}")
+        family = named_family(n, v, k)
         self.F = field_make(q)
         if family == "concat" and q < n:
             raise ValueError(f"need q >= n, got q={q}, n={n}")

@@ -322,10 +322,13 @@ def certify_infosets(code: GraphCode) -> Dict[str, List[tuple]]:
     Anchors that are not information sets of the base code cannot
     satisfy the guarantee and are reported under "skipped"; among the
     remaining anchors, "pass" and "fail" record whether the generator
-    restricted to the ball columns has full rank.  The base and the
-    generator are each row-reduced once per call (column_rank_test), so
-    each anchor costs one rank of a block with at most min(dim, codim)
-    rows.
+    restricted to the ball columns has full rank.  column_rank_test
+    does the base's and the generator's elimination once per call: one
+    forward rank when the matrix is square (the ball is then every
+    column), else one rref.  Then an anchor costs no elimination when
+    the pivot columns lie in its ball or the block to rank is 1x1 or
+    2x2, and one rank of a block with at most min(dim, codim) rows
+    otherwise.
     """
     base_spans = column_rank_test(code.F, code.base)
     spans = column_rank_test(code.F, code.generator)

@@ -118,23 +118,40 @@ def column_rank_test(F: FieldSpec, M: Mat) -> Callable[[Sequence[int]], bool]:
     """``spans(cols)``: whether M restricted to the columns cols has full
     row rank, i.e. ``rank(take_columns(M, cols)) == len(M)``.
 
-    M is row-reduced once, R = rref(M) with pivot columns P.  Row
+    A square M has one column set that can reach full row rank, all of
+    its columns, so it costs one forward rank and no rref.  Otherwise M
+    is row-reduced once, R = rref(M) with pivot columns P.  Row
     operations keep the rank of every column subset, and the columns of
     P in S are unit columns of R, so M[:, S] has full row rank exactly
     when |P| = len(M) and the block of R on the rows whose pivot lies
     outside S and the columns of S outside P has full row rank.  That
-    block has at most min(len(M), n - |S|) rows and none when P lies in
-    S; each call is one rank of it.
+    block is empty when P lies in S (True, no list built); one row is
+    answered by a nonzero entry, 2x2 by its determinant, and only a
+    larger block is ranked.  Row and column order inside the block do
+    not matter: permutations keep the rank.
     """
+    if M and len(M[0]) == len(M):
+        full = rank(F, M) == len(M)
+        return lambda cols: full and len(set(cols)) == len(M)
     R, pivots = rref(F, M)
     if len(pivots) < len(M):
         return lambda cols: False
-    pivot_set = set(pivots)
+    pivot_set = frozenset(pivots)
+    row_of = dict(zip(pivots, R))
+    mul = F.mul
 
     def spans(cols: Sequence[int]) -> bool:
-        inside = set(cols)
-        rows = [row for row, p in zip(R, pivots) if p not in inside]
+        missing = pivot_set.difference(cols)
+        if not missing:
+            return True
         free = [c for c in cols if c not in pivot_set]
+        rows = [row_of[p] for p in missing]
+        if len(rows) == 1:
+            row = rows[0]
+            return any(row[c] for c in free)
+        if len(free) == 2 == len(rows):
+            (a, b), (c, d) = ([row[j] for j in free] for row in rows)
+            return mul(a, d) != mul(b, c)
         return rank(F, [[row[c] for c in free] for row in rows]) == len(rows)
 
     return spans

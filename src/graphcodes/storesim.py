@@ -15,11 +15,12 @@ import hashlib
 import json
 import os
 from itertools import repeat
-from typing import Dict, List, Optional, Sequence
+from math import comb
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from graphcodes.combinat import layer
-from graphcodes.concat import ConcatCode, ReadLog, code_family, live_concat
-from graphcodes.field import _ints
+from graphcodes.concat import ConcatCode, ReadLog, code_family, live_concat, named_family
+from graphcodes.field import _check_order, _ints
 
 
 class LayeredCode(ConcatCode):
@@ -48,6 +49,8 @@ class StorageState:
         self.code = code
         self.blob = list(blob)
         self.nodes = nodes if nodes is not None else code.encode(self.blob)
+        if len(self.nodes) != code.n:
+            raise ValueError(f"{len(self.nodes)} node arrays, expected n={code.n}")
         if any(len(row) != code.alpha for row in self.nodes):
             raise ValueError("node array width differs from alpha")
         self.access_log: List[ReadLog] = []
@@ -131,20 +134,40 @@ def _required(doc: Dict, key: str, where: str = "manifest"):
         raise ValueError(f"{where} has no {key!r}") from None
 
 
-def code_from_manifest(doc: Dict) -> ConcatCode:
-    """live_concat of the (n, v, k, q) a code description names: a live
-    code of those parameters is shared (a code does not change after it
-    is built), else one is built.  Raises ValueError unless
-    _describe(code) gives back that description."""
+def _shape(doc: Dict) -> Tuple[int, int, int, int]:
+    """The (n, v, k, q) a code description names, checked as a build
+    checks them, with no build: ValueError unless they are ints and
+    code_family names a family for (n, v, k)."""
     where = "code description"
     family, n, v, q = (_required(doc, key, where) for key in ("family", "n", "v", "q"))
     if family == "layered":  # no k: it is n-1, and code_family names a non-int n
         k = n - 1 if isinstance(n, int) else None
     else:
         k = _required(doc, "k", where)
-    code = live_concat(n, v, k, q)
+    named_family(n, v, k)
+    _check_order(q)
+    return n, v, k, q
+
+
+def _sizes(n: int, v: int, k: int) -> Tuple[int, int]:
+    """(alpha, M) of the code of a shape that code_family names, in
+    closed form: C(n-1, v-1) and C(n, v) (v-1) for the pure layered code
+    (k = n-1), the MSR point (n-k)^k and k alpha for the cascade."""
+    if k == n - 1:
+        return comb(n - 1, v - 1), comb(n, v) * (v - 1)
+    alpha = (n - k) ** k
+    return alpha, k * alpha
+
+
+def code_from_manifest(doc: Dict) -> ConcatCode:
+    """live_concat of the (n, v, k, q) a code description names: a live
+    code of those parameters is shared (a code does not change after it
+    is built), else one is built.  Raises ValueError unless
+    _describe(code) gives back that description."""
+    code = live_concat(*_shape(doc))
     if _describe(code) != doc:
-        raise ValueError(f"{where} {doc!r} differs from the code's own {_describe(code)!r}")
+        raise ValueError(f"code description {doc!r} differs from the code's own "
+                         f"{_describe(code)!r}")
     return code
 
 
@@ -219,35 +242,47 @@ def save_state(state: StorageState, path: str) -> None:
 def load_state(path: str) -> StorageState:
     """The state save_state wrote at path, every digest and symbol
     checked; a live code of the manifest's parameters is shared, not
-    rebuilt (code_from_manifest)."""
+    rebuilt (code_from_manifest).
+
+    Before a code is built, node_files must be the n names of the
+    description's n, each file alpha * symbol_bytes bytes long (alpha
+    in closed form, _sizes), so a load does work bounded by the bytes
+    of the store: a manifest naming a huge code is refused unbuilt."""
     with open(os.path.join(path, "manifest.json")) as fh:
         manifest = json.load(fh)
-    code = code_from_manifest(_required(manifest, "code"))
-    width = _symbol_bytes(code.F.q)
+    desc = _required(manifest, "code")
+    n, v, k, q = _shape(desc)
+    files = _required(manifest, "node_files")
+    # the length first, so the manifest's own size bounds n
+    if (type(files) is not list or len(files) != n
+            or files not in ([_node_file(i, slot) for i in range(n)] for slot in (0, 1))):
+        raise ValueError(f"manifest lists unexpected node files {files!r}")
+    (alpha, M), width = _sizes(n, v, k), _symbol_bytes(q)
     # type(x) is int refuses bools, as JSON true loads as one
-    for key, want in (("alpha", code.alpha), ("M", code.M), ("symbol_bytes", width)):
+    for key, want in (("alpha", alpha), ("M", M), ("symbol_bytes", width)):
         got = _required(manifest, key)
         if type(got) is not int or got != want:
             raise ValueError(f"manifest {key}={got!r} differs from the code's {key}={want}")
     digests = _required(manifest, "digests")
-    files = _required(manifest, "node_files")
-    if files not in ([_node_file(i, slot) for i in range(code.n)]
-                     for slot in (0, 1)):
-        raise ValueError(f"manifest lists unexpected node files {files!r}")
     nodes = []
     for name in files:
         with open(os.path.join(path, name), "rb") as fh:
+            if os.fstat(fh.fileno()).st_size != alpha * width:
+                raise ValueError(f"{name} is not alpha*symbol_bytes = {alpha * width} bytes long")
             data = fh.read()
-        digest = hashlib.sha256(data).hexdigest()
-        if digest != _required(digests, name, "manifest digests"):
+        if hashlib.sha256(data).hexdigest() != _required(digests, name, "manifest digests"):
             raise ValueError(f"digest mismatch for {name}")
         nodes.append(_unpack(data, width))
+    code = code_from_manifest(desc)
     blob = code.F.check_symbols(_required(manifest, "blob"), "manifest.json")
-    if len(blob) != code.M:
-        raise ValueError(f"manifest.json holds {len(blob)} blob symbols, expected {code.M}")
+    if len(blob) != M:
+        raise ValueError(f"manifest.json holds {len(blob)} blob symbols, expected {M}")
     state = StorageState(code, blob, nodes)
+    # unpacked bytes are non-negative ints, so only a symbol >= q can
+    # fail; the full check runs then, to name it
     for name, row in zip(files, nodes):
-        code.F.check_symbols(row, name)
+        if max(row) >= q:
+            code.F.check_symbols(row, name)
     if (hashlib.sha256(_pack(blob, width)).hexdigest()
             != _required(manifest, "blob_digest")):
         raise ValueError("digest mismatch for the manifest blob")

@@ -4,14 +4,16 @@ Each is the plain, slow form of something the library computes another
 way: the shells and balls of J(n,v) and H(m,n) by enumeration (against
 ball_size and each code's ball), the identity matrix and a submatrix
 (against det, compound and all_minors), the sum of two polynomials
-(against poly_divmod), and the per-symbol packing of stored symbols
-(against storesim's _pack and _unpack).
+(against poly_divmod), the per-symbol packing of stored symbols
+(against storesim's _pack and _unpack), and a column-subset rank test
+that ranks every block (against matrix.column_rank_test).
 """
 
 import itertools
 from typing import List, Sequence, Set, Tuple
 
 from graphcodes.combinat import shell_index
+from graphcodes.matrix import rank, rref
 from graphcodes.subres import poly_trim
 
 
@@ -67,3 +69,22 @@ def unpack(data: bytes, width: int) -> List[int]:
     """The ints of data's consecutive width-byte little-endian chunks."""
     return [int.from_bytes(data[i:i + width], "little")
             for i in range(0, len(data), width)]
+
+
+def column_rank_test(F, M):
+    """spans(cols), whether M on the columns cols has full row rank: one
+    rref of M, then one rank per call of the block of the rref on the
+    rows whose pivot lies outside cols and the non-pivot columns of
+    cols, whatever the shape of M or of the block."""
+    R, pivots = rref(F, M)
+    if len(pivots) < len(M):
+        return lambda cols: False
+    pivot_set = set(pivots)
+
+    def spans(cols):
+        inside = set(cols)
+        rows = [row for row, p in zip(R, pivots) if p not in inside]
+        free = [c for c in cols if c not in pivot_set]
+        return rank(F, [[row[c] for c in free] for row in rows]) == len(rows)
+
+    return spans

@@ -4,6 +4,8 @@ import itertools
 
 import pytest
 
+import reference
+from graphcodes import jgc
 from graphcodes.combinat import hamming_vertices
 from graphcodes.field import field_make
 from graphcodes.hgc import (
@@ -118,6 +120,19 @@ def test_dim_is_the_generator_row_count_before_the_rows_are_built():
                 dim = code.dim
                 assert dim == len(code.generator)
                 assert dim == len(code.ball(range(code.k)))
+
+
+def test_certify_reports_equal_the_reference(monkeypatch):
+    # the Hamming codes of the dimension test: the reports agree with a
+    # rank test that ranks every block
+    F3 = field_make(3)
+    bases = [(F2, EXAMPLE_BASE), (F2, [[1, 1]]), (F2, [[1, 0, 1]]),
+             (F3, [[1, 1, 1]]), (F3, [[1, 0, 1], [0, 1, 2]])]
+    codes = [construct_hgc(F, base, m, t) for F, base in bases
+             for m in range(1, 4) for t in range(1, m + 1)]
+    reports = [certify_hgc_infosets(code) for code in codes]
+    monkeypatch.setattr(jgc, "column_rank_test", reference.column_rank_test)
+    assert [certify_hgc_infosets(code) for code in codes] == reports
 
 
 def test_typed_input_errors():

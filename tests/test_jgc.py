@@ -6,6 +6,7 @@ from math import comb
 
 import pytest
 
+import reference
 from graphcodes import jgc
 from graphcodes.combinat import ball_size, complement, graph_params, shell_index
 from graphcodes.field import field_make
@@ -54,6 +55,18 @@ def test_example_certification():
     assert report["fail"] == []
     assert report["skipped"] == [(0, 2), (1, 4)]
     assert len(report["pass"]) == comb(5, 2) - 2
+
+
+def test_certify_reports_equal_the_reference_on_the_sweep(monkeypatch):
+    # criterion 8's sweep, every RS graph code with n <= 7 over GF(7) and
+    # GF(8): the reports agree with a rank test that ranks every block
+    sweep = [rs_jgc(n, v, k, t, q) for q in (7, 8) for n in range(2, 8)
+             for v in range(1, n + 1) for k in range(1, n)
+             for t in range(1, min(v, k) + 1)]
+    assert len(sweep) == 504
+    reports = [certify_infosets(code) for code in sweep]
+    monkeypatch.setattr(jgc, "column_rank_test", reference.column_rank_test)
+    assert [certify_infosets(code) for code in sweep] == reports
 
 
 def test_mds_base_passes_every_anchor():

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from graphcodes import matrix
 from graphcodes.combinat import johnson_vertices
 from graphcodes.field import field_make
 from graphcodes.matrix import (
@@ -147,6 +148,18 @@ def test_rank_of_empty_zero_and_deficient_matrices(q):
         assert rank(F, M) == len(rref(F, M)[1]) == expected
 
 
+def _assert_spans_on_every_subset(F, M):
+    """spans(cols) against the rank of M on cols, for every column
+    subset (none and all included) listed forwards and backwards."""
+    spans = column_rank_test(F, M)
+    n = len(M[0])
+    for s in range(n + 1):
+        for cols in combinations(range(n), s):
+            expected = rank(F, take_columns(M, cols)) == len(M)
+            assert spans(cols) == expected, (M, cols)
+            assert spans(cols[::-1]) == expected, (M, cols)
+
+
 @pytest.mark.parametrize("q", [2, 4, 7])
 def test_column_rank_test_matches_rank_on_every_subset(q):
     # random 3 x 6 and 2 x 6 matrices, one whose last row is the sum of
@@ -160,13 +173,61 @@ def test_column_rank_test_matches_rank_on_every_subset(q):
     mats.append(dependent + [[F.add(a, b) for a, b in zip(*dependent)]])
     mats.append(_rand_mat(rng, F, 2, 6) + [[0] * 6])
     for M in mats:
-        spans = column_rank_test(F, M)
+        _assert_spans_on_every_subset(F, M)
+    assert column_rank_test(F, [])([])
+
+
+BLOCK_FIELDS = [4, 7, 8, 9, 11]
+
+
+@pytest.mark.parametrize("q", BLOCK_FIELDS)
+def test_column_rank_test_on_square_matrices(q):
+    # a square matrix spans on all of its columns exactly when it has
+    # full rank, and on no smaller set
+    F = field_make(q)
+    rng = random.Random(70 + q)
+    full = _rand_mat(rng, F, 3, 3)
+    while rank(F, full) < 3:
+        full = _rand_mat(rng, F, 3, 3)
+    a, b = rng.randrange(1, q), rng.randrange(1, q)
+    # the 2x2 one has ad = bc with every entry nonzero
+    singular = full[:2] + [[F.add(x, y) for x, y in zip(*full[:2])]]
+    dependent = [[a, b], [F.mul(a, b), F.mul(b, b)]]
+    for M, has_full_rank in [(full, True), (singular, False), ([[0]], False),
+                             ([[a]], True), ([[a, 0], [0, b]], True),
+                             (dependent, False)]:
+        assert (rank(F, M) == len(M)) == has_full_rank
+        _assert_spans_on_every_subset(F, M)
+
+
+@pytest.mark.parametrize("q", BLOCK_FIELDS)
+def test_column_rank_test_answers_blocks_of_one_two_and_three_rows(q, monkeypatch):
+    # random full-rank 3 x 6 matrices give every block shape up to 3x3
+    # over the column subsets; a 1x1 or 2x2 block is answered without a
+    # rank, a larger one with
+    F = field_make(q)
+    rng = random.Random(80 + q)
+    ranked, shapes = [], set()
+
+    def recording_rank(F, M):
+        ranked.append((len(M), len(M[0]) if M else 0))
+        return rank(F, M)
+
+    for _ in range(3):
+        M = _rand_mat(rng, F, 3, 6)
+        while rank(F, M) < 3:
+            M = _rand_mat(rng, F, 3, 6)
+        pivots = set(rref(F, M)[1])
         for s in range(7):
             for cols in combinations(range(6), s):
-                expected = rank(F, take_columns(M, cols)) == len(M)
-                assert spans(cols) == expected
-                assert spans(cols[::-1]) == expected
-    assert column_rank_test(F, [])([])
+                missing = len(pivots - set(cols))
+                shapes.add((missing, len(set(cols) - pivots)))
+        monkeypatch.setattr(matrix, "rank", recording_rank)
+        _assert_spans_on_every_subset(F, M)
+        monkeypatch.undo()
+    assert {(1, 1), (2, 2), (3, 3)} <= shapes
+    assert (3, 3) in ranked
+    assert not {(1, 1), (2, 2)} & set(ranked)
 
 
 def test_pi_signed_equals_extended_determinant():

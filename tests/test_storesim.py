@@ -7,6 +7,7 @@ import json
 import os
 import random
 import re
+import time
 import weakref
 from math import comb
 
@@ -25,6 +26,7 @@ from graphcodes.storesim import (
     repair_node,
     save_state,
 )
+from test_concat import END_TO_END_SHAPES
 
 
 def _seeded_blob(code, seed=0):
@@ -569,6 +571,73 @@ def test_load_rejects_unexpected_node_files(tmp_path):
     _edit_manifest(path, lambda doc: doc.pop("node_files"))
     with pytest.raises(ValueError, match="node_files"):
         load_state(path)
+
+
+def test_save_of_a_short_node_list_keeps_the_old_store(tmp_path):
+    # a state of n-1 node arrays is refused before save_state could
+    # write n-1 files and delete the n the store lists
+    code = LayeredCode(6, 3, 11)
+    old = ingest(code, _seeded_blob(code, 1))
+    path = str(tmp_path / "store")
+    save_state(old, path)
+    new = ingest(code, _seeded_blob(code, 2))
+    with pytest.raises(ValueError, match="5 node arrays, expected n=6"):
+        save_state(StorageState(code, new.blob, new.nodes[:-1]), path)
+    back = load_state(path)
+    assert back.blob == old.blob and back.nodes == old.nodes
+
+
+@pytest.mark.parametrize("code_name, shape", [
+    ("concat", {"n": 10**30}), ("layered", {"n": 10**30}),
+    # v = k+1 <= n-k names no code, and C(n-k, v) has millions of digits
+    ("concat", {"n": 10**9, "v": 10**6 + 1, "k": 10**6})], ids=repr)
+def test_load_of_a_huge_shape_is_refused_typed(tmp_path, code_name, shape):
+    code = build_concat(6, 4, 3, 7) if code_name == "concat" else LayeredCode(6, 3, 11)
+    path = str(tmp_path / "store")
+    save_state(ingest(code, _seeded_blob(code)), path)
+    _edit_manifest(path, lambda doc: doc["code"].update(shape))
+    t0 = time.perf_counter()
+    with pytest.raises(ValueError):
+        load_state(path)
+    assert time.perf_counter() - t0 < 1
+
+
+HUGE = {"family": "concat", "n": 30, "v": 16, "k": 15, "q": 31, "scenario": "2-1"}
+
+
+@pytest.mark.parametrize("files", ["the store's", "n names"])
+def test_load_of_a_huge_code_is_refused_unbuilt(tmp_path, files):
+    # (30,16,15,31) has alpha = 15^15, about 4.4e17, and its build ran
+    # for 20 s under a 1 GB limit until it was killed; the node file
+    # list, or with n names the node file sizes, refuse it unbuilt
+    code = build_concat(6, 4, 3, 7)
+    path = str(tmp_path / "store")
+    save_state(ingest(code, _seeded_blob(code)), path)
+    names = [f"node_{i}.bin" for i in range(HUGE["n"])]
+
+    def edit(doc):
+        doc["code"] = HUGE
+        if files == "n names":
+            doc.update(alpha=15 ** 15, M=15 * 15 ** 15, node_files=names)
+
+    _edit_manifest(path, edit)
+    for name in names[code.n:]:
+        with open(os.path.join(path, name), "wb") as fh:
+            fh.write(bytes(code.alpha))
+    match = "unexpected node files" if files == "the store's" else "is not alpha.symbol_bytes"
+    t0 = time.perf_counter()
+    with pytest.raises(ValueError, match=match):
+        load_state(path)
+    assert time.perf_counter() - t0 < 1
+
+
+@pytest.mark.parametrize("shape", END_TO_END_SHAPES + [(n, v, n - 1, 11) for n, v in
+                                                       [(4, 2), (5, 1), (6, 3), (8, 5)]],
+                         ids=repr)
+def test_closed_form_alpha_and_M_are_the_codes(shape):
+    n, v, k, q = shape
+    code = build_concat(n, v, k, q)
+    assert storesim._sizes(n, v, k) == (code.alpha, code.M)
 
 
 @pytest.mark.parametrize("bad", ["q", "-1", "None", "True"])
