@@ -19,7 +19,9 @@ setup median and the reference kernel's median.  Then, on both
 checkouts: one ``--trace 1`` run per workload at seed 3, giving the
 output digest and the per-layer counts (COUNTS, the bytes a churn save
 writes among them), both compared across the sides (``digest_equal``,
-``counts_equal``), as neither may change when the output does not.
+``counts_equal``, and ``counts_differ``, the names of the COUNTS that
+differ), as neither may change when the output does not, save the
+bytes written when the stored format changes.
 The same run's per-layer timings
 (SINGLE_RUN_TIMINGS: every ``*.self_s``, ``field.ops_per_s.*``,
 ``matrix.det5_per_s``, ``matrix.rref_24x48_ms`` and ``trace.*``) are
@@ -53,7 +55,8 @@ of each garbage-collector generation over the pass, counted in the
 process by a ``gc.callbacks`` hook.  Last in the probe, the median
 time of ``save_state`` and of ``load_state`` (the saving code alive)
 at (12,7,6,13), whose 46,656 symbols per node make the persistence
-layer's per-symbol cost visible; it runs after every peak-RSS reading,
+layer's per-symbol cost visible, with the bytes of that store (its
+manifest and node files); it runs after every peak-RSS reading,
 so its larger code does not raise them.  Then the first-use probe: PAIRS
 alternating pairs (the parent first when the pair is even) per shape in
 FIRST_USE_SHAPES, each run a fresh process that builds the code, ingests
@@ -129,7 +132,7 @@ print(json.dumps({"build_s": build, "ingest_s": t1 - t0, "collect_s": t2 - t1,
 # time field_make, code builds, loads, criterion 8's certify sweep and
 # all-anchor collect passes in a fresh process
 PROBE = r"""
-import gc, itertools, json, random, resource, statistics, sys, tempfile, time, weakref
+import gc, itertools, json, os, random, resource, statistics, sys, tempfile, time, weakref
 from graphcodes import concat, field, jgc, rs, storesim
 out = {"field_make_s": {}}
 for q in (243, 256):
@@ -254,6 +257,8 @@ state = storesim.ingest(code, [rng.randrange(code.F.q) for _ in range(code.M)])
 with tempfile.TemporaryDirectory() as tmp:
     out["median_ms"]["save_state(12,7,6,13)"] = median_ms(
         lambda: storesim.save_state(state, tmp), 5)
+    out["store_bytes(12,7,6,13)"] = sum(
+        os.path.getsize(os.path.join(tmp, name)) for name in os.listdir(tmp))
     if storesim.load_state(tmp).nodes != state.nodes:
         sys.exit("load_state returned other node arrays")
     out["median_ms"]["load_state(12,7,6,13)"] = median_ms(
@@ -351,7 +356,8 @@ def main():
                                        for k in SINGLE_RUN_TIMINGS}}
         parent, change = per_layer[workload]["parent"], per_layer[workload]["change"]
         per_layer[workload]["digest_equal"] = parent["digest"] == change["digest"]
-        per_layer[workload]["counts_equal"] = all(parent[k] == change[k] for k in COUNTS)
+        per_layer[workload]["counts_differ"] = [k for k in COUNTS if parent[k] != change[k]]
+        per_layer[workload]["counts_equal"] = not per_layer[workload]["counts_differ"]
     probes = {side: [] for side in sides}
     for r in range(PROBE_ROUNDS):
         for side in ("parent", "change") if r % 2 == 0 else ("change", "parent"):

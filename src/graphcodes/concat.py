@@ -488,6 +488,19 @@ class ConcatCode:
             out = self._lifts[key] = tuple(pos)
         return out
 
+    def _vectors(self) -> Dict[int, list]:
+        """One region vector per size, every position unknown (None)."""
+        return {u: [None] * (self.lspec[u].R * u) for u in self.order}
+
+    def _payload(self, vectors: Dict[int, list]) -> List[int]:
+        """The payload at data[u] of the region vectors, by component."""
+        payload: List[Sequence[int]] = [()] * len(self.sizes)
+        for u, ids in self.order.items():
+            vals = self.kernels[u].unpack(getter(self.data[u])(vectors[u]))
+            for b, cid in enumerate(ids):
+                payload[cid] = vals[b::len(ids)]
+        return _flat(payload)
+
     def _array(self, nodes: Sequence[Sequence[int]], i: int) -> Sequence[int]:
         """nodes[i], or ValueError unless it is there with alpha entries."""
         if i >= len(nodes) or len(nodes[i]) != self.alpha:
@@ -672,7 +685,7 @@ class ConcatCode:
             raise ValueError(f"expected {self.M} payload symbols, "
                              f"got {len(payload)}")
         self.F.check_symbols(list(payload), "payload")
-        vectors = {u: [None] * (self.lspec[u].R * u) for u in self.order}
+        vectors = self._vectors()
         injected: Dict[int, List[int]] = {}
         for u, w in vectors.items():
             n = len(self.data[u])
@@ -701,17 +714,19 @@ class ConcatCode:
         A = layer([check_node(self.n, i) for i in A])
         if len(A) != self.k:
             raise ValueError(f"need exactly k={self.k} nodes, got {len(A)}")
-        vectors = {u: [None] * (self.lspec[u].R * u) for u in self.order}
+        vectors = self._vectors()
         log = self._gather(nodes, [self.reads[i] for i in A], vectors)
         injected: Dict[int, List[int]] = {}
-        payload: List[Sequence[int]] = [()] * len(self.sizes)
         for u, w in vectors.items():
-            ids = self.order[u]
             self._replay(u, w, self._schedule(u, A), None, injected, vectors)
-            vals = self.kernels[u].unpack([w[p] for p in self.data[u]])
-            for b, cid in enumerate(ids):
-                payload[cid] = vals[b::len(ids)]
-        return _flat(payload), log
+        return self._payload(vectors), log
+
+    def stored_payload(self, nodes: Sequence[Sequence[int]]) -> List[int]:
+        """The payload the n nodes store at data[u], every node read and
+        checked as a collect reads it (_gather of reads); no decode."""
+        vectors = self._vectors()
+        self._gather(nodes, self.reads, vectors)
+        return self._payload(vectors)
 
     # ----- repair -----
 
@@ -730,7 +745,7 @@ class ConcatCode:
         already rebuilt copies, one size at a time.
         """
         check_node(self.n, failed)
-        vectors = {u: [None] * (self.lspec[u].R * u) for u in self.order}
+        vectors = self._vectors()
         reads = self._repairs.get(failed)
         if reads is None:
             # per helper j: the columns, and the positions (per size), of

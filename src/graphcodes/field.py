@@ -53,10 +53,19 @@ def _factor_prime_power(q: int) -> Optional[tuple]:
             return (p, m)
 
 
+# the orders a field is built for: below 2^31, so factoring q tries at
+# most 46,341 divisors, and at most 2^10 for q = p^m, m > 1, whose q x q
+# tables then hold a million entries each
+MAX_ORDER, MAX_TABLE_ORDER = 2**31, 2**10
+
+
 def _check_order(q) -> None:
-    """Reject a field order that is not an int (a bool or float included)."""
+    """Reject a field order that is not an int (a bool or float
+    included), or is MAX_ORDER or more."""
     if not isinstance(q, int) or isinstance(q, bool):
         raise ValueError(f"field order {q!r} is not an integer")
+    if q >= MAX_ORDER:
+        raise ValueError(f"field order {q} is not below 2^31")
 
 
 def _digits(a: int, base: int, m: int) -> List[int]:
@@ -253,7 +262,8 @@ class FieldSpec:
     Parameters
     ----------
     q : int
-        Field size, a prime power.
+        Field size, a prime power below 2^31, and at most 2^10 unless
+        prime (MAX_ORDER, MAX_TABLE_ORDER).
 
     The attribute ``reduction`` holds the coefficients [c_0, ...,
     c_{m-1}] of the monic irreducible x^m + c_{m-1} x^{m-1} + ... + c_0
@@ -275,6 +285,8 @@ class FieldSpec:
         if pm is None:
             raise ValueError(f"{q} is not a prime power")
         p, m = pm
+        if m > 1 and q > MAX_TABLE_ORDER:
+            raise ValueError(f"field order {q} = {p}^{m} is above 2^10, too large for tables")
         self.q = q
         self.p = p
         self.m = m

@@ -12,8 +12,8 @@ layer L at node j sits at position index[L]*v + L.index(j), so layer l
 is the slice [l*v, (l+1)*v) and an unknown symbol is None.  Encoding
 places the data at spec.data and fills each layer's last position with
 fill_layers, the layer-check fill that collect and repair use.  Node
-arrays keep their byte layout (node i stores its symbols in lex order
-of the layers containing i); node_arrays scatters a vector into them.
+arrays keep their byte layout: node i stores its symbols in lex order
+of the layers containing i, at spec.at[i].
 The codes in ``concat`` read and complete the vectors of all their
 components, the pure layered code's one included, a size at a time.
 """
@@ -82,11 +82,6 @@ def encode_layered(spec: LayeredSpec, data: Sequence[int],
         w[p] = x
     fill_layers(spec.F, w, v, injected, range(v - 1, spec.R * v, v))
     return w
-
-
-def node_arrays(spec: LayeredSpec, w: Sequence[int]) -> List[List[int]]:
-    """The n node arrays (alpha symbols each) holding vector w."""
-    return [[w[p] for p in ps] for ps in spec.at]
 
 
 def classify_access(n: int, v: int, A: Sequence[int]) -> Tuple[Dict[int, int], Dict[Layer, str]]:
@@ -159,22 +154,6 @@ def fill_layers(F: FieldSpec, w: List[Optional[int]], v: int,
         if None in seg:
             raise ValueError(f"layer {l} has {seg.count(None) + 1} unknown symbols")
         w[t] = F.dot(rows[k], seg)
-
-
-def read_layers(spec: LayeredSpec, nodes: Sequence[Sequence[int]],
-                A: Sequence[int], off: int) -> List[Optional[int]]:
-    """Layer-major vector of the symbols stored at the nodes in A, read
-    from columns off .. off+alpha-1 of their arrays; the rest is None.
-
-    Every symbol of every node in A is read once, by index.
-    """
-    w: List[Optional[int]] = [None] * (spec.R * spec.v)
-    for i in A:
-        check_node(spec.n, i)
-        row = nodes[i]
-        for s, p in enumerate(spec.at[i]):
-            w[p] = row[off + s]
-    return w
 
 
 def census_csv(n: int, v: int, k: int) -> str:

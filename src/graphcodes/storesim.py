@@ -5,8 +5,8 @@ one-component case) behind a small system model: ingest a blob of M
 symbols onto n simulated nodes, serve collection requests from exactly
 k nodes with an access log, and repair single node failures with
 exactly beta symbols from each of the other n-1 nodes.  States persist
-as a manifest plus one little-endian binary file per node, guarded by
-content digests; a load accepts only symbols of the code's field.
+as one little-endian binary file per node, the blob's only copy, plus
+a manifest of content digests; a load accepts only the field's symbols.
 """
 
 from __future__ import annotations
@@ -197,8 +197,8 @@ def save_state(state: StorageState, path: str) -> None:
     before the replace leaves the old state loadable; after it, the new
     one.  Nothing is fsynced, so this covers a crashed process, not a
     lost page cache.  Every symbol is held to the field's rule before
-    any file is written.  The manifest is written in one write, in the
-    bytes json.dump(manifest, fh, indent=2) gives.
+    any file is written.  The manifest, json.dumps(manifest, indent=2)
+    in one write, holds no blob: the node files are its one copy.
     """
     F, M = state.code.F, state.code.M
     if len(F.check_symbols(state.blob, "blob")) != M:
@@ -217,20 +217,12 @@ def save_state(state: StorageState, path: str) -> None:
         digests[name] = hashlib.sha256(data).hexdigest()
         with open(os.path.join(path, name), "wb") as fh:
             fh.write(data)
-    blob_bytes = _pack(state.blob, width)
-    head = json.dumps({
-        "code": _describe(state.code),
-        "alpha": state.code.alpha,
-        "M": M,
-        "symbol_bytes": width,
-        "node_files": files,
-        "digests": digests,
-        "blob_digest": hashlib.sha256(blob_bytes).hexdigest(),
-    }, indent=2)
-    blob = ",\n    ".join(map(str, state.blob))
+    manifest = {"code": _describe(state.code), "alpha": state.code.alpha, "M": M,
+                "symbol_bytes": width, "node_files": files, "digests": digests,
+                "blob_digest": hashlib.sha256(_pack(state.blob, width)).hexdigest()}
     tmp = os.path.join(path, "manifest.json.tmp")
     with open(tmp, "w") as fh:
-        fh.write(f'{head[:-2]},\n  "blob": [\n    {blob}\n  ]\n}}')
+        fh.write(json.dumps(manifest, indent=2))
     os.replace(tmp, os.path.join(path, "manifest.json"))
     for i in range(len(old)):
         try:
@@ -242,7 +234,9 @@ def save_state(state: StorageState, path: str) -> None:
 def load_state(path: str) -> StorageState:
     """The state save_state wrote at path, every digest and symbol
     checked; a live code of the manifest's parameters is shared, not
-    rebuilt (code_from_manifest).
+    rebuilt (code_from_manifest); the blob is the payload the node files
+    store (ConcatCode.stored_payload, no decode), checked against
+    blob_digest, and an older manifest's "blob" copy is ignored.
 
     Before a code is built, node_files must be the n names of the
     description's n, each file alpha * symbol_bytes bytes long (alpha
@@ -274,16 +268,7 @@ def load_state(path: str) -> StorageState:
             raise ValueError(f"digest mismatch for {name}")
         nodes.append(_unpack(data, width))
     code = code_from_manifest(desc)
-    blob = code.F.check_symbols(_required(manifest, "blob"), "manifest.json")
-    if len(blob) != M:
-        raise ValueError(f"manifest.json holds {len(blob)} blob symbols, expected {M}")
-    state = StorageState(code, blob, nodes)
-    # unpacked bytes are non-negative ints, so only a symbol >= q can
-    # fail; the full check runs then, to name it
-    for name, row in zip(files, nodes):
-        if max(row) >= q:
-            code.F.check_symbols(row, name)
-    if (hashlib.sha256(_pack(blob, width)).hexdigest()
-            != _required(manifest, "blob_digest")):
-        raise ValueError("digest mismatch for the manifest blob")
-    return state
+    blob = code.stored_payload(nodes)
+    if hashlib.sha256(_pack(blob, width)).hexdigest() != _required(manifest, "blob_digest"):
+        raise ValueError("digest mismatch for the blob the node files hold")
+    return StorageState(code, blob, nodes)

@@ -5,12 +5,14 @@ way: the shells and balls of J(n,v) and H(m,n) by enumeration (against
 ball_size and each code's ball), the identity matrix and a submatrix
 (against det, compound and all_minors), the sum of two polynomials
 (against poly_divmod), the per-symbol packing of stored symbols
-(against storesim's _pack and _unpack), and a column-subset rank test
-that ranks every block (against matrix.column_rank_test).
+(against storesim's _pack and _unpack), a column-subset rank test
+that ranks every block (against matrix.column_rank_test), and the node
+arrays of a layered code's vector, written and read one symbol at a
+time (against the layered encode and fill_layers).
 """
 
 import itertools
-from typing import List, Sequence, Set, Tuple
+from typing import List, Optional, Sequence, Set, Tuple
 
 from graphcodes.combinat import shell_index
 from graphcodes.matrix import rank, rref
@@ -69,6 +71,22 @@ def unpack(data: bytes, width: int) -> List[int]:
     """The ints of data's consecutive width-byte little-endian chunks."""
     return [int.from_bytes(data[i:i + width], "little")
             for i in range(0, len(data), width)]
+
+
+def node_arrays(spec, w: Sequence[int]) -> List[List[int]]:
+    """The n node arrays of a layered code holding its layer-major
+    vector w, node i's symbols at spec.at[i], one at a time."""
+    return [[w[p] for p in ps] for ps in spec.at]
+
+
+def read_layers(spec, nodes: Sequence[Sequence[int]], A: Sequence[int]) -> List[Optional[int]]:
+    """The layer-major vector of the symbols the nodes in A store, read
+    one at a time; None at every other node's positions."""
+    w: List[Optional[int]] = [None] * (spec.R * spec.v)
+    for i in A:
+        for s, p in enumerate(spec.at[i]):
+            w[p] = nodes[i][s]
+    return w
 
 
 def column_rank_test(F, M):

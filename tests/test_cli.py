@@ -4,6 +4,7 @@ import itertools
 import json
 import runpy
 import sys
+import time
 
 import pytest
 
@@ -170,6 +171,14 @@ def test_invalid_parameters_exit_2(capsys):
     for verb in ("simulate", "repair"):
         assert main([verb, "--n", "5", "--v", "7", "--k", "6", "--q", "7"]) == 2
         assert "need 0 <= k < n, got k=6" in capsys.readouterr().err
+
+
+def test_a_field_order_too_large_to_build_exits_2_at_once(capsys):
+    t0 = time.perf_counter()
+    assert main(["construct", "--n", "6", "--v", "3", "--k", "2", "--t", "1",
+                 "--q", str(2**61 - 1)]) == 2
+    assert time.perf_counter() - t0 < 1
+    assert "not below 2^31" in capsys.readouterr().err
 
 
 def test_empty_base_exits_2(capsys):

