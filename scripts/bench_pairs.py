@@ -30,7 +30,8 @@ per side, so host load during that run moves them, and they cannot be
 compared across sides.  Last, PROBE_ROUNDS = 3 rounds of
 an in-process probe per checkout, the two sides alternating (the parent
 first in even rounds) and every round recorded: the time of
-``field_make`` for q = 243 and 256,
+``FieldSpec`` for q = 243, 256 and 1024 (the largest order with
+tables, MAX_TABLE_ORDER),
 the median in-process time of ``build_concat``, of
 ``ConcatCode.encode`` (one seeded blob, code built before the clock
 starts) and of ``ConcatCode.repair`` of every node at (8,5,4,11) and
@@ -135,7 +136,7 @@ PROBE = r"""
 import gc, itertools, json, os, random, resource, statistics, sys, tempfile, time, weakref
 from graphcodes import concat, field, jgc, rs, storesim
 out = {"field_make_s": {}}
-for q in (243, 256):
+for q in (243, 256, 1024):
     t0 = time.perf_counter()
     field.FieldSpec(q)
     out["field_make_s"][str(q)] = round(time.perf_counter() - t0, 4)

@@ -45,6 +45,16 @@ def _emit(text: str, out: Optional[str]) -> None:
         sys.stdout.write(text)
 
 
+def _write(args, doc, header: str, rows) -> None:
+    """doc as indented JSON with --format json, else the CSV: header,
+    then one line per row, its entries joined by commas."""
+    if args.format == "json":
+        text = json.dumps(doc, indent=2, default=str) + "\n"
+    else:
+        text = "\n".join([header, *(",".join(map(str, row)) for row in rows)]) + "\n"
+    _emit(text, args.out)
+
+
 def _ints(p: argparse.ArgumentParser, names: str) -> None:
     """One required integer flag per letter of names: "nvk" adds --n,
     --v and --k."""
@@ -103,14 +113,8 @@ def _run_certify(args) -> int:
     report = certify_infosets(code)
     doc = {kind: [layer_str(A, code.n) for A in anchors]
            for kind, anchors in report.items()}
-    if args.format == "json":
-        text = json.dumps(doc, indent=2) + "\n"
-    else:
-        lines = ["anchor,status"]
-        for kind in ("pass", "fail", "skipped"):
-            lines.extend(f"{a},{kind}" for a in doc[kind])
-        text = "\n".join(lines) + "\n"
-    _emit(text, args.out)
+    _write(args, doc, "anchor,status",
+           [(a, kind) for kind in ("pass", "fail", "skipped") for a in doc[kind]])
     return 0 if not report["fail"] and not report["skipped"] else 1
 
 
@@ -124,6 +128,7 @@ def _run_tables(args) -> int:
     n, v, k = args.n, args.v, args.k
     family = code_family(n, v, k)
     sections = {"census": census_csv(n, v, k)}
+    csv_rows = []
     if family == "concat":
         params = concat_params(n, v, k)
         rows, sums = balance_table(n, v, k)
@@ -139,40 +144,21 @@ def _run_tables(args) -> int:
             "alpha": params.alpha, "beta": params.beta,
         }
         sections["scenarios"] = scenario_table(n, v, k)
-    if args.format == "json":
-        text = json.dumps(sections, indent=2, default=str) + "\n"
-    else:
-        parts = [sections["census"]]
-        if "parameters" in sections:
-            p = sections["parameters"]
-            parts.append("M1,M0,M,alpha,beta\n"
-                         f"{p['M1']},{p['M0']},{p['M']},"
-                         f"{p['alpha']},{p['beta']}\n")
-            lines = ["scenario," +
-                     ",".join(f"size_{u}" for u in range(v, 0, -1)) +
-                     ",M,alpha,beta"]
-            for row in sections["scenarios"]:
-                cnt = ",".join(str(row["counts"].get(u, 0))
-                               for u in range(v, 0, -1))
-                lines.append(f"{row['scenario']},{cnt},{row['M']},"
-                             f"{row['alpha']},{row['beta']}")
-            parts.append("\n".join(lines) + "\n")
-        text = "\n".join(parts)
-    _emit(text, args.out)
+        # the census, then a blank line and the parameters, then a blank
+        # line and the scenarios
+        p, sizes = sections["parameters"], range(v, 0, -1)
+        csv_rows = [(), p, p.values(),
+                    (), ("scenario", *(f"size_{u}" for u in sizes), "M", "alpha", "beta")]
+        csv_rows += [(row["scenario"], *(row["counts"].get(u, 0) for u in sizes),
+                      row["M"], row["alpha"], row["beta"]) for row in sections["scenarios"]]
+    _write(args, sections, sections["census"].rstrip("\n"), csv_rows)
     return 0
 
 
 def _run_tradeoff(args) -> int:
     points = tradeoff_points(args.n)
-    if args.format == "json":
-        doc = [{"v": v, "alpha_over_M": str(a), "beta_over_M": str(b)}
-               for v, a, b in points]
-        text = json.dumps(doc, indent=2) + "\n"
-    else:
-        lines = ["v,alpha_over_M,beta_over_M"]
-        lines.extend(f"{v},{a},{b}" for v, a, b in points)
-        text = "\n".join(lines) + "\n"
-    _emit(text, args.out)
+    doc = [{"v": v, "alpha_over_M": a, "beta_over_M": b} for v, a, b in points]
+    _write(args, doc, "v,alpha_over_M,beta_over_M", points)
     return 0
 
 
@@ -200,13 +186,8 @@ def _run_simulate(args) -> int:
         "anchors": len(anchors),
         "failures": [layer_str(A, code.n) for A in failures],
     }
-    if args.format == "json":
-        text = json.dumps(doc, indent=2) + "\n"
-    else:
-        text = ("M,alpha,beta,recovered,anchors\n"
-                f"{doc['M']},{doc['alpha']},{doc['beta']},"
-                f"{doc['recovered']},{doc['anchors']}\n")
-    _emit(text, args.out)
+    header = "M,alpha,beta,recovered,anchors"
+    _write(args, doc, header, [[doc[key] for key in header.split(",")]])
     return 0 if not failures else 1
 
 
@@ -221,14 +202,8 @@ def _run_repair(args) -> int:
         rows.append({"node": f, "exact": exact, "per_helper": bw})
         if not exact:
             bad += 1
-    if args.format == "json":
-        text = json.dumps(rows, indent=2) + "\n"
-    else:
-        lines = ["node,exact,per_helper"]
-        lines.extend(f"{r['node']},{int(r['exact'])},"
-                     f"{'|'.join(map(str, r['per_helper']))}" for r in rows)
-        text = "\n".join(lines) + "\n"
-    _emit(text, args.out)
+    _write(args, rows, "node,exact,per_helper",
+           [(r["node"], int(r["exact"]), "|".join(map(str, r["per_helper"]))) for r in rows])
     return 0 if bad == 0 else 1
 
 
@@ -261,12 +236,7 @@ def _run_subres_check(args) -> int:
     doc = {"q": args.q, "trials": args.trials,
            "gcd_criterion_failures": failures,
            "identity_failures": idents}
-    if args.format == "json":
-        text = json.dumps(doc, indent=2) + "\n"
-    else:
-        text = ("q,trials,gcd_criterion_failures,identity_failures\n"
-                f"{args.q},{args.trials},{failures},{idents}\n")
-    _emit(text, args.out)
+    _write(args, doc, ",".join(doc), [doc.values()])
     return 0 if failures == 0 and idents == 0 else 1
 
 

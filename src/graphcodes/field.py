@@ -6,6 +6,14 @@ over GF(p) in base-p digits: digit i is the coefficient of x^i in the
 basis {1, x, ..., x^{m-1}} modulo a fixed irreducible polynomial.
 So the elements are ``range(q)``, and a / b is ``mul(a, inv(b))``.
 
+The library's one polynomial arithmetic, ``poly_trim``, ``poly_mul``
+and ``poly_divmod`` (coefficient lists in ascending degree, on a
+field's vector operations), sits below ``FieldSpec``.  ``subres`` and
+``rs`` use it, and so do the GF(p^m) tables: over GF(p), the reduction
+polynomial is the first that trial division with ``poly_divmod`` finds
+irreducible, and each power of the primitive element is ``poly_mul``
+then ``poly_divmod`` by it.
+
 The arithmetic is chosen once, when the field is built, from q alone;
 there is no other path and no option.  For prime q it is plain integer
 arithmetic reduced late: a dot product is one ``% p`` of the exact
@@ -29,9 +37,10 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import repeat
 from operator import mul as _int_mul
-from typing import Iterable, List, Optional, Sequence
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 Table = List[List[int]]
+Poly = List[int]
 
 
 def _factor_prime_power(q: int) -> Optional[tuple]:
@@ -82,55 +91,23 @@ def _from_digits(digits: Sequence[int], base: int) -> int:
 
 
 def _poly_mul_mod(a: int, b: int, p: int, m: int, reduction: List[int]) -> int:
-    """Multiply base-p encoded polynomials a, b modulo the reduction poly."""
-    # coefficient lists, ascending degree
-    ca = _digits(a, p, m)
-    cb = _digits(b, p, m)
-    prod = [0] * (2 * m - 1)
-    for i, x in enumerate(ca):
-        if x == 0:
-            continue
-        for j, y in enumerate(cb):
-            prod[i + j] = (prod[i + j] + x * y) % p
-    # reduce: x^m = -(reduction[0] + ... + reduction[m-1] x^{m-1})
-    for d in range(2 * m - 2, m - 1, -1):
-        c = prod[d]
-        if c == 0:
-            continue
-        prod[d] = 0
-        for i in range(m):
-            prod[d - m + i] = (prod[d - m + i] - c * reduction[i]) % p
-    return _from_digits(prod[:m], p)
+    """a * b for base-p encoded polynomials a, b, reduced by x^m +
+    reduction (reduction holds m coefficients, or none for m = 1, where
+    this is a * b mod p)."""
+    F = field_make(p)
+    modulus = reduction + [0] * (m - len(reduction)) + [1]
+    _, rem = poly_divmod(F, poly_mul(F, _digits(a, p, m), _digits(b, p, m)), modulus)
+    return _from_digits(rem, p)
 
 
 def _is_irreducible(coeffs: List[int], p: int) -> bool:
     """Test irreducibility of the monic polynomial x^m + sum coeffs[i] x^i
     over GF(p) by trial division with all monic polynomials of degree
-    <= m//2 (fields here are tiny)."""
-    m = len(coeffs)
-    if coeffs[0] == 0:
-        return False  # divisible by x
+    1 .. m//2, x among them (fields here are tiny)."""
+    F = field_make(p)
     full = coeffs + [1]
-
-    def poly_mod(num: List[int], den: List[int]) -> List[int]:
-        num = list(num)
-        dd = len(den) - 1
-        inv_lead = pow(den[-1], p - 2, p)
-        for i in range(len(num) - 1, dd - 1, -1):
-            c = (num[i] * inv_lead) % p
-            if c == 0:
-                continue
-            for j in range(dd + 1):
-                num[i - dd + j] = (num[i - dd + j] - c * den[j]) % p
-        return num
-
-    for deg in range(1, m // 2 + 1):
-        for code in range(p**deg):
-            den = _digits(code, p, deg) + [1]
-            rem = poly_mod(full, den)
-            if all(c == 0 for c in rem):
-                return False
-    return True
+    return all(poly_divmod(F, full, _digits(code, p, deg) + [1])[1]
+               for deg in range(1, len(coeffs) // 2 + 1) for code in range(p**deg))
 
 
 def _prime_kernel(p: int):
@@ -419,6 +396,45 @@ class FieldSpec:
         if self.m == 1:
             return f"FieldSpec(q={self.q})"
         return f"FieldSpec(q={self.q}, p={self.p}, m={self.m}, reduction={self.reduction})"
+
+
+# ----- polynomials over GF(q): coefficient lists in ascending degree,
+# no trailing zeros, the zero polynomial the empty list -----
+
+def poly_trim(p: Sequence[int]) -> Poly:
+    p = list(p)
+    while p and p[-1] == 0:
+        p.pop()
+    return p
+
+
+def poly_mul(F: FieldSpec, p: Sequence[int], q: Sequence[int]) -> Poly:
+    p, q = poly_trim(p), poly_trim(q)
+    if not p or not q:
+        return []
+    # coefficient d = sum of p[i] q[d-i]: a slice of p dotted with a
+    # slice of q reversed
+    lq = len(q)
+    rq = q[::-1]
+    return poly_trim([F.dot(p[max(0, d - lq + 1):d + 1], rq[max(0, lq - 1 - d):])
+                      for d in range(len(p) + lq - 1)])
+
+
+def poly_divmod(F: FieldSpec, p: Sequence[int], q: Sequence[int]) -> Tuple[Poly, Poly]:
+    p, q = poly_trim(p), poly_trim(q)
+    if not q:
+        raise ZeroDivisionError("polynomial division by zero")
+    rem = list(p)
+    quo = [0] * max(len(p) - len(q) + 1, 0)
+    inv_lead = F.inv(q[-1])
+    lq = len(q)
+    for i in range(len(rem) - lq, -1, -1):
+        c = F.mul(rem[i + lq - 1], inv_lead)
+        if c == 0:
+            continue
+        quo[i] = c
+        rem[i:i + lq] = F.sub_mul(rem[i:i + lq], c, q)
+    return poly_trim(quo), poly_trim(rem)
 
 
 def field_make(q: int) -> FieldSpec:

@@ -63,9 +63,8 @@ class StorageState:
 
 
 def ingest(code, blob: Sequence[int]) -> StorageState:
-    """Encode a blob of M symbols onto the n simulated nodes."""
-    if len(blob) != code.M:
-        raise ValueError(f"expected {code.M} symbols, got {len(blob)}")
+    """Encode a blob of M symbols onto the n simulated nodes; the code's
+    encode refuses a blob of another length."""
     return StorageState(code, blob)
 
 

@@ -2,30 +2,23 @@
 generalizations.
 
 Polynomials are coefficient lists in ascending degree with no trailing
-zeros (the zero polynomial is the empty list).  For p of degree v and
-q of degree k, the i-th principal subresultant is the determinant of a
-square matrix projecting (a, b) -> a p + b q onto leading coefficients;
-it vanishes whenever deg gcd(p, q) > i.  The anchored map sigma_I and
-its evaluation form eta_I generalize this to an arbitrary index set I
-of row degrees, tied together by the determinant identity
-det(ev_L) det(sigma_I) = p0^(m-v) det(eta_I).
+zeros (the zero polynomial is the empty list).  ``poly_trim``,
+``poly_mul`` and ``poly_divmod`` live in ``field``, which builds the
+GF(p^m) tables with them, and are imported from there.  For p of
+degree v and q of degree k, the i-th principal subresultant is the
+determinant of a square matrix projecting (a, b) -> a p + b q onto
+leading coefficients; it vanishes whenever deg gcd(p, q) > i.  The
+anchored map sigma_I and its evaluation form eta_I generalize this to
+an arbitrary index set I of row degrees, tied together by the
+determinant identity det(ev_L) det(sigma_I) = p0^(m-v) det(eta_I).
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import Sequence, Tuple
 
-from graphcodes.field import FieldSpec
+from graphcodes.field import FieldSpec, Poly, poly_divmod, poly_mul, poly_trim
 from graphcodes.matrix import Mat, det
-
-Poly = List[int]
-
-
-def poly_trim(p: Sequence[int]) -> Poly:
-    p = list(p)
-    while p and p[-1] == 0:
-        p.pop()
-    return p
 
 
 def poly_deg(p: Sequence[int]) -> int:
@@ -35,18 +28,6 @@ def poly_deg(p: Sequence[int]) -> int:
 
 def poly_scale(F: FieldSpec, c: int, p: Sequence[int]) -> Poly:
     return poly_trim(F.scale(c, p))
-
-
-def poly_mul(F: FieldSpec, p: Sequence[int], q: Sequence[int]) -> Poly:
-    p, q = poly_trim(p), poly_trim(q)
-    if not p or not q:
-        return []
-    # coefficient d = sum of p[i] q[d-i]: a slice of p dotted with a
-    # slice of q reversed
-    lq = len(q)
-    rq = q[::-1]
-    return poly_trim([F.dot(p[max(0, d - lq + 1):d + 1], rq[max(0, lq - 1 - d):])
-                      for d in range(len(p) + lq - 1)])
 
 
 def poly_eval(F: FieldSpec, p: Sequence[int], x: int) -> int:
@@ -61,23 +42,6 @@ def poly_from_roots(F: FieldSpec, roots: Sequence[int]) -> Poly:
     for r in roots:
         p = poly_mul(F, p, [F.neg(r), 1])
     return p
-
-
-def poly_divmod(F: FieldSpec, p: Sequence[int], q: Sequence[int]) -> Tuple[Poly, Poly]:
-    p, q = poly_trim(p), poly_trim(q)
-    if not q:
-        raise ZeroDivisionError("polynomial division by zero")
-    rem = list(p)
-    quo = [0] * max(len(p) - len(q) + 1, 0)
-    inv_lead = F.inv(q[-1])
-    lq = len(q)
-    for i in range(len(rem) - lq, -1, -1):
-        c = F.mul(rem[i + lq - 1], inv_lead)
-        if c == 0:
-            continue
-        quo[i] = c
-        rem[i:i + lq] = F.sub_mul(rem[i:i + lq], c, q)
-    return poly_trim(quo), poly_trim(rem)
 
 
 def poly_gcd(F: FieldSpec, p: Sequence[int], q: Sequence[int]) -> Poly:
