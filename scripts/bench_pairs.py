@@ -25,13 +25,16 @@ bytes written when the stored format changes.
 The same run's per-layer timings
 (SINGLE_RUN_TIMINGS: every ``*.self_s``, ``field.ops_per_s.*``,
 ``matrix.det5_per_s``, ``matrix.rref_24x48_ms`` and ``trace.*``) are
-kept under each side's ``single_run_timings``; they come from one run
-per side, so host load during that run moves them, and they cannot be
-compared across sides.  Last, PROBE_ROUNDS = 3 rounds of
+kept under each side's ``single_run_timings``, and every traced span's
+calls and self time under ``single_run_layers`` (a build's Laplace
+pass is in the ``jgc.aligned_dual_rows`` span, a child of
+``concat.build``, so it is not in ``concat.build.self_s``); they come
+from one run per side, so host load during that run moves them, and
+they cannot be compared across sides.  Last, PROBE_ROUNDS = 3 rounds of
 an in-process probe per checkout, the two sides alternating (the parent
 first in even rounds) and every round recorded: the time of
-``FieldSpec`` for q = 243, 256 and 1024 (the largest order with
-tables, MAX_TABLE_ORDER),
+``FieldSpec`` for q = 243, 256, 343 (smallest primitive element 22)
+and 1024 (the largest order with tables, MAX_TABLE_ORDER),
 the median in-process time of ``build_concat``, of
 ``ConcatCode.encode`` (one seeded blob, code built before the clock
 starts) and of ``ConcatCode.repair`` of every node at (8,5,4,11) and
@@ -53,12 +56,15 @@ blob and collects at 30 seeded anchors, each once cold (its schedule
 and plans unbuilt) and then 3 times warm; it reports the quartiles of
 cold minus the warm minimum, of cold and of warm, and the collections
 of each garbage-collector generation over the pass, counted in the
-process by a ``gc.callbacks`` hook.  Last in the probe, the median
-time of ``save_state`` and of ``load_state`` (the saving code alive)
-at (12,7,6,13), whose 46,656 symbols per node make the persistence
-layer's per-symbol cost visible, with the bytes of that store (its
-manifest and node files); it runs after every peak-RSS reading,
-so its larger code does not raise them.  Then the first-use probe: PAIRS
+process by a ``gc.callbacks`` hook.  Then the median time of ``matrix.all_minors``
+over the dual base of every round code of that (10,6,5,11) code, the
+Laplace pass (the ``pi`` layer) of its build.  Last in the probe, the
+median time of ``build_concat`` at (12,7,6,13) (no code of it alive,
+so each call builds), and of ``save_state`` and of ``load_state`` (the
+saving code alive) at (12,7,6,13), whose 46,656 symbols per node make
+the persistence layer's per-symbol cost visible, with the bytes of that
+store (its manifest and node files); they run after every peak-RSS
+reading, so the larger code does not raise them.  Then the first-use probe: PAIRS
 alternating pairs (the parent first when the pair is even) per shape in
 FIRST_USE_SHAPES, each run a fresh process that builds the code, ingests
 one seeded blob and collects it at one seeded anchor, and reports the
@@ -134,9 +140,9 @@ print(json.dumps({"build_s": build, "ingest_s": t1 - t0, "collect_s": t2 - t1,
 # all-anchor collect passes in a fresh process
 PROBE = r"""
 import gc, itertools, json, os, random, resource, statistics, sys, tempfile, time, weakref
-from graphcodes import concat, field, jgc, rs, storesim
+from graphcodes import concat, field, jgc, matrix, rs, storesim
 out = {"field_make_s": {}}
-for q in (243, 256, 1024):
+for q in (243, 256, 343, 1024):
     t0 = time.perf_counter()
     field.FieldSpec(q)
     out["field_make_s"][str(q)] = round(time.perf_counter() - t0, 4)
@@ -252,6 +258,14 @@ out["cold_minus_warm"] = {
     "cold_ms": quartiles_ms(cold), "warm_ms": quartiles_ms(warm),
     "gc_collections_by_generation": gc_counts}
 
+# the pi layer alone: the Laplace pass of a build, over every round
+# code's dual base
+duals = [jgc.dual(rd.code) for rds in code.rounds.values() for rd in rds]
+out["median_ms"]["all_minors, every round-code dual base (10,6,5,11)"] = median_ms(
+    lambda: [matrix.all_minors(D.F, D.base, min(D.v, D.k)) for D in duals], 9)
+out["median_ms"]["build_concat(12,7,6,13)"] = median_ms(
+    lambda: concat.build_concat(12, 7, 6, 13), 5)
+
 code = concat.build_concat(12, 7, 6, 13)
 rng = random.Random(1)
 state = storesim.ingest(code, [rng.randrange(code.F.q) for _ in range(code.M)])
@@ -354,7 +368,8 @@ def main():
                 "digest": info["digest"], "correct": result["correct"],
                 **{k: result["metrics"][k]["value"] for k in COUNTS},
                 "single_run_timings": {k: result["metrics"][k]["value"]
-                                       for k in SINGLE_RUN_TIMINGS}}
+                                       for k in SINGLE_RUN_TIMINGS},
+                "single_run_layers": info["layers"]}
         parent, change = per_layer[workload]["parent"], per_layer[workload]["change"]
         per_layer[workload]["digest_equal"] = parent["digest"] == change["digest"]
         per_layer[workload]["counts_differ"] = [k for k in COUNTS if parent[k] != change[k]]

@@ -41,9 +41,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from graphcodes.combinat import Layer, ball_size, layer
 from graphcodes.field import field_make
-from graphcodes.jgc import (JGCSpec, aligned_dual_rows, decode_plan, erasure_decode, getter,
-                            syndrome_of)
+from graphcodes.jgc import JGCSpec, aligned_dual_rows, decode_plan, erasure_decode, syndrome_of
 from graphcodes.layered import LayeredSpec, check_node, fill_layers
+from graphcodes.matrix import getter
 
 
 def _flat(xss) -> list:

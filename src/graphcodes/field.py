@@ -23,8 +23,9 @@ entries and neg and inv tables of q, built from the base-p digits of
 each element (XOR for p = 2) and the log/antilog tables of a primitive
 element, so every operation, sub included, is one lookup and none
 loops over digits.  The linear algebra in ``matrix`` and the codes is
-written on the field's vector operations (``dot``, ``sub_mul``,
-``scale``, ``sum``).
+written on the field's five vector operations (``dot``, ``sub_mul``,
+``scale``, ``sum`` and ``column_dots``, many dots at once, one per
+column, which ``matrix.all_minors`` runs as whole-vector passes).
 
 Region operations (``FieldSpec.regions``, as in Jerasure) apply one row
 to B vectors at once: a region packs B elements into the W-bit slots
@@ -34,9 +35,9 @@ of one int, so ``sum(map(mul, row, regions))`` is B dot products, and
 
 from __future__ import annotations
 
-from functools import lru_cache
-from itertools import repeat
-from operator import mul as _int_mul
+from functools import lru_cache, reduce
+from itertools import accumulate, repeat
+from operator import getitem, mul as _int_mul
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 Table = List[List[int]]
@@ -111,8 +112,8 @@ def _is_irreducible(coeffs: List[int], p: int) -> bool:
 
 
 def _prime_kernel(p: int):
-    """dot, sub_mul, scale and sum for GF(p): exact integer arithmetic
-    reduced once per result entry."""
+    """dot, sub_mul, scale, sum and column_dots for GF(p): exact integer
+    arithmetic reduced once per result entry."""
 
     def dot(x: Sequence[int], y: Sequence[int]) -> int:
         return sum(map(_int_mul, x, y)) % p
@@ -126,12 +127,15 @@ def _prime_kernel(p: int):
     def total(x: Iterable[int]) -> int:
         return sum(x) % p
 
-    return dot, sub_mul, scale, total
+    def column_dots(xs: Sequence[Sequence[int]], ys: Sequence[Sequence[int]]) -> List[int]:
+        return list(map(p.__rmod__, map(sum, zip(*map(map, repeat(_int_mul), xs, ys)))))
+
+    return dot, sub_mul, scale, total, column_dots
 
 
 def _table_kernel(add: Table, sub: Table, mul: Table):
-    """dot, sub_mul, scale and sum for GF(p^m), m > 1: one table lookup
-    per addition, subtraction and multiplication."""
+    """dot, sub_mul, scale, sum and column_dots for GF(p^m), m > 1: one
+    table lookup per addition, subtraction and multiplication."""
 
     def dot(x: Sequence[int], y: Sequence[int]) -> int:
         s = 0
@@ -153,7 +157,13 @@ def _table_kernel(add: Table, sub: Table, mul: Table):
             s = add[s][a]
         return s
 
-    return dot, sub_mul, scale, total
+    def column_dots(xs: Sequence[Sequence[int]], ys: Sequence[Sequence[int]]) -> List[int]:
+        terms = (map(getitem, map(mul.__getitem__, x), y) for x, y in zip(xs, ys))
+        plus = lambda acc, t: map(getitem, map(add.__getitem__, acc), t)
+        first = next(terms, ())  # no vectors: no columns
+        return list(reduce(plus, terms, first))
+
+    return dot, sub_mul, scale, total, column_dots
 
 
 def _ints(b: bytes, size: int) -> List[int]:
@@ -249,11 +259,13 @@ class FieldSpec:
     every run picks the same polynomial.
 
     Besides the scalar operations (add, sub, neg, mul, inv, pow)
-    the field has four vector operations, set when it is built:
+    the field has five vector operations, set when it is built:
     ``dot(x, y)``, the row update ``sub_mul(x, f, y)`` = x - f*y,
-    ``scale(f, x)`` = f*x and ``sum(x)``.  Vector arguments are
-    sequences of field elements; ``dot`` and ``sub_mul`` stop at the
-    shorter one.
+    ``scale(f, x)`` = f*x, ``sum(x)`` and ``column_dots(xs, ys)``, the
+    dot of column i of xs with column i of ys for every i, that is
+    ``[dot(a, b) for a, b in zip(zip(*xs), zip(*ys))]`` for vectors of
+    equal length.  Vector arguments are sequences of field elements;
+    ``dot`` and ``sub_mul`` stop at the shorter one.
     """
 
     def __init__(self, q: int):
@@ -274,7 +286,7 @@ class FieldSpec:
             self.reduction = self._smallest_irreducible()
             self._build_tables()
             kernel = _table_kernel(self._add, self._sub, self._mul)
-        self.dot, self.sub_mul, self.scale, self.sum = kernel
+        self.dot, self.sub_mul, self.scale, self.sum, self.column_dots = kernel
         self._regions: dict = {}
 
     def regions(self, B: int, longest: int = 1) -> Regions:
@@ -320,15 +332,22 @@ class FieldSpec:
 
     def _primitive_powers(self) -> List[int]:
         """[g^0, ..., g^(q-2)] for the smallest primitive element g, which
-        exists since GF(q)* is cyclic."""
-        for g in range(2, self.q):
-            powers = [1]
-            x = g
-            while x != 1:
-                powers.append(x)
-                x = _poly_mul_mod(x, g, self.p, self.m, self.reduction)
-            if len(powers) == self.q - 1:
-                return powers
+        exists since GF(q)* is cyclic.  g is primitive when g^((q-1)/r)
+        != 1 for every prime r dividing q - 1 (each power by squaring),
+        and no element of GF(p), the integers below p, is for m > 1; so
+        only g's cycle is walked, about q products in all."""
+        p, q = self.p, self.q
+        mul = lambda a, b: _poly_mul_mod(a, b, p, self.m, self.reduction)
+
+        def power(x: int, e: int) -> int:
+            out = x
+            for bit in bin(e)[3:]:
+                out = mul(mul(out, out), x) if bit == "1" else mul(out, out)
+            return out
+
+        primes = [r for r in range(2, q) if (q - 1) % r == 0 and _factor_prime_power(r) == (r, 1)]
+        g = next(g for g in range(p, q) if all(power(g, (q - 1) // r) != 1 for r in primes))
+        return list(accumulate(repeat(g, q - 2), mul, initial=1))
 
     def check_symbols(self, xs, where: str, top: Optional[int] = None):
         """xs, or ValueError naming ``where`` and its first bad entry

@@ -31,7 +31,6 @@ from __future__ import annotations
 import json
 from functools import cached_property
 from itertools import combinations
-from operator import itemgetter
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from graphcodes.combinat import (
@@ -47,6 +46,7 @@ from graphcodes.matrix import (
     Mat,
     all_minors,
     column_rank_test,
+    getter,
     nullspace,
     pi,
     rank,
@@ -155,7 +155,7 @@ class JGCSpec(GraphCode):
     @cached_property
     def generator(self) -> Mat:
         return plucker_rows(self.F, self.base, self._pivots, self.v, self.basis_index,
-                            self.vertex_pos)
+                            self.vertices)
 
     def coords(self, M: Mat) -> List[int]:
         return pi(self.F, M, self.vertices)
@@ -196,8 +196,7 @@ class ParityStructure:
 
 
 def plucker_rows(F: FieldSpec, base: Mat, pivots: Sequence[int], v: int,
-                 basis_index: Sequence[Layer],
-                 vertex_pos: Dict[Layer, int]) -> Mat:
+                 basis_index: Sequence[Layer], vertices: Sequence[Layer]) -> Mat:
     """The rows pi(g restricted to I), I in basis_index, of the base
     extended by unit rows at its non-pivot columns (GraphCode.g), from
     the minors of the base.
@@ -207,33 +206,30 @@ def plucker_rows(F: FieldSpec, base: Mat, pivots: Sequence[int], v: int,
     0 unless U lies in L, and otherwise (-1)^e det(base[I_b], L minus U)
     with e the number of pairs u in U < c in L minus U: the parity of
     moving U to the back of L.  One Laplace pass (all_minors) gives
-    every minor; each row is then scattered over the C(n-|U|, |I_b|)
-    vertices that contain U.
+    every minor; each row is then one gather, in ``vertices`` order, of
+    its minors, their negatives and 0, by an index built once per U.
     """
     k, n = len(base), len(base[0])
     free = [c for c in range(n) if c not in pivots]
     minors = all_minors(F, base, min(v, k))
     minus_one = F.neg(1)
-    targets_of: Dict[Layer, List[Tuple[int, int, int]]] = {}
+    gathers: Dict[Layer, Callable] = {}
     rows = []
     for I in basis_index:
         Ib = tuple(i for i in I if i < k)
         U = tuple(free[i - k] for i in I if i >= k)
-        targets = targets_of.get(U)
-        if targets is None:
-            # (minor index, vertex position, sign parity) for L = C + U
-            targets = targets_of[U] = [
-                (ci, vertex_pos[tuple(sorted(C + U))],
-                 sum(c > u for c in C for u in U) % 2)
-                for ci, C in enumerate(combinations(range(n), len(Ib)))
-                if not set(C).intersection(U)
-            ]
-        row = [0] * len(vertex_pos)
         m = minors[Ib]
-        signed = (m, F.scale(minus_one, m))
-        for ci, pos, odd in targets:
-            row[pos] = signed[odd][ci]
-        rows.append(row)
+        gather = gathers.get(U)
+        if gather is None:
+            # vertex L's entry in m + -m + [0]: the minor of C = L minus
+            # U, negated for odd sign parity, or 0 unless U lies in L
+            index = {C: i for i, C in enumerate(combinations(range(n), len(Ib)))}
+            parts = [tuple(c for c in L if c not in U) for L in vertices]
+            gather = gathers[U] = getter([
+                index[C] + len(m) * (sum(c > u for c in C for u in U) % 2)
+                if len(C) == len(Ib) else 2 * len(m) for C in parts])
+        # with U = () every vertex is a column subset: a plain gather
+        rows.append(list(gather(m + F.scale(minus_one, m) + [0] if U else m)))
     return rows
 
 
@@ -439,8 +435,8 @@ def aligned_dual_rows(code: GraphCode) -> Mat:
         code._aligned = []
         if code.dim < code.length:
             D = dual(code)
-            code._aligned = [[hrow[D.vertex_pos[L]] for L in code.vertices]
-                             for hrow in D.generator]
+            gather = getter([D.vertex_pos[L] for L in code.vertices])
+            code._aligned = [list(gather(hrow)) for hrow in D.generator]
     return code._aligned
 
 
@@ -471,13 +467,6 @@ def decode_plan(code: GraphCode, A: Sequence[int]) -> DecodePlan:
                 inverse = [row[u:] for row in R]
         plan = code._plans[A] = DecodePlan(tuple(out), infoset, inverse)
     return plan
-
-
-def getter(pos: Sequence[int]):
-    """itemgetter(*pos), but returning a tuple for any number of positions."""
-    if len(pos) == 1:
-        return lambda x, i=pos[0]: (x[i],)
-    return itemgetter(*pos) if pos else lambda x: ()
 
 
 def _sparse_dual_rows(code: GraphCode) -> list:

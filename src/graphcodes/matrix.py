@@ -3,13 +3,14 @@
 Matrices are lists of rows; each row is a list of field elements
 (integers in [0, q)).  Every function that computes in the field takes
 the FieldSpec first and does its arithmetic with the field's vector
-operations (``F.dot``, ``F.sub_mul``, ``F.scale``); a scalar product of
-two vectors is ``F.dot`` itself.
+operations (``F.dot``, ``F.sub_mul``, ``F.scale``, ``F.column_dots``); a
+scalar product of two vectors is ``F.dot`` itself.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
+from operator import itemgetter
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from graphcodes.combinat import johnson_vertices, sign_of
@@ -219,6 +220,13 @@ def tau(F: FieldSpec, M: Mat, tuples: Sequence[Sequence[int]]) -> List[int]:
     return out
 
 
+def getter(pos: Sequence[int]):
+    """itemgetter(*pos), but returning a tuple for any number of positions."""
+    if len(pos) == 1:
+        return lambda x, i=pos[0]: (x[i],)
+    return itemgetter(*pos) if pos else lambda x: ()
+
+
 def all_minors(F: FieldSpec, M: Mat, smax: int) -> Dict[Tuple[int, ...], List[int]]:
     """Every s x s minor of M for s <= smax, without elimination.
 
@@ -226,27 +234,28 @@ def all_minors(F: FieldSpec, M: Mat, smax: int) -> Dict[Tuple[int, ...], List[in
     s-tuple) and on the i-th s-subset of columns in the order of
     ``itertools.combinations(range(n), s)``; ``minors[()] == [1]``.
     Each s-minor is a Laplace expansion along its last row, from the
-    (s-1)-minors on the row prefix R[:-1]: about
-    sum_s C(k,s) C(n,s) s products for a k x n matrix.
+    (s-1)-minors on the row prefix R[:-1]: about sum_s C(k,s) C(n,s) s
+    products for a k x n matrix.  They are made by s column passes per
+    row subset R, not one dot per minor: pass j gathers, for every
+    column subset C at once, the row's entry at C[j] and the (s-1)-minor
+    of C minus C[j], and ``F.column_dots`` sums the s products of each C.
     """
     k, n = len(M), len(M[0])
-    dot, scale, minus_one = F.dot, F.scale, F.neg(1)
+    column_dots, scale, minus_one = F.column_dots, F.scale, F.neg(1)
     minors = {(): [1]}
     prev_index = {(): 0}
     for s in range(1, smax + 1):
         cols = list(combinations(range(n), s))
-        # for each column subset C, the positions of C minus C[j] among
-        # the (s-1)-subsets, j = 0..s-1
-        drops = [[prev_index[C[:j] + C[j + 1:]] for j in range(s)] for C in cols]
+        # pass j: the entry at C[j], with the cofactor sign (-1)^(s-1+j),
+        # and the position of C minus C[j] among the (s-1)-subsets
+        passes = [(getter([C[j] for C in cols]), (s - 1 + j) % 2,
+                   getter([prev_index[C[:j] + C[j + 1:]] for C in cols])) for j in range(s)]
         for R in combinations(range(k), s):
             head = minors[R[:-1]]
             row = M[R[-1]]
-            # the cofactor of entry (s-1, j) carries (-1)^(s-1+j)
             both = (row, scale(minus_one, row))
-            signed = [both[(s - 1 + j) % 2] for j in range(s)]
-            minors[R] = [dot([r[c] for r, c in zip(signed, C)],
-                             [head[d] for d in drop])
-                         for C, drop in zip(cols, drops)]
+            minors[R] = column_dots([entry(both[odd]) for entry, odd, _ in passes],
+                                    [drop(head) for _, _, drop in passes])
         prev_index = {C: i for i, C in enumerate(cols)}
     return minors
 

@@ -1,6 +1,8 @@
 """Concatenated layered codes: parameter tables and end-to-end recovery."""
 
+import hashlib
 import itertools
+import json
 import random
 import re
 from fractions import Fraction
@@ -23,7 +25,7 @@ from graphcodes.concat import (
     _num_rounds,
     _shape_codim,
 )
-from graphcodes.jgc import _sparse_dual_rows
+from graphcodes.jgc import _sparse_dual_rows, aligned_dual_rows
 
 
 def test_series_multiplicities():
@@ -332,6 +334,35 @@ def test_wrong_blob_length_rejected():
 END_TO_END_SHAPES = [(5, 4, 3, 5), (6, 4, 3, 7), (6, 4, 3, 8), (6, 4, 3, 9),
                      (6, 5, 4, 7), (8, 5, 4, 11), (8, 6, 5, 11), (9, 7, 6, 11),
                      (10, 6, 5, 11)]
+
+
+# sha256 of json.dumps([u, rd.c, aligned_dual_rows(rd.code)]) for every
+# round of every size, sizes ascending and rounds in their order: the
+# rows a build makes, bit for bit, at the END_TO_END_SHAPES and at
+# (12,7,6,13), the largest shape built here
+ALIGNED_ROWS_SHA256 = {
+    (5, 4, 3, 5): "f6db51a2d5e0beb0bd1f9208005c970b0815369a7335c18efab415ccdc329249",
+    (6, 4, 3, 7): "5c9e7df3f8139b22518174296cd69e45d132e0ba01d56f21aa27bfca0aa223c6",
+    (6, 4, 3, 8): "51822a43765d3801e2db90a62c89c05fd3ce5a3ef0a7c055a696c6d6433ac568",
+    (6, 4, 3, 9): "49f29f876c2735d001439e03f13a9c0e0b00f57bf0c739c29de03f83a1fc89b2",
+    (6, 5, 4, 7): "fa30b026d9de7d0752ef7a9caa224d73130c0f737f9646f2a417b6304687e673",
+    (8, 5, 4, 11): "e4e1dc05b2a888661f1971559a589fe31db0e91b25f8c5a13cd1e8ad877b3f30",
+    (8, 6, 5, 11): "4ba75fc532e36e1989f464c0203141bb941a9d9fcbfb807ba0c88c7a63e5098b",
+    (9, 7, 6, 11): "ef0c57cb62aed4dc5f3e89e3816df3ffb0206ef5997ccacc8e79758253eaa47d",
+    (10, 6, 5, 11): "a14ed510e241ad67ece7017b86ea3b7b51029d2bd0e620f11fb8b96a08c10819",
+    (12, 7, 6, 13): "93e7b629a327d2a5e582eb3848f316b2e41f0f2fbbd36609bcc2b52d83d4d07a",
+}
+
+
+@pytest.mark.parametrize("shape", list(ALIGNED_ROWS_SHA256), ids=lambda s: "-".join(map(str, s)))
+def test_aligned_dual_rows_are_pinned(shape):
+    assert set(END_TO_END_SHAPES) < set(ALIGNED_ROWS_SHA256)
+    code = build_concat(*shape)
+    h = hashlib.sha256()
+    for u in sorted(code.rounds):
+        for rd in code.rounds[u]:
+            h.update(json.dumps([u, rd.c, aligned_dual_rows(rd.code)]).encode())
+    assert h.hexdigest() == ALIGNED_ROWS_SHA256[shape]
 
 
 def _dependents(code, cid):

@@ -133,10 +133,11 @@ def test_tables_match_polynomial_arithmetic(q):
             assert F.mul(a, b) == _poly_mul_mod(a, b, p, m, F.reduction)
 
 
-@pytest.mark.parametrize("q", [4, 8, 9, 27, 243, 256])
+@pytest.mark.parametrize("q", [4, 8, 9, 27, 243, 256, 343, 361, 961])
 def test_tables_need_about_q_polynomial_products(q, monkeypatch):
     # the mul table comes from the powers of one primitive element,
-    # not from a product per pair
+    # not from a product per pair, and only that element's cycle is
+    # walked: 343, 361 and 961 have large smallest primitive elements
     calls = [0]
     original = field._poly_mul_mod
 

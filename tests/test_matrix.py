@@ -113,6 +113,27 @@ def test_all_minors_equal_det_on_every_subset(q):
     assert max(map(len, all_minors(F, M, 2))) == 2
 
 
+@pytest.mark.parametrize("q", [2, 7, 8, 9, 11])
+def test_all_minors_at_the_edges_equal_det(q):
+    # one column subset (smax = n), one column, no minors (smax = 0) and
+    # a size below the row count, each against one elimination per minor
+    F = field_make(q)
+    rng = random.Random(60 + q)
+    square, column, wide = (_rand_mat(rng, F, 3, 3), _rand_mat(rng, F, 4, 1),
+                            _rand_mat(rng, F, 4, 5))
+    for M, smax in ((square, 3), (column, 1), (wide, 0), (wide, 2)):
+        minors = all_minors(F, M, smax)
+        n = len(M[0])
+        assert minors[()] == [1]
+        assert set(minors) == {R for s in range(smax + 1) for R in combinations(range(len(M)), s)}
+        for R in minors:
+            cols = list(combinations(range(n), len(R)))
+            assert minors[R] == [det(F, submatrix(M, R, C)) for C in cols], (M, R)
+    assert all_minors(F, square, 3)[0, 1, 2] == [det(F, square)]
+    assert all_minors(F, column, 1) == {(): [1], **{(i,): [column[i][0]] for i in range(4)}}
+    assert all_minors(F, wide, 0) == {(): [1]}
+
+
 @st.composite
 def field_matrices(draw):
     """(F, M): a rows x cols matrix over GF(2), GF(7), GF(8) or GF(11),

@@ -493,6 +493,31 @@ def test_vector_ops_match_reference(args):
     assert F.sum(x) == R.dot(x, [1] * len(x))
 
 
+@st.composite
+def kernel_columns(draw):
+    """(q, xs, ys): s vectors each of one length N, s and N 0 included."""
+    q = draw(st.sampled_from(KERNEL_FIELDS))
+    s, n = draw(st.integers(min_value=0, max_value=6)), draw(st.integers(min_value=0, max_value=10))
+    vecs = st.lists(st.lists(kernel_elements(q), min_size=n, max_size=n), min_size=s, max_size=s)
+    return q, draw(vecs), draw(vecs)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(kernel_columns())
+@example((11, [], []))
+@example((8, [], []))
+@example((7, [[], []], [[], []]))
+@example((8, [[7]], [[7]]))
+@example((11, [[10] * 3] * 6, [[10] * 3] * 6))
+def test_column_dots_are_the_dots_of_the_columns(args):
+    # one dot per column i, of column i of xs with column i of ys
+    q, xs, ys = args
+    F, R = field_make(q), RefField(q)
+    got = F.column_dots(xs, ys)
+    assert got == [F.dot(a, b) for a, b in zip(zip(*xs), zip(*ys))]
+    assert got == [R.dot(a, b) for a, b in zip(zip(*xs), zip(*ys))]
+
+
 REGION_FIELDS = [5, 7, 8, 9, 11, 13]
 
 
