@@ -54,11 +54,18 @@ cold-minus-warm collect probe, and the line count of ``src/``.  The
 cold-minus-warm probe builds a new (10,6,5,11) code, ingests one seeded
 blob and collects at 30 seeded anchors, each once cold (its schedule
 and plans unbuilt) and then 3 times warm; it reports the quartiles of
-cold minus the warm minimum, of cold and of warm, and the collections
-of each garbage-collector generation over the pass, counted in the
-process by a ``gc.callbacks`` hook.  Then the median time of ``matrix.all_minors``
-over the dual base of every round code of that (10,6,5,11) code, the
-Laplace pass (the ``pi`` layer) of its build.  Last in the probe, the
+cold minus the warm minimum, of cold and of warm, of the time each cold
+collect spent building plans (in ``concat.decode_plan``, wrapped by a
+timer for the pass) and of the gap less that time, what schedule
+recording and cold caches cost, and the collections of each
+garbage-collector generation over the pass, counted in the process by
+a ``gc.callbacks`` hook.  Then the ``decode_plan`` layer: the median,
+over 5 new (10,6,5,11) codes, of the microseconds per plan over every
+anchor of every round code (its dual rows built before the clock
+starts, its first plan's Laplace pass inside it).  Then the median
+time of ``matrix.all_minors`` over the dual base of every round code
+of that (10,6,5,11) code, the Laplace pass (the ``pi`` layer) of its
+build.  Last in the probe, the
 median time of ``build_concat`` at (12,7,6,13) (no code of it alive,
 so each call builds), and of ``save_state`` and of ``load_state`` (the
 saving code alive) at (12,7,6,13), whose 46,656 symbols per node make
@@ -241,22 +248,51 @@ def count_gc(phase, info):
     if phase == "start":
         gc_counts[info["generation"]] += 1
 
+# the time a collect spends in concat's decode_plan, the plans its
+# schedule builds (warm collects build no schedule)
+def timed_plan(rd_code, A2):
+    t0 = time.perf_counter()
+    try:
+        return decode_plan(rd_code, A2)
+    finally:
+        plan_ms[-1] += (time.perf_counter() - t0) * 1000
+
 code = concat.build_concat(10, 6, 5, 11)
 rng = random.Random(1)
 blob = [rng.randrange(code.F.q) for _ in range(code.M)]
 state = storesim.ingest(code, blob)
 anchors = random.Random(1).sample(list(itertools.combinations(range(code.n), code.k)), 30)
-gc_counts, cold, warm = [0, 0, 0], [], []
+gc_counts, cold, warm, plan_ms = [0, 0, 0], [], [], []
+decode_plan, concat.decode_plan = concat.decode_plan, timed_plan
 gc.callbacks.append(count_gc)
 for A in anchors:
+    plan_ms.append(0.0)
     cold.append(collect_ms(A))
     warm.append(min(collect_ms(A) for _ in range(3)))
 gc.callbacks.remove(count_gc)
+concat.decode_plan = decode_plan
 out["cold_minus_warm"] = {
     "shape": [10, 6, 5, 11], "anchors": len(anchors), "quartiles": ["q1", "median", "q3"],
     "gap_ms": quartiles_ms([c - w for c, w in zip(cold, warm)]),
     "cold_ms": quartiles_ms(cold), "warm_ms": quartiles_ms(warm),
+    "cold_plan_ms": quartiles_ms(plan_ms),
+    "gap_less_plan_ms": quartiles_ms([c - w - p for c, w, p in zip(cold, warm, plan_ms)]),
     "gc_collections_by_generation": gc_counts}
+
+# the decode_plan layer: every anchor of every round code of a new
+# (10,6,5,11) code, its dual rows built before the clock starts
+def plan_us_per_plan():
+    rcs = [rd.code for rds in concat.build_concat(10, 6, 5, 11).rounds.values() for rd in rds]
+    for rc in rcs:
+        jgc.aligned_dual_rows(rc)
+    anchors = [(rc, A) for rc in rcs for A in itertools.combinations(range(rc.n), rc.k)]
+    t0 = time.perf_counter()
+    for rc, A in anchors:
+        jgc.decode_plan(rc, A)
+    return (time.perf_counter() - t0) / len(anchors) * 1e6
+
+out["decode_plan_us_per_plan(10,6,5,11)"] = round(
+    statistics.median(plan_us_per_plan() for _ in range(5)), 1)
 
 # the pi layer alone: the Laplace pass of a build, over every round
 # code's dual base

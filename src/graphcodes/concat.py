@@ -370,11 +370,11 @@ class ConcatCode:
 
     After __init__ a code changes only its memo caches, each filled
     deterministically from the parameters: _lifts, _schedules,
-    _handdowns, _repairs and every round JGCSpec's _plans, _sparse and
-    _masks (its _dual and _aligned are built with it; its own generator
-    rows never are, as nothing reads them).  So every caller of one
-    (n, v, k, q) can share one code, as live_concat does, and shares its
-    warm plans and schedules with it.
+    _handdowns, _repairs and every round JGCSpec's _plans, _cofactors,
+    _sparse and _masks (its _dual and _aligned are built with it; its
+    own generator rows never are, as nothing reads them).  So every
+    caller of one (n, v, k, q) can share one code, as live_concat does,
+    and shares its warm plans and schedules with it.
     """
 
     def __init__(self, n: int, v: int, k: int, q: int):

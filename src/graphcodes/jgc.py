@@ -110,12 +110,15 @@ class GraphCode:
         # built on first use: the dual, its rows in this code's vertex
         # order and their nonzeros (dual, aligned_dual_rows,
         # _sparse_dual_rows), the vertices as bit masks (ball), one plan
-        # per anchor with its inverse
+        # per anchor with its inverse, and the dual base's signed
+        # complementary minors those inverses are gathered from
+        # (_minors_plan, Johnson codes of threshold 1 only)
         self._dual: Optional[GraphCode] = None
         self._aligned: Optional[Mat] = None
         self._masks: Optional[List[int]] = None
         self._sparse: Optional[list] = None
         self._plans: Dict[Layer, DecodePlan] = {}
+        self._cofactors: Optional[tuple] = None
         self.basis_index = [self.vertices[i] for i in self.ball(range(self.k))]
         self.dim = len(self.basis_index)
 
@@ -420,7 +423,22 @@ class DecodePlan(NamedTuple):
     an information set of the base code, and the inverse E of the
     aligned dual rows on the outside positions (E H_out = I), or None
     when A is not an information set or H_out is not square and
-    invertible."""
+    invertible.
+
+    For a Johnson code of threshold 1 and codimension > 0 at its own
+    radius min(v, k) - 1, the outside positions are the v-subsets L of
+    A^c and the dual has radius 0: its rows are the v-subsets I of
+    {0..m-1}, m = n - k, with entry det D0[I, L] on the dual base D0.
+    So H_out is the v-th compound of the m x m block X = D0[:, A^c],
+    and by Cauchy-Binet and Jacobi's complementary-minor identity
+    (Horn and Johnson, Matrix Analysis, 0.8)
+
+        E[L][I] = (-1)^(sigma(I) + sigma(L)) det D0[I^c, A^c minus L] / det X,
+
+    sigma the sum of positions (I's in {0..m-1}, L's in A^c).  A is an
+    information set of the base exactly when A^c is one of the dual,
+    that is det X != 0.
+    """
 
     out: Tuple[int, ...]
     infoset: bool
@@ -442,31 +460,84 @@ def aligned_dual_rows(code: GraphCode) -> Mat:
 
 def decode_plan(code: GraphCode, A: Sequence[int]) -> DecodePlan:
     """The anchor-only part of a decode at A, built once per anchor and
-    kept on the code: at most C(n, k) plans for k-subset anchors.
+    kept on the code: at most C(n, k) plans, as an anchor that is not k
+    distinct ints (not bools) in range(n) raises ValueError, unkept.
 
     Since |B_r(A)| = dim, the aligned dual rows on the outside positions
-    form a square matrix H_out; the plan keeps its inverse, from one
-    rref of [H_out | I], so every decode at A is two matrix-vector
-    products (_dense_complete).
+    form a square matrix H_out; the plan keeps its inverse, so every
+    decode at A is two matrix-vector products (_dense_complete).  A
+    Johnson code of threshold 1 and codimension > 0 at its own radius
+    min(v, k) - 1 gathers it from its dual base's minors with no
+    elimination (_minors_plan); any other code (Hamming, t > 1, a
+    changed radius) tests is_infoset and takes one rref of [H_out | I].
     """
-    A = layer(A)
+    key = tuple(A)
+    if (len(key) != code.k or not all(type(a) is int and 0 <= a < code.n for a in key)
+            or len(set(key)) != len(key)):
+        raise ValueError(f"anchor {key} is not {code.k} distinct ints in range({code.n})")
+    A = tuple(sorted(key))
     plan = code._plans.get(A)
     if plan is None:
-        out = sorted(set(range(code.length)).difference(code.ball(A)))
-        infoset = is_infoset(code.F, code.base, A)
-        inverse = None
-        if infoset:
-            H = aligned_dual_rows(code)
-            u = len(out)
-            R, pivots = rref(code.F, [[hrow[i] for i in out]
-                                      + [int(e == r) for e in range(len(H))]
-                                      for r, hrow in enumerate(H)])
-            # [H_out | I] has rank len(H): the pivots are the first u
-            # columns exactly when H_out is square and invertible
-            if pivots == list(range(u)):
-                inverse = [row[u:] for row in R]
-        plan = code._plans[A] = DecodePlan(tuple(out), infoset, inverse)
+        if (isinstance(code, JGCSpec) and code.t == 1 and code.dim < code.length
+                and code.r == min(code.v, code.k) - 1):
+            out, inverse = _minors_plan(code, A)
+            infoset = inverse is not None
+        else:
+            out = tuple(sorted(set(range(code.length)).difference(code.ball(A))))
+            infoset = is_infoset(code.F, code.base, A)
+            inverse = _eliminated_inverse(code, out) if infoset else None
+        plan = code._plans[A] = DecodePlan(out, infoset, inverse)
     return plan
+
+
+def _eliminated_inverse(code: GraphCode, out: Sequence[int]) -> Optional[Mat]:
+    """The inverse of the aligned dual rows on ``out``, from one rref of
+    [H_out | I], or None when H_out is not square and invertible."""
+    H = aligned_dual_rows(code)
+    u = len(out)
+    R, pivots = rref(code.F, [[hrow[i] for i in out] + [int(e == r) for e in range(len(H))]
+                              for r, hrow in enumerate(H)])
+    # [H_out | I] has rank len(H): the pivots are the first u columns
+    # exactly when H_out is square and invertible
+    return [row[u:] for row in R] if pivots == list(range(u)) else None
+
+
+def _minors_plan(code: JGCSpec, A: Layer) -> Tuple[Tuple[int, ...], Optional[Mat]]:
+    """The outside positions, the v-subsets L of A^c in vertex order,
+    and the inverse of H_out by DecodePlan's identity, or None when
+    det X = 0.  Row L gathers the signed minors at A^c minus L, scaled
+    by (-1)^sigma(L) / det X.  det X is the Laplace expansion along the
+    first outside column L0 against the aligned rows: (-1)^sigma(L0)
+    times the sum over I of H[I][L0] and the signed minor at A^c minus
+    L0."""
+    F = code.F
+    if code._cofactors is None:
+        # once per code: for each dual row I, in basis_index order, the
+        # (m-v)-minors of the dual base on the rows I^c over
+        # combinations(range(n), m - v), times (-1)^sigma(I), and their
+        # column index; for each v-subset J of positions in A^c, the
+        # gathers of L = A^c[J] and of A^c minus L, and sigma(J) mod 2
+        D = dual(code)
+        m = len(D.base)
+        minors = all_minors(F, D.base, m - code.v)
+        code._cofactors = (
+            [F.scale(F.neg(1), minors[R]) if sum(I) % 2 else minors[R]
+             for I in D.basis_index for R in [complement(I, m)]],
+            {C: i for i, C in enumerate(combinations(range(code.n), m - code.v))},
+            [(getter(J), getter(complement(J, m)), sum(J) % 2)
+             for J in combinations(range(m), code.v)])
+    cofactors, index, parts = code._cofactors
+    Ac = complement(A, code.n)
+    out, cols, odd = zip(*sorted((code.vertex_pos[L(Ac)], index[C(Ac)], o)
+                                 for L, C, o in parts))
+    gather = getter(cols)
+    rows = list(zip(*[gather(c) for c in cofactors]))
+    det = F.dot([h[out[0]] for h in aligned_dual_rows(code)], rows[0])
+    if det == 0:
+        return out, None
+    inv = F.inv(det)
+    scales = (F.neg(inv), inv) if odd[0] else (inv, F.neg(inv))
+    return out, [F.scale(scales[o], row) for row, o in zip(rows, odd)]
 
 
 def _sparse_dual_rows(code: GraphCode) -> list:
@@ -501,7 +572,8 @@ def erasure_decode(code: GraphCode, A: Sequence[int],
                    word: Sequence[Optional[int]],
                    syndrome: Optional[Sequence[int]] = None,
                    regions: Optional[Regions] = None) -> List[int]:
-    """Complete a vector from its values on the information set B_r(A).
+    """Complete a vector from its values on the information set B_r(A),
+    A being k distinct ints in range(n) (decode_plan raises otherwise).
 
     ``word`` is indexed like ``code.vertices``; only its B_r(A)
     positions are read (each must hold an element of GF(q), an int and
@@ -517,7 +589,7 @@ def erasure_decode(code: GraphCode, A: Sequence[int],
     syndrome hold B-slot regions, B words decoded at once and checked
     slot by slot; a position is known or None in every slot together.
     """
-    A = layer(A)
+    plan = decode_plan(code, A)
     K = regions or code.F.regions(1)
     H = _sparse_dual_rows(code)
     if syndrome is None:
@@ -527,7 +599,6 @@ def erasure_decode(code: GraphCode, A: Sequence[int],
     if len(word) != len(code.vertices):
         raise ValueError("word length must equal the code length")
 
-    plan = decode_plan(code, A)
     w = list(word)
     for i in plan.out:
         w[i] = 0
@@ -539,7 +610,7 @@ def erasure_decode(code: GraphCode, A: Sequence[int],
                              f"{code.vertices[w.index(None)]}") from None
         raise
     if not plan.infoset:
-        raise ValueError(f"{A} is not an information set of the base code")
+        raise ValueError(f"{tuple(sorted(A))} is not an information set of the base code")
     w = _dense_complete(code, plan, H, syndrome, w, K)
 
     for (gather, coefs, _), s in zip(H, syndrome):

@@ -6,15 +6,17 @@ ball_size and each code's ball), the identity matrix and a submatrix
 (against det, compound and all_minors), the sum of two polynomials
 (against poly_divmod), the per-symbol packing of stored symbols
 (against storesim's _pack and _unpack), a column-subset rank test
-that ranks every block (against matrix.column_rank_test), and the node
+that ranks every block (against matrix.column_rank_test), the node
 arrays of a layered code's vector, written and read one symbol at a
-time (against the layered encode and fill_layers).
+time (against the layered encode and fill_layers), and a Johnson
+code's decode plan by elimination (against jgc.decode_plan).
 """
 
 import itertools
 from typing import List, Optional, Sequence, Set, Tuple
 
 from graphcodes.combinat import shell_index
+from graphcodes.jgc import DecodePlan, aligned_dual_rows
 from graphcodes.matrix import rank, rref
 from graphcodes.subres import poly_trim
 
@@ -106,3 +108,20 @@ def column_rank_test(F, M):
         return rank(F, [[row[c] for c in free] for row in rows]) == len(rows)
 
     return spans
+
+
+def decode_plan(code, A: Sequence[int]) -> DecodePlan:
+    """A Johnson code's plan at the anchor A by elimination: the
+    positions of the vertices L with shell_index(L, A) > code.r, whether
+    the base on the columns A has full rank, and then the inverse of the
+    aligned dual rows on those positions from one rref of [H_out | I],
+    or None unless H_out is square and invertible."""
+    out = tuple(i for i, L in enumerate(code.vertices) if shell_index(L, A) > code.r)
+    if rank(code.F, [[row[j] for j in A] for row in code.base]) < code.k:
+        return DecodePlan(out, False, None)
+    H = aligned_dual_rows(code)
+    R, pivots = rref(code.F, [[hrow[i] for i in out] + [int(e == r) for e in range(len(H))]
+                              for r, hrow in enumerate(H)])
+    if pivots != list(range(len(out))):
+        return DecodePlan(out, True, None)
+    return DecodePlan(out, True, [row[len(out):] for row in R])

@@ -10,6 +10,7 @@ from math import comb
 
 import pytest
 
+import reference
 from graphcodes.concat import (
     ScenarioLayout,
     admissible_scenarios,
@@ -25,7 +26,7 @@ from graphcodes.concat import (
     _num_rounds,
     _shape_codim,
 )
-from graphcodes.jgc import _sparse_dual_rows, aligned_dual_rows
+from graphcodes.jgc import _sparse_dual_rows, aligned_dual_rows, decode_plan
 
 
 def test_series_multiplicities():
@@ -363,6 +364,23 @@ def test_aligned_dual_rows_are_pinned(shape):
         for rd in code.rounds[u]:
             h.update(json.dumps([u, rd.c, aligned_dual_rows(rd.code)]).encode())
     assert h.hexdigest() == ALIGNED_ROWS_SHA256[shape]
+
+
+@pytest.mark.parametrize("shape", END_TO_END_SHAPES + [(12, 7, 6, 13)],
+                         ids=lambda s: "-".join(map(str, s)))
+def test_round_code_plans_equal_the_eliminated_plans(shape):
+    # every round code (t = 1) gathers its plans from its dual base's
+    # minors; each equals the plan by is_infoset and one rref, at every
+    # anchor, or at 60 seeded anchors per round code at (12,7,6,13)
+    code = build_concat(*shape)
+    rng = random.Random(32)
+    for rd in (rd for rds in code.rounds.values() for rd in rds):
+        anchors = list(itertools.combinations(range(rd.code.n), rd.code.k))
+        if shape == (12, 7, 6, 13):
+            anchors = rng.sample(anchors, min(60, len(anchors)))
+        for A in anchors:
+            assert decode_plan(rd.code, A) == reference.decode_plan(rd.code, A)
+        assert rd.code._cofactors is not None
 
 
 def _dependents(code, cid):

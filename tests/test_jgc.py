@@ -1,7 +1,9 @@
 """Johnson graph codes: construction, duality, decoding."""
 
+import itertools
 import json
 import random
+import re
 from math import comb
 
 import pytest
@@ -10,6 +12,7 @@ import reference
 from graphcodes import jgc
 from graphcodes.combinat import ball_size, complement, graph_params, shell_index
 from graphcodes.field import field_make
+from graphcodes.hgc import construct_hgc
 from graphcodes.jgc import (
     aligned_dot,
     anchored_minor_vector,
@@ -20,6 +23,7 @@ from graphcodes.jgc import (
     dual,
     erasure_decode,
     from_json,
+    is_infoset,
     signed_dual,
     signed_pairing,
     sparse_parities,
@@ -360,6 +364,59 @@ def test_missing_ball_coordinate_rejected_with_warm_plan():
         erasure_decode(code, A, partial)
     assert decode_plan(code, A) is plan and plan.inverse is not None
     assert erasure_decode(code, A, known) == word
+
+
+@pytest.mark.parametrize("A", [(1, 9), (-1, 2), (1,), (1, 4, 5), (1, 1), (True, 4),
+                               (1.0, 4), ("1", 4)])
+def test_bad_anchors_raise_and_are_not_kept(A):
+    # an anchor is k distinct ints (not bools) in range(n); anything
+    # else raises naming it and leaves no plan behind, so a code keeps
+    # at most C(n, k) plans
+    code = rs_jgc(6, 3, 2, 1, 11)
+    word, _ = _codeword_and_ball(code, (1, 4), 15)
+    with pytest.raises(ValueError, match=re.escape(f"anchor {A}")):
+        decode_plan(code, A)
+    with pytest.raises(ValueError, match=re.escape(f"anchor {A}")):
+        erasure_decode(code, A, word)
+    assert code._plans == {}
+    assert decode_plan(code, [4, 1]) is decode_plan(code, (1, 4))
+    assert list(code._plans) == [(1, 4)]
+
+
+@pytest.mark.parametrize("v", [1, 2, 3, 4])
+def test_minors_plans_on_a_non_mds_base(v):
+    # columns 0 and 1 of the base are equal, so every anchor holding
+    # both is no information set: the minors route finds det X = 0 there
+    # and agrees with is_infoset and with the eliminated plan everywhere
+    F = field_make(11)
+    base = [[1, 1, 1, 1, 1, 1], [0, 0, 1, 2, 3, 4]]
+    code = construct(F, base, v, 1)
+    flags = []
+    for A in itertools.combinations(range(6), 2):
+        plan = decode_plan(code, A)
+        flags.append(is_infoset(F, base, A))
+        assert plan.infoset == flags[-1]
+        assert (plan.inverse is None) == (not flags[-1])
+        assert plan == reference.decode_plan(code, A)
+    assert code._cofactors is not None
+    assert flags.count(False) == 1 and flags.count(True) == 14
+
+
+def test_other_codes_keep_the_elimination_route():
+    # a changed radius, a threshold t > 1 and a Hamming code build their
+    # plans by elimination, never from the dual base's minors
+    small = rs_jgc(6, 3, 2, 1, 11)
+    small.r -= 1
+    thick = rs_jgc(7, 3, 3, 2, 11)
+    hamming = construct_hgc(field_make(5), [[1, 1, 1, 1, 1], [0, 1, 2, 3, 4]], 2, 1)
+    for code in (small, thick, hamming):
+        for A in itertools.combinations(range(code.n), code.k):
+            plan = decode_plan(code, A)
+            if code is not hamming:
+                assert plan == reference.decode_plan(code, A)
+        assert code._cofactors is None
+    assert decode_plan(small, (1, 4)).inverse is None
+    assert decode_plan(thick, (0, 1, 2)).inverse is not None
 
 
 def test_decode_without_dual_keeps_one_cache_entry():
