@@ -71,7 +71,12 @@ so each call builds), and of ``save_state`` and of ``load_state`` (the
 saving code alive) at (12,7,6,13), whose 46,656 symbols per node make
 the persistence layer's per-symbol cost visible, with the bytes of that
 store (its manifest and node files); they run after every peak-RSS
-reading, so the larger code does not raise them.  Then the first-use probe: PAIRS
+reading, so the larger code does not raise them.  Then the collect counts, exact, so one run per checkout: at
+(8,5,4,11) and (10,6,5,11), one collect of one seeded blob at every
+anchor, counting the fill targets (``fill_layers``), the words handed
+down (each handdown stack's lifts times the size's siblings) and the
+``syndrome_of`` calls, with each count's total, mean, minimum and
+maximum per collect.  Then the first-use probe: PAIRS
 alternating pairs (the parent first when the pair is even) per shape in
 FIRST_USE_SHAPES, each run a fresh process that builds the code, ingests
 one seeded blob and collects it at one seeded anchor, and reports the
@@ -141,6 +146,49 @@ t2 = time.perf_counter()
 print(json.dumps({"build_s": build, "ingest_s": t1 - t0, "collect_s": t2 - t1,
                   "total_s": build + t2 - t0,
                   "max_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024}))
+"""
+
+# the work of one collect at every anchor, counted through the layers
+# that do it: fill_layers (targets) and syndrome_of (calls, and the words
+# of each handdown stack: its lifts times the size's siblings)
+COLLECT_COUNTS = r"""
+import itertools, json, random
+from graphcodes import concat
+out = {}
+for shape in ((8, 5, 4, 11), (10, 6, 5, 11)):
+    code = concat.build_concat(*shape)
+    rng = random.Random(1)
+    blob = [rng.randrange(code.F.q) for _ in range(code.M)]
+    nodes = code.encode(blob)
+    fill, syndrome, handdown, count = concat.fill_layers, concat.syndrome_of, code._handdown, {}
+
+    def counted_fill(F, w, v, injected, targets):
+        count["fill_targets"] += len(targets)
+        return fill(F, w, v, injected, targets)
+
+    def counted_syndrome(*args):
+        count["syndrome_of_calls"] += 1
+        return syndrome(*args)
+
+    def counted_handdown(u, rd, lcs):
+        lifts = handdown(u, rd, lcs)
+        count["handdown_words"] += len(lifts) * code.kernels[u].B
+        return lifts
+
+    concat.fill_layers, concat.syndrome_of, code._handdown = (
+        counted_fill, counted_syndrome, counted_handdown)
+    per = []
+    for A in itertools.combinations(range(code.n), code.k):
+        count.update(fill_targets=0, handdown_words=0, syndrome_of_calls=0)
+        if code.collect(nodes, A)[0] != blob:
+            raise SystemExit("collect returned a wrong blob")
+        per.append(dict(count))
+    concat.fill_layers, concat.syndrome_of = fill, syndrome
+    out["(%d,%d,%d,%d)" % shape] = {"anchors": len(per), **{
+        name: {"total": sum(p[name] for p in per), "per_collect_mean": sum(p[name] for p in per) / len(per),
+               "min": min(p[name] for p in per), "max": max(p[name] for p in per)}
+        for name in count}}
+print(json.dumps(out))
 """
 
 # time field_make, code builds, loads, criterion 8's certify sweep and
@@ -410,6 +458,12 @@ def main():
         per_layer[workload]["digest_equal"] = parent["digest"] == change["digest"]
         per_layer[workload]["counts_differ"] = [k for k in COUNTS if parent[k] != change[k]]
         per_layer[workload]["counts_equal"] = not per_layer[workload]["counts_differ"]
+    collect_counts = {}
+    for side in sides:
+        env = dict(os.environ, PYTHONPATH=os.path.join(sides[side], "src"))
+        proc = subprocess.run([sys.executable, "-c", COLLECT_COUNTS], env=env,
+                              capture_output=True, text=True, check=True)
+        collect_counts[side] = json.loads(proc.stdout)
     probes = {side: [] for side in sides}
     for r in range(PROBE_ROUNDS):
         for side in ("parent", "change") if r % 2 == 0 else ("change", "parent"):
@@ -442,6 +496,7 @@ def main():
         "src_lines": {side: src_lines(c) for side, c in sides.items()},
         "end_to_end": end_to_end,
         "per_layer": {"seed": TRACE_SEED, **per_layer},
+        "collect_counts": collect_counts,
         "probes": probes,
         "first_use": {"pairs": PAIRS, **first_use},
     }

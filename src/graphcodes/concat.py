@@ -22,9 +22,13 @@ every size u its rounds c = u-2 .. 0; the last, c = 0, is the precode,
 the same graph code family with a zero syndrome.  Words of one helper
 code are stacked into wider regions, so a round makes one
 erasure_decode per anchor and one syndrome_of.  A collect's steps are
-recorded once per (size, anchor A), as in Jerasure; encode runs round
-0 at the fixed anchor A0 and hands down everywhere, repair fills at
-the sublayers holding the failed node.  With k = n-1 every helper code
+recorded once per (size, anchor A), as in Jerasure, and compute only
+what is read: a layer's last position, its check, is neither payload
+nor a helper-code coordinate, so a layer whose largest node is outside
+A gets no fill, and a round hands down only at the layers its
+dependents fill.  Encode runs round 0 at the fixed anchor A0, closes
+every layer check and hands down everywhere; repair fills at the
+sublayers holding the failed node.  With k = n-1 every helper code
 is trivial, so the pure layered code (storesim.LayeredCode) is the
 case of one component, no rounds, nothing injected.
 """
@@ -387,7 +391,7 @@ class ConcatCode:
         self.n, self.v, self.k, self.A0 = n, v, k, tuple(range(k))
         # _lift's, _schedule's, _handdown's and repair's caches, filled on first use
         self._lifts: Dict[Tuple[JGCSpec, Layer, int], Tuple[int, ...]] = {}
-        self._schedules: Dict[Tuple[int, Layer], list] = {}
+        self._schedules: Dict[Layer, Tuple[Dict[int, list], Dict[int, array]]] = {}
         self._handdowns: Dict[Tuple[int, int], list] = {}
         self._repairs: Dict[int, list] = {}
 
@@ -580,29 +584,35 @@ class ConcatCode:
 
     def _schedule(self, u: int, A: Layer) -> list:
         """What a collect at anchor A does to every size-u component, as
-        _replay steps, kept for at most (sizes) x C(n, k) keys.  A fill is
-        an array of target positions (t lies in layer t // u), and every
+        _replay steps, kept in _schedules[A] with the layers they fill,
+        the anchor's handdown map, one entry per anchor.  A fill is an
+        array of target positions (t lies in layer t // u), and every
         target is the position of its layer's largest node outside A,
         both read off the layer's bit mask (LayeredSpec.masks, the rule
-        JGCSpec.ball uses).  The first step fills the layers meeting A in
-        u-1 nodes; then each round rd of rounds[u] has a step whose
-        decodes (_subs) set lifts 0 .. rd.m-1 of the layers meeting A in
-        rd.c nodes and whose fill completes them.  A round is missing
-        only at codimension 0, where no layer meets A in c nodes.
+        JGCSpec.ball uses).  A layer whose largest node is outside A gets
+        no fill: that target is the layer check, at the last position,
+        which neither data[u] nor any _lift lists, so nothing reads it.
+        The first step fills the layers meeting A in u-1 nodes; then each
+        round rd of rounds[u] has a step whose decodes (_subs) set lifts
+        0 .. rd.m-1 of the layers meeting A in rd.c nodes and whose fill
+        completes them.  A round is missing only at codimension 0, where
+        no layer meets A in c nodes.
         """
-        if (u, A) in self._schedules:
-            return self._schedules[u, A]
+        steps, live = self._schedules.setdefault(A, ({}, {}))
+        if u in steps:
+            return steps[u]
         masks = self.lspec[u].masks
         inside = sum(1 << j for j in A)
-        outside, by_meet = ~inside, [array("i") for _ in range(u)]
+        outside, by_meet, live[u] = ~inside, [array("i") for _ in range(u)], array("i")
         # a layer L missing A has its largest node outside A at the top
         # bit of m & ~A, whose index in L is u-1 less the nodes of L above
-        for end, m in zip(range(u - 1, len(masks) * u, u), masks):
+        for l, m in enumerate(masks):
             top = (m & outside).bit_length()
-            if top:
-                by_meet[(m & inside).bit_count()].append(end - (m >> top).bit_count())
+            if top and m >> top:
+                by_meet[(m & inside).bit_count()].append(l * u + u - 1 - (m >> top).bit_count())
+                live[u].append(l)
         fills = {c: fill for c, fill in enumerate(by_meet) if fill}
-        sched = self._schedules[u, A] = [(None, (), fills.get(u - 1, ()))] + [
+        sched = steps[u] = [(None, (), fills.get(u - 1, ()))] + [
             (rd, self._subs(rd, A), fills.get(rd.c, ())) for rd in self.rounds[u]]
         return sched
 
@@ -625,7 +635,7 @@ class ConcatCode:
     def _handdown(self, u: int, rd: _Round, lcs: Optional[Sequence[int]]) -> list:
         """The lifts of the size-u words round rd hands down, by (L_c, i)
         over the size-c sublayers lcs; lcs None is every sublayer, the
-        list encode and collect share, built once into _handdowns."""
+        list encode builds once into _handdowns."""
         if lcs is None:
             if (u, rd.c) not in self._handdowns:
                 self._handdowns[u, rd.c] = self._handdown(u, rd, range(self.lspec[rd.c].R))
@@ -639,17 +649,19 @@ class ConcatCode:
         """Complete the region vector w of the size-u components (slot b:
         order[u][b]) by steps, from their injected values
         (lists over handdown[u]), and set the dependents' ones, syndromes
-        of w at handdown[c] for each round c >= 1; handdown None stands
-        for every sublayer (encode and collect).
+        of w at handdown[c] for each round c >= 1: the size-c layers that
+        the dependents' steps fill, so a round with none hands nothing
+        down.  handdown None stands for every sublayer (encode).
 
         A step (rd, subs, fill) decodes once per (A2, plan, pieces) of
         subs, each (L_c, lift) stacked, with K2 regions assembled from the
         sums of the dependents' read layers L_c in vectors as syndrome
         (_syndrome; zero in round 0), then fills fill's targets
-        (fill_layers).  Collect replays _schedule(u, A); encode round 0's
-        step at A0 filling every layer's last position, or that fill
-        alone; repair a fill of the failed node's positions, handdown the
-        sublayers holding it."""
+        (fill_layers).  Collect replays _schedule(u, A), handdown the
+        layers the schedules at A fill; encode round 0's step at A0
+        filling every layer's last position, or that fill alone; repair
+        a fill of the failed node's positions, handdown the sublayers
+        holding it."""
         K, ids = self.kernels[u], self.order[u]
         B, inj = K.B, None
         if ids[0] in injected:
@@ -664,9 +676,11 @@ class ConcatCode:
                              self._syndrome(u, rd, pieces, vectors) if rd.c else None, plan.out)
             fill_layers(K, w, u, inj, fill)
         for rd in (rd for rd in self.rounds[u] if rd.c):
+            lifts = self._handdown(u, rd, None if handdown is None else handdown[rd.c])
+            if not lifts:
+                continue
             deps = self.order[rd.c][self.first[u, rd.c]:]
-            K2, word = self._stack(K, w, rd.code, self._handdown(
-                u, rd, None if handdown is None else handdown[rd.c]))
+            K2, word = self._stack(K, w, rd.code, lifts)
             syn = K2.unpack(syndrome_of(rd.code, word, K2))
             for e, i, b in itertools.product(range(rd.codim), range(rd.m), range(B)):
                 injected[deps[(i * rd.codim + e) * B + b]] = \
@@ -677,9 +691,9 @@ class ConcatCode:
     def encode(self, payload: Sequence[int]) -> List[List[int]]:
         """Node arrays (n lists of alpha symbols) for M payload symbols.
 
-        Each size's components take their payload at data[u] and replay
-        what a collect at A0 does without reading: round 0's words, every
-        layer check, and syndromes handed down at every sublayer.
+        Each size's components take their payload at data[u] and replay,
+        without reading, round 0's decode at A0, then every layer check,
+        and syndromes handed down at every sublayer.
         """
         if len(payload) != self.M:
             raise ValueError(f"expected {self.M} payload symbols, "
@@ -708,17 +722,22 @@ class ConcatCode:
         the log has one (node, offsets) record per node, every record
         sharing the one offsets tuple all nodes are read at.  Then each
         size's components are recovered together: every position outside
-        A is a target of a fill or a decode of the schedule (_schedule),
-        each of which raises on a gap.
+        A that is read (data[u], a helper word's coordinate) is a target
+        of a fill or a decode of the schedule (_schedule), each of which
+        raises on a gap; the rest, checks at a layer's largest node, stay
+        None.
         """
         A = layer([check_node(self.n, i) for i in A])
         if len(A) != self.k:
             raise ValueError(f"need exactly k={self.k} nodes, got {len(A)}")
         vectors = self._vectors()
         log = self._gather(nodes, [self.reads[i] for i in A], vectors)
+        for u in vectors:
+            self._schedule(u, A)
+        steps, live = self._schedules[A]
         injected: Dict[int, List[int]] = {}
         for u, w in vectors.items():
-            self._replay(u, w, self._schedule(u, A), None, injected, vectors)
+            self._replay(u, w, steps[u], live, injected, vectors)
         return self._payload(vectors), log
 
     def stored_payload(self, nodes: Sequence[Sequence[int]]) -> List[int]:

@@ -27,6 +27,7 @@ from graphcodes.concat import (
     _shape_codim,
 )
 from graphcodes.jgc import _sparse_dual_rows, aligned_dual_rows, decode_plan
+from graphcodes.storesim import LayeredCode
 
 
 def test_series_multiplicities():
@@ -519,12 +520,13 @@ def test_lift_positions_decode_to_layer_and_node():
 
 def _reference_fills(code, u, A):
     """The fill targets of _schedule(u, A) by the number of nodes a
-    layer meets A in: each layer missing A gives the position of its
-    largest node outside A, in layer order."""
+    layer meets A in: each layer missing A whose largest node is in A
+    gives the position of its largest node outside A, in layer order
+    (the last position, the layer check, is read by nothing)."""
     fills = {}
     for l, L in enumerate(code.lspec[u].layers):
         out = [i for i, j in enumerate(L) if j not in A]
-        if out:
+        if out and out[-1] != u - 1:
             fills.setdefault(u - len(out), []).append(l * u + out[-1])
     return fills
 
@@ -538,7 +540,8 @@ def test_schedule_fills_match_the_per_layer_reference(shape):
             ref = _reference_fills(code, u, A)
             # a first fill, then one step per round, round 0 included
             assert [rd for rd, _, _ in steps] == [None] + rds
-            # every layer missing A is filled, once, by the step of its meet
+            # every layer missing A but holding its largest node in A is
+            # filled, once, by the step of its meet
             fills = {u - 1 if rd is None else rd.c: list(fill) for rd, _, fill in steps}
             assert {c: fill for c, fill in fills.items() if fill} == ref
 
@@ -625,6 +628,55 @@ def test_handdown_lists_built_once_per_round():
         code.collect(nodes, A)
     for f in range(code.n):
         code.repair(nodes, f)
-    # collects share the lists; a repair hands down only where the failed node is
+    # collects and repairs hand down only at the layers their dependents
+    # fill, from lists of their own, so the cached lists stay encode's
     assert code._handdowns.keys() == lists.keys()
     assert all(code._handdowns[key] is lift for key, lift in lists.items())
+
+
+@pytest.mark.parametrize("shape", END_TO_END_SHAPES + [(6, 3, 5, 11)], ids=_name)
+def test_no_payload_position_or_helper_coordinate_is_a_layer_check(shape):
+    # the lemma behind collect's live fills: a layer's last position
+    # holds its check, and neither data[u] nor any _lift lists it
+    n, v, k, q = shape
+    code = LayeredCode(n, v, q) if k == n - 1 else build_concat(*shape)
+    for u, pos in code.data.items():
+        assert [p for p in pos if p % u == u - 1] == []
+    for u, rds in code.rounds.items():
+        for rd in rds:
+            for L_c, i in itertools.product(itertools.combinations(range(n), rd.c), range(rd.m)):
+                assert [p for p in code._lift(rd, L_c, i) if p % u == u - 1] == []
+
+
+def test_collect_leaves_only_dead_layer_checks_unknown():
+    # at every anchor, a collect sets every position outside A but the
+    # last of each layer whose largest node is outside A, and each round
+    # hands down exactly at the layers its dependents fill
+    code = build_concat(8, 5, 4, 11)
+    rng = random.Random(8)
+    blob = [rng.randrange(code.F.q) for _ in range(code.M)]
+    nodes = code.encode(blob)
+    payload, handdown, seen = code._payload, code._handdown, {}
+
+    def keep_vectors(vectors):
+        seen["vectors"] = vectors
+        return payload(vectors)
+
+    def record_handdown(u, rd, lcs):
+        seen["handdowns"].append((u, rd.c, list(lcs)))
+        return handdown(u, rd, lcs)
+
+    code._payload, code._handdown = keep_vectors, record_handdown
+    rounds = sorted((u, rd.c) for u, rds in code.rounds.items() for rd in rds if rd.c)
+    for A in itertools.combinations(range(code.n), code.k):
+        seen["handdowns"] = []
+        assert code.collect(nodes, A)[0] == blob
+        for u, w in seen["vectors"].items():
+            dead = {l * u + u - 1 for l, L in enumerate(code.lspec[u].layers) if L[-1] not in A}
+            assert {p for p, x in enumerate(w) if x is None} == dead
+        live = {c: sorted({t // c for _, _, fill in code._schedule(c, A) for t in fill})
+                for c in code.order}
+        assert live[1] == []  # a size-1 layer's only node is its largest
+        assert sorted((u, c) for u, c, _ in seen["handdowns"]) == rounds
+        for u, c, lcs in seen["handdowns"]:
+            assert sorted(lcs) == live[c]
