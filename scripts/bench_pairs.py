@@ -150,7 +150,9 @@ print(json.dumps({"build_s": build, "ingest_s": t1 - t0, "collect_s": t2 - t1,
 
 # the work of one collect at every anchor, counted through the layers
 # that do it: fill_layers (targets) and syndrome_of (calls, and the words
-# of each handdown stack: its lifts times the size's siblings)
+# of each handdown stack: the slots of its regions, its lifts times the
+# size's siblings), through concat's module names only, not a method of
+# the code, so the same probe runs on both checkouts
 COLLECT_COUNTS = r"""
 import itertools, json, random
 from graphcodes import concat
@@ -160,23 +162,18 @@ for shape in ((8, 5, 4, 11), (10, 6, 5, 11)):
     rng = random.Random(1)
     blob = [rng.randrange(code.F.q) for _ in range(code.M)]
     nodes = code.encode(blob)
-    fill, syndrome, handdown, count = concat.fill_layers, concat.syndrome_of, code._handdown, {}
+    fill, syndrome, count = concat.fill_layers, concat.syndrome_of, {}
 
     def counted_fill(F, w, v, injected, targets):
         count["fill_targets"] += len(targets)
         return fill(F, w, v, injected, targets)
 
-    def counted_syndrome(*args):
+    def counted_syndrome(code, vec, regions):
         count["syndrome_of_calls"] += 1
-        return syndrome(*args)
+        count["handdown_words"] += regions.B
+        return syndrome(code, vec, regions)
 
-    def counted_handdown(u, rd, lcs):
-        lifts = handdown(u, rd, lcs)
-        count["handdown_words"] += len(lifts) * code.kernels[u].B
-        return lifts
-
-    concat.fill_layers, concat.syndrome_of, code._handdown = (
-        counted_fill, counted_syndrome, counted_handdown)
+    concat.fill_layers, concat.syndrome_of = counted_fill, counted_syndrome
     per = []
     for A in itertools.combinations(range(code.n), code.k):
         count.update(fill_targets=0, handdown_words=0, syndrome_of_calls=0)

@@ -15,22 +15,24 @@ Every dependent is smaller than its parent, so the components of one
 size (siblings) are recovered together: every operation reads (encode
 places the payload at data[u]), packs the siblings' vectors into
 region vectors (field.Regions, one slot per sibling) and replays, once
-per size and largest first, one list of steps with one function,
-_replay: decode rounds, layer-check fills and the syndromes handed
-down to the dependents as injected values.  One component rule gives
-every size u its rounds c = u-2 .. 0; the last, c = 0, is the precode,
-the same graph code family with a zero syndrome.  Words of one helper
-code are stacked into wider regions, so a round makes one
-erasure_decode per anchor and one syndrome_of.  A collect's steps are
-recorded once per (size, anchor A), as in Jerasure, and compute only
-what is read: a layer's last position, its check, is neither payload
-nor a helper-code coordinate, so a layer whose largest node is outside
-A gets no fill, and a round hands down only at the layers its
-dependents fill.  Encode runs round 0 at the fixed anchor A0, closes
-every layer check and hands down everywhere; repair fills at the
-sublayers holding the failed node.  With k = n-1 every helper code
-is trivial, so the pure layered code (storesim.LayeredCode) is the
-case of one component, no rounds, nothing injected.
+per size and largest first, its part of the operation's schedule with
+one function, _replay: decode rounds, layer-check fills and the
+syndromes handed down to the dependents as injected values.  One
+component rule gives every size u its rounds c = u-2 .. 0; the last,
+c = 0, is the precode, the same graph code family with a zero syndrome.
+Words of one helper code are stacked into wider regions, so a round
+makes one erasure_decode per anchor and one syndrome_of.  A schedule
+depends on the parameters and the anchor or failed node, never on the
+data, so each is compiled once and replayed, as in Jerasure: encode's
+runs round 0 at the fixed anchor A0, closes every layer check and hands
+down at every sublayer; a repair's, one per failed node, fills its
+positions and hands down at the sublayers holding it; a collect's, one
+per anchor A, computes only what is read: a layer's last position, its
+check, is neither payload nor a helper-code coordinate, so a layer
+whose largest node is outside A gets no fill, and a round hands down
+only at the layers its dependents fill.  With k = n-1 every helper
+code is trivial, so the pure layered code (storesim.LayeredCode) is
+the case of one component, no rounds, nothing injected.
 """
 
 from __future__ import annotations
@@ -374,7 +376,7 @@ class ConcatCode:
 
     After __init__ a code changes only its memo caches, each filled
     deterministically from the parameters: _lifts, _schedules,
-    _handdowns, _repairs and every round JGCSpec's _plans, _cofactors,
+    _encoder, _repairs and every round JGCSpec's _plans, _cofactors,
     _sparse and _masks (its _dual and _aligned are built with it; its
     own generator rows never are, as nothing reads them).  So every
     caller of one (n, v, k, q) can share one code, as live_concat does,
@@ -389,11 +391,11 @@ class ConcatCode:
         self.layout = (ScenarioLayout(n, v, k, range(v - 2, v - 2 - _num_rounds(n, v, k), -1))
                        if family == "concat" else None)
         self.n, self.v, self.k, self.A0 = n, v, k, tuple(range(k))
-        # _lift's, _schedule's, _handdown's and repair's caches, filled on first use
+        # _lift's, _schedule's, encode's and repair's caches, filled on first use
         self._lifts: Dict[Tuple[JGCSpec, Layer, int], Tuple[int, ...]] = {}
-        self._schedules: Dict[Layer, Tuple[Dict[int, list], Dict[int, array]]] = {}
-        self._handdowns: Dict[Tuple[int, int], list] = {}
-        self._repairs: Dict[int, list] = {}
+        self._schedules: Dict[Layer, Dict[int, tuple]] = {}
+        self._encoder: Optional[Dict[int, tuple]] = None
+        self._repairs: Dict[int, Tuple[list, Dict[int, tuple]]] = {}
 
         # sizes[cid] is component cid's layer size, numbered breadth
         # first (the loop visits the ids it appends): cid's dependents
@@ -582,39 +584,51 @@ class ConcatCode:
         return [int.from_bytes(b"".join(sums[j + e * chunk:j + (e + 1) * chunk] for j in starts),
                                "little") for e in range(codim)]
 
-    def _schedule(self, u: int, A: Layer) -> list:
-        """What a collect at anchor A does to every size-u component, as
-        _replay steps, kept in _schedules[A] with the layers they fill,
-        the anchor's handdown map, one entry per anchor.  A fill is an
-        array of target positions (t lies in layer t // u), and every
-        target is the position of its layer's largest node outside A,
-        both read off the layer's bit mask (LayeredSpec.masks, the rule
-        JGCSpec.ball uses).  A layer whose largest node is outside A gets
-        no fill: that target is the layer check, at the last position,
-        which neither data[u] nor any _lift lists, so nothing reads it.
-        The first step fills the layers meeting A in u-1 nodes; then each
-        round rd of rounds[u] has a step whose decodes (_subs) set lifts
-        0 .. rd.m-1 of the layers meeting A in rd.c nodes and whose fill
-        completes them.  A round is missing only at codimension 0, where
-        no layer meets A in c nodes.
+    def _schedule(self, A: Layer) -> Dict[int, tuple]:
+        """A collect's schedule at anchor A (_compile), kept in
+        _schedules[A].  Every fill target is the position of its layer's
+        largest node outside A, read with the layer's meet with A off its
+        bit mask (LayeredSpec.masks, the rule JGCSpec.ball uses).  A layer
+        whose largest node is outside A gets no fill: its target would be
+        the layer check, which nothing reads (neither data[u] nor any
+        _lift lists it).  Size u's first step fills the layers meeting A in
+        u-1 nodes; then each round rd of rounds[u] (missing only at
+        codimension 0, where no layer meets A in c nodes) has a step whose
+        decodes (_subs) set lifts 0 .. rd.m-1 of the layers meeting A in
+        rd.c nodes and whose fill completes them.  A size's injected
+        values land on the layers it fills: a round hands down there.
         """
-        steps, live = self._schedules.setdefault(A, ({}, {}))
-        if u in steps:
-            return steps[u]
-        masks = self.lspec[u].masks
+        if A in self._schedules:
+            return self._schedules[A]
         inside = sum(1 << j for j in A)
-        outside, by_meet, live[u] = ~inside, [array("i") for _ in range(u)], array("i")
-        # a layer L missing A has its largest node outside A at the top
-        # bit of m & ~A, whose index in L is u-1 less the nodes of L above
-        for l, m in enumerate(masks):
-            top = (m & outside).bit_length()
-            if top and m >> top:
-                by_meet[(m & inside).bit_count()].append(l * u + u - 1 - (m >> top).bit_count())
-                live[u].append(l)
-        fills = {c: fill for c, fill in enumerate(by_meet) if fill}
-        sched = steps[u] = [(None, (), fills.get(u - 1, ()))] + [
-            (rd, self._subs(rd, A), fills.get(rd.c, ())) for rd in self.rounds[u]]
+        outside, steps, live = ~inside, {}, {}
+        for u in self.order:
+            by_meet, live[u] = [array("i") for _ in range(u)], array("i")
+            # a layer L missing A has its largest node outside A at the top
+            # bit of m & ~A, whose index in L is u-1 less the nodes of L above
+            for l, m in enumerate(self.lspec[u].masks):
+                top = (m & outside).bit_length()
+                if top and m >> top:
+                    by_meet[(m & inside).bit_count()].append(l * u + u - 1 - (m >> top).bit_count())
+                    live[u].append(l)
+            fills = {c: fill for c, fill in enumerate(by_meet) if fill}
+            steps[u] = [(None, (), fills.get(u - 1, ()))] + [
+                (rd, self._subs(rd, A), fills.get(rd.c, ())) for rd in self.rounds[u]]
+        sched = self._schedules[A] = self._compile(steps, live)
         return sched
+
+    def _compile(self, steps: Dict[int, list], layers: Dict[int, Sequence[int]]
+                 ) -> Dict[int, tuple]:
+        """One operation's schedule, what _replay runs: per size u,
+        (steps[u], layers[u], handdowns).  layers[u] lists the size-u
+        layers the injected values land on, in the order they are
+        handed down; handdowns lists (rd, lifts) for each round rd >= 1
+        of rounds[u] with dependents' layers, lifts the words at (L_c,
+        i) for L_c over layers[rd.c] and i < rd.m."""
+        return {u: (steps[u], layers[u], [
+            (rd, [self._lift(rd, self.lspec[rd.c].layers[lc], i)
+                  for lc in layers[rd.c] for i in range(rd.m)])
+            for rd in self.rounds[u] if rd.c and layers[rd.c]]) for u in self.order}
 
     def _subs(self, rd: _Round, A: Layer) -> list:
         """Round rd's decodes at anchor A: (A2, plan, pieces) per anchor
@@ -632,53 +646,29 @@ class ConcatCode:
             sub[2].append((index[L_c], [self._lift(rd, L_c, i) for i in range(rd.m)]))
         return list(subs.values())
 
-    def _handdown(self, u: int, rd: _Round, lcs: Optional[Sequence[int]]) -> list:
-        """The lifts of the size-u words round rd hands down, by (L_c, i)
-        over the size-c sublayers lcs; lcs None is every sublayer, the
-        list encode builds once into _handdowns."""
-        if lcs is None:
-            if (u, rd.c) not in self._handdowns:
-                self._handdowns[u, rd.c] = self._handdown(u, rd, range(self.lspec[rd.c].R))
-            return self._handdowns[u, rd.c]
-        layers = self.lspec[rd.c].layers
-        return [self._lift(rd, layers[lc], i) for lc in lcs for i in range(rd.m)]
-
-    def _replay(self, u: int, w: List[Optional[int]], steps: list,
-                handdown: Optional[Dict[int, Sequence[int]]], injected: Dict[int, List[int]],
-                vectors: Optional[Dict[int, list]] = None) -> None:
+    def _replay(self, u: int, w: List[Optional[int]], sched: tuple,
+                injected: Dict[int, List[int]], vectors: Optional[Dict[int, list]] = None) -> None:
         """Complete the region vector w of the size-u components (slot b:
-        order[u][b]) by steps, from their injected values
-        (lists over handdown[u]), and set the dependents' ones, syndromes
-        of w at handdown[c] for each round c >= 1: the size-c layers that
-        the dependents' steps fill, so a round with none hands nothing
-        down.  handdown None stands for every sublayer (encode).
-
+        order[u][b]) by their schedule (steps, layers, handdowns), from
+        their injected values (lists over layers), and set the dependents'
+        ones: the syndromes of the words at each (rd, lifts) of handdowns.
         A step (rd, subs, fill) decodes once per (A2, plan, pieces) of
         subs, each (L_c, lift) stacked, with K2 regions assembled from the
         sums of the dependents' read layers L_c in vectors as syndrome
-        (_syndrome; zero in round 0), then fills fill's targets
-        (fill_layers).  Collect replays _schedule(u, A), handdown the
-        layers the schedules at A fill; encode round 0's step at A0
-        filling every layer's last position, or that fill alone; repair
-        a fill of the failed node's positions, handdown the sublayers
-        holding it."""
+        (_syndrome; zero in round 0), then fills fill's targets."""
+        steps, layers, handdowns = sched
         K, ids = self.kernels[u], self.order[u]
         B, inj = K.B, None
         if ids[0] in injected:
-            inj = K.pack(_flat(zip(*(injected[cid] for cid in ids))))
-            if handdown is not None:
-                inj, held = [0] * self.lspec[u].R, inj
-                for l, x in zip(handdown[u], held):
-                    inj[l] = x
+            inj = [0] * self.lspec[u].R
+            for l, x in zip(layers, K.pack(_flat(zip(*(injected[cid] for cid in ids))))):
+                inj[l] = x
         for rd, subs, fill in steps:
             for A2, plan, pieces in subs:
                 self._decode(K, w, rd.code, A2, [lift for _, lifts in pieces for lift in lifts],
                              self._syndrome(u, rd, pieces, vectors) if rd.c else None, plan.out)
             fill_layers(K, w, u, inj, fill)
-        for rd in (rd for rd in self.rounds[u] if rd.c):
-            lifts = self._handdown(u, rd, None if handdown is None else handdown[rd.c])
-            if not lifts:
-                continue
+        for rd, lifts in handdowns:
             deps = self.order[rd.c][self.first[u, rd.c]:]
             K2, word = self._stack(K, w, rd.code, lifts)
             syn = K2.unpack(syndrome_of(rd.code, word, K2))
@@ -692,22 +682,27 @@ class ConcatCode:
         """Node arrays (n lists of alpha symbols) for M payload symbols.
 
         Each size's components take their payload at data[u] and replay,
-        without reading, round 0's decode at A0, then every layer check,
+        without reading, encode's schedule, compiled on first use and
+        kept in _encoder: round 0's decode at A0, then every layer check,
         and syndromes handed down at every sublayer.
         """
         if len(payload) != self.M:
             raise ValueError(f"expected {self.M} payload symbols, "
                              f"got {len(payload)}")
         self.F.check_symbols(list(payload), "payload")
+        if self._encoder is None:
+            last = {u: range(u - 1, spec.R * u, u) for u, spec in self.lspec.items()}
+            self._encoder = self._compile(
+                {u: [(rd, self._subs(rd, self.A0), last[u]) for rd in self.rounds[u] if not rd.c]
+                 or [(None, (), last[u])] for u in last},
+                {u: range(spec.R) for u, spec in self.lspec.items()})
         vectors = self._vectors()
         injected: Dict[int, List[int]] = {}
         for u, w in vectors.items():
             n = len(self.data[u])
             self._put(_flat(zip(*(payload[self.start[cid]:self.start[cid] + n]
                                   for cid in self.order[u]))), [(u, self.data[u])], vectors)
-            last = range(u - 1, len(w), u)
-            steps = [(rd, self._subs(rd, self.A0), last) for rd in self.rounds[u] if not rd.c]
-            self._replay(u, w, steps or [(None, (), last)], None, injected)
+            self._replay(u, w, self._encoder[u], injected)
         return [self._column(vectors, j) for j in range(self.n)]
 
     # ----- data collection -----
@@ -732,12 +727,10 @@ class ConcatCode:
             raise ValueError(f"need exactly k={self.k} nodes, got {len(A)}")
         vectors = self._vectors()
         log = self._gather(nodes, [self.reads[i] for i in A], vectors)
-        for u in vectors:
-            self._schedule(u, A)
-        steps, live = self._schedules[A]
+        sched = self._schedule(A)
         injected: Dict[int, List[int]] = {}
         for u, w in vectors.items():
-            self._replay(u, w, steps[u], live, injected, vectors)
+            self._replay(u, w, sched[u], injected, vectors)
         return self._payload(vectors), log
 
     def stored_payload(self, nodes: Sequence[Sequence[int]]) -> List[int]:
@@ -758,18 +751,16 @@ class ConcatCode:
         layers containing both j and the failed node: exactly beta
         symbols per helper, each checked to be a symbol, from an array
         checked to hold alpha entries (_gather; else ValueError, as for
-        a failed index that is not an int node index).  The replay
-        fills the failed symbols from the layer checks and hands
-        syndromes down at the sublayers holding the failed node, from
-        already rebuilt copies, one size at a time.
+        a failed index that is not an int node index).  The schedule,
+        kept with the reads in _repairs, fills the failed symbols from
+        the layer checks and hands syndromes down at the sublayers holding
+        the failed node, from already rebuilt copies, one size at a time.
         """
         check_node(self.n, failed)
-        vectors = self._vectors()
-        reads = self._repairs.get(failed)
-        if reads is None:
+        if failed not in self._repairs:
             # per helper j: the columns, and the positions (per size), of
             # j's symbols in the layers holding both j and the failed node
-            self._repairs[failed] = reads = []
+            reads = []
             for j in (j for j in range(self.n) if j != failed):
                 parts = [(u, array("i", (p for p in self.lspec[u].at[j]
                                          if failed in self.lspec[u].layers[p // u])))
@@ -777,11 +768,15 @@ class ConcatCode:
                 cols = array("i", (self.offsets[cid] + self.lspec[u].slot[p]
                                    for u, pos in parts for p in pos for cid in self.order[u]))
                 reads.append((j, cols, parts))
+            self._repairs[failed] = reads, self._compile(
+                {u: [(None, (), spec.at[failed])] for u, spec in self.lspec.items()},
+                {u: [p // u for p in spec.at[failed]] for u, spec in self.lspec.items()})
+        reads, sched = self._repairs[failed]
+        vectors = self._vectors()
         log = self._gather(nodes, reads, vectors)
-        holding = {c: [p // c for p in spec.at[failed]] for c, spec in self.lspec.items()}
         injected: Dict[int, List[int]] = {}
         for u, w in vectors.items():
-            self._replay(u, w, [(None, (), self.lspec[u].at[failed])], holding, injected)
+            self._replay(u, w, sched[u], injected)
         return self._column(vectors, failed), log
 
 

@@ -195,15 +195,18 @@ def save_state(state: StorageState, path: str) -> None:
     with os.replace, then deletes the other set.  A save cut short
     before the replace leaves the old state loadable; after it, the new
     one.  Nothing is fsynced, so this covers a crashed process, not a
-    lost page cache.  Every symbol is held to the field's rule before
-    any file is written.  The manifest, json.dumps(manifest, indent=2)
-    in one write, holds no blob: the node files are its one copy.
+    lost page cache.  Before any file is written, every symbol is held
+    to the field's rule and the blob must be the payload the node
+    arrays store (ConcatCode.stored_payload), so a save never writes a
+    store that load_state refuses.  The manifest,
+    json.dumps(manifest, indent=2) in one write, holds no blob: the node
+    files are its one copy.
     """
     F, M = state.code.F, state.code.M
     if len(F.check_symbols(state.blob, "blob")) != M:
         raise ValueError(f"blob holds {len(state.blob)} symbols, expected {M}")
-    for i, row in enumerate(state.nodes):
-        F.check_symbols(row, f"node {i}")
+    if state.code.stored_payload(state.nodes) != state.blob:
+        raise ValueError("the blob is not the payload the node arrays store")
     os.makedirs(path, exist_ok=True)
     old = _node_files_in_use(path)
     slot = int(_node_file(0, 0) in old)

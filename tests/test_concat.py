@@ -519,7 +519,7 @@ def test_lift_positions_decode_to_layer_and_node():
 
 
 def _reference_fills(code, u, A):
-    """The fill targets of _schedule(u, A) by the number of nodes a
+    """The fill targets of size u in _schedule(A) by the number of nodes a
     layer meets A in: each layer missing A whose largest node is in A
     gives the position of its largest node outside A, in layer order
     (the last position, the layer check, is read by nothing)."""
@@ -536,7 +536,7 @@ def test_schedule_fills_match_the_per_layer_reference(shape):
     code = build_concat(*shape)
     for A in itertools.combinations(range(code.n), code.k):
         for u, rds in code.rounds.items():
-            steps = code._schedule(u, A)
+            steps = code._schedule(A)[u][0]
             ref = _reference_fills(code, u, A)
             # a first fill, then one step per round, round 0 included
             assert [rd for rd, _, _ in steps] == [None] + rds
@@ -568,7 +568,7 @@ def test_decode_syndromes_match_the_per_value_reference(shape):
     nonzero = 0
     for A in itertools.combinations(range(code.n), code.k):
         for u in code.rounds:
-            for rd, subs, _ in code._schedule(u, A):
+            for rd, subs, _ in code._schedule(A)[u][0]:
                 for _, _, pieces in (subs if rd and rd.c else ()):
                     K2 = code.F.regions(len(pieces) * rd.m * code.kernels[u].B, code.longest)
                     got = code._syndrome(u, rd, pieces, vectors)
@@ -591,7 +591,7 @@ def test_decode_gap_raises_the_typed_error(shape):
     A = tuple(range(1, code.k + 1))
     for u in (u for u, rds in code.rounds.items() if rds):
         K = code.kernels[u]
-        for rd, subs, _ in code._schedule(u, A)[1:]:
+        for rd, subs, _ in code._schedule(A)[u][0][1:]:
             for A2, plan, pieces in subs:
                 lifts = [lift for _, ls in pieces for lift in ls]
                 t = max(set(range(rd.code.length)).difference(plan.out))
@@ -602,36 +602,57 @@ def test_decode_gap_raises_the_typed_error(shape):
                     code._decode(K, w, rd.code, A2, lifts, None, plan.out)
         # through collect: without its first fill, the schedule's first
         # decode meets a gap
-        sched = code._schedule(u, A)
-        first = sched[0]
-        sched[0] = (None, (), ())
+        steps = code._schedule(A)[u][0]
+        first = steps[0]
+        steps[0] = (None, (), ())
         try:
             with pytest.raises(ValueError, match="missing known coordinate at"):
                 code.collect(nodes, A)
         finally:
-            sched[0] = first
+            steps[0] = first
         assert code.collect(nodes, A)[0] == blob
 
 
-def test_handdown_lists_built_once_per_round():
+def test_each_operation_compiles_one_schedule_and_reuses_it():
     code = build_concat(8, 5, 4, 11)
-    assert not code._handdowns  # nothing is cached at build time
+    # nothing is cached at build time
+    assert code._encoder is None and not code._schedules and not code._repairs
+    compile_, replay, compiled, replayed = code._compile, code._replay, [], []
+
+    def counted_compile(steps, layers):
+        compiled.append(compile_(steps, layers))
+        return compiled[-1]
+
+    def recorded_replay(u, w, sched, injected, vectors=None):
+        replayed.append((u, sched))
+        return replay(u, w, sched, injected, vectors)
+
+    code._compile, code._replay = counted_compile, recorded_replay
     rng = random.Random(7)
-    nodes = code.encode([rng.randrange(code.F.q) for _ in range(code.M)])
-    # encode hands down at every sublayer: one list per (size, round c >= 1)
-    rounds = {(u, rd.c): rd for u, rds in code.rounds.items() for rd in rds if rd.c}
-    assert set(code._handdowns) == set(rounds)
-    assert all(len(code._handdowns[key]) == code.lspec[rd.c].R * rd.m
-               for key, rd in rounds.items())
-    lists = dict(code._handdowns)
-    for A in itertools.combinations(range(code.n), code.k):
-        code.collect(nodes, A)
-    for f in range(code.n):
-        code.repair(nodes, f)
-    # collects and repairs hand down only at the layers their dependents
-    # fill, from lists of their own, so the cached lists stay encode's
-    assert code._handdowns.keys() == lists.keys()
-    assert all(code._handdowns[key] is lift for key, lift in lists.items())
+    blob = [rng.randrange(code.F.q) for _ in range(code.M)]
+    nodes = build_concat(8, 5, 4, 11).encode(blob)
+    A, f = (1, 3, 4, 6), 5
+    for op, cached in ((lambda: code.encode(blob), lambda: code._encoder),
+                       (lambda: code.collect(nodes, A), lambda: code._schedules[A]),
+                       (lambda: code.repair(nodes, f), lambda: code._repairs[f][1])):
+        for run in range(2):
+            compiled.clear()
+            replayed.clear()
+            op()
+            # the first run compiles the one schedule it keeps; the
+            # second compiles nothing and replays that same schedule
+            sched = cached()
+            if run == 0:
+                assert len(compiled) == 1 and compiled[0] is sched
+                kept = sched
+            else:
+                assert compiled == [] and sched is kept
+            # one replay per size, of the schedule's own entry
+            assert [u for u, _ in replayed] == list(code.order)
+            assert all(s is sched[u] for u, s in replayed)
+    assert code._schedules.keys() == {A} and code._repairs.keys() == {f}
+    assert code.encode(blob) == nodes
+    assert code.collect(nodes, A)[0] == blob and code.repair(nodes, f)[0] == nodes[f]
 
 
 @pytest.mark.parametrize("shape", END_TO_END_SHAPES + [(6, 3, 5, 11)], ids=_name)
@@ -648,35 +669,56 @@ def test_no_payload_position_or_helper_coordinate_is_a_layer_check(shape):
                 assert [p for p in code._lift(rd, L_c, i) if p % u == u - 1] == []
 
 
+def _handdown_layers(code, u, lifts, m):
+    """The sublayer L_c of each m-th lift of a size-u handdown, read off
+    its positions: L_c is the one set every coordinate's layer contains."""
+    spec = code.lspec[u]
+    return [tuple(sorted(set.intersection(*(set(spec.layers[p // u]) for p in lift))))
+            for lift in lifts[::m]]
+
+
+def _assert_handdowns(code, sched, layers):
+    # every size's injected values land on layers[u], and each round
+    # hands down exactly at its dependents' layers, in that order; a
+    # round with none is not in the schedule
+    for u, (_, got, handdowns) in sched.items():
+        assert list(got) == layers[u]
+        assert [rd.c for rd, _ in handdowns] == [
+            rd.c for rd in code.rounds[u] if rd.c and layers[rd.c]]
+        for rd, lifts in handdowns:
+            assert len(lifts) == len(layers[rd.c]) * rd.m
+            assert _handdown_layers(code, u, lifts, rd.m) == [
+                code.lspec[rd.c].layers[lc] for lc in layers[rd.c]]
+
+
 def test_collect_leaves_only_dead_layer_checks_unknown():
     # at every anchor, a collect sets every position outside A but the
     # last of each layer whose largest node is outside A, and each round
-    # hands down exactly at the layers its dependents fill
+    # hands down exactly at the layers its dependents fill; encode hands
+    # down at every sublayer, a repair at the sublayers holding the
+    # failed node
     code = build_concat(8, 5, 4, 11)
     rng = random.Random(8)
     blob = [rng.randrange(code.F.q) for _ in range(code.M)]
     nodes = code.encode(blob)
-    payload, handdown, seen = code._payload, code._handdown, {}
+    _assert_handdowns(code, code._encoder, {u: list(range(code.lspec[u].R)) for u in code.order})
+    payload, seen = code._payload, {}
 
     def keep_vectors(vectors):
         seen["vectors"] = vectors
         return payload(vectors)
 
-    def record_handdown(u, rd, lcs):
-        seen["handdowns"].append((u, rd.c, list(lcs)))
-        return handdown(u, rd, lcs)
-
-    code._payload, code._handdown = keep_vectors, record_handdown
-    rounds = sorted((u, rd.c) for u, rds in code.rounds.items() for rd in rds if rd.c)
+    code._payload = keep_vectors
     for A in itertools.combinations(range(code.n), code.k):
-        seen["handdowns"] = []
         assert code.collect(nodes, A)[0] == blob
         for u, w in seen["vectors"].items():
             dead = {l * u + u - 1 for l, L in enumerate(code.lspec[u].layers) if L[-1] not in A}
             assert {p for p, x in enumerate(w) if x is None} == dead
-        live = {c: sorted({t // c for _, _, fill in code._schedule(c, A) for t in fill})
-                for c in code.order}
+        sched = code._schedule(A)
+        live = {c: sorted({t // c for _, _, fill in sched[c][0] for t in fill}) for c in code.order}
         assert live[1] == []  # a size-1 layer's only node is its largest
-        assert sorted((u, c) for u, c, _ in seen["handdowns"]) == rounds
-        for u, c, lcs in seen["handdowns"]:
-            assert sorted(lcs) == live[c]
+        _assert_handdowns(code, sched, live)
+    for f in range(code.n):
+        assert code.repair(nodes, f)[0] == nodes[f]
+        _assert_handdowns(code, code._repairs[f][1], {u: [
+            l for l, L in enumerate(code.lspec[u].layers) if f in L] for u in code.order})

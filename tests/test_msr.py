@@ -136,8 +136,8 @@ def test_tampered_encode_fails_the_certificate(shape):
     dep = code.kids[0]
     replay = code._replay
 
-    def tampered(u, w, steps, handdown, injected, vectors=None):
-        replay(u, w, steps, handdown, injected, vectors)
+    def tampered(u, w, sched, injected, vectors=None):
+        replay(u, w, sched, injected, vectors)
         if dep in injected:
             injected[dep][:] = [0] * len(injected[dep])
 

@@ -544,6 +544,20 @@ def test_load_rejects_unexpected_node_files(tmp_path):
         load_state(path)
 
 
+def test_save_of_a_blob_the_nodes_do_not_store_keeps_the_old_store(tmp_path):
+    # a state whose blob is not the payload of its nodes would save a
+    # blob_digest no load accepts, after deleting the good store's files
+    code = build_concat(8, 5, 4, 11)
+    old = ingest(code, _seeded_blob(code, 1))
+    path = str(tmp_path / "store")
+    save_state(old, path)
+    bad = StorageState(code, [1] * code.M, code.encode([2] * code.M))
+    with pytest.raises(ValueError, match="the blob is not the payload the node arrays store"):
+        save_state(bad, path)
+    back = load_state(path)
+    assert back.blob == old.blob and back.nodes == old.nodes
+
+
 def test_save_of_a_short_node_list_keeps_the_old_store(tmp_path):
     # a state of n-1 node arrays is refused before save_state could
     # write n-1 files and delete the n the store lists
