@@ -74,9 +74,10 @@ store (its manifest and node files); they run after every peak-RSS
 reading, so the larger code does not raise them.  Then the collect counts, exact, so one run per checkout: at
 (8,5,4,11) and (10,6,5,11), one collect of one seeded blob at every
 anchor, counting the fill targets (``fill_layers``), the words handed
-down (each handdown stack's lifts times the size's siblings) and the
-``syndrome_of`` calls, with each count's total, mean, minimum and
-maximum per collect.  Then the first-use probe: PAIRS
+down (each handdown stack's lifts times the size's siblings), the
+``syndrome_of`` calls, the ``erasure_decode`` calls and the words they
+decode (the slots of each decode's regions), with each count's total,
+mean, minimum and maximum per collect.  Then the first-use probe: PAIRS
 alternating pairs (the parent first when the pair is even) per shape in
 FIRST_USE_SHAPES, each run a fresh process that builds the code, ingests
 one seeded blob and collects it at one seeded anchor, and reports the
@@ -149,10 +150,13 @@ print(json.dumps({"build_s": build, "ingest_s": t1 - t0, "collect_s": t2 - t1,
 """
 
 # the work of one collect at every anchor, counted through the layers
-# that do it: fill_layers (targets) and syndrome_of (calls, and the words
+# that do it: fill_layers (targets), syndrome_of (calls, and the words
 # of each handdown stack: the slots of its regions, its lifts times the
-# size's siblings), through concat's module names only, not a method of
-# the code, so the same probe runs on both checkouts
+# size's siblings) and erasure_decode (calls, and the words decoded: the
+# slots of each decode's regions), through concat's module names only,
+# not a method of the code, and erasure_decode through a *args wrapper
+# (its regions are its fifth argument), so the same probe runs on both
+# checkouts
 COLLECT_COUNTS = r"""
 import itertools, json, random
 from graphcodes import concat
@@ -162,7 +166,8 @@ for shape in ((8, 5, 4, 11), (10, 6, 5, 11)):
     rng = random.Random(1)
     blob = [rng.randrange(code.F.q) for _ in range(code.M)]
     nodes = code.encode(blob)
-    fill, syndrome, count = concat.fill_layers, concat.syndrome_of, {}
+    fill, syndrome, decode = concat.fill_layers, concat.syndrome_of, concat.erasure_decode
+    count = {}
 
     def counted_fill(F, w, v, injected, targets):
         count["fill_targets"] += len(targets)
@@ -173,14 +178,22 @@ for shape in ((8, 5, 4, 11), (10, 6, 5, 11)):
         count["handdown_words"] += regions.B
         return syndrome(code, vec, regions)
 
+    def counted_decode(*args):
+        count["erasure_decode_calls"] += 1
+        count["decoded_words"] += args[4].B
+        return decode(*args)
+
     concat.fill_layers, concat.syndrome_of = counted_fill, counted_syndrome
+    concat.erasure_decode = counted_decode
     per = []
     for A in itertools.combinations(range(code.n), code.k):
-        count.update(fill_targets=0, handdown_words=0, syndrome_of_calls=0)
+        count.update(fill_targets=0, handdown_words=0, syndrome_of_calls=0,
+                     erasure_decode_calls=0, decoded_words=0)
         if code.collect(nodes, A)[0] != blob:
             raise SystemExit("collect returned a wrong blob")
         per.append(dict(count))
     concat.fill_layers, concat.syndrome_of = fill, syndrome
+    concat.erasure_decode = decode
     out["(%d,%d,%d,%d)" % shape] = {"anchors": len(per), **{
         name: {"total": sum(p[name] for p in per), "per_collect_mean": sum(p[name] for p in per) / len(per),
                "min": min(p[name] for p in per), "max": max(p[name] for p in per)}

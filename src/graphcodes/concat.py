@@ -21,7 +21,8 @@ syndromes handed down to the dependents as injected values.  One
 component rule gives every size u its rounds c = u-2 .. 0; the last,
 c = 0, is the precode, the same graph code family with a zero syndrome.
 Words of one helper code are stacked into wider regions, so a round
-makes one erasure_decode per anchor and one syndrome_of.  A schedule
+step makes one erasure_decode, one slot group per relabeled anchor, and
+a round hands down with one syndrome_of.  A schedule
 depends on the parameters and the anchor or failed node, never on the
 data, so each is compiled once and replayed, as in Jerasure: encode's
 runs round 0 at the fixed anchor A0, closes every layer check and hands
@@ -540,17 +541,22 @@ class ConcatCode:
             log.records.append((j, offsets))
         return log
 
-    def _stack(self, K, w: list, code: JGCSpec, lifts, out: Sequence[int] = ()) -> tuple:
+    def _stack(self, K, w: list, code: JGCSpec, lifts, groups=()) -> tuple:
         """(K2, word): the G words of w at the position lists in lifts, one
         word of K2's G*B-slot regions, slot (g, b) holding slot b of word
-        g, and 0 at the positions out (a decode's unknowns): one gather,
-        and the words' bytes cut into K2's regions.  A None at any other
-        position fails K.to_bytes: ValueError naming its vertex."""
+        g, and 0 at a decode's unknowns: groups lists (words, out) for
+        consecutive runs of lifts, each run's words 0 at its positions
+        out.  One gather, and the words' bytes cut into K2's regions.  A
+        None at any other position fails K.to_bytes: ValueError naming
+        its vertex."""
         K2 = self.F.regions(len(lifts) * K.B, self.longest)
         cols = list(zip(*[itemgetter(*lift)(w) for lift in lifts]))
-        zero = (0,) * len(lifts)
-        for t in out:
-            cols[t] = zero
+        at = 0
+        for g, out in groups:
+            zero = (0,) * g
+            for t in out:
+                cols[t] = cols[t][:at] + zero + cols[t][at + g:]
+            at += g
         try:
             stack = K.to_bytes(itertools.chain.from_iterable(cols))
         except TypeError:
@@ -558,16 +564,28 @@ class ConcatCode:
             raise ValueError(f"missing known coordinate at {code.vertices[t]}") from None
         return K2, K2.from_bytes(stack)
 
-    def _decode(self, K, w: list, code: JGCSpec, A: Layer, lifts, syndrome,
-                out: Sequence[int]) -> None:
-        """Complete the words of w at the position lists in lifts with one
-        erasure_decode of their stack (_stack), given its syndrome as K2
-        regions (_syndrome) or None for zero, and set positions out."""
-        K2, word = self._stack(K, w, code, lifts, out)
-        word = erasure_decode(code, A, word, syndrome, K2)
-        for x, (t, lift) in zip(K.from_bytes(K2.to_bytes([word[t] for t in out])),
-                                itertools.product(out, lifts)):
-            w[lift[t]] = x
+    def _decode(self, u: int, w: list, rd: _Round, subs: list,
+                vectors: Optional[Dict[int, list]]) -> None:
+        """Complete the words of every piece of a round step's subs
+        (_subs) in the size-u region vector w with one erasure_decode of
+        their stack (_stack), one slot group per relabeled anchor A2,
+        given the syndrome of all the pieces (_syndrome; zero in round
+        0), and set each group's positions plan.out from its own slots."""
+        K = self.kernels[u]
+        pieces = [piece for _, _, ps in subs for piece in ps]
+        groups = [(len(ps) * rd.m, plan.out) for _, plan, ps in subs]
+        lifts = [lift for _, ls in pieces for lift in ls]
+        K2, word = self._stack(K, w, rd.code, lifts, groups)
+        word = erasure_decode(rd.code, [(A2, len(ps) * rd.m * K.B) for A2, _, ps in subs], word,
+                              self._syndrome(u, rd, pieces, vectors) if rd.c else None, K2)
+        # a group's g words are g*B slots of the stack, from slot at*B
+        bits, at = 8 * K.width * K.B, 0
+        for g, out in groups:
+            Kg, mask = self.F.regions(g * K.B, self.longest), (1 << g * bits) - 1
+            vals = K.from_bytes(Kg.to_bytes([word[t] >> at * bits & mask for t in out]))
+            for x, (t, lift) in zip(vals, itertools.product(out, lifts[at:at + g])):
+                w[lift[t]] = x
+            at += g
 
     def _syndrome(self, u: int, rd: _Round, pieces, vectors: Dict[int, list]) -> List[int]:
         """The syndrome of a round rd >= 1 decode of size u over pieces
@@ -631,7 +649,8 @@ class ConcatCode:
             for rd in self.rounds[u] if rd.c and layers[rd.c]]) for u in self.order}
 
     def _subs(self, rd: _Round, A: Layer) -> list:
-        """Round rd's decodes at anchor A: (A2, plan, pieces) per anchor
+        """Round rd's decode at anchor A, one erasure_decode whose slot
+        groups are its entries (_decode): (A2, plan, pieces) per anchor
         A2, A relabeled outside a sublayer L_c inside A, pieces listing
         (index of L_c, the rd.m lifts) of each such L_c.  Round 0 has the
         one sublayer (), with A2 = A and no index: it reads no sums."""
@@ -652,10 +671,12 @@ class ConcatCode:
         order[u][b]) by their schedule (steps, layers, handdowns), from
         their injected values (lists over layers), and set the dependents'
         ones: the syndromes of the words at each (rd, lifts) of handdowns.
-        A step (rd, subs, fill) decodes once per (A2, plan, pieces) of
-        subs, each (L_c, lift) stacked, with K2 regions assembled from the
-        sums of the dependents' read layers L_c in vectors as syndrome
-        (_syndrome; zero in round 0), then fills fill's targets."""
+        A step (rd, subs, fill) with decodes makes one erasure_decode
+        (_decode): every (L_c, lift) of every (A2, plan, pieces) of subs
+        stacked, one slot group per relabeled anchor A2, with K2 regions
+        assembled from the sums of the dependents' read layers L_c in
+        vectors as syndrome (_syndrome; zero in round 0); then it fills
+        fill's targets."""
         steps, layers, handdowns = sched
         K, ids = self.kernels[u], self.order[u]
         B, inj = K.B, None
@@ -664,9 +685,8 @@ class ConcatCode:
             for l, x in zip(layers, K.pack(_flat(zip(*(injected[cid] for cid in ids))))):
                 inj[l] = x
         for rd, subs, fill in steps:
-            for A2, plan, pieces in subs:
-                self._decode(K, w, rd.code, A2, [lift for _, lifts in pieces for lift in lifts],
-                             self._syndrome(u, rd, pieces, vectors) if rd.c else None, plan.out)
+            if subs:
+                self._decode(u, w, rd, subs, vectors)
             fill_layers(K, w, u, inj, fill)
         for rd, lifts in handdowns:
             deps = self.order[rd.c][self.first[u, rd.c]:]

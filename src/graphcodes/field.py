@@ -184,10 +184,12 @@ class Regions:
     holds one element and an operation loops over the slots.
 
     ``width`` is W in bytes, the same for every B at one q and
-    ``longest``: a region is B*width bytes little-endian, slot b in bytes
-    [b*width, (b+1)*width).  to_bytes joins the bytes of regions and
-    from_bytes cuts bytes back into regions, so regions of one width
-    restack between slot counts as bytes: the bytes of G regions of B
+    ``longest`` (kept, so a run of slots cut out of a region has the
+    kernel F.regions(slots, longest)): a region is B*width bytes
+    little-endian, slot b in bytes [b*width, (b+1)*width).  to_bytes
+    joins the bytes of regions and from_bytes cuts bytes back into
+    regions, so regions of one width restack between slot counts as
+    bytes: the bytes of G regions of B
     slots are those of one region of G*B slots.  Each runs in C, with no
     Python step per region, and to_bytes raises TypeError on None.
     """
@@ -197,7 +199,7 @@ class Regions:
         nb = ((longest * (q - 1) ** 2).bit_length() + 7) // 8
         packed = F.m == 1 and nb * (p - 1) < 256
         nb = nb if packed else ((q - 1).bit_length() + 7) // 8
-        self.p, self.B, self.width, size = p, B, nb, B * nb
+        self.p, self.B, self.width, self.longest, size = p, B, nb, longest, B * nb
         self.top = q if B == 1 else 256 ** size  # a region is an int in [0, top)
         if q <= 256:  # an element is the low byte of its slot
             def as_bytes(xs: Iterable[int]) -> bytes:

@@ -418,7 +418,8 @@ def express_in_rows(F: FieldSpec, H: Mat, h: Sequence[int]) -> Optional[List[int
 
 
 class DecodePlan(NamedTuple):
-    """What a decode at one anchor A needs besides the data: the vertex
+    """What a decode, or one slot group of a decode (erasure_decode), at
+    one anchor A needs besides the data: the vertex
     positions outside B_r(A) (the ball is code.ball(A)), whether A is
     an information set of the base code, and the inverse E of the
     aligned dual rows on the outside positions (E H_out = I), or None
@@ -568,7 +569,7 @@ def syndrome_of(code: GraphCode, vec: Sequence[int],
     return [dot(coefs, gather(vec)) for gather, coefs, _ in _sparse_dual_rows(code)]
 
 
-def erasure_decode(code: GraphCode, A: Sequence[int],
+def erasure_decode(code: GraphCode, A: Sequence,
                    word: Sequence[Optional[int]],
                    syndrome: Optional[Sequence[int]] = None,
                    regions: Optional[Regions] = None) -> List[int]:
@@ -588,9 +589,20 @@ def erasure_decode(code: GraphCode, A: Sequence[int],
     (code.F.regions(B, longest), longest > code.length) the word and the
     syndrome hold B-slot regions, B words decoded at once and checked
     slot by slot; a position is known or None in every slot together.
+
+    A may also list (anchor, slots) groups, consecutive runs of the B
+    slots, each decoded at its own anchor: a concatenated code's round
+    step passes one group per relabeled anchor, and one anchor is the
+    group [(A, B)].  A group ignores its positions outside its ball in
+    its own slots only, so a position must hold a region unless it is
+    outside every group's ball.  Every group is checked as one anchor
+    is; the right-hand side and the final check run once over all slots.
     """
-    plan = decode_plan(code, A)
     K = regions or code.F.regions(1)
+    groups = A if A and isinstance(A[0], (tuple, list)) else [(A, K.B)]
+    plans = [(decode_plan(code, Ag), slots) for Ag, slots in groups]
+    if sum(slots for _, slots in plans) != K.B or min(slots for _, slots in plans) < 1:
+        raise ValueError(f"the groups' slots must be positive and sum to the regions' {K.B} slots")
     H = _sparse_dual_rows(code)
     if syndrome is None:
         syndrome = [0] * len(H)
@@ -599,9 +611,17 @@ def erasure_decode(code: GraphCode, A: Sequence[int],
     if len(word) != len(code.vertices):
         raise ValueError("word length must equal the code length")
 
-    w = list(word)
-    for i in plan.out:
-        w[i] = 0
+    # the slots of each position outside some group's ball, as a bit mask
+    bits, at, cut = 8 * K.width, 0, {}
+    for plan, slots in plans:
+        mask = ((1 << slots * bits) - 1) << at * bits
+        for i in plan.out:
+            cut[i] = cut.get(i, 0) | mask
+        at += slots
+    w, full = list(word), (1 << at * bits) - 1
+    for i, mask in cut.items():
+        if mask == full:
+            w[i] = 0
     try:
         code.F.check_symbols(w, "word", K.top)
     except ValueError:
@@ -609,9 +629,12 @@ def erasure_decode(code: GraphCode, A: Sequence[int],
             raise ValueError("missing known coordinate at "
                              f"{code.vertices[w.index(None)]}") from None
         raise
-    if not plan.infoset:
-        raise ValueError(f"{tuple(sorted(A))} is not an information set of the base code")
-    w = _dense_complete(code, plan, H, syndrome, w, K)
+    for i, mask in cut.items():
+        w[i] &= full ^ mask
+    for (plan, _), (Ag, _) in zip(plans, groups):
+        if not plan.infoset:
+            raise ValueError(f"{tuple(sorted(Ag))} is not an information set of the base code")
+    w = _dense_complete(code, plans, H, syndrome, w, K)
 
     for (gather, coefs, _), s in zip(H, syndrome):
         if K.dot(coefs, gather(w)) != s:
@@ -619,18 +642,24 @@ def erasure_decode(code: GraphCode, A: Sequence[int],
     return w
 
 
-def _dense_complete(code: GraphCode, plan: DecodePlan, H: list,
+def _dense_complete(code: GraphCode, groups: Sequence[Tuple[DecodePlan, int]], H: list,
                     syndrome: Sequence[int], w: List[int], K: Regions) -> List[int]:
     """Set w (indexed like code.vertices: ball values, 0 elsewhere) at
-    plan.out to x = E (syndrome - H w), E being the inverse the anchor's
-    plan keeps (decode_plan), in the region arithmetic K; raises when
-    the plan has none."""
-    E = plan.inverse
-    if E is None:
+    plan.out to x = E (syndrome - H w) in the slots of each (plan, slots)
+    of groups, consecutive runs of K's slots, E being the inverse the
+    plan keeps (decode_plan); raises when a plan has none.  syndrome - H
+    w is one product over all slots; each E runs in the kernel of its
+    group's width, on the slots shifted and masked out of it."""
+    if any(plan.inverse is None for plan, _ in groups):
         raise ValueError("erasure pattern is not recoverable")
     rhs = [K.dot(minus, (s,) + gather(w)) for (gather, _, minus), s in zip(H, syndrome)]
-    for i, erow in zip(plan.out, E):
-        w[i] = K.dot(erow, rhs)
+    bits, at = 8 * K.width, 0
+    for plan, slots in groups:
+        Kg, mask = code.F.regions(slots, K.longest), (1 << slots * bits) - 1
+        part = [r >> at * bits & mask for r in rhs]
+        for i, erow in zip(plan.out, plan.inverse):
+            w[i] |= Kg.dot(erow, part) << at * bits
+        at += slots
     return w
 
 

@@ -8,15 +8,17 @@ ball_size and each code's ball), the identity matrix and a submatrix
 (against storesim's _pack and _unpack), a column-subset rank test
 that ranks every block (against matrix.column_rank_test), the node
 arrays of a layered code's vector, written and read one symbol at a
-time (against the layered encode and fill_layers), and a Johnson
-code's decode plan by elimination (against jgc.decode_plan).
+time (against the layered encode and fill_layers), a Johnson code's
+decode plan by elimination (against jgc.decode_plan), and a decode of
+slot groups as one single-anchor decode per group (against
+jgc.erasure_decode's grouped form).
 """
 
 import itertools
 from typing import List, Optional, Sequence, Set, Tuple
 
 from graphcodes.combinat import shell_index
-from graphcodes.jgc import DecodePlan, aligned_dual_rows
+from graphcodes.jgc import DecodePlan, aligned_dual_rows, erasure_decode
 from graphcodes.matrix import rank, rref
 from graphcodes.subres import poly_trim
 
@@ -125,3 +127,27 @@ def decode_plan(code, A: Sequence[int]) -> DecodePlan:
     if pivots != list(range(len(out))):
         return DecodePlan(out, True, None)
     return DecodePlan(out, True, [row[len(out):] for row in R])
+
+
+def grouped_decode(code, groups, word, syndrome, K) -> List[int]:
+    """erasure_decode of a word of K regions whose slots fall into the
+    consecutive groups (anchor, slots), as one single-anchor decode per
+    group: its slots cut out of the bytes of the word and the syndrome
+    into regions of its own width, decoded at its anchor, and the
+    groups' bytes joined back, position by position."""
+    W, size = K.width, K.B * K.width
+    syndrome = syndrome or [0] * (code.length - code.dim)
+
+    def cut(regions, a, b):
+        data = K.to_bytes(regions)
+        return b"".join(data[j * size + a * W:j * size + b * W] for j in range(len(regions)))
+
+    parts, at = [], 0
+    for A, slots in groups:
+        Kg = code.F.regions(slots, K.longest)
+        decoded = erasure_decode(code, A, Kg.from_bytes(cut(word, at, at + slots)),
+                                 Kg.from_bytes(cut(syndrome, at, at + slots)), Kg)
+        parts.append((Kg.to_bytes(decoded), slots * W))
+        at += slots
+    return K.from_bytes(b"".join(data[j * g:(j + 1) * g]
+                                 for j in range(len(word)) for data, g in parts))

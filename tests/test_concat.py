@@ -11,6 +11,7 @@ from math import comb
 import pytest
 
 import reference
+from graphcodes import concat, jgc
 from graphcodes.concat import (
     ScenarioLayout,
     admissible_scenarios,
@@ -589,8 +590,8 @@ def test_decode_gap_raises_the_typed_error(shape):
     blob = [rng.randrange(code.F.q) for _ in range(code.M)]
     nodes = code.encode(blob)
     A = tuple(range(1, code.k + 1))
+    vectors = {c: [0] * len(w) for c, w in code._vectors().items()}
     for u in (u for u, rds in code.rounds.items() if rds):
-        K = code.kernels[u]
         for rd, subs, _ in code._schedule(A)[u][0][1:]:
             for A2, plan, pieces in subs:
                 lifts = [lift for _, ls in pieces for lift in ls]
@@ -599,7 +600,7 @@ def test_decode_gap_raises_the_typed_error(shape):
                 w[lifts[-1][t]] = None
                 with pytest.raises(ValueError, match=re.escape(
                         f"missing known coordinate at {rd.code.vertices[t]}")):
-                    code._decode(K, w, rd.code, A2, lifts, None, plan.out)
+                    code._decode(u, w, rd, [(A2, plan, pieces)], vectors)
         # through collect: without its first fill, the schedule's first
         # decode meets a gap
         steps = code._schedule(A)[u][0]
@@ -611,6 +612,137 @@ def test_decode_gap_raises_the_typed_error(shape):
         finally:
             steps[0] = first
         assert code.collect(nodes, A)[0] == blob
+
+
+def _round_steps(sched):
+    """The steps of a compiled schedule that decode (a round's)."""
+    return [step for steps, _, _ in sched.values() for step in steps if step[1]]
+
+
+def _recording_decodes(monkeypatch):
+    """Record every concat.erasure_decode call's arguments."""
+    calls, real = [], concat.erasure_decode
+
+    def recorded(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(concat, "erasure_decode", recorded)
+    return calls
+
+
+def test_one_erasure_decode_per_round_step(monkeypatch):
+    # every relabeled anchor of a round step is one slot group of one
+    # decode: a collect decodes once per round step, encode once per
+    # round-0 step, and the pure layered code never
+    calls = _recording_decodes(monkeypatch)
+    for shape, sample, steps in (((8, 5, 4, 11), None, 6), ((10, 6, 5, 11), 12, 10)):
+        code = build_concat(*shape)
+        rng = random.Random(8)
+        blob = [rng.randrange(code.F.q) for _ in range(code.M)]
+        calls.clear()
+        nodes = code.encode(blob)
+        assert len(calls) == sum(1 for rds in code.rounds.values() for rd in rds if not rd.c)
+        assert len(calls) == len(_round_steps(code._encoder))
+        anchors = list(itertools.combinations(range(code.n), code.k))
+        for A in anchors if sample is None else rng.sample(anchors, sample):
+            calls.clear()
+            assert code.collect(nodes, A)[0] == blob
+            assert len(calls) == len(_round_steps(code._schedules[A])) == steps
+            # one group per relabeled anchor, in _subs order, whose slots
+            # tile the stack
+            assert [[A2 for A2, _ in groups] for _, groups, *_ in calls] == [
+                [A2 for A2, _, _ in subs] for _, subs, _ in _round_steps(code._schedules[A])]
+            assert all(sum(slots for _, slots in groups) == K.B for _, groups, _, _, K in calls)
+    layered = LayeredCode(6, 3, 11)
+    blob = [random.Random(9).randrange(11) for _ in range(layered.M)]
+    calls.clear()
+    nodes = layered.encode(blob)
+    for A in itertools.combinations(range(layered.n), layered.k):
+        assert layered.collect(nodes, A)[0] == blob
+    assert all(layered.repair(nodes, f)[0] == nodes[f] for f in range(layered.n))
+    assert calls == []
+
+
+def _shift_slot(F, K, x, slot):
+    """x, a region of K, with F.add(., 1) applied to its value at slot."""
+    shift = 8 * K.width * slot
+    old = x >> shift & (1 << 8 * K.width) - 1
+    return x + ((F.add(old, 1) - old) << shift)
+
+
+@pytest.mark.parametrize("shape, sample", [
+    ((8, 5, 4, 11), None), ((6, 4, 3, 8), 5), ((6, 4, 3, 9), 5), ((4, 3, 2, 257), 3),
+    ((10, 6, 5, 11), 3)],
+    ids=lambda x: _name(x) if isinstance(x, tuple) else f"{x or 'every'}-anchors")
+def test_grouped_decode_equals_one_decode_per_group(shape, sample, monkeypatch):
+    # every round step of a collect, at every anchor of (8,5,4,11) and
+    # at seeded ones elsewhere (packed, table and two-byte-slot
+    # kernels): the grouped decode is bit for bit one single-anchor
+    # decode per group, a wrong decoded value in any one group fails
+    # the syndrome check, and a gap at a known coordinate of the last
+    # group is named
+    code = build_concat(*shape)
+    rng = random.Random(10)
+    blob = [rng.randrange(code.F.q) for _ in range(code.M)]
+    nodes = code.encode(blob)
+    calls = _recording_decodes(monkeypatch)
+    anchors = list(itertools.combinations(range(code.n), code.k))
+    for A in anchors if sample is None else rng.sample(anchors, sample):
+        assert code.collect(nodes, A)[0] == blob
+    monkeypatch.undo()
+    assert any(len(groups) > 1 for _, groups, *_ in calls)
+    real = jgc._dense_complete
+    for rc, groups, word, syndrome, K in calls:
+        decoded = jgc.erasure_decode(rc, groups, word, syndrome, K)
+        assert decoded == reference.grouped_decode(rc, groups, word, syndrome, K)
+        at = 0
+        for g, (A2, slots) in enumerate(groups):
+            def corrupting(code_, plans, H, syn, w, K_, at=at, g=g):
+                out = real(code_, plans, H, syn, w, K_)
+                i = plans[g][0].out[0]
+                out[i] = _shift_slot(code_.F, K_, out[i], at + slots - 1)
+                return out
+
+            with monkeypatch.context() as patch:
+                patch.setattr(jgc, "_dense_complete", corrupting)
+                with pytest.raises(ValueError, match="inconsistent with the syndrome"):
+                    jgc.erasure_decode(rc, groups, word, syndrome, K)
+            at += slots
+        t = max(set(range(rc.length)).difference(decode_plan(rc, groups[-1][0]).out))
+        gap = list(word)
+        gap[t] = None
+        with pytest.raises(ValueError, match=re.escape(
+                f"missing known coordinate at {rc.vertices[t]}")):
+            jgc.erasure_decode(rc, groups, gap, syndrome, K)
+
+
+def test_grouped_decode_ignores_each_group_unknowns_in_its_own_slots():
+    # two groups at different anchors over one word: garbage in a
+    # group's slots at its own unknowns is ignored, a position unknown
+    # to every group may hold anything, and the slot counts must tile
+    # the regions
+    code = build_concat(8, 5, 4, 11)
+    rd = next(rd for rd in code.rounds[5] if rd.c == 2)
+    rc, F = rd.code, code.F
+    anchors = [(0, 1), (0, 2)]
+    outs = [set(decode_plan(rc, A2).out) for A2 in anchors]
+    rng = random.Random(11)
+    vecs = [[rng.randrange(F.q) for _ in range(rc.length)] for _ in range(3)]
+    K = F.regions(3, code.longest)
+    groups = [(anchors[0], 1), (anchors[1], 2)]
+    want = K.pack([x for col in zip(*vecs) for x in col])
+    syndrome = K.pack([x for col in zip(*(jgc.syndrome_of(rc, v) for v in vecs)) for x in col])
+    word = [K.pack([rng.randrange(F.q) if t in outs[0] else col[0]]
+                   + [rng.randrange(F.q) if t in outs[1] else x for x in col[1:]])[0]
+            if t not in outs[0] & outs[1] else None
+            for t, col in enumerate(zip(*vecs))]
+    assert None in word
+    assert jgc.erasure_decode(rc, groups, word, syndrome, K) == want
+    for bad in ([(anchors[0], 1), (anchors[1], 1)], [(anchors[0], 2), (anchors[1], 2)],
+                [(anchors[0], 0), (anchors[1], 3)], [(anchors[0], -1), (anchors[1], 4)]):
+        with pytest.raises(ValueError, match="slots must be positive and sum"):
+            jgc.erasure_decode(rc, bad, word, syndrome, K)
 
 
 def test_each_operation_compiles_one_schedule_and_reuses_it():

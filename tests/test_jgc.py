@@ -332,9 +332,9 @@ def test_erasure_decode_wrong_row_fails_syndrome_check(monkeypatch):
     _, known = _codeword_and_ball(code, A, 12)
     real = jgc._dense_complete
 
-    def corrupting(code_, plan, H, syndrome, w, K):
-        out = real(code_, plan, H, syndrome, w, K)
-        i = plan.out[0]
+    def corrupting(code_, groups, H, syndrome, w, K):
+        out = real(code_, groups, H, syndrome, w, K)
+        i = groups[0][0].out[0]
         out[i] = code_.F.add(out[i], 1)
         return out
 
