@@ -62,10 +62,16 @@ garbage-collector generation over the pass, counted in the process by
 a ``gc.callbacks`` hook.  Then the ``decode_plan`` layer: the median,
 over 5 new (10,6,5,11) codes, of the microseconds per plan over every
 anchor of every round code (its dual rows built before the clock
-starts, its first plan's Laplace pass inside it).  Then the median
+starts, its first plan's Laplace pass inside it).  Then the Laplace
+passes: at (8,5,4,11), (10,6,5,11) and (12,7,6,13), the exact number of
+``all_minors`` calls one ``build_concat`` makes and the number the first
+plan (at the anchor range(k')) of every round code it built makes,
+counted through every module that binds the function, and the median
+over 5 new codes of those first plans' total time.  Then the median
 time of ``matrix.all_minors`` over the dual base of every round code
-of that (10,6,5,11) code, the Laplace pass (the ``pi`` layer) of its
-build.  Last in the probe, the
+of that (10,6,5,11) code, one pass per round code as a build made
+before the round codes of one index shared one table: the same work on
+both checkouts, a timing of the ``pi`` layer.  Last in the probe, the
 median time of ``build_concat`` at (12,7,6,13) (no code of it alive,
 so each call builds), and of ``save_state`` and of ``load_state`` (the
 saving code alive) at (12,7,6,13), whose 46,656 symbols per node make
@@ -352,8 +358,40 @@ def plan_us_per_plan():
 out["decode_plan_us_per_plan(10,6,5,11)"] = round(
     statistics.median(plan_us_per_plan() for _ in range(5)), 1)
 
-# the pi layer alone: the Laplace pass of a build, over every round
-# code's dual base
+# Laplace passes: the all_minors calls, exact, of one build_concat and of
+# the first plan (at the anchor range(k')) of every round code it built,
+# counted through every module that binds all_minors, and the median
+# over 5 new codes of those first plans' total time
+def counted_minors(*args):
+    minors_calls[0] += 1
+    return all_minors(*args)
+
+all_minors, minors_calls = matrix.all_minors, [0]
+binders = [m for m in (matrix, jgc, concat) if getattr(m, "all_minors", None) is all_minors]
+out["laplace_passes"] = {}
+for shape in ((8, 5, 4, 11), (10, 6, 5, 11), (12, 7, 6, 13)):
+    counts, plan_ms = [], []
+    for _ in range(5):
+        for m in binders:
+            m.all_minors = counted_minors
+        minors_calls[0] = 0
+        rcs = [rd.code for rds in concat.build_concat(*shape).rounds.values() for rd in rds]
+        counts.append([minors_calls[0]])
+        minors_calls[0] = 0
+        t0 = time.perf_counter()
+        for rc in rcs:
+            jgc.decode_plan(rc, tuple(range(rc.k)))
+        plan_ms.append((time.perf_counter() - t0) * 1000)
+        counts[-1].append(minors_calls[0])
+        for m in binders:
+            m.all_minors = all_minors
+    out["laplace_passes"]["(%d,%d,%d,%d)" % shape] = {
+        "round_codes": len(rcs), "build_concat_calls": counts[0][0],
+        "first_plans_calls": counts[0][1], "counts_repeat": all(c == counts[0] for c in counts),
+        "first_plans_ms": round(statistics.median(plan_ms), 2)}
+
+# the pi layer alone: one Laplace pass over every round code's dual
+# base, the same work on both checkouts
 duals = [jgc.dual(rd.code) for rds in code.rounds.values() for rd in rds]
 out["median_ms"]["all_minors, every round-code dual base (10,6,5,11)"] = median_ms(
     lambda: [matrix.all_minors(D.F, D.base, min(D.v, D.k)) for D in duals], 9)

@@ -6,8 +6,9 @@ in [0, n).  A vertex of H(m,n) is an m-tuple over {0, ..., n-1}.
 
 from __future__ import annotations
 
-import itertools
+from itertools import combinations, product, repeat, starmap
 from math import comb
+from operator import add
 from typing import Iterable, List, Sequence, Tuple
 
 Layer = Tuple[int, ...]
@@ -35,17 +36,26 @@ def complement(L: Sequence[int], n: int) -> Layer:
 
 
 def johnson_vertices(n: int, v: int, k: int = None) -> List[Layer]:
-    """All v-subsets of {0..n-1}, in lexicographic order, or with k in
-    k-lex order: by decreasing |L intersect {0..k-1}|, ties broken
-    lexicographically.
-    """
+    """All v-subsets of {0..n-1} in lex order, or with k in k-lex order, by
+    decreasing |L intersect {0..k-1}|, ties lex (lex for k outside [0, n]).
+    ValueError unless n, v, k (or None) are ints, not bools, 0 <= v <= n."""
+    for name, x in zip("nvk", (n, v, 0 if k is None else k)):
+        if not isinstance(x, int) or isinstance(x, bool):
+            raise ValueError(f"{name}={x!r} is not an integer")
     if not 0 <= v <= n:
         raise ValueError(f"need 0 <= v <= n, got v={v}, n={n}")
-    verts = list(itertools.combinations(range(n), v))
-    if k is not None:
-        head = set(range(k))
-        verts.sort(key=lambda L: (-len(head.intersection(L)), L))
+    if k is None or not 0 <= k <= n:
+        return list(combinations(range(n), v))
+    verts: List[Layer] = []
+    # block j, j descending: a + b over lex pairs of j-subsets a of range(k) and (v-j)-subsets b
+    for j in range(min(v, k), max(0, v - n + k) - 1, -1):
+        verts += starmap(add, product(combinations(range(k), j), combinations(range(k, n), v - j)))
     return verts
+
+
+def bit_masks(n: int, layers: Iterable[Sequence[int]]) -> List[int]:
+    """Each layer's bit mask (bit j for element j < n), by one map."""
+    return list(map(sum, map(map, repeat([1 << j for j in range(n)].__getitem__), layers)))
 
 
 def shell_index(L: Sequence[int], A: Sequence[int]) -> int:
@@ -85,5 +95,5 @@ def hamming_vertices(m: int, n: int, anchor: Sequence[int]) -> List[HammingVerte
     lexicographic.
     """
     sA = set(anchor)
-    return sorted(itertools.product(range(n), repeat=m),
+    return sorted(product(range(n), repeat=m),
                   key=lambda t: (sum(1 for x in t if x not in sA), t))

@@ -50,7 +50,7 @@ from graphcodes.combinat import Layer, ball_size, layer
 from graphcodes.field import field_make
 from graphcodes.jgc import JGCSpec, aligned_dual_rows, decode_plan, erasure_decode, syndrome_of
 from graphcodes.layered import LayeredSpec, check_node, fill_layers
-from graphcodes.matrix import getter
+from graphcodes.matrix import all_minors, getter, nullspace
 
 
 def _flat(xss) -> list:
@@ -378,10 +378,12 @@ class ConcatCode:
     After __init__ a code changes only its memo caches, each filled
     deterministically from the parameters: _lifts, _schedules,
     _encoder, _repairs and every round JGCSpec's _plans, _cofactors,
-    _sparse and _masks (its _dual and _aligned are built with it; its
-    own generator rows never are, as nothing reads them).  So every
-    caller of one (n, v, k, q) can share one code, as live_concat does,
-    and shares its warm plans and schedules with it.
+    _sparse and _masks.  Its _dual and _aligned are built with it, the
+    dual on round c's one dual base and minors table (_minors), shared
+    by every size, so a first plan runs no Laplace pass; its generator
+    rows never are, as nothing reads them.  So every caller of one
+    (n, v, k, q) can share one code, as live_concat does, and shares its
+    warm plans and schedules with it.
     """
 
     def __init__(self, n: int, v: int, k: int, q: int):
@@ -400,16 +402,32 @@ class ConcatCode:
 
         # sizes[cid] is component cid's layer size, numbered breadth
         # first (the loop visits the ids it appends): cid's dependents
-        # are kids[cid] onwards, rd.m * rd.codim per round c >= 1 of
-        # rounds[sizes[cid]], in round order
+        # are kids[cid] onwards, (u-1-c) * codim per round c >= 1 of its
+        # size u in round order (codims[u][c]; no round at codim 0)
         self.sizes: List[int] = [v]
         self.kids: List[int] = []
-        self.rounds: Dict[int, List[_Round]] = {}
+        codims: Dict[int, Dict[int, int]] = {}
         for u in self.sizes:
             self.kids.append(len(self.sizes))
-            if u not in self.rounds:
-                self.rounds[u] = self._size_rounds(u)
-            self.sizes += [rd.c for rd in self.rounds[u] if rd.c for _ in range(rd.m * rd.codim)]
+            if u not in codims:
+                codims[u] = {c: e for c in range(u - 2, -1, -1)
+                             for e in [_shape_codim((n - c, u - c, k - c, 1))] if e}
+            self.sizes += [c for c, e in codims[u].items() if c for _ in range((u - 1 - c) * e)]
+        # round c of every size on one round base: the RS base (n-c points, dimension
+        # k-c), its dual base D0, D0's minors up to min(v', m), m - v' (v' = u-c, m = n-k)
+        self.rounds: Dict[int, List[_Round]] = {u: [] for u in codims}
+        for c in sorted({c for cs in codims.values() for c in cs}, reverse=True):
+            us = [u for u, cs in codims.items() if c in cs]
+            base = [[self.F.pow(a, i) for a in range(n - c)] for i in range(k - c)]
+            D0 = nullspace(self.F, base)
+            s = max(max(min(u - c, n - k), n - k - u + c) for u in us)
+            minors = (s, all_minors(self.F, D0, s))
+            for u in us:
+                code = JGCSpec(self.F, base, u - c, 1)
+                code._dual = code._dual_code(D0)
+                code._dual._minors = minors
+                aligned_dual_rows(code)
+                self.rounds[u].append(_Round(c, u - 1 - c, code))
         self.lspec = {u: LayeredSpec(self.F, n, u) for u in self.rounds}
 
         # data[u] lists a size-u vector's payload positions in payload
@@ -423,11 +441,11 @@ class ConcatCode:
                 if not rd.c:
                     info = [spec.index[rd.code.vertices[i]] for i in rd.code.ball(self.A0)]
             self.data[u] = spec.data if u == v else [l * u + j for j in range(u - 1) for l in info]
-        *self.offsets, self.alpha = itertools.accumulate(
-            (comb(n - 1, u - 1) for u in self.sizes), initial=0)
-        self.M = sum(len(self.data[u]) for u in self.sizes)
-        self.beta = sum(self.lspec[u].beta for u in self.sizes)
-        self.start = list(itertools.accumulate((len(self.data[u]) for u in self.sizes), initial=0))
+        alphas = {u: spec.alpha for u, spec in self.lspec.items()}
+        *self.offsets, self.alpha = itertools.accumulate(map(alphas.get, self.sizes), initial=0)
+        self.start = list(itertools.accumulate(map(len, map(self.data.get, self.sizes)), initial=0))
+        self.M = self.start[-1]
+        self.beta = sum(spec.beta * self.sizes.count(u) for u, spec in self.lspec.items())
 
         # order[u]: the size-u component ids by slot, sizes largest first.
         # Size c takes each larger size u (from slot first[u, c]) and each
@@ -449,26 +467,16 @@ class ConcatCode:
         self.kernels = {u: self.F.regions(len(ids), self.longest) for u, ids in self.order.items()}
         # a collect reads node j at the offsets cols, by (size, position,
         # slot), into the positions at[j] of each size (reads[j], read by
-        # _gather), and row(values) puts them back in column order
+        # _gather), and row(values), cols inverted, puts them back
         self.cols = tuple(self.offsets[cid] + s for u, ids in self.order.items()
                           for s in range(self.lspec[u].alpha) for cid in ids)
-        self.row = getter(sorted(range(len(self.cols)), key=self.cols.__getitem__))
+        row = [0] * len(self.cols)
+        for i, col in enumerate(self.cols):
+            row[col] = i
+        self.row = getter(row)
         self.reads = [(j, self.cols, [(u, self.lspec[u].at[j]) for u in self.order])
                       for j in range(n)]
         _built[n, v, k, q] = self
-
-    # ----- helper code bookkeeping -----
-
-    def _size_rounds(self, u: int) -> List[_Round]:
-        F, rds = self.F, []
-        for c in range(u - 2, -1, -1):
-            n2, v2, k2 = self.n - c, u - c, self.k - c
-            # codimension 0: the radius ball already covers every layer above L_c
-            if _shape_codim((n2, v2, k2, 1)):
-                code = JGCSpec(F, [[F.pow(a, i) for a in range(n2)] for i in range(k2)], v2, 1)
-                aligned_dual_rows(code)
-                rds.append(_Round(c, u - 1 - c, code))
-        return rds
 
     # ----- labelings -----
 

@@ -12,7 +12,9 @@ The unit rows sit at the base's non-pivot columns U, so every generator
 entry is 0 or a signed minor of the base: pi(M)_L = +-det(base rows of
 M, L minus U) when U lies in L, and 0 otherwise.  A code is built from
 one Laplace pass over all s x s minors of the base, s <= min(v,k)
-(about sum_s C(k,s) C(n,s) s products), not one determinant per vertex.
+(about sum_s C(k,s) C(n,s) s products), not one determinant per vertex
+(base_minors); a concatenated code's helper codes of one round index
+share one such table of their dual base, made once with the code.
 
 The generator rows are built on first read (GraphCode.generator):
 certify_infosets and the dual's aligned rows read them, while encode,
@@ -30,11 +32,12 @@ from __future__ import annotations
 
 import json
 from functools import cached_property
-from itertools import combinations
+from itertools import combinations, count
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from graphcodes.combinat import (
     Layer,
+    bit_masks,
     complement,
     johnson_vertices,
     layer,
@@ -73,7 +76,7 @@ class GraphCode:
     ----------
     F : FieldSpec
     n, k, t, r : base length and dimension, threshold, r = top - t
-    base : k x n generator of the base code
+    base : k x n generator of the base code, kept, not copied
     g : the n x n base extended by unit rows at its non-pivot columns in
         increasing order, invertible for any full-rank base
     vertices, vertex_pos, length : the columns' vertices, their
@@ -102,10 +105,10 @@ class GraphCode:
             raise ValueError(f"need 0 < t <= {top}, got t={t}")
         self.t = t
         self.r = top - t
-        self.base = [list(row) for row in base]
+        self.base = base
         self.g = [list(row) for row in self.base] + [
             [int(c == j) for c in range(self.n)] for j in range(self.n) if j not in self._pivots]
-        self.vertex_pos = {L: i for i, L in enumerate(self.vertices)}
+        self.vertex_pos = dict(zip(self.vertices, count()))
         self.length = len(self.vertices)
         # built on first use: the dual, its rows in this code's vertex
         # order and their nonzeros (dual, aligned_dual_rows,
@@ -114,6 +117,7 @@ class GraphCode:
         # complementary minors those inverses are gathered from
         # (_minors_plan, Johnson codes of threshold 1 only)
         self._dual: Optional[GraphCode] = None
+        self._minors: Optional[Tuple[int, Dict[Layer, List[int]]]] = None
         self._aligned: Optional[Mat] = None
         self._masks: Optional[List[int]] = None
         self._sparse: Optional[list] = None
@@ -126,6 +130,13 @@ class GraphCode:
     def generator(self) -> Mat:
         """The rows coords(g restricted to I), I in basis_index."""
         return [self.coords([self.g[i] for i in I]) for I in self.basis_index]
+
+    def base_minors(self, s: int) -> Dict[Layer, List[int]]:
+        """Every minor of the base of size at most s (matrix.all_minors): the
+        table codes share, _minors = (size, table), if it reaches s, else a new pass."""
+        if self._minors is not None and self._minors[0] >= s:
+            return self._minors[1]
+        return all_minors(self.F, self.base, s)
 
     def __repr__(self) -> str:
         own = ", ".join(f"{p}={getattr(self, p)}" for p in self._repr_params)
@@ -142,8 +153,7 @@ class JGCSpec(GraphCode):
     vertices : the v-subsets in k-lex order, so basis_index, the layers
         I with |I intersect {0..k-1}| >= t, is their first dim entries
     generator : dim x C(n,v) generator matrix, row I = pi(g restricted to
-        I), from one Laplace pass over the base's minors (plucker_rows),
-        on first read
+        I), from one Laplace pass over the base's minors, on first read
     """
 
     _repr_params = ("n", "v")
@@ -157,8 +167,39 @@ class JGCSpec(GraphCode):
 
     @cached_property
     def generator(self) -> Mat:
-        return plucker_rows(self.F, self.base, self._pivots, self.v, self.basis_index,
-                            self.vertices)
+        """The rows pi(g restricted to I), I in basis_index, from the
+        minors of the base.
+
+        Row I takes the base rows I_b = I intersect {0..k-1} and the unit
+        rows of g at the non-pivot columns U.  Its entry at the vertex L is
+        0 unless U lies in L, and otherwise (-1)^e det(base[I_b], L minus U)
+        with e the number of pairs u in U < c in L minus U: the parity of
+        moving U to the back of L.  One Laplace pass (base_minors) gives
+        every minor; each row is then one gather, in ``vertices`` order, of
+        its minors, their negatives and 0, by an index built once per U.
+        """
+        F, k, n, vertices = self.F, self.k, self.n, self.vertices
+        free = [c for c in range(n) if c not in self._pivots]
+        minors = self.base_minors(min(self.v, k))
+        minus_one = F.neg(1)
+        gathers: Dict[Layer, Callable] = {}
+        rows = []
+        for I in self.basis_index:
+            Ib = tuple(i for i in I if i < k)
+            U = tuple(free[i - k] for i in I if i >= k)
+            m = minors[Ib]
+            gather = gathers.get(U)
+            if gather is None:
+                # vertex L's entry in m + -m + [0]: the minor of C = L minus U, negated
+                # for odd sign parity, or 0 unless U lies in L; with U = () a plain gather
+                index = dict(zip(combinations(range(n), len(Ib)), count()))
+                parts = (tuple(c for c in L if c not in U) for L in vertices)
+                gather = gathers[U] = getter([
+                    index[C] + len(m) * (sum(c > u for c in C for u in U) % 2)
+                    if len(C) == len(Ib) else 2 * len(m) for C in parts]
+                    if U else list(map(index.__getitem__, vertices)))
+            rows.append(list(gather(m + F.scale(minus_one, m) + [0] if U else m)))
+        return rows
 
     def coords(self, M: Mat) -> List[int]:
         return pi(self.F, M, self.vertices)
@@ -171,7 +212,7 @@ class JGCSpec(GraphCode):
         with shell_index(L, A) <= r, that is |L intersect A| >=
         min(v, |A|) - r, a popcount over the vertices' bit masks."""
         if self._masks is None:
-            self._masks = [sum(1 << j for j in L) for L in self.vertices]
+            self._masks = bit_masks(self.n, self.vertices)
         a = sum(1 << j for j in A)
         meet = min(self.v, len(A)) - self.r
         return [i for i, m in enumerate(self._masks) if (m & a).bit_count() >= meet]
@@ -196,44 +237,6 @@ class ParityStructure:
 
     def __len__(self) -> int:
         return len(self.rows)
-
-
-def plucker_rows(F: FieldSpec, base: Mat, pivots: Sequence[int], v: int,
-                 basis_index: Sequence[Layer], vertices: Sequence[Layer]) -> Mat:
-    """The rows pi(g restricted to I), I in basis_index, of the base
-    extended by unit rows at its non-pivot columns (GraphCode.g), from
-    the minors of the base.
-
-    Row I takes the base rows I_b = I intersect {0..k-1} and the unit
-    rows of g at the non-pivot columns U.  Its entry at the vertex L is
-    0 unless U lies in L, and otherwise (-1)^e det(base[I_b], L minus U)
-    with e the number of pairs u in U < c in L minus U: the parity of
-    moving U to the back of L.  One Laplace pass (all_minors) gives
-    every minor; each row is then one gather, in ``vertices`` order, of
-    its minors, their negatives and 0, by an index built once per U.
-    """
-    k, n = len(base), len(base[0])
-    free = [c for c in range(n) if c not in pivots]
-    minors = all_minors(F, base, min(v, k))
-    minus_one = F.neg(1)
-    gathers: Dict[Layer, Callable] = {}
-    rows = []
-    for I in basis_index:
-        Ib = tuple(i for i in I if i < k)
-        U = tuple(free[i - k] for i in I if i >= k)
-        m = minors[Ib]
-        gather = gathers.get(U)
-        if gather is None:
-            # vertex L's entry in m + -m + [0]: the minor of C = L minus
-            # U, negated for odd sign parity, or 0 unless U lies in L
-            index = {C: i for i, C in enumerate(combinations(range(n), len(Ib)))}
-            parts = [tuple(c for c in L if c not in U) for L in vertices]
-            gather = gathers[U] = getter([
-                index[C] + len(m) * (sum(c > u for c in C for u in U) % 2)
-                if len(C) == len(Ib) else 2 * len(m) for C in parts])
-        # with U = () every vertex is a column subset: a plain gather
-        rows.append(list(gather(m + F.scale(minus_one, m) + [0] if U else m)))
-    return rows
 
 
 def construct(F: FieldSpec, base: Mat, v: int, t: int) -> JGCSpec:
@@ -454,7 +457,7 @@ def aligned_dual_rows(code: GraphCode) -> Mat:
         code._aligned = []
         if code.dim < code.length:
             D = dual(code)
-            gather = getter([D.vertex_pos[L] for L in code.vertices])
+            gather = getter(list(map(D.vertex_pos.__getitem__, code.vertices)))
             code._aligned = [list(gather(hrow)) for hrow in D.generator]
     return code._aligned
 
@@ -520,11 +523,11 @@ def _minors_plan(code: JGCSpec, A: Layer) -> Tuple[Tuple[int, ...], Optional[Mat
         # gathers of L = A^c[J] and of A^c minus L, and sigma(J) mod 2
         D = dual(code)
         m = len(D.base)
-        minors = all_minors(F, D.base, m - code.v)
+        minors = D.base_minors(m - code.v)
         code._cofactors = (
             [F.scale(F.neg(1), minors[R]) if sum(I) % 2 else minors[R]
              for I in D.basis_index for R in [complement(I, m)]],
-            {C: i for i, C in enumerate(combinations(range(code.n), m - code.v))},
+            dict(zip(combinations(range(code.n), m - code.v), count())),
             [(getter(J), getter(complement(J, m)), sum(J) % 2)
              for J in combinations(range(m), code.v)])
     cofactors, index, parts = code._cofactors
@@ -563,8 +566,11 @@ def syndrome_of(code: GraphCode, vec: Sequence[int],
     the inner product of row i of ``dual(code)`` (re-indexed by the
     code's vertex order, aligned_dual_rows) with the vector, taken over
     the row's nonzeros only.  With ``regions`` (code.F.regions(B, ...))
-    the vector holds B-slot regions and so does the syndrome.
+    the vector holds B-slot regions and so does the syndrome.  A wrong
+    length raises ValueError.
     """
+    if len(vec) != code.length:
+        raise ValueError("vector length must equal the code length")
     dot = (regions or code.F).dot
     return [dot(coefs, gather(vec)) for gather, coefs, _ in _sparse_dual_rows(code)]
 

@@ -21,10 +21,11 @@ components, the pure layered code's one included, a size at a time.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain, compress, count, cycle
 from math import comb
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from graphcodes.combinat import Layer, johnson_vertices
+from graphcodes.combinat import Layer, bit_masks, johnson_vertices
 from graphcodes.field import FieldSpec
 
 
@@ -48,14 +49,14 @@ class LayeredSpec:
         self.v = v
         self.R, self.alpha, self.beta, self.M1 = layered_params(n, v)
         self.layers = johnson_vertices(n, v)
-        self.index = {L: l for l, L in enumerate(self.layers)}
+        self.index = dict(zip(self.layers, count()))
         self.at: List[List[int]] = [[] for _ in range(n)]
         self.slot = [0] * (self.R * v)
-        for p, j in enumerate(j for L in self.layers for j in L):
+        for p, j in enumerate(chain.from_iterable(self.layers)):
             self.slot[p] = len(self.at[j])
             self.at[j].append(p)
-        self.data = [p for p in range(self.R * v) if p % v != v - 1]
-        self.masks = [sum(1 << j for j in L) for L in self.layers]
+        self.data = list(compress(range(self.R * v), cycle([1] * (v - 1) + [0])))
+        self.masks = bit_masks(n, self.layers)
 
 
 def layered_params(n: int, v: int) -> Tuple[int, int, int, int]:

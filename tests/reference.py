@@ -9,9 +9,12 @@ ball_size and each code's ball), the identity matrix and a submatrix
 that ranks every block (against matrix.column_rank_test), the node
 arrays of a layered code's vector, written and read one symbol at a
 time (against the layered encode and fill_layers), a Johnson code's
-decode plan by elimination (against jgc.decode_plan), and a decode of
+decode plan by elimination (against jgc.decode_plan), a decode of
 slot groups as one single-anchor decode per group (against
-jgc.erasure_decode's grouped form).
+jgc.erasure_decode's grouped form), k-lex order by a key sort (against
+johnson_vertices), a layered code's symbol layout element by element
+(against LayeredSpec's at, slot and masks), and a concatenated code's
+read offsets symbol by symbol (against ConcatCode's cols and row).
 """
 
 import itertools
@@ -151,3 +154,36 @@ def grouped_decode(code, groups, word, syndrome, K) -> List[int]:
         at += slots
     return K.from_bytes(b"".join(data[j * g:(j + 1) * g]
                                  for j in range(len(word)) for data, g in parts))
+
+
+def klex_vertices(n: int, v: int, k: Optional[int] = None) -> List[Tuple[int, ...]]:
+    """The v-subsets of {0..n-1} in lex order, or with k sorted by the
+    key (-|L intersect {0..k-1}|, L)."""
+    verts = list(itertools.combinations(range(n), v))
+    if k is not None:
+        head = set(range(k))
+        verts.sort(key=lambda L: (-len(head.intersection(L)), L))
+    return verts
+
+
+def layered_layout(n: int, v: int) -> Tuple[List[List[int]], List[int], List[int]]:
+    """(at, slot, masks) of the layered code on J(n,v), element by
+    element: at[i] lists position index[L]*v + L.index(i) of each lex
+    layer L holding node i, slot[p] is p's place in its node's list,
+    and masks[l] sums 1 << j over the nodes j of layer l."""
+    layers = list(itertools.combinations(range(n), v))
+    at = [[l * v + L.index(i) for l, L in enumerate(layers) if i in L] for i in range(n)]
+    slot = [0] * (len(layers) * v)
+    for ps in at:
+        for s, p in enumerate(ps):
+            slot[p] = s
+    return at, slot, [sum(1 << j for j in L) for L in layers]
+
+
+def read_offsets(code) -> Tuple[List[int], List[int]]:
+    """(cols, row) of a ConcatCode, symbol by symbol: cols lists the
+    column offsets[cid] + s by (size, position s, slot of cid), and row
+    sorts the read indices by their column."""
+    cols = [code.offsets[cid] + s for u, ids in code.order.items()
+            for s in range(code.lspec[u].alpha) for cid in ids]
+    return cols, sorted(range(len(cols)), key=cols.__getitem__)

@@ -15,7 +15,7 @@ from graphcodes.combinat import (
     shell_index,
     sign_of,
 )
-from reference import ball, hamming_ball, hamming_shell_index, shell
+from reference import ball, hamming_ball, hamming_shell_index, klex_vertices, shell
 
 
 def test_layer_normalizes_and_prints():
@@ -46,6 +46,33 @@ def test_klex_order_groups_by_anchor_overlap():
     for s in set(shells):
         block = [L for L, i in zip(verts, shells) if i == s]
         assert block == sorted(block)
+
+
+def test_johnson_vertices_equal_the_key_sort_reference():
+    # block by block, with no sort: the same list as the key sort for
+    # every n <= 9, every v and every k, none and outside [0, n] too
+    for n in range(10):
+        for v in range(n + 1):
+            for k in [None] + list(range(-1, n + 2)):
+                assert johnson_vertices(n, v, k) == klex_vertices(n, v, k), (n, v, k)
+
+
+def test_johnson_vertices_outside_k_is_lex_order():
+    # a k below 0 or above n meets every subset alike: lex order
+    for n, v in ((0, 0), (5, 2), (7, 3)):
+        lex = johnson_vertices(n, v)
+        assert johnson_vertices(n, v, -1) == johnson_vertices(n, v, n + 1) == lex
+        assert johnson_vertices(n, v, -5) == johnson_vertices(n, v, n + 7) == lex
+
+
+@pytest.mark.parametrize("args, name", [
+    ((5, 2.0, 1), "v"), ((5.0, 2, 1), "n"), ((5, 2, 1.0), "k"), ((5, 2, "1"), "k"),
+    ((True, 1, 0), "n"), ((5, True, 1), "v"), ((5, 2, False), "k"), ((None, 2), "n"),
+], ids=str)
+def test_johnson_vertices_reject_non_ints(args, name):
+    # a bool counts as a non-int, as in concat.code_family
+    with pytest.raises(ValueError, match=f"^{name}=.* is not an integer$"):
+        johnson_vertices(*args)
 
 
 def test_shell_index_is_symmetric_min():

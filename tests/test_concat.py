@@ -27,7 +27,9 @@ from graphcodes.concat import (
     _num_rounds,
     _shape_codim,
 )
-from graphcodes.jgc import _sparse_dual_rows, aligned_dual_rows, decode_plan
+from graphcodes.jgc import JGCSpec, _sparse_dual_rows, aligned_dual_rows, decode_plan
+from graphcodes.matrix import all_minors, nullspace
+from graphcodes.rs import rs_jgc
 from graphcodes.storesim import LayeredCode
 
 
@@ -383,6 +385,89 @@ def test_round_code_plans_equal_the_eliminated_plans(shape):
         for A in anchors:
             assert decode_plan(rd.code, A) == reference.decode_plan(rd.code, A)
         assert rd.code._cofactors is not None
+
+
+def _round_codes_by_index(code):
+    """{c: the round-c codes of every size}, sizes in rounds order."""
+    by_c = {}
+    for rd in (rd for rds in code.rounds.values() for rd in rds):
+        by_c.setdefault(rd.c, []).append(rd.code)
+    return by_c
+
+
+@pytest.mark.parametrize("shape", END_TO_END_SHAPES + [(12, 7, 6, 13)],
+                         ids=lambda s: "-".join(map(str, s)))
+def test_round_codes_of_one_index_share_one_round_base(shape):
+    # every size's round-c code keeps one RS base, and its dual keeps one
+    # dual base and one table of its minors, made up to the largest size
+    # a round-c code reads: min(v', m) for its dual rows, m - v' for plans
+    code = build_concat(*shape)
+    m = code.n - code.k
+    for c, codes in _round_codes_by_index(code).items():
+        duals = [jgc.dual(rc) for rc in codes]
+        assert all(rc.base is codes[0].base for rc in codes)
+        assert all(D.base is duals[0].base for D in duals)
+        assert all(D._minors is duals[0]._minors for D in duals)
+        s, table = duals[0]._minors
+        assert s == max(max(min(rc.v, m), m - rc.v) for rc in codes)
+        assert duals[0].base == nullspace(code.F, codes[0].base)
+        assert table == all_minors(code.F, duals[0].base, s)
+
+
+@pytest.mark.parametrize("shape", END_TO_END_SHAPES + [(12, 7, 6, 13)],
+                         ids=lambda s: "-".join(map(str, s)))
+def test_one_laplace_pass_per_round_index_and_none_in_first_plans(shape, monkeypatch):
+    calls = []
+
+    def counting(F, M, smax):
+        calls.append(smax)
+        return all_minors(F, M, smax)
+
+    monkeypatch.setattr(concat, "all_minors", counting)
+    monkeypatch.setattr(jgc, "all_minors", counting)
+    code = build_concat(*shape)
+    assert len(calls) == len(_round_codes_by_index(code))
+    calls.clear()
+    for rc in (rc for codes in _round_codes_by_index(code).values() for rc in codes):
+        assert decode_plan(rc, tuple(range(rc.k))).infoset
+    assert calls == []
+
+
+def test_a_code_built_alone_on_a_round_base_makes_its_own_table():
+    # a code on a helper code's base, or on its dual base, that reads
+    # larger minors than the round's table holds makes its own table,
+    # keeps none, and equals a fresh build; the shared table is left as
+    # it was (a table shared by content would raise KeyError here)
+    code = build_concat(8, 5, 4, 11)
+    rc, sibling = _round_codes_by_index(code)[0]
+    D = jgc.dual(rc)
+    shared = D._minors
+    assert (rc.n, rc.k, rc.v, sibling.v, shared[0]) == (8, 4, 3, 2, 3)
+    assert jgc.dual(sibling)._minors is shared
+    alone, fresh = JGCSpec(code.F, rc.base, 4, 1), rs_jgc(8, 4, 4, 1, 11)
+    assert aligned_dual_rows(alone) == aligned_dual_rows(fresh)
+    for A in itertools.combinations(range(8), 4):
+        assert decode_plan(alone, A) == decode_plan(fresh, A)
+    on_dual = JGCSpec(code.F, D.base, 4, 1)
+    assert on_dual.generator == JGCSpec(code.F, [list(row) for row in D.base], 4, 1).generator
+    assert D.base_minors(4) == all_minors(code.F, D.base, 4)
+    assert D.base_minors(3) is shared[1]
+    assert jgc.dual(alone)._minors is on_dual._minors is None
+    assert D._minors is shared and shared[0] == 3
+
+
+@pytest.mark.parametrize("shape", END_TO_END_SHAPES + [(12, 7, 6, 13)],
+                         ids=lambda s: "-".join(map(str, s)))
+def test_build_tables_equal_their_references(shape):
+    # the layered layouts and the read offsets, made by whole-list passes,
+    # equal their element-by-element references
+    code = build_concat(*shape)
+    for u, spec in code.lspec.items():
+        assert (spec.at, spec.slot, spec.masks) == reference.layered_layout(code.n, u)
+        assert spec.data == [p for p in range(spec.R * u) if p % u != u - 1]
+    cols, row = reference.read_offsets(code)
+    assert list(code.cols) == cols
+    assert list(code.row(range(len(cols)))) == row
 
 
 def _dependents(code, cid):

@@ -298,6 +298,20 @@ def test_erasure_decode_rejects_wrong_word_length():
     assert erasure_decode(code, A, known) == word
 
 
+def test_syndrome_of_rejects_wrong_vector_length():
+    # a short vector used to raise IndexError and a long one to give the
+    # syndrome of its prefix; both raise ValueError, regions or not
+    code = rs_jgc(6, 3, 2, 1, 7)
+    word, _ = _codeword_and_ball(code, (1, 4), 17)
+    K = code.F.regions(2, code.length + 1)
+    for bad in ([0] * 3, word[:-1], word + [0], word + word, []):
+        with pytest.raises(ValueError, match="vector length must equal the code length"):
+            syndrome_of(code, bad)
+        with pytest.raises(ValueError, match="vector length must equal the code length"):
+            syndrome_of(code, K.pack(bad + bad), K)
+    assert syndrome_of(code, word) == [0] * (code.length - code.dim)
+
+
 def test_erasure_decode_rejects_a_syndrome_longer_than_the_dual_dimension():
     code = rs_jgc(6, 3, 2, 1, 11)
     A = (1, 4)
