@@ -15,7 +15,10 @@ WORKLOADS plus p.  Each end-to-end metric gets both sides' runs,
 medians and quartiles, the change's median relative to the parent's and
 the pairs the change won (by the direction BENCHMARK.json gives), and
 the same for two numbers of each run's details line: the unscaled
-setup median and the reference kernel's median.  Then, on both
+setup median and the reference kernel's median; and for each operation
+kind of the details line's ``scaled_ops`` (on churn: setup, ingest,
+repair, save, load and cycle), its scaled p50, so that a change to one
+workload's ``op_p50_ms`` shows which operation moved.  Then, on both
 checkouts: one ``--trace 1`` run per workload at seed 3, giving the
 output digest and the per-layer counts (COUNTS, the bytes a churn save
 writes among them), both compared across the sides (``digest_equal``,
@@ -40,7 +43,10 @@ the median in-process time of ``build_concat``, of
 starts) and of ``ConcatCode.repair`` of every node at (8,5,4,11) and
 (10,6,5,11), of ``LayeredCode`` encode,
 collect from every (n-1)-subset and repair of every node at (8,5,11)
-and (10,4,11), of ``save_state`` at (8,5,4,11) into one directory,
+and (10,4,11), of ``ConcatCode.stored_payload`` of the nodes of one
+seeded blob and of ``save_state`` at (8,5,4,11) into one directory,
+after the time of the first ``save_state`` of a newly built code (what
+the code builds on first use, such as a payload index, included),
 of ``load_state`` of that store while the code that saved it is alive,
 and again once no code of those parameters is alive (each load drops
 its result), and of criterion 8's
@@ -73,8 +79,9 @@ of that (10,6,5,11) code, one pass per round code as a build made
 before the round codes of one index shared one table: the same work on
 both checkouts, a timing of the ``pi`` layer.  Last in the probe, the
 median time of ``build_concat`` at (12,7,6,13) (no code of it alive,
-so each call builds), and of ``save_state`` and of ``load_state`` (the
-saving code alive) at (12,7,6,13), whose 46,656 symbols per node make
+so each call builds), and, after the first ``save_state`` of a newly
+built code, of ``stored_payload``, ``save_state`` and ``load_state``
+(the saving code alive) at (12,7,6,13), whose 46,656 symbols per node make
 the persistence layer's per-symbol cost visible, with the bytes of that
 store (its manifest and node files); they run after every peak-RSS
 reading, so the larger code does not raise them.  Then the collect counts, exact, so one run per checkout: at
@@ -254,10 +261,21 @@ for shape in ((8, 5, 11), (10, 4, 11)):
         lambda: [code.collect(nodes, A) for A in anchors], 9)
     out["median_ms"][name + ".repair, every node"] = median_ms(
         lambda: [code.repair(nodes, f) for f in range(code.n)], 9)
+# the first save of a newly built code, with what the code builds on its
+# first use, then the warm medians
+def first_save_ms(state, tmp):
+    t0 = time.perf_counter()
+    storesim.save_state(state, tmp)
+    return round((time.perf_counter() - t0) * 1000, 2)
+
+out["first_save_ms"] = {}
 code = concat.build_concat(8, 5, 4, 11)
 rng = random.Random(1)
 state = storesim.ingest(code, [rng.randrange(code.F.q) for _ in range(code.M)])
 with tempfile.TemporaryDirectory() as tmp:
+    out["first_save_ms"]["(8,5,4,11)"] = first_save_ms(state, tmp)
+    out["median_ms"]["stored_payload(8,5,4,11)"] = median_ms(
+        lambda: code.stored_payload(state.nodes), 9)
     out["median_ms"]["save_state(8,5,4,11)"] = median_ms(
         lambda: storesim.save_state(state, tmp), 9)
     out["median_ms"]["load_state(8,5,4,11)"] = median_ms(
@@ -402,6 +420,9 @@ code = concat.build_concat(12, 7, 6, 13)
 rng = random.Random(1)
 state = storesim.ingest(code, [rng.randrange(code.F.q) for _ in range(code.M)])
 with tempfile.TemporaryDirectory() as tmp:
+    out["first_save_ms"]["(12,7,6,13)"] = first_save_ms(state, tmp)
+    out["median_ms"]["stored_payload(12,7,6,13)"] = median_ms(
+        lambda: code.stored_payload(state.nodes), 5)
     out["median_ms"]["save_state(12,7,6,13)"] = median_ms(
         lambda: storesim.save_state(state, tmp), 5)
     out["store_bytes(12,7,6,13)"] = sum(
@@ -465,6 +486,7 @@ def main():
         seeds = [args.seed_base + 100 * wi + p for p in range(PAIRS)]
         runs = {"parent": [], "change": []}
         raw = {"parent": [], "change": []}
+        ops = {"parent": [], "change": []}
         for p, seed in enumerate(seeds):
             order = ("parent", "change") if p % 2 == 0 else ("change", "parent")
             for side in order:
@@ -472,6 +494,7 @@ def main():
                 runs[side].append(result)
                 raw[side].append((info["raw_ops"]["setup"]["p50_ms"],
                                   info["reference_kernel_ms"]["p50"]))
+                ops[side].append({k: v["p50_ms"] for k, v in info["scaled_ops"].items()})
                 print(workload, seed, side, json.dumps(
                     {k: round(v["value"], 3) for k, v in result["metrics"].items()}),
                     file=sys.stderr, flush=True)
@@ -489,6 +512,12 @@ def main():
                                       [r[i] for r in raw["change"]], "lower")
                         for i, name in enumerate(("raw_setup_p50_ms",
                                                   "reference_kernel_p50_ms"))},
+            # each operation kind's scaled p50, where every run of both
+            # sides has one
+            "scaled_ops_p50_ms": {
+                kind: compare([r[kind] for r in ops["parent"]], [r[kind] for r in ops["change"]],
+                              "lower")
+                for kind in sorted(set.intersection(*map(set, ops["parent"] + ops["change"])))},
         }
 
     per_layer = {}

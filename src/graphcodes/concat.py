@@ -38,7 +38,9 @@ the case of one component, no rounds, nothing injected.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
+import sys
 import weakref
 from array import array
 from fractions import Fraction
@@ -376,14 +378,14 @@ class ConcatCode:
       is None, and any 1 <= v <= n and field order is accepted.
 
     After __init__ a code changes only its memo caches, each filled
-    deterministically from the parameters: _lifts, _schedules,
-    _encoder, _repairs and every round JGCSpec's _plans, _cofactors,
-    _sparse and _masks.  Its _dual and _aligned are built with it, the
-    dual on round c's one dual base and minors table (_minors), shared
-    by every size, so a first plan runs no Laplace pass; its generator
-    rows never are, as nothing reads them.  So every caller of one
-    (n, v, k, q) can share one code, as live_concat does, and shares its
-    warm plans and schedules with it.
+    deterministically from the parameters: _lifts, _schedules, _encoder,
+    _repairs, _index (an array('i')) and every round JGCSpec's _plans,
+    _cofactors, _sparse and _masks.  Its _dual and _aligned are built
+    with it, the dual on round c's one dual base and minors table
+    (_minors), shared by every size, so a first plan runs no Laplace
+    pass; its generator rows never are, as nothing reads them.  So every
+    caller of one (n, v, k, q) can share one code, as live_concat does,
+    and shares its warm plans and schedules with it.
     """
 
     def __init__(self, n: int, v: int, k: int, q: int):
@@ -394,11 +396,12 @@ class ConcatCode:
         self.layout = (ScenarioLayout(n, v, k, range(v - 2, v - 2 - _num_rounds(n, v, k), -1))
                        if family == "concat" else None)
         self.n, self.v, self.k, self.A0 = n, v, k, tuple(range(k))
-        # _lift's, _schedule's, encode's and repair's caches, filled on first use
+        # the memo caches (see above), filled on first use
         self._lifts: Dict[Tuple[JGCSpec, Layer, int], Tuple[int, ...]] = {}
         self._schedules: Dict[Layer, Dict[int, tuple]] = {}
         self._encoder: Optional[Dict[int, tuple]] = None
         self._repairs: Dict[int, Tuple[list, Dict[int, tuple]]] = {}
+        self._index: Optional[array] = None
 
         # sizes[cid] is component cid's layer size, numbered breadth
         # first (the loop visits the ids it appends): cid's dependents
@@ -518,19 +521,17 @@ class ConcatCode:
 
     def _array(self, nodes: Sequence[Sequence[int]], i: int) -> Sequence[int]:
         """nodes[i], or ValueError unless it is there with alpha entries."""
-        if i >= len(nodes) or len(nodes[i]) != self.alpha:
+        if i >= len(nodes) or nodes[i] is None or len(nodes[i]) != self.alpha:
             raise ValueError(f"node {i} has no array of alpha={self.alpha} symbols")
         return nodes[i]
 
-    def _put(self, vals: Sequence[int], parts, vectors: Dict[int, list]) -> None:
-        """Pack vals, listed by (size, position, slot), into the region
-        vectors at parts, a list of (size, positions)."""
-        start = 0
-        for u, pos in parts:
-            K, w = self.kernels[u], vectors[u]
-            for p, x in zip(pos, K.pack(vals[start:start + len(pos) * K.B])):
+    def _put(self, vals: Dict[int, list], pos: Dict[int, list], vectors: Dict[int, list]) -> None:
+        """Pack each size u's vals[u], listed by (position, slot), into
+        its region vector at pos[u]: one K.pack and one scatter per size."""
+        for u, xs in vals.items():
+            w = vectors[u]
+            for p, x in zip(pos[u], self.kernels[u].pack(xs)):
                 w[p] = x
-            start += len(pos) * K.B
 
     def _column(self, vectors: Dict[int, list], j: int) -> List[int]:
         """Node j's array, from the region vectors."""
@@ -538,16 +539,25 @@ class ConcatCode:
             getter(self.lspec[u].at[j])(vectors[u])) for u in self.order)))
 
     def _gather(self, nodes: Sequence[Sequence[int]], reads, vectors: Dict[int, list]) -> ReadLog:
-        """Read each (node j, offsets, parts) of reads: node j's symbols
-        at offsets, from an array checked to hold alpha entries (_array),
-        each checked to be a symbol, packed into vectors at parts (_put).
-        The log has one (j, offsets) record per read, in the order read."""
-        log = ReadLog([])
-        for j, offsets, parts in reads:
-            self._put(self.F.check_symbols(getter(offsets)(self._array(nodes, j)), f"node {j}"),
-                      parts, vectors)
-            log.records.append((j, offsets))
-        return log
+        """Read each (node j, offsets, parts) of reads: node j's symbols at
+        offsets, from an array of alpha entries (_array), all held to one
+        check_symbols (a failure reads node by node, to name the first bad
+        node), then packed into vectors at parts, each size's from all
+        reads at once (_put).  The log has one (j, offsets) record per read."""
+        xs = None
+        with contextlib.suppress(ValueError):
+            xs = iter(self.F.check_symbols(_flat(getter(offsets)(self._array(nodes, j))
+                                                 for j, offsets, _ in reads), "reads"))
+        if xs is None:  # raises, naming the first bad node as a read of each in turn
+            for j, offsets, _ in reads:
+                self.F.check_symbols(getter(offsets)(self._array(nodes, j)), f"node {j}")
+        vals, pos = {u: [] for u in self.order}, {u: [] for u in self.order}
+        for _, _, parts in reads:
+            for u, ps in parts:
+                vals[u] += itertools.islice(xs, len(ps) * self.kernels[u].B)
+                pos[u] += ps
+        self._put(vals, pos, vectors)
+        return ReadLog([(j, offsets) for j, offsets, _ in reads])
 
     def _stack(self, K, w: list, code: JGCSpec, lifts, groups=()) -> tuple:
         """(K2, word): the G words of w at the position lists in lifts, one
@@ -714,9 +724,9 @@ class ConcatCode:
         kept in _encoder: round 0's decode at A0, then every layer check,
         and syndromes handed down at every sublayer.
         """
-        if len(payload) != self.M:
+        if len(payload or ()) != self.M:
             raise ValueError(f"expected {self.M} payload symbols, "
-                             f"got {len(payload)}")
+                             f"got {len(payload or ())}")
         self.F.check_symbols(list(payload), "payload")
         if self._encoder is None:
             last = {u: range(u - 1, spec.R * u, u) for u, spec in self.lspec.items()}
@@ -725,11 +735,10 @@ class ConcatCode:
                  or [(None, (), last[u])] for u in last},
                 {u: range(spec.R) for u, spec in self.lspec.items()})
         vectors = self._vectors()
+        self._put({u: _flat(zip(*(payload[self.start[cid]:self.start[cid + 1]] for cid in ids)))
+                   for u, ids in self.order.items()}, self.data, vectors)
         injected: Dict[int, List[int]] = {}
         for u, w in vectors.items():
-            n = len(self.data[u])
-            self._put(_flat(zip(*(payload[self.start[cid]:self.start[cid] + n]
-                                  for cid in self.order[u]))), [(u, self.data[u])], vectors)
             self._replay(u, w, self._encoder[u], injected)
         return [self._column(vectors, j) for j in range(self.n)]
 
@@ -750,7 +759,7 @@ class ConcatCode:
         raises on a gap; the rest, checks at a layer's largest node, stay
         None.
         """
-        A = layer([check_node(self.n, i) for i in A])
+        A = layer([check_node(self.n, i) for i in A or ()])
         if len(A) != self.k:
             raise ValueError(f"need exactly k={self.k} nodes, got {len(A)}")
         vectors = self._vectors()
@@ -762,11 +771,29 @@ class ConcatCode:
         return self._payload(vectors), log
 
     def stored_payload(self, nodes: Sequence[Sequence[int]]) -> List[int]:
-        """The payload the n nodes store at data[u], every node read and
-        checked as a collect reads it (_gather of reads); no decode."""
-        vectors = self._vectors()
-        self._gather(nodes, self.reads, vectors)
-        return self._payload(vectors)
+        """The payload the n nodes store at data[u], no decode: the node
+        arrays chained, each checked to hold alpha symbols (a failure is
+        named as _gather of reads names it), then gathered through _index,
+        built on first use: each payload symbol's offset in the chain.  Per
+        size, data[u]'s offsets in a component at offset 0 are array('i')
+        items packed in one int; adding o times the int of as many ones
+        adds o to each at once (no carry: every offset is below 2^31)."""
+        chain, arrays = None, map(self._array, itertools.repeat(nodes), range(self.n))
+        with contextlib.suppress(ValueError):
+            chain = self.F.check_symbols(_flat(arrays), "nodes")
+        if chain is None:
+            self._gather(nodes, self.reads, self._vectors())  # raises
+        if self._index is None:
+            packed, order = {}, sys.byteorder
+            for u, spec in self.lspec.items():
+                raw = array("i", [spec.layers[p // u][p % u] * self.alpha + spec.slot[p]
+                                  for p in self.data[u]]).tobytes()
+                ones = array("i", [1] * len(self.data[u])).tobytes()
+                packed[u] = int.from_bytes(raw, order), int.from_bytes(ones, order), len(raw)
+            self._index = array("i", b"".join(
+                (x + o * ones).to_bytes(size, order)
+                for o, (x, ones, size) in zip(self.offsets, map(packed.get, self.sizes))))
+        return list(map(chain.__getitem__, self._index))
 
     # ----- repair -----
 

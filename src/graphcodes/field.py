@@ -290,6 +290,7 @@ class FieldSpec:
             kernel = _table_kernel(self._add, self._sub, self._mul)
         self.dot, self.sub_mul, self.scale, self.sum, self.column_dots = kernel
         self._regions: dict = {}
+        self._symbols = bytes(range(q)) if q <= 256 else None  # check_symbols deletes them
 
     def regions(self, B: int, longest: int = 1) -> Regions:
         """Regions of B slots for rows of at most ``longest`` terms, built once."""
@@ -354,12 +355,19 @@ class FieldSpec:
     def check_symbols(self, xs, where: str, top: Optional[int] = None):
         """xs, or ValueError naming ``where`` and its first bad entry
         unless it is a list or tuple of ints (not bools) in [0, top): top
-        is q for symbols, Regions.top for region words.  Checked in bulk;
-        only a failure looks at the entries one by one."""
+        is q for symbols, Regions.top for region words.  Checked in bulk,
+        for top = q <= 256 as bytes(xs) left empty once the field's symbol
+        bytes are deleted; only a failure looks at the entries one by one."""
         top = top or self.q
         if not isinstance(xs, (list, tuple)):
             raise ValueError(f"{where} holds a symbol outside GF({self.q})")
-        if xs and not (set(map(type, xs)) == {int} and 0 <= min(xs) and max(xs) < top):
+        try:  # bytes(xs) raises on an entry outside [0, 256)
+            ok = set(map(type, xs)) == {int} and (
+                not bytes(xs).translate(None, self._symbols) if top == self.q <= 256
+                else 0 <= min(xs) and max(xs) < top)
+        except ValueError:
+            ok = False
+        if xs and not ok:
             x = next(x for x in xs if type(x) is not int or not 0 <= x < top)
             what = f"an element of GF({self.q})" if top == self.q else "a region"
             raise ValueError(f"{where} holds a symbol outside GF({self.q}): "

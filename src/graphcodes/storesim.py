@@ -51,7 +51,7 @@ class StorageState:
         self.nodes = nodes if nodes is not None else code.encode(self.blob)
         if len(self.nodes) != code.n:
             raise ValueError(f"{len(self.nodes)} node arrays, expected n={code.n}")
-        if any(len(row) != code.alpha for row in self.nodes):
+        if any(row is None or len(row) != code.alpha for row in self.nodes):
             raise ValueError("node array width differs from alpha")
         self.access_log: List[ReadLog] = []
         self.last_repair_log = ReadLog([])

@@ -13,8 +13,11 @@ decode plan by elimination (against jgc.decode_plan), a decode of
 slot groups as one single-anchor decode per group (against
 jgc.erasure_decode's grouped form), k-lex order by a key sort (against
 johnson_vertices), a layered code's symbol layout element by element
-(against LayeredSpec's at, slot and masks), and a concatenated code's
-read offsets symbol by symbol (against ConcatCode's cols and row).
+(against LayeredSpec's at, slot and masks), a concatenated code's
+read offsets symbol by symbol (against ConcatCode's cols and row), the
+symbol check by a type set, min and max (against FieldSpec.check_symbols)
+and the stored payload by a read of every node into region vectors
+(against ConcatCode.stored_payload's payload index).
 """
 
 import itertools
@@ -187,3 +190,27 @@ def read_offsets(code) -> Tuple[List[int], List[int]]:
     cols = [code.offsets[cid] + s for u, ids in code.order.items()
             for s in range(code.lspec[u].alpha) for cid in ids]
     return cols, sorted(range(len(cols)), key=cols.__getitem__)
+
+
+def check_symbols(F, xs, where: str, top: Optional[int] = None):
+    """xs, or ValueError naming where and its first bad entry unless xs
+    is a list or tuple of ints (not bools) in [0, top), top = F.q unless
+    given: the bulk test by the set of the entry types, min and max."""
+    top = top or F.q
+    if not isinstance(xs, (list, tuple)):
+        raise ValueError(f"{where} holds a symbol outside GF({F.q})")
+    if xs and not (set(map(type, xs)) == {int} and 0 <= min(xs) and max(xs) < top):
+        x = next(x for x in xs if type(x) is not int or not 0 <= x < top)
+        what = f"an element of GF({F.q})" if top == F.q else "a region"
+        raise ValueError(f"{where} holds a symbol outside GF({F.q}): "
+                         f"{x!r} is not {what}")
+    return xs
+
+
+def stored_payload(code, nodes) -> List[int]:
+    """The payload a ConcatCode's n node arrays store: every node read
+    and checked as a collect reads it (_gather of code.reads) into region
+    vectors, and the payload taken from them (_payload)."""
+    vectors = code._vectors()
+    code._gather(nodes, code.reads, vectors)
+    return code._payload(vectors)

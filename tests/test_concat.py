@@ -5,6 +5,7 @@ import itertools
 import json
 import random
 import re
+from array import array
 from fractions import Fraction
 from math import comb
 
@@ -939,3 +940,70 @@ def test_collect_leaves_only_dead_layer_checks_unknown():
         assert code.repair(nodes, f)[0] == nodes[f]
         _assert_handdowns(code, code._repairs[f][1], {u: [
             l for l, L in enumerate(code.lspec[u].layers) if f in L] for u in code.order})
+
+
+# stored_payload against the read of every node: every end-to-end shape
+# (GF(8) and GF(9) among them), two pure layered codes (n, v, q), a
+# q = 257 cascade and (12,7,6,13), the largest shape built here
+PAYLOAD_SHAPES = END_TO_END_SHAPES + [(6, 3, 11), (10, 4, 11), (4, 3, 2, 257), (12, 7, 6, 13)]
+
+
+def _code(shape):
+    return LayeredCode(*shape) if len(shape) == 3 else build_concat(*shape)
+
+
+def _random_nodes(code, seed):
+    rng = random.Random(seed)
+    return [rng.choices(range(code.F.q), k=code.alpha) for _ in range(code.n)]
+
+
+@pytest.mark.parametrize("shape", PAYLOAD_SHAPES, ids=_name)
+def test_stored_payload_is_the_read_of_every_node(shape):
+    # one gather of the chained node arrays through the payload index
+    # gives what a read of every node into region vectors gives, for any
+    # node arrays; a build makes no index, the first call makes it as an
+    # array('i') and the next call reuses it
+    code = _code(shape)
+    assert code._index is None
+    nodes = _random_nodes(code, 40)
+    assert code.stored_payload(nodes) == reference.stored_payload(code, nodes)
+    index = code._index
+    assert isinstance(index, array) and index.typecode == "i" and len(index) == code.M
+    nodes = _random_nodes(code, 41)
+    assert code.stored_payload(nodes) == reference.stored_payload(code, nodes)
+    assert code._index is index
+
+
+def _message(call):
+    with pytest.raises(ValueError) as exc:
+        call()
+    return str(exc.value)
+
+
+@pytest.mark.parametrize("shape", [(6, 4, 3, 7), (8, 5, 4, 11), (6, 3, 11), (4, 3, 2, 257),
+                                   (12, 7, 6, 13)], ids=_name)
+def test_stored_payload_names_the_first_bad_node(shape):
+    # a bad symbol anywhere in node i names node i and the entry; of two
+    # faults the one a read of the nodes in turn meets first is named, as
+    # the read of every node names it: of two bad symbols in one node the
+    # first read (cols[t] before cols[t+1] < cols[t], where cols has such
+    # a t), and a bad symbol in node 1 before a short array at node 2
+    code = _code(shape)
+    nodes, rng, q = _random_nodes(code, 42), random.Random(43), code.F.q
+    for i in range(code.n):
+        spots = range(code.alpha) if code.alpha <= 64 else [rng.randrange(code.alpha)]
+        for s in spots:
+            bad = [q, -1, True, None, 2.0, 300][(i + s) % 6]
+            old, nodes[i][s] = nodes[i][s], bad
+            assert _message(lambda: code.stored_payload(nodes)) == \
+                f"node {i} holds a symbol outside GF({q}): {bad!r} is not an element of GF({q})"
+            nodes[i][s] = old
+    t = next((t for t in range(code.alpha - 1) if code.cols[t] > code.cols[t + 1]), 0)
+    for damage in ("two symbols", "short next"):
+        damaged = [list(row) for row in nodes]
+        damaged[1][code.cols[t]], damaged[1][code.cols[t + 1]] = q, q + 1
+        if damage == "short next":
+            damaged[2].pop()
+        assert _message(lambda: code.stored_payload(damaged)) == \
+            _message(lambda: reference.stored_payload(code, damaged)) == \
+            f"node 1 holds a symbol outside GF({q}): {q} is not an element of GF({q})"

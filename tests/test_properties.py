@@ -35,8 +35,8 @@ from graphcodes.subres import (
     poly_mul,
     poly_trim,
 )
-from reference import (ball, hamming_ball, hamming_shell_index, node_arrays, pack, poly_add,
-                       read_layers, unpack)
+from reference import (ball, check_symbols, hamming_ball, hamming_shell_index, node_arrays, pack,
+                       poly_add, read_layers, unpack)
 
 F = field_make(7)
 
@@ -622,3 +622,40 @@ def test_store_packers_match_reference(args):
     data = pack(symbols, width)
     assert _pack(symbols, width) == data
     assert _unpack(data, width) == unpack(data, width) == symbols
+
+
+# ----- the symbol check against the reference's type set, min and max -----
+
+class _Int(int):
+    """An int subclass, which no symbol check accepts as a symbol."""
+
+
+_NOT_ONLY_SYMBOLS = st.one_of(
+    st.integers(-2, 300), st.booleans(), st.floats(), st.none(),
+    st.integers(-2, 300).map(_Int), st.sampled_from([-2**64, 2**64]))
+
+
+def _outcome(check):
+    """("returned", the object returned) or ("raised", the message)."""
+    try:
+        return "returned", check()
+    except ValueError as exc:
+        return "raised", str(exc)
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(q=st.sampled_from([2, 7, 8, 11, 256, 257]), wide=st.booleans(),
+       kind=st.sampled_from([list, tuple]), data=st.data())
+def test_check_symbols_matches_the_reference(q, wide, kind, data):
+    # FieldSpec.check_symbols deletes the field's symbol bytes from
+    # bytes(xs) for top = q <= 256: it returns xs, or raises the message
+    # the reference does, naming the same first bad entry, at top = q and
+    # at the top of a kernel of B = 2 slots
+    F = field_make(q)
+    top = F.regions(2, 4).top if wide else None
+    symbols = st.integers(0, q - 1)
+    xs = kind(data.draw(st.lists(symbols, max_size=30)
+                        | st.lists(symbols | _NOT_ONLY_SYMBOLS, max_size=30)))
+    got = _outcome(lambda: F.check_symbols(xs, "node 3", top))
+    assert got == _outcome(lambda: check_symbols(F, xs, "node 3", top))
+    assert got[0] == "raised" or got[1] is xs

@@ -87,6 +87,26 @@ def test_repair_rejects_a_node_array_of_the_wrong_length(damage):
         code.repair(_damaged(code, 4, damage), 0)
 
 
+@pytest.mark.parametrize("case", ["collect", "repair", "state", "anchor", "encode"])
+def test_none_at_the_door_is_refused_typed(case):
+    # None for every node array, for the anchor or for the payload is
+    # refused with the ValueError of a wrong input, not a TypeError from
+    # len() or iteration, worded as for any other wrong array, anchor or
+    # payload
+    code = build_concat(8, 5, 4, 11)
+    blob = _seeded_blob(code)
+    nodes, empty = code.encode(blob), [None] * code.n
+    call, match = {
+        "collect": (lambda: code.collect(empty, (0, 1, 2, 3)), "node 0 has no array of alpha=256"),
+        "repair": (lambda: code.repair(empty, 0), "node 1 has no array of alpha=256"),
+        "state": (lambda: StorageState(code, blob, empty), "node array width differs from alpha"),
+        "anchor": (lambda: code.collect(nodes, None), "need exactly k=4 nodes, got 0"),
+        "encode": (lambda: code.encode(None), "expected 1024 payload symbols, got 0"),
+    }[case]
+    with pytest.raises(ValueError, match=match):
+        call()
+
+
 @pytest.mark.parametrize("q", [11, 256])
 @pytest.mark.parametrize("bad", ["-1", "q"])
 @pytest.mark.parametrize("code_name", ["concat", "layered"])
